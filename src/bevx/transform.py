@@ -25,6 +25,7 @@ from functools import cached_property
 from pathlib import Path
 
 import json
+import os
 import numpy as np
 import scipy.sparse as sp
 
@@ -262,19 +263,37 @@ def cost_model(c, n_d, w_i, h_b, w_b):
 _MANIFEST = "ringray.json"
 
 
+def _replace_into(path, write, payload):
+    """`write(temp_path, payload)`, then move the file onto `path`."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        write(tmp, payload)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_ring_ray(rr, directory, digest):
-    """Cache a pair under a scene-config digest (two matrix files + manifest)."""
+    """Cache a pair under a scene-config digest (two matrix files + manifest).
+
+    The old manifest is removed first and the new one written last, and each
+    file lands by os.replace from a temp name. A save that dies part-way
+    therefore leaves a slot that loads as a miss, never a pair mixing old
+    and new files.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_sparse(directory / "ring.bxs", rr.ring)
-    write_sparse(directory / "ray.bxs", rr.ray)
+    (directory / _MANIFEST).unlink(missing_ok=True)
+    _replace_into(directory / "ring.bxs", write_sparse, rr.ring)
+    _replace_into(directory / "ray.bxs", write_sparse, rr.ray)
     manifest = {
         "config_digest": digest,
         "cells": rr.n_cells,
         "depth_bins": rr.n_depths,
         "columns": rr.n_columns,
     }
-    (directory / _MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
+    text = json.dumps(manifest, indent=2) + "\n"
+    _replace_into(directory / _MANIFEST, Path.write_text, text)
 
 
 def load_ring_ray(directory, digest):

@@ -26,6 +26,15 @@ def csr_from_pairs(pairs, shape):
     return SparseBinaryMatrix(shape[0], shape[1], offsets, cols)
 
 
+def csr_order_ok_isin(row_offsets, col_indices):
+    """The within-row order rule in its original np.isin form: every
+    position where col_indices fails to increase must be an interior row
+    start."""
+    row_offsets = np.asarray(row_offsets, dtype=np.int64)
+    bad = np.flatnonzero(np.diff(np.asarray(col_indices, dtype=np.int64)) <= 0) + 1
+    return bool(np.isin(bad, row_offsets[1:-1]).all())
+
+
 def grid_edges(grid):
     """Cell edges rebuilt from the public grid fields (same arithmetic)."""
     xe = grid.x_min + np.arange(grid.w_cells + 1) * grid.cell_size

@@ -8,7 +8,9 @@ from bevx import (
     SparseBinaryMatrix,
     UsageError,
     ValidationError,
+    build_ftm,
     cost_model,
+    effective_ftm,
     load_ring_ray,
     load_scene,
     scene_digest,
@@ -127,6 +129,21 @@ class TestSettingScene:
         assert adapted.bins.d_min == small_scene.bins.d_min
         assert adapted.grid.n_cells == 48 * 48
         assert adapted.grid.x_min == small_scene.grid.x_min
+
+    def test_s4_structure_counts(self, rig_scene):
+        """Pinned nnz of every per-scene matrix on the bundled rig at S4
+        (S5 shares its grid, width and bins): a faster builder must not
+        move any of them."""
+        adapted = setting_scene(rig_scene, PRESETS["S4"])
+        frustum = generate_frustum(adapted.rig, adapted.bins)
+        ftm = build_ftm(frustum, adapted.grid)
+        rr = build_ring_ray(frustum, adapted.grid)
+        assert ftm.nnz == 52_212
+        assert rr.ring.nnz == 41_212
+        assert rr.ray.nnz == 52_176
+        assert effective_ftm(rr).nnz == 58_628
+        assert np.count_nonzero(np.diff(ftm.row_offsets)) == 38_352
+        assert ftm.rows == 65_536
 
 
 class TestRunBench:

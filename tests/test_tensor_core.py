@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevx import (
@@ -14,7 +14,35 @@ from bevx import (
     scatter_add,
     spmm,
 )
-from oracles import matmul_loop
+from oracles import csr_from_pairs, csr_order_ok_isin, matmul_loop
+
+
+@st.composite
+def coo_problems(draw):
+    """(rows, cols, pairs): unsorted in-range COO pairs, duplicates likely."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    return rows, cols, draw(st.lists(pair, max_size=40))
+
+
+@st.composite
+def csr_candidates(draw):
+    """(rows, cols, offsets, indices) passing every constructor check except,
+    possibly, within-row order; about half have each row sorted and unique."""
+    rows = draw(st.integers(0, 6))
+    cols = draw(st.integers(1, 5))
+    row_lists = draw(
+        st.lists(
+            st.lists(st.integers(0, cols - 1), max_size=4),
+            min_size=rows,
+            max_size=rows,
+        )
+    )
+    if draw(st.booleans()):
+        row_lists = [sorted(set(r)) for r in row_lists]
+    offsets = np.cumsum([0] + [len(r) for r in row_lists])
+    return rows, cols, offsets, [c for r in row_lists for c in r]
 
 
 def rel_err(a, b):
@@ -57,6 +85,9 @@ class TestSparseBinaryMatrix:
             (2, 3, [0, 2, 2], [1, 1]),  # duplicate within row
             (2, 3, [0, 2, 2], [2, 1]),  # decreasing within row
             (2, 3, [0, 1, 2], [0]),  # col_indices shorter than nnz
+            (3, 3, [0, 0, 0, 2], [1, 0]),  # decrease after leading empty rows
+            (3, 3, [0, 2, 2, 2], [2, 2]),  # duplicate before trailing empty rows
+            (4, 3, [0, 1, 1, 3, 3], [0, 2, 1]),  # decrease one past a start
         ],
     )
     def test_invalid_construction(self, rows, cols, offsets, indices):
@@ -66,6 +97,34 @@ class TestSparseBinaryMatrix:
     def test_row_boundary_decrease_is_legal(self):
         m = SparseBinaryMatrix(2, 3, [0, 2, 3], [1, 2, 0])
         assert m.densify().tolist() == [[0, 1, 1], [1, 0, 0]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(coo_problems())
+    @example((1, 1, []))
+    @example((1, 1, [(0, 0), (0, 0)]))
+    @example((3, 1, [(2, 0), (0, 0), (2, 0)]))
+    def test_from_coo_matches_sorted_pair_set(self, problem):
+        rows, cols, pairs = problem
+        r = np.array([p[0] for p in pairs], dtype=np.int64)
+        c = np.array([p[1] for p in pairs], dtype=np.int64)
+        m = SparseBinaryMatrix.from_coo(rows, cols, r, c)
+        assert m == csr_from_pairs(pairs, (rows, cols))
+
+    @settings(max_examples=300, deadline=None)
+    @given(csr_candidates())
+    @example((4, 3, [0, 1, 1, 1, 2], [2, 0]))  # decrease at a start after empty rows
+    @example((3, 3, [0, 0, 0, 2], [0, 1]))  # leading empty rows
+    @example((3, 3, [0, 0, 0, 2], [1, 0]))
+    @example((3, 3, [0, 1, 2, 2], [1, 0]))  # trailing empty rows
+    @example((3, 3, [0, 2, 2, 2], [1, 0]))
+    def test_order_check_matches_isin_rule(self, case):
+        rows, cols, offsets, indices = case
+        try:
+            SparseBinaryMatrix(rows, cols, offsets, indices)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        assert accepted == csr_order_ok_isin(offsets, indices)
 
     def test_from_coo_dedups_and_sorts(self):
         m = SparseBinaryMatrix.from_coo(2, 4, [1, 0, 1, 1], [3, 2, 0, 3])

@@ -27,6 +27,7 @@ from bevx import (
     vt_ftm,
     vt_matrixvt,
 )
+from bevx import transform
 from bevx.bench import flip_ring_bit, max_rel_diff
 from oracles import random_scene, ring_ray_loop
 
@@ -264,6 +265,26 @@ class TestCache:
 
     def test_missing(self, tmp_path):
         assert load_ring_ray(tmp_path / "nowhere", "d") is None
+
+    def test_save_dying_after_ring_file_leaves_a_miss(self, tmp_path, rng, monkeypatch):
+        _, _, old = build_pair(rng)
+        # same shapes as the old pair, different ring: a mix would load
+        new = RingRayPair(SparseBinaryMatrix.from_dense(old.ring.densify() == 0), old.ray)
+        slot = tmp_path / "c"
+        save_ring_ray(old, slot, "old")
+        real = transform.write_sparse
+
+        def dies_after_ring(path, matrix):
+            if not path.name.startswith("ring.bxs"):
+                raise OSError("simulated crash")
+            real(path, matrix)
+
+        monkeypatch.setattr(transform, "write_sparse", dies_after_ring)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_ring_ray(new, slot, "new")
+        assert load_ring_ray(slot, "old") is None
+        assert load_ring_ray(slot, "new") is None
+        assert sorted(p.name for p in slot.iterdir()) == ["ray.bxs", "ring.bxs"]
 
     def test_corrupt_matrix_file(self, tmp_path, rng):
         _, _, rr = build_pair(rng)
