@@ -45,9 +45,6 @@ from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
     as_feature,
-    hadamard,
-    matmul,
-    reduce_sum,
     scatter_add,
     spmm,
 )
@@ -59,7 +56,6 @@ from .transform import (
     effective_ftm,
     load_ring_ray,
     save_ring_ray,
-    vt_composed,
     vt_matrixvt,
 )
 
@@ -101,9 +97,6 @@ __all__ = [
     "DTYPE",
     "SparseBinaryMatrix",
     "as_feature",
-    "hadamard",
-    "matmul",
-    "reduce_sum",
     "scatter_add",
     "spmm",
     "CostReport",
@@ -113,7 +106,6 @@ __all__ = [
     "effective_ftm",
     "load_ring_ray",
     "save_ring_ray",
-    "vt_composed",
     "vt_matrixvt",
     "__version__",
 ]

@@ -1,15 +1,16 @@
 """Benchmark and verification harness for the BEV transform backends.
 
-`run_bench` times the four backends on named transformation settings and
+`run_bench` times the three backends on named transformation settings and
 reports median/p10/p90 wall-clock latency plus the intermediate-parameter
 count each route materializes. Matrix and plan construction happen before
 the timed region: the transport matrices depend only on geometry and are
 built once per scene, so only the per-frame transform is measured.
 
 `run_check` is the equivalence suite: on freshly drawn random inputs it
-asserts that all transform routes agree with the scatter reference within
-1e-5 relative, and that the exact transport matrix is contained in the
-factorization-implied one.
+asserts that the exact-matrix route matches the scatter reference and that
+the reformulated route matches the exact-matrix route over the
+factorization-implied matrix, each within 1e-5 relative, and that the exact
+transport matrix is contained in the implied one.
 """
 from __future__ import annotations
 
@@ -45,7 +46,6 @@ from ..transform import (
     effective_ftm,
     load_ring_ray,
     save_ring_ray,
-    vt_composed,
     vt_matrixvt,
 )
 
@@ -112,7 +112,7 @@ PRESETS = {
     )
 }
 
-BACKENDS = ("scatter", "ftm", "ringray_composed", "matrixvt")
+BACKENDS = ("scatter", "ftm", "matrixvt")
 
 CSV_FIELDS = (
     "setting",
@@ -247,7 +247,7 @@ def _prepare(scene, setting, backends, seed, cache_dir):
     rr = None
     if "scatter" in backends or "ftm" in backends:
         ftm = build_ftm(frustum, adapted.grid)
-    if "matrixvt" in backends or "ringray_composed" in backends:
+    if "matrixvt" in backends:
         if cache_dir is not None:
             digest = scene_digest(adapted)
             slot = os.path.join(cache_dir, setting.name)
@@ -268,8 +268,6 @@ def _run_backend(state, backend):
         )
     if backend == "ftm":
         return vt_ftm(lift(state.features, state.depths), state.ftm)
-    if backend == "ringray_composed":
-        return vt_composed(lift(state.features, state.depths), state.rr)
     return vt_matrixvt(state.features, state.depths, state.rr)
 
 
@@ -372,7 +370,6 @@ class CheckReport:
     trials: int
     passed: bool
     max_ftm_vs_scatter: float
-    max_matrixvt_vs_composed: float
     max_matrixvt_vs_effective: float
     containment_ok: bool
     spurious_rate: float
@@ -393,8 +390,6 @@ class CheckReport:
         out += [
             f"check: ftm-vs-scatter         max rel diff {self.max_ftm_vs_scatter:.3e}  "
             + verdict(self.max_ftm_vs_scatter <= REL_TOL),
-            f"check: matrixvt-vs-composed   max rel diff {self.max_matrixvt_vs_composed:.3e}  "
-            + verdict(self.max_matrixvt_vs_composed <= REL_TOL),
             f"check: matrixvt-vs-effective  max rel diff {self.max_matrixvt_vs_effective:.3e}  "
             + verdict(self.max_matrixvt_vs_effective <= REL_TOL),
         ]
@@ -412,13 +407,14 @@ def _containment_ok(exact, implied):
 def run_check(config, trials, seed, channels=8, corrupt_ring=False):
     """Cross-validate every transform route on random inputs.
 
-    Per trial: fresh attention, full-height depths and features are drawn
-    and compressed; then (a) the exact-matrix transform must match the
-    scatter reference, (b) the reformulated transform must match the
-    composed pipeline, (c) the reformulated transform must match the
-    exact-matrix transform applied to the factorization-implied matrix, and
-    (d) the exact transport matrix must be contained in the implied one.
-    Stops at the first failing trial and records its seed.
+    First the exact transport matrix must be contained in the
+    factorization-implied one; if it is not, no trial runs. Per trial:
+    fresh attention, full-height depths and features are drawn and
+    compressed; then the exact-matrix transform must match the scatter
+    reference (ftm-vs-scatter), and the reformulated transform must match
+    the exact-matrix transform applied to the implied matrix
+    (matrixvt-vs-effective). Stops at the first failing trial and records
+    its seed.
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
@@ -440,7 +436,7 @@ def run_check(config, trials, seed, channels=8, corrupt_ring=False):
 
     rng = np.random.default_rng(seed)
     trial_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=trials)]
-    maxima = {"a": 0.0, "b": 0.0, "c": 0.0}
+    maxima = {"ftm-vs-scatter": 0.0, "matrixvt-vs-effective": 0.0}
     failed_seed = None
     failure = None
     if not containment:
@@ -458,33 +454,28 @@ def run_check(config, trials, seed, channels=8, corrupt_ring=False):
             f = prime_feature(feat_full, zero_embed, refine).reshape(n_w, channels)
             lifted = lift(f, d)
 
-            mvt = vt_matrixvt(f, d, rr)
             checks = (
-                ("a", vt_ftm(lifted, ftm), splat_reference(lifted, frustum, grid)),
-                ("b", mvt, vt_composed(lifted, rr)),
-                ("c", mvt, vt_ftm(lifted, implied)),
+                (
+                    "ftm-vs-scatter",
+                    vt_ftm(lifted, ftm),
+                    splat_reference(lifted, frustum, grid),
+                ),
+                ("matrixvt-vs-effective", vt_matrixvt(f, d, rr), vt_ftm(lifted, implied)),
             )
-            bad = None
             for key, lhs, rhs in checks:
                 rel = max_rel_diff(lhs, rhs)
                 maxima[key] = max(maxima[key], rel)
-                if rel > REL_TOL and bad is None:
-                    bad = key
-            if bad is not None:
+                if rel > REL_TOL and failure is None:
+                    failure = key
+            if failure is not None:
                 failed_seed = ts
-                failure = {
-                    "a": "ftm-vs-scatter",
-                    "b": "matrixvt-vs-composed",
-                    "c": "matrixvt-vs-effective",
-                }[bad]
                 break
 
     return CheckReport(
         trials=trials,
         passed=containment and failure is None,
-        max_ftm_vs_scatter=maxima["a"],
-        max_matrixvt_vs_composed=maxima["b"],
-        max_matrixvt_vs_effective=maxima["c"],
+        max_ftm_vs_scatter=maxima["ftm-vs-scatter"],
+        max_matrixvt_vs_effective=maxima["matrixvt-vs-effective"],
         containment_ok=containment,
         spurious_rate=float(spurious),
         failed_trial_seed=failed_seed,

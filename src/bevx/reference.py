@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import SparseBinaryMatrix, as_feature, scatter_add, spmm
+from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature, scatter_add, spmm
 
 __all__ = [
     "lift",
@@ -58,7 +58,8 @@ def lift_full(features, depths):
 
 
 def _check_lifted(lifted, frustum):
-    lifted = as_feature(lifted, "lifted")
+    # shape only: scatter_add coerces and scans the values once
+    lifted = np.asarray(lifted)
     if lifted.ndim != 3:
         raise ShapeError(f"lifted must be (W, N_d, C), got {lifted.shape}")
     w = frustum.n_cameras * frustum.n_columns
@@ -97,7 +98,8 @@ def splat_full(lifted_full, frusta, grid):
     Returns:
         (S, C) BEV feature tensor.
     """
-    lifted_full = as_feature(lifted_full, "lifted_full")
+    # shape only: each row's scatter_add coerces and scans its own slice
+    lifted_full = np.asarray(lifted_full)
     if lifted_full.ndim != 5:
         raise ShapeError(
             f"lifted_full must be (N_c, H_I, W_I, N_d, C), got {lifted_full.shape}"
@@ -105,7 +107,7 @@ def splat_full(lifted_full, frusta, grid):
     n_c, h_i, w_i, n_d, c = lifted_full.shape
     if len(frusta) != h_i:
         raise ShapeError(f"need {h_i} per-row frusta, got {len(frusta)}")
-    out = np.zeros((grid.n_cells, c), dtype=lifted_full.dtype)
+    out = np.zeros((grid.n_cells, c), dtype=DTYPE)
     for h, fr in enumerate(frusta):
         out += splat_reference(
             lifted_full[:, h].reshape(n_c * w_i, n_d, c), fr, grid
@@ -133,7 +135,8 @@ def build_ftm(frustum, grid):
 
 def vt_ftm(lifted, ftm):
     """Transport-matrix transform: BEV = ftm @ lifted reshaped to (W*N_d, C)."""
-    lifted = as_feature(lifted, "lifted")
+    # shape only: spmm coerces and scans the lifted tensor once
+    lifted = np.asarray(lifted)
     if lifted.ndim != 3:
         raise ShapeError(f"lifted must be (W, N_d, C), got {lifted.shape}")
     flat = lifted.reshape(-1, lifted.shape[2])

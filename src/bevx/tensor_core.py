@@ -18,11 +18,8 @@ from .errors import ShapeError, ValidationError
 __all__ = [
     "as_feature",
     "SparseBinaryMatrix",
-    "matmul",
     "spmm",
-    "hadamard",
     "scatter_add",
-    "reduce_sum",
 ]
 
 DTYPE = np.float32
@@ -174,18 +171,6 @@ class SparseBinaryMatrix:
         )
 
 
-def matmul(a, b):
-    """Real matrix product of two rank-2 float32 tensors.
-
-    Accumulation happens in at least float32 (BLAS sgemm).
-    """
-    a = as_feature(a, "a")
-    b = as_feature(b, "b")
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError.mismatch("matmul", a.shape, b.shape)
-    return a @ b
-
-
 def spmm(s, b):
     """Sparse-dense product: densify(s) @ b without densifying.
 
@@ -202,19 +187,6 @@ def spmm(s, b):
         raise ShapeError.mismatch("spmm", s.shape, b.shape)
     out = s._scipy @ b
     return np.ascontiguousarray(out, dtype=DTYPE)
-
-
-def hadamard(a, b):
-    """Elementwise product; b may broadcast (extent-1 axes stretch)."""
-    a = as_feature(a, "a")
-    b = as_feature(b, "b")
-    try:
-        out_shape = np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError.mismatch("hadamard", a.shape, b.shape) from None
-    if out_shape != a.shape:
-        raise ShapeError.mismatch("hadamard", a.shape, b.shape)
-    return a * b
 
 
 def scatter_add(values, targets, out_cells):
@@ -249,12 +221,3 @@ def scatter_add(values, targets, out_cells):
     # np.add.at applies updates in input order, matching the sequential oracle
     np.add.at(out, targets[present], values[present])
     return out
-
-
-def reduce_sum(t, axis):
-    """Sum over one axis; the axis is removed from the shape."""
-    t = as_feature(t, "t")
-    axis = int(axis)
-    if not 0 <= axis < t.ndim:
-        raise ShapeError(f"reduce_sum: axis {axis} out of range for shape {t.shape}")
-    return np.sum(t, axis=axis, dtype=DTYPE)

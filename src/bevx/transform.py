@@ -7,16 +7,13 @@ and which feature columns reach it (direction). This module factors it into
   * ring: S x N_d, ring[s, d] = 1 iff some column's sample at bin d lands in s
   * ray:  S x W,   ray[s, w] = 1 iff some bin of column w lands in s
 
-and provides two mathematically equivalent transforms built on the pair:
-
-  * vt_composed   materializes the lifted tensor, applies ring, masks by ray,
-    reduces over columns - the easy-to-read pipeline.
-  * vt_matrixvt   never materializes the lift: it contracts depths with ring
-    first (an S x W effective weight per cell/column), masks by ray inside the
-    sparse kernel, then multiplies by the feature matrix.
-
-Both are validated against the reference splat; cost_model quantifies why the
-reformulated route wins (the lift tensor never exists).
+and applies the pair with vt_matrixvt, which never materializes the lifted
+tensor: it contracts depths with ring first (an S x W effective weight per
+cell/column), masks by ray inside the sparse kernel, then multiplies by the
+feature matrix. effective_ftm gives the transport matrix the pair implies;
+reference.vt_ftm over that matrix is the independent route vt_matrixvt is
+gated against. cost_model is the closed-form cost of the paper's naive
+pipeline next to the reformulated one.
 """
 from __future__ import annotations
 
@@ -31,20 +28,12 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_sparse, write_sparse
-from .tensor_core import (
-    DTYPE,
-    SparseBinaryMatrix,
-    as_feature,
-    hadamard,
-    reduce_sum,
-    spmm,
-)
+from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
     "RingRayPair",
     "CostReport",
     "build_ring_ray",
-    "vt_composed",
     "vt_matrixvt",
     "effective_ftm",
     "cost_model",
@@ -79,11 +68,6 @@ class RingRayPair:
     @property
     def n_columns(self):
         return self.ray.cols
-
-    @cached_property
-    def _ray_mask(self):
-        """Dense (S, W) float mask of the ray matrix."""
-        return self.ray.densify()
 
     @cached_property
     def _plan(self):
@@ -131,38 +115,14 @@ def build_ring_ray(frustum, grid):
     return RingRayPair(ring, ray)
 
 
-def vt_composed(lifted, rr):
-    """Materialized-intermediate transform over the ring/ray pair.
-
-    Pipeline: view the lifted tensor (W, N_d, C) along depth as
-    (N_d, W * C), apply ring to get a per-cell stack (S, W, C), zero the
-    columns each cell does not see (ray mask), then sum over columns.
-
-    Returns:
-        (S, C) BEV feature tensor.
-    """
-    lifted = as_feature(lifted, "lifted")
-    if lifted.ndim != 3:
-        raise ShapeError(f"lifted must be (W, N_d, C), got {lifted.shape}")
-    w, n_d, c = lifted.shape
-    if w != rr.n_columns or n_d != rr.n_depths:
-        raise ShapeError.mismatch(
-            "vt_composed", lifted.shape, (rr.n_columns, rr.n_depths, "C")
-        )
-    by_depth = np.ascontiguousarray(lifted.transpose(1, 0, 2)).reshape(n_d, w * c)
-    inter = spmm(rr.ring, by_depth).reshape(rr.n_cells, w, c)
-    masked = hadamard(inter, rr._ray_mask[:, :, None])
-    return reduce_sum(masked, 1)
-
-
 def vt_matrixvt(features, depths, rr):
     """Reformulated transform; no lifted tensor is ever materialized.
 
-    Equivalent to vt_composed(lift(features, depths), rr): contracting the
-    depth matrix with ring first yields, per (cell, column), the total depth
-    mass that cell collects from that column; the ray mask is applied by
-    evaluating only the ray's nonzero (cell, column) slots; a final sparse
-    multiply against the (W, C) feature matrix produces the BEV tensor.
+    Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)):
+    contracting the depth matrix with ring first yields, per (cell, column),
+    the total depth mass that cell collects from that column; the ray mask is
+    applied by evaluating only the ray's nonzero (cell, column) slots; a final
+    sparse multiply against the (W, C) feature matrix produces the BEV tensor.
 
     Args:
         features: (W, C) per-column features.
@@ -219,10 +179,14 @@ def effective_ftm(rr):
 
 @dataclass(frozen=True)
 class CostReport:
-    """Arithmetic and intermediate-parameter costs of the two routes.
+    """Closed-form arithmetic and intermediate-parameter costs of the
+    paper's naive pipeline (flops_composed, mem_params_full_ftm) and of its
+    ring/ray reformulation (flops_reformulated, mem_params_ringray).
 
     Counts are per camera (extents C, N_d, W_I, H_B, W_B); flops count one
     multiply or add each; parameter counts are intermediate tensor elements.
+    No route in this package runs the naive pipeline; these are model
+    figures, not measurements.
     """
 
     flops_composed: int
@@ -240,9 +204,11 @@ class CostReport:
 
 
 def cost_model(c, n_d, w_i, h_b, w_b):
-    """Closed-form cost comparison of composed vs reformulated transforms.
+    """Closed-form cost model of the paper's naive pipeline against the
+    ring/ray reformulation.
 
-    composed: the (S, W_I, C) intermediate costs 2 * W_I * C * N_d * S flops;
+    naive: applying ring to the lifted tensor materializes an (S, W_I, C)
+    intermediate and costs 2 * W_I * C * N_d * S flops;
     reformulated: 2 * (C + N_d + 1) * W_I * S flops (ring contraction, mask,
     feature multiply). Intermediate parameters drop from W_I * N_d * S (the
     full transport matrix) to (W_I + N_d) * S (the two factors).

@@ -110,18 +110,11 @@ def splat_loop(lifted, frustum, grid):
     return out
 
 
-def matmul_loop(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    assert k == k2
-    out = np.zeros((m, n), dtype=np.float64)
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += float(a[i, t]) * float(b[t, j])
-            out[i, j] = acc
-    return out
+def dense_reformulated(features, depths, rr):
+    """The reformulated transform evaluated densely: contract depths with
+    the dense ring, mask by the dense ray, multiply by the features. Reads
+    ring and ray directly, never the execution plan vt_matrixvt uses."""
+    return ((rr.ring.densify() @ depths.T) * rr.ray.densify()) @ features
 
 
 def lift_loop(features, depths):

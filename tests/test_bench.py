@@ -296,10 +296,15 @@ class TestRunCheck:
         assert report.passed and report.containment_ok
         assert report.failure is None and report.failed_trial_seed is None
         assert report.max_ftm_vs_scatter <= 1e-5
-        assert report.max_matrixvt_vs_composed <= 1e-5
         assert report.max_matrixvt_vs_effective <= 1e-5
         assert 0.0 <= report.spurious_rate < 1.0
-        assert any("PASS" in line for line in report.lines())
+        lines = report.lines()
+        assert [line.split()[1] for line in lines] == [
+            "containment",
+            "ftm-vs-scatter",
+            "matrixvt-vs-effective",
+        ]
+        assert all(line.endswith("PASS") for line in lines)
 
     def test_deterministic_given_seed(self, small_config_path):
         a = run_check(small_config_path, trials=3, seed=11)
@@ -375,16 +380,20 @@ class TestCli:
         assert "result: FAIL in containment" in capsys.readouterr().out
 
     def test_unknown_backend_is_usage_error(self, small_config_path, capsys):
-        code = main(
-            [
-                "run",
-                "--config", small_config_path,
-                "--backends", "cuda",
-                "--repeats", "3",
-            ]
-        )
-        assert code == 2
-        assert "unknown backend" in capsys.readouterr().err
+        # a removed backend's name must fail like any other unknown name
+        for backend in ("cuda", "ringray_composed"):
+            code = main(
+                [
+                    "run",
+                    "--config", small_config_path,
+                    "--backends", backend,
+                    "--repeats", "3",
+                ]
+            )
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"unknown backend {backend!r}" in err
+            assert "valid: scatter, ftm, matrixvt" in err
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["check", "--config", str(tmp_path / "nope.json")])

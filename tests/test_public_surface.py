@@ -1,0 +1,96 @@
+"""The package's public boundary: exported names resolve, and every public
+route rejects a non-finite input with ValidationError."""
+import importlib
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from bevx import (
+    PrimeAttention,
+    RefineMap,
+    ValidationError,
+    build_ftm,
+    build_ring_ray,
+    generate_frustum,
+    lift,
+    prime_depth,
+    prime_feature,
+    splat_full,
+    splat_reference,
+    vt_ftm,
+    vt_matrixvt,
+)
+from oracles import random_scene
+
+N_C, W_I, H_I, N_D, C = 2, 4, 3, 5, 3
+W = N_C * W_I
+
+
+@pytest.mark.parametrize(
+    "module", ["bevx", "bevx.tensor_core", "bevx.transform", "bevx.reference", "bevx.bench"]
+)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+@pytest.fixture(scope="module")
+def scene_parts():
+    scene = random_scene(
+        np.random.default_rng(5), n_cameras=N_C, w_i=W_I, h_i=H_I, n_d=N_D, grid_cells=8
+    )
+    frustum = generate_frustum(scene.rig, scene.bins)
+    return SimpleNamespace(
+        scene=scene,
+        frustum=frustum,
+        ftm=build_ftm(frustum, scene.grid),
+        rr=build_ring_ray(frustum, scene.grid),
+    )
+
+
+def poisoned(shape, bad):
+    x = np.random.default_rng(0).random(shape, dtype=np.float32)
+    x.flat[x.size // 2] = bad
+    return x
+
+
+def clean(shape):
+    return np.random.default_rng(1).random(shape, dtype=np.float32)
+
+
+ROUTES = {
+    "lift-features": lambda bad, p: lift(poisoned((W, C), bad), clean((W, N_D))),
+    "lift-depths": lambda bad, p: lift(clean((W, C)), poisoned((W, N_D), bad)),
+    "vt_ftm-lifted": lambda bad, p: vt_ftm(poisoned((W, N_D, C), bad), p.ftm),
+    "splat_reference-lifted": lambda bad, p: splat_reference(
+        poisoned((W, N_D, C), bad), p.frustum, p.scene.grid
+    ),
+    "splat_full-lifted": lambda bad, p: splat_full(
+        poisoned((N_C, H_I, W_I, N_D, C), bad),
+        [generate_frustum(p.scene.rig, p.scene.bins, h) for h in range(H_I)],
+        p.scene.grid,
+    ),
+    "vt_matrixvt-features": lambda bad, p: vt_matrixvt(
+        poisoned((W, C), bad), clean((W, N_D)), p.rr
+    ),
+    "vt_matrixvt-depths": lambda bad, p: vt_matrixvt(
+        clean((W, C)), poisoned((W, N_D), bad), p.rr
+    ),
+    "prime_depth-depth": lambda bad, p: prime_depth(
+        poisoned((N_C, H_I, W_I, N_D), bad), PrimeAttention.uniform(N_C, H_I, W_I)
+    ),
+    "prime_feature-feature": lambda bad, p: prime_feature(
+        poisoned((N_C, H_I, W_I, C), bad),
+        np.zeros((H_I, W_I, C), dtype=np.float32),
+        RefineMap.identity(C),
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_non_finite_input_rejected(route, bad, scene_parts):
+    with pytest.raises(ValidationError, match="non-finite"):
+        ROUTES[route](bad, scene_parts)

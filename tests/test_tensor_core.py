@@ -8,13 +8,10 @@ from bevx import (
     SparseBinaryMatrix,
     ValidationError,
     as_feature,
-    hadamard,
-    matmul,
-    reduce_sum,
     scatter_add,
     spmm,
 )
-from oracles import csr_from_pairs, csr_order_ok_isin, matmul_loop
+from oracles import csr_from_pairs, csr_order_ok_isin
 
 
 @st.composite
@@ -149,34 +146,6 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.from_coo(2, 2, [0], [-1])
 
 
-class TestMatmul:
-    def test_identity(self, rng):
-        b = rng.random((3, 5), dtype=np.float32)
-        np.testing.assert_array_equal(matmul(np.eye(3, dtype=np.float32), b), b)
-
-    def test_hand_arithmetic(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[0.0], [1.0]])
-        assert out.tolist() == [[2.0], [4.0]]
-
-    def test_against_triple_loop(self, rng):
-        a = rng.random((7, 5), dtype=np.float32)
-        b = rng.random((5, 3), dtype=np.float32)
-        assert rel_err(matmul(a, b), matmul_loop(a, b)) <= 1e-6
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6), st.integers(0, 999))
-    def test_associative(self, m, k, n, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.random((m, k), dtype=np.float32)
-        b = rng.random((k, n), dtype=np.float32)
-        c = rng.random((n, 4), dtype=np.float32)
-        assert rel_err(matmul(matmul(a, b), c), matmul(a, matmul(b, c))) <= 1e-4
-
-
 class TestSpmm:
     def test_permutation(self, rng):
         perm = np.array([2, 0, 1])
@@ -192,7 +161,7 @@ class TestSpmm:
         mask = rng.random((100, 200)) < 0.005
         s = SparseBinaryMatrix.from_dense(mask)
         b = rng.random((200, 8), dtype=np.float32)
-        assert rel_err(spmm(s, b), matmul(s.densify(), b)) <= 1e-6
+        assert rel_err(spmm(s, b), s.densify() @ b) <= 1e-6
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -205,43 +174,12 @@ class TestSpmm:
         rng = np.random.default_rng(seed)
         s = SparseBinaryMatrix.from_dense(rng.random((m, k)) < density)
         b = rng.random((k, 3), dtype=np.float32)
-        assert rel_err(spmm(s, b), matmul(s.densify(), b)) <= 1e-6
+        assert rel_err(spmm(s, b), s.densify() @ b) <= 1e-6
 
     def test_shape_mismatch(self):
         s = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
         with pytest.raises(ShapeError):
             spmm(s, np.ones((4, 2)))
-
-
-class TestHadamard:
-    def test_ones_and_zeros(self, rng):
-        a = rng.random((3, 4), dtype=np.float32)
-        np.testing.assert_array_equal(hadamard(a, np.ones_like(a)), a)
-        assert not hadamard(a, np.zeros_like(a)).any()
-
-    def test_elementwise_loop(self, rng):
-        a = rng.random((4, 5), dtype=np.float32)
-        b = rng.random((4, 5), dtype=np.float32)
-        out = hadamard(a, b)
-        for i in range(4):
-            for j in range(5):
-                assert out[i, j] == np.float32(a[i, j] * b[i, j])
-
-    def test_commutative(self, rng):
-        a = rng.random((6, 2), dtype=np.float32)
-        b = rng.random((6, 2), dtype=np.float32)
-        np.testing.assert_array_equal(hadamard(a, b), hadamard(b, a))
-
-    def test_broadcast_stretches_unit_axis(self, rng):
-        a = rng.random((4, 3, 2), dtype=np.float32)
-        b = rng.random((4, 3, 1), dtype=np.float32)
-        np.testing.assert_array_equal(hadamard(a, b), a * b)
-
-    def test_output_shape_must_match_a(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((3, 1)), np.ones((3, 4)))
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 3)), np.ones((4, 3)))
 
 
 class TestScatterAdd:
@@ -272,25 +210,3 @@ class TestScatterAdd:
         out = scatter_add(v, perm, 10)
         np.testing.assert_array_equal(out[perm], v)
 
-
-class TestReduceSum:
-    def test_unit_axis_squeezes(self, rng):
-        t = rng.random((3, 1, 4), dtype=np.float32)
-        np.testing.assert_array_equal(reduce_sum(t, 1), t[:, 0, :])
-
-    def test_ones(self):
-        np.testing.assert_array_equal(
-            reduce_sum(np.ones((2, 3), dtype=np.float32), 0), [2.0, 2.0, 2.0]
-        )
-
-    def test_loop_oracle(self, rng):
-        t = rng.random((4, 5, 2), dtype=np.float32)
-        out = reduce_sum(t, 1)
-        expect = np.zeros((4, 2), dtype=np.float32)
-        for j in range(5):
-            expect += t[:, j, :]
-        assert rel_err(out, expect) <= 1e-6
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(ShapeError):
-            reduce_sum(np.ones((2, 2)), 2)

@@ -15,30 +15,19 @@ from bevx import (
     cost_model,
     effective_ftm,
     generate_frustum,
-    hadamard,
     lift,
     load_ring_ray,
     make_bev_grid,
     make_depth_bins,
-    matmul,
     save_ring_ray,
-    spmm,
-    vt_composed,
     vt_ftm,
     vt_matrixvt,
 )
 from bevx import transform
 from bevx.bench import flip_ring_bit, max_rel_diff
-from oracles import random_scene, ring_ray_loop
+from oracles import dense_reformulated, random_scene, ring_ray_loop
 
 from test_reference import single_ray_setup
-
-
-def dense_reformulated(features, depths, rr):
-    """Independent dense evaluation of the reformulated transform."""
-    e = spmm(rr.ring, np.ascontiguousarray(depths.T))
-    e = hadamard(e, rr.ray.densify())
-    return matmul(e, features)
 
 
 def build_pair(rng, n_cameras=2, w_i=5, h_i=2, n_d=6, grid_cells=12):
@@ -96,40 +85,24 @@ class TestBuildRingRay:
             RingRayPair(a, b)
 
 
-class TestVtComposed:
-    def test_zero_lifted(self, rng):
-        _, _, rr = build_pair(rng)
-        lifted = np.zeros((rr.n_columns, rr.n_depths, 3), dtype=np.float32)
-        assert not vt_composed(lifted, rr).any()
-
-    def test_all_ones_single_column(self, rng):
-        s, n_d = 6, 4
-        ones_ring = SparseBinaryMatrix.from_dense(np.ones((s, n_d)))
-        ones_ray = SparseBinaryMatrix.from_dense(np.ones((s, 1)))
-        rr = RingRayPair(ones_ring, ones_ray)
-        lifted = rng.random((1, n_d, 3), dtype=np.float32)
-        out = vt_composed(lifted, rr)
-        expect = lifted[0].sum(axis=0)
-        np.testing.assert_allclose(out, np.broadcast_to(expect, (s, 3)), rtol=1e-6)
-
-    def test_matches_reformulated(self, rng):
-        _, _, rr = build_pair(rng, n_cameras=3, w_i=6, h_i=3, n_d=8, grid_cells=16)
-        f = rng.random((rr.n_columns, 5), dtype=np.float32)
-        d = rng.random((rr.n_columns, rr.n_depths), dtype=np.float32)
-        assert max_rel_diff(vt_matrixvt(f, d, rr), vt_composed(lift(f, d), rr)) <= 1e-5
-
-    def test_shape_mismatch(self, rng):
-        _, _, rr = build_pair(rng)
-        with pytest.raises(ShapeError):
-            vt_composed(np.ones((rr.n_columns + 1, rr.n_depths, 2)), rr)
-
-
 class TestVtMatrixvt:
     def test_zero_depths(self, rng):
         _, _, rr = build_pair(rng)
         f = rng.random((rr.n_columns, 4), dtype=np.float32)
         d = np.zeros((rr.n_columns, rr.n_depths), dtype=np.float32)
         assert not vt_matrixvt(f, d, rr).any()
+
+    def test_all_ones_single_column(self, rng):
+        # every ray segment spans all N_d bins
+        s, n_d = 6, 4
+        ones_ring = SparseBinaryMatrix.from_dense(np.ones((s, n_d)))
+        ones_ray = SparseBinaryMatrix.from_dense(np.ones((s, 1)))
+        rr = RingRayPair(ones_ring, ones_ray)
+        f = rng.random((1, 3), dtype=np.float32)
+        d = rng.random((1, n_d), dtype=np.float32)
+        out = vt_matrixvt(f, d, rr)
+        expect = d.sum() * f[0]
+        np.testing.assert_allclose(out, np.broadcast_to(expect, (s, 3)), rtol=1e-6)
 
     def test_one_hot_single_ray_deposit(self):
         fr, bins, grid = single_ray_setup()
