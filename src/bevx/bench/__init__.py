@@ -17,9 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -34,7 +32,6 @@ from ..geometry import (
     load_scene,
     make_bev_grid,
     make_depth_bins,
-    scene_digest,
 )
 from ..prime import PrimeAttention, RefineMap, prime_depth, prime_feature
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
@@ -44,8 +41,6 @@ from ..transform import (
     build_ring_ray,
     cost_model,
     effective_ftm,
-    load_ring_ray,
-    save_ring_ray,
     vt_matrixvt,
 )
 
@@ -65,7 +60,6 @@ __all__ = [
     "emit_json",
     "flip_ring_bit",
     "max_rel_diff",
-    "thread_cap",
 ]
 
 REL_TOL = 1e-5
@@ -134,18 +128,6 @@ class BenchRecord:
     p90_s: float
     intermediate_params: int
     repeats: int
-
-
-def thread_cap(requested):
-    """Clamp a requested worker count by the BEVX_THREADS environment variable."""
-    raw = os.environ.get("BEVX_THREADS")
-    if raw is None:
-        return max(1, requested)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"BEVX_THREADS must be an integer, got {raw!r}") from None
-    return max(1, min(requested, cap))
 
 
 def max_rel_diff(a, b, floor=1e-6):
@@ -239,7 +221,7 @@ class _SettingState:
     rr: Optional[RingRayPair]
 
 
-def _prepare(scene, setting, backends, seed, cache_dir):
+def _prepare(scene, setting, backends, seed):
     adapted = setting_scene(scene, setting)
     frustum = generate_frustum(adapted.rig, adapted.bins)
     features, depths = make_inputs(setting, seed)
@@ -248,15 +230,7 @@ def _prepare(scene, setting, backends, seed, cache_dir):
     if "scatter" in backends or "ftm" in backends:
         ftm = build_ftm(frustum, adapted.grid)
     if "matrixvt" in backends:
-        if cache_dir is not None:
-            digest = scene_digest(adapted)
-            slot = os.path.join(cache_dir, setting.name)
-            rr = load_ring_ray(slot, digest)
-            if rr is None:
-                rr = build_ring_ray(frustum, adapted.grid)
-                save_ring_ray(rr, slot, digest)
-        else:
-            rr = build_ring_ray(frustum, adapted.grid)
+        rr = build_ring_ray(frustum, adapted.grid)
         rr._plan  # build the reusable execution plan outside the timed region
     return _SettingState(setting, features, depths, frustum, adapted.grid, ftm, rr)
 
@@ -284,21 +258,12 @@ def _params_for(setting, backend):
     return cost.mem_params_ringray
 
 
-def run_bench(
-    config,
-    settings,
-    backends,
-    repeats=20,
-    seed=0,
-    warmup=2,
-    parallel=1,
-    cache_dir=None,
-):
+def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     """Time each (setting, backend) pair; returns records in request order.
 
-    Matrix construction and input generation happen up front (optionally in
-    parallel across settings); every timed call runs alone. The first
-    `warmup` calls per backend are discarded.
+    Matrix construction and input generation happen up front, one setting
+    after another; every timed call runs alone. The first `warmup` calls per
+    backend are discarded.
     """
     if repeats < 3:
         raise UsageError(f"repeats must be >= 3, got {repeats}")
@@ -306,16 +271,7 @@ def run_bench(
     backends = _check_backends(backends)
     scene = load_scene(config)
 
-    workers = thread_cap(parallel)
-    if workers > 1 and len(settings) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            states = list(
-                pool.map(
-                    lambda s: _prepare(scene, s, backends, seed, cache_dir), settings
-                )
-            )
-    else:
-        states = [_prepare(scene, s, backends, seed, cache_dir) for s in settings]
+    states = [_prepare(scene, s, backends, seed) for s in settings]
 
     records = []
     for state in states:

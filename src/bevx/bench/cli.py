@@ -41,16 +41,6 @@ def build_parser():
     run_p.add_argument(
         "--json", dest="json_out", default=None, help="also write JSON here"
     )
-    run_p.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        help="prepare settings with up to N threads (timing stays serial; "
-        "capped by BEVX_THREADS)",
-    )
-    run_p.add_argument(
-        "--cache", default=None, help="directory for ring/ray matrix caches"
-    )
 
     check_p = sub.add_parser("check", help="run the equivalence suite")
     check_p.add_argument("--config", required=True, help="scene config (JSON)")
@@ -77,8 +67,6 @@ def _cmd_run(args):
         repeats=args.repeats,
         seed=args.seed,
         warmup=args.warmup,
-        parallel=args.parallel,
-        cache_dir=args.cache,
     )
     text = emit_csv(records)
     if args.out:

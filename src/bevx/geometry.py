@@ -14,7 +14,6 @@ Conventions:
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass

@@ -8,12 +8,15 @@ and which feature columns reach it (direction). This module factors it into
   * ray:  S x W,   ray[s, w] = 1 iff some bin of column w lands in s
 
 and applies the pair with vt_matrixvt, which never materializes the lifted
-tensor: it contracts depths with ring first (an S x W effective weight per
-cell/column), masks by ray inside the sparse kernel, then multiplies by the
-feature matrix. effective_ftm gives the transport matrix the pair implies;
-reference.vt_ftm over that matrix is the independent route vt_matrixvt is
-gated against. cost_model is the closed-form cost of the paper's naive
-pipeline next to the reformulated one.
+tensor. Both factors meet in one cached plan matrix (RingRayPair._plan), a
+binary (ray.nnz, W * N_d) CSR whose row for ray nonzero (s, w) picks the
+depths of column w at the bins of ring row s. vt_matrixvt is two sparse
+products over it: plan @ depths gives one weight per ray nonzero, and the
+ray-patterned S x W matrix of those weights times the features gives the
+BEV tensor. effective_ftm reads the transport matrix the pair implies off
+the same plan; reference.vt_ftm over that matrix is the independent route
+vt_matrixvt is gated against. cost_model is the closed-form cost of the
+paper's naive pipeline next to the reformulated one.
 """
 from __future__ import annotations
 
@@ -71,28 +74,26 @@ class RingRayPair:
 
     @cached_property
     def _plan(self):
-        """Pair expansion of the factorization, in ray CSR order.
+        """The execution plan: a binary (ray.nnz, W * N_d) matrix.
 
-        For the j-th ray nonzero (cell s, column w), the matching lifted
-        source indices are {w * N_d + d : d in ring row s}. Returns
-        (pair_flat, seg_offsets, nonempty) where pair_flat concatenates those
-        indices for every j, seg_offsets bounds each j's segment, and
-        nonempty marks segments with at least one pair (a hand-built ring may
-        leave a ray row unmatched; geometric pairs never do).
+        Row j belongs to the j-th ray nonzero (cell s, column w), in ray CSR
+        order, and holds the lifted source indices {w * N_d + d : d in ring
+        row s}. Applied to the flattened (W, N_d) depths it gives each ray
+        slot's depth mass; an empty ring row under a ray row (a hand-built
+        pair; geometric pairs never do this) is an empty plan row, weight 0.
         """
         ring, ray = self.ring, self.ray
-        ring_counts = np.diff(ring.row_offsets)
-        ray_counts = np.diff(ray.row_offsets)
-        s_of_j = np.repeat(np.arange(ring.rows), ray_counts)
-        seg_len = ring_counts[s_of_j]
-        seg_offsets = np.concatenate(([0], np.cumsum(seg_len)))
-        n_pairs = int(seg_offsets[-1])
-        # position of each pair inside its segment, then index into ring cols
-        pos = np.arange(n_pairs) - np.repeat(seg_offsets[:-1], seg_len)
-        ring_idx = np.repeat(ring.row_offsets[s_of_j], seg_len) + pos
-        pair_flat = np.repeat(ray.col_indices, seg_len) * ring.cols
-        pair_flat += ring.col_indices[ring_idx]
-        return pair_flat, seg_offsets, seg_len > 0
+        s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
+        row_len = np.diff(ring.row_offsets)[s_of_j]
+        offsets = np.concatenate(([0], np.cumsum(row_len)))
+        # position of each entry inside its row, then index into ring cols
+        pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
+        ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
+        cols = np.repeat(ray.col_indices, row_len) * ring.cols
+        cols += ring.col_indices[ring_idx]
+        plan = SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
+        plan._scipy  # the product handle is part of the per-scene build
+        return plan
 
 
 def build_ring_ray(frustum, grid):
@@ -118,11 +119,12 @@ def build_ring_ray(frustum, grid):
 def vt_matrixvt(features, depths, rr):
     """Reformulated transform; no lifted tensor is ever materialized.
 
-    Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)):
-    contracting the depth matrix with ring first yields, per (cell, column),
-    the total depth mass that cell collects from that column; the ray mask is
-    applied by evaluating only the ray's nonzero (cell, column) slots; a final
-    sparse multiply against the (W, C) feature matrix produces the BEV tensor.
+    Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)),
+    as two sparse products over the cached plan: plan @ depths.ravel() gives,
+    per ray nonzero (cell, column), the depth mass that cell collects from
+    that column (ring contraction and ray mask in one step); the (S, W)
+    matrix of those weights on the ray's pattern times the (W, C) features
+    gives the BEV tensor.
 
     Args:
         features: (W, C) per-column features.
@@ -140,15 +142,7 @@ def vt_matrixvt(features, depths, rr):
         raise ShapeError.mismatch(
             "vt_matrixvt", d.shape, (rr.n_columns, rr.n_depths)
         )
-    pair_flat, seg_offsets, nonempty = rr._plan
-    # weights[j] = sum over ring row s of depths[w, d] for the j-th ray
-    # nonzero (s, w): the fused ring-contraction + ray-mask step
-    weights = np.zeros(rr.ray.nnz, dtype=DTYPE)
-    if pair_flat.size and nonempty.any():
-        gathered = d.ravel()[pair_flat]
-        # empty segments are width-0, so consecutive nonempty starts still
-        # bound exactly one segment each
-        weights[nonempty] = np.add.reduceat(gathered, seg_offsets[:-1][nonempty])
+    weights = rr._plan._scipy @ d.ravel()
     effective = sp.csr_matrix(
         (weights, rr.ray.col_indices, rr.ray.row_offsets),
         shape=(rr.n_cells, rr.n_columns),
@@ -168,12 +162,14 @@ def effective_ftm(rr):
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
-    pair_flat, _, _ = rr._plan
-    counts = np.diff(rr.ray.row_offsets) * np.diff(rr.ring.row_offsets)
-    offsets = np.concatenate(([0], np.cumsum(counts)))
-    # ray CSR order groups pairs by cell, ascending (w, d) within a cell
+    plan = rr._plan
+    # plan rows follow ray CSR order, so cell s owns plan rows
+    # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within
     return SparseBinaryMatrix(
-        rr.n_cells, rr.n_columns * rr.n_depths, offsets, pair_flat
+        rr.n_cells,
+        plan.cols,
+        plan.row_offsets[rr.ray.row_offsets],
+        plan.col_indices,
     )
 
 

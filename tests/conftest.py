@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from bevx import Scene, generate_frustum, load_scene, synthetic_scene_dict
+from bevx import load_scene, synthetic_scene_dict
 
 ACCEPTANCE_LINES = []
 

@@ -11,9 +11,6 @@ from bevx import (
     build_ftm,
     cost_model,
     effective_ftm,
-    load_ring_ray,
-    load_scene,
-    scene_digest,
 )
 from bevx.bench import (
     BACKENDS,
@@ -30,7 +27,6 @@ from bevx.bench import (
     run_bench,
     run_check,
     setting_scene,
-    thread_cap,
 )
 from bevx.bench.cli import main
 from bevx.geometry import generate_frustum
@@ -56,23 +52,6 @@ class TestSettings:
     def test_rejects_nonpositive_extent(self):
         with pytest.raises(ValidationError, match="positive"):
             TransformSetting("bad", 0, 16, 44, 128, 128)
-
-
-class TestThreadCap:
-    def test_unset_env_uses_request(self, monkeypatch):
-        monkeypatch.delenv("BEVX_THREADS", raising=False)
-        assert thread_cap(4) == 4
-        assert thread_cap(0) == 1
-
-    def test_env_caps_request(self, monkeypatch):
-        monkeypatch.setenv("BEVX_THREADS", "2")
-        assert thread_cap(8) == 2
-        assert thread_cap(1) == 1
-
-    def test_invalid_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("BEVX_THREADS", "many")
-        with pytest.raises(UsageError, match="BEVX_THREADS"):
-            thread_cap(4)
 
 
 class TestMaxRelDiff:
@@ -173,21 +152,6 @@ class TestRunBench:
         assert by_backend["ftm"] == cost.mem_params_full_ftm
         assert by_backend["matrixvt"] == cost.mem_params_ringray
 
-    def test_parallel_prepare_same_records(self, small_config_path, monkeypatch):
-        monkeypatch.delenv("BEVX_THREADS", raising=False)
-        records = run_bench(
-            small_config_path,
-            [SMALL, SMALLER],
-            ["matrixvt"],
-            repeats=3,
-            warmup=0,
-            parallel=2,
-        )
-        assert [(r.setting, r.backend) for r in records] == [
-            ("T-small", "matrixvt"),
-            ("T-tiny", "matrixvt"),
-        ]
-
     def test_unknown_setting_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="unknown setting"):
             run_bench(small_config_path, ["S99"], ["matrixvt"], repeats=3)
@@ -199,32 +163,6 @@ class TestRunBench:
     def test_too_few_repeats_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="repeats"):
             run_bench(small_config_path, [SMALL], ["matrixvt"], repeats=2)
-
-    def test_cache_round_trip(self, small_config_path, tmp_path):
-        cache = tmp_path / "cache"
-        cache.mkdir()
-        run_bench(
-            small_config_path, [SMALL], ["matrixvt"], repeats=3, warmup=0,
-            cache_dir=str(cache),
-        )
-        slot = cache / SMALL.name
-        assert (slot / "ringray.json").exists()
-
-        scene = load_scene(small_config_path)
-        adapted = setting_scene(scene, SMALL)
-        cached = load_ring_ray(str(slot), scene_digest(adapted))
-        fresh = build_ring_ray(
-            generate_frustum(adapted.rig, adapted.bins), adapted.grid
-        )
-        assert cached is not None
-        assert cached.ring == fresh.ring and cached.ray == fresh.ray
-
-        # second run must accept the cached matrices
-        records = run_bench(
-            small_config_path, [SMALL], ["matrixvt"], repeats=3, warmup=0,
-            cache_dir=str(cache),
-        )
-        assert records[0].setting == SMALL.name
 
 
 class TestCsvJson:
@@ -400,7 +338,14 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_missing_subcommand_exits_two(self):
+    @pytest.mark.parametrize(
+        "extra",
+        [[], ["--parallel", "2"], ["--cache", "cache-dir"]],
+        ids=["no-subcommand", "parallel", "cache"],
+    )
+    def test_missing_subcommand_exits_two(self, extra, small_config_path):
+        # the removed run options are unknown to argparse, like any other
+        argv = ["run", "--config", small_config_path, *extra] if extra else []
         with pytest.raises(SystemExit) as exc:
-            main([])
+            main(argv)
         assert exc.value.code == 2

@@ -1,6 +1,9 @@
-"""The package's public boundary: exported names resolve, and every public
-route rejects a non-finite input with ValidationError."""
+"""The package's public boundary: exported names resolve, every module-level
+import is used, and every public route rejects a non-finite input with
+ValidationError."""
+import ast
 import importlib
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +37,38 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing, f"{module}.__all__ names missing attributes: {missing}"
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(path):
+    """Names bound by module-level imports of `path` that the module never
+    reads. A name listed in __all__ counts as read; `from __future__` lines
+    bind nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "src" / "bevx").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")),
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_no_unused_module_imports(path):
+    assert unused_imports(path) == []
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevx import (
@@ -93,7 +93,7 @@ class TestVtMatrixvt:
         assert not vt_matrixvt(f, d, rr).any()
 
     def test_all_ones_single_column(self, rng):
-        # every ray segment spans all N_d bins
+        # every plan row spans all N_d bins
         s, n_d = 6, 4
         ones_ring = SparseBinaryMatrix.from_dense(np.ones((s, n_d)))
         ones_ray = SparseBinaryMatrix.from_dense(np.ones((s, 1)))
@@ -151,12 +151,43 @@ class TestVtMatrixvt:
         )
 
     def test_corrupted_ring_still_matches_dense_oracle(self, rng):
-        # exercises the empty-segment path in the fused kernel
+        # a ring row emptied under a non-empty ray row is an empty plan row
         _, _, rr = build_pair(rng, n_cameras=1, w_i=4, h_i=2, n_d=6, grid_cells=10)
         bad = flip_ring_bit(rr, 0)
         f = rng.random((bad.n_columns, 3), dtype=np.float32)
         d = rng.random((bad.n_columns, bad.n_depths), dtype=np.float32)
         assert max_rel_diff(vt_matrixvt(f, d, bad), dense_reformulated(f, d, bad)) <= 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        s=st.integers(1, 12),
+        n_d=st.integers(1, 6),
+        w=st.integers(1, 5),
+        ring_density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        ray_density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    )
+    @example(seed=0, s=4, n_d=3, w=2, ring_density=1.0, ray_density=0.0)  # no ray
+    @example(seed=0, s=1, n_d=3, w=2, ring_density=1.0, ray_density=1.0)  # one cell
+    @example(seed=0, s=4, n_d=1, w=3, ring_density=1.0, ray_density=1.0)  # one bin
+    @example(seed=0, s=6, n_d=4, w=3, ring_density=0.0, ray_density=1.0)  # no ring
+    @example(seed=3, s=12, n_d=6, w=5, ring_density=0.3, ray_density=0.7)
+    def test_hand_built_degenerate_pairs(self, seed, s, n_d, w, ring_density, ray_density):
+        rng = np.random.default_rng(seed)
+        ring = rng.random((s, n_d)) < ring_density
+        ray = rng.random((s, w)) < ray_density
+        rr = RingRayPair(
+            SparseBinaryMatrix.from_dense(ring), SparseBinaryMatrix.from_dense(ray)
+        )
+        f = rng.random((w, 3), dtype=np.float32)
+        d = rng.random((w, n_d), dtype=np.float32)
+        out = vt_matrixvt(f, d, rr)
+        assert out.shape == (s, 3)
+        assert max_rel_diff(out, dense_reformulated(f, d, rr)) <= 1e-5
+        dead = ~ring.any(axis=1) | ~ray.any(axis=1)
+        assert not out[dead].any()
+        kron = (ray[:, :, None] & ring[:, None, :]).reshape(s, w * n_d)
+        np.testing.assert_array_equal(effective_ftm(rr).densify(), kron)
 
     def test_shape_mismatch(self, rng):
         _, _, rr = build_pair(rng)
