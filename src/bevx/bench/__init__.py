@@ -267,6 +267,8 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     """
     if repeats < 3:
         raise UsageError(f"repeats must be >= 3, got {repeats}")
+    if warmup < 0:
+        raise UsageError(f"warmup must be >= 0, got {warmup}")
     settings = _resolve_settings(settings)
     backends = _check_backends(backends)
     scene = load_scene(config)
@@ -374,6 +376,8 @@ def run_check(config, trials, seed, channels=8, corrupt_ring=False):
     """
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
+    if channels < 1:
+        raise UsageError(f"channels must be >= 1, got {channels}")
     scene = load_scene(config)
     rig, bins, grid = scene.rig, scene.bins, scene.grid
     frustum = generate_frustum(rig, bins)

@@ -26,7 +26,7 @@ class ConfigError(BevxError, ValueError):
 
 
 class FileFormatError(BevxError, ValueError):
-    """A binary tensor/sparse file is corrupt or has the wrong magic."""
+    """A ring/ray cache file or a benchmark CSV is malformed."""
 
 
 class UsageError(BevxError, ValueError):

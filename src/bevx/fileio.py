@@ -1,9 +1,7 @@
-"""Binary file formats for dense tensors ("BXT1") and sparse matrices ("BXS1").
+"""Byte layout of a ring/ray cache file; every integer is 8-byte little-endian.
 
-BXT1: magic "BXT1" | rank u64 | extents u64 x rank | payload f32 row-major.
-BXS1: magic "BXS1" | rows u64 | cols u64 | nnz u64 | row_offsets u64 x (rows+1)
-      | col_indices u64 x nnz.
-All integers and floats are little-endian.
+  file: "BXC1" | digest length | digest (UTF-8) | BXS1 ring | BXS1 ray
+  BXS1: "BXS1" | rows | cols | nnz | row_offsets x (rows+1) | col_indices x nnz
 """
 from __future__ import annotations
 
@@ -12,73 +10,49 @@ import struct
 import numpy as np
 
 from .errors import FileFormatError
-from .tensor_core import SparseBinaryMatrix, as_feature
-
-TENSOR_MAGIC = b"BXT1"
-SPARSE_MAGIC = b"BXS1"
-
-_U64 = np.dtype("<u8")
-_F32 = np.dtype("<f4")
+from .tensor_core import SparseBinaryMatrix
 
 
-def write_tensor(path, tensor):
-    tensor = as_feature(tensor, "tensor")
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<Q", tensor.ndim))
-        f.write(np.asarray(tensor.shape, dtype=_U64).tobytes())
-        f.write(tensor.astype(_F32, copy=False).tobytes())
+def _header(digest):
+    key = digest.encode("utf-8")
+    return b"BXC1" + struct.pack("<Q", len(key)) + key
 
 
-def read_tensor(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != TENSOR_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}, expected {TENSOR_MAGIC!r}")
-    if len(raw) < 12:
-        raise FileFormatError(f"{path}: truncated header")
-    (rank,) = struct.unpack_from("<Q", raw, 4)
-    if rank > 64:
-        raise FileFormatError(f"{path}: implausible rank {rank}")
-    head = 12 + 8 * rank
-    if len(raw) < head:
-        raise FileFormatError(f"{path}: truncated extents")
-    shape = np.frombuffer(raw, dtype=_U64, count=rank, offset=12)
-    count = int(np.prod(shape)) if rank else 1
-    payload = np.frombuffer(raw, dtype=_F32, count=-1, offset=head)
-    if payload.size != count:
-        raise FileFormatError(
-            f"{path}: payload holds {payload.size} values, shape needs {count}"
-        )
-    return payload.astype(np.float32).reshape([int(e) for e in shape])
+def write_cache(f, digest, ring, ray):
+    """Write the cache file of a ring/ray pair to the binary stream f."""
+    f.write(_header(digest))
+    for m in (ring, ray):
+        f.write(b"BXS1" + struct.pack("<QQQ", m.rows, m.cols, m.nnz))
+        f.write(np.concatenate((m.row_offsets, m.col_indices)).astype("<i8", copy=False))
 
 
-def write_sparse(path, matrix):
-    with open(path, "wb") as f:
-        f.write(SPARSE_MAGIC)
-        f.write(struct.pack("<QQQ", matrix.rows, matrix.cols, matrix.nnz))
-        f.write(matrix.row_offsets.astype(_U64).tobytes())
-        f.write(matrix.col_indices.astype(_U64).tobytes())
-
-
-def read_sparse(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:4] != SPARSE_MAGIC:
-        raise FileFormatError(f"{path}: bad magic {raw[:4]!r}, expected {SPARSE_MAGIC!r}")
-    if len(raw) < 28:
-        raise FileFormatError(f"{path}: truncated header")
-    rows, cols, nnz = struct.unpack_from("<QQQ", raw, 4)
-    if rows > 2**40 or nnz > 2**40:
-        raise FileFormatError(f"{path}: implausible header ({rows} rows, {nnz} nnz)")
-    need = 28 + 8 * (rows + 1) + 8 * nnz
-    if len(raw) != need:
-        raise FileFormatError(f"{path}: expected {need} bytes, got {len(raw)}")
-    offsets = np.frombuffer(raw, dtype=_U64, count=rows + 1, offset=28)
-    indices = np.frombuffer(raw, dtype=_U64, count=nnz, offset=28 + 8 * (rows + 1))
+def _read_sparse(raw, at):
+    """The BXS1 record that starts at byte `at`, and the byte after it."""
+    if raw[at : at + 4] != b"BXS1" or len(raw) < at + 28:
+        raise FileFormatError(f"bad magic or truncated header at byte {at}")
+    rows, cols, nnz = struct.unpack_from("<QQQ", raw, at + 4)
+    if max(rows, cols, nnz) > 2**40:
+        raise FileFormatError(f"implausible header ({rows} x {cols}, {nnz} nnz)")
+    end = at + 28 + 8 * (rows + 1 + nnz)
+    if len(raw) < end:
+        raise FileFormatError(f"expected at least {end} bytes, got {len(raw)}")
+    # int64 views of the bytes, no copy; a word past 2**63 reads negative and fails
+    words = np.frombuffer(raw, "<i8", rows + 1 + nnz, at + 28)
     try:
-        return SparseBinaryMatrix(
-            rows, cols, offsets.astype(np.int64), indices.astype(np.int64)
-        )
+        return SparseBinaryMatrix(rows, cols, words[: rows + 1], words[rows + 1 :]), end
     except ValueError as exc:
-        raise FileFormatError(f"{path}: inconsistent sparse payload: {exc}") from exc
+        raise FileFormatError(f"inconsistent sparse payload: {exc}") from exc
+
+
+def read_cache(raw, digest):
+    """(ring, ray) as read-only views of a cache file's bytes; None unless
+    they start with the header of `digest`, compared before any decoding.
+    Raises FileFormatError on a bad record or bytes past the ray record."""
+    head = _header(digest)
+    if not raw.startswith(head):
+        return None
+    ring, at = _read_sparse(raw, len(head))
+    ray, at = _read_sparse(raw, at)
+    if at != len(raw):
+        raise FileFormatError(f"expected {at} bytes, got {len(raw)}")
+    return ring, ray

@@ -47,6 +47,11 @@ _OPT_TO_BODY = np.array(
 _ORTHO_TOL = 1e-6
 
 
+def _near(a, b):
+    """np.allclose(a, b, atol=_ORTHO_TOL) for a finite b, without its overhead."""
+    return bool((np.abs(a - b) <= _ORTHO_TOL + 1e-5 * np.abs(b)).all())
+
+
 def _readonly(a, dtype=np.float64):
     out = np.ascontiguousarray(a, dtype=dtype)
     out.setflags(write=False)
@@ -77,11 +82,11 @@ class Camera:
                 f"camera parameter shapes {k.shape}, {r.shape}, {t.shape} "
                 "must be (3,3), (3,3), (3,)"
             )
-        if not np.allclose(k[2], [0.0, 0.0, 1.0], atol=_ORTHO_TOL):
+        if not _near(k[2], np.array([0.0, 0.0, 1.0])):
             raise GeometryError(f"intrinsics bottom row must be (0,0,1), got {k[2]}")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise GeometryError("intrinsics focal entries must be positive")
-        if not np.allclose(r.T @ r, np.eye(3), atol=_ORTHO_TOL):
+        if not _near(r.T @ r, np.eye(3)):
             raise GeometryError("rotation is not orthonormal within 1e-6")
         object.__setattr__(self, "intrinsics", k)
         object.__setattr__(self, "rotation", r)
@@ -331,9 +336,26 @@ class Scene:
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
         raise ConfigError(f"{where}: missing field '{key}'")
     return mapping[key]
+
+
+def _numbers(mapping, key, where, shape=(), integral=False):
+    """Field `key` as finite float64 values of `shape`, integral if asked."""
+    value = _require(mapping, key, where)
+    try:
+        arr = np.asarray(value, dtype=np.float64).reshape(shape)
+        ok = np.isfinite(arr).all() and not (integral and (arr % 1).any())
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok or isinstance(value, (str, bool)):
+        what = f"{shape} finite numbers" if shape else "a finite number"
+        what = "an integer" if integral else what
+        raise ConfigError(f"{where}: '{key}' must be {what}, got {value!r}")
+    return arr
 
 
 def load_scene(source):
@@ -354,8 +376,6 @@ def load_scene(source):
     else:
         with open(source, "r", encoding="utf-8") as f:
             doc = json.load(f)
-    if not isinstance(doc, dict):
-        raise ConfigError("scene config must be a JSON object")
 
     cam_docs = _require(doc, "cameras", "scene config")
     if not isinstance(cam_docs, list) or not cam_docs:
@@ -363,34 +383,32 @@ def load_scene(source):
     cameras = []
     for i, cd in enumerate(cam_docs):
         where = f"cameras[{i}]"
-        k = np.asarray(_require(cd, "intrinsics", where), dtype=np.float64)
-        r = np.asarray(_require(cd, "rotation", where), dtype=np.float64)
-        t = np.asarray(_require(cd, "translation", where), dtype=np.float64)
-        if k.size != 9 or r.size != 9 or t.size != 3:
-            raise ConfigError(f"{where}: expected 9+9+3 numbers")
+        k = _numbers(cd, "intrinsics", where, (3, 3))
+        r = _numbers(cd, "rotation", where, (3, 3))
+        t = _numbers(cd, "translation", where, (3,))
         try:
-            cameras.append(Camera(k.reshape(3, 3), r.reshape(3, 3), t))
+            cameras.append(Camera(k, r, t))
         except GeometryError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
 
     try:
         rig = CameraRig(
             tuple(cameras),
-            int(_require(doc, "feature_width", "scene config")),
-            int(_require(doc, "feature_height", "scene config")),
-            int(_require(doc, "image_stride", "scene config")),
+            int(_numbers(doc, "feature_width", "scene config", integral=True)),
+            int(_numbers(doc, "feature_height", "scene config", integral=True)),
+            int(_numbers(doc, "image_stride", "scene config", integral=True)),
         )
         depth = _require(doc, "depth", "scene config")
         bins = make_depth_bins(
-            float(_require(depth, "min", "depth")),
-            float(_require(depth, "max", "depth")),
-            int(_require(depth, "count", "depth")),
+            float(_numbers(depth, "min", "depth")),
+            float(_numbers(depth, "max", "depth")),
+            int(_numbers(depth, "count", "depth", integral=True)),
         )
         bev = _require(doc, "bev", "scene config")
         grid = make_bev_grid(
-            float(_require(bev, "extent", "bev")),
-            int(_require(bev, "h_cells", "bev")),
-            int(_require(bev, "w_cells", "bev")),
+            float(_numbers(bev, "extent", "bev")),
+            int(_numbers(bev, "h_cells", "bev", integral=True)),
+            int(_numbers(bev, "w_cells", "bev", integral=True)),
         )
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bevx import (
+    ConfigError,
     FileFormatError,
     SparseBinaryMatrix,
     UsageError,
@@ -336,6 +337,53 @@ class TestCli:
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["check", "--config", str(tmp_path / "nope.json")])
         assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, command, options, error",
+        [
+            ((("feature_width",), "abc"), "check", {}, ConfigError),
+            ((("feature_width",), 44.5), "check", {}, ConfigError),
+            ((("depth", "count"), "many"), "check", {}, ConfigError),
+            ((("cameras",), [1]), "check", {}, ConfigError),
+            ((("bev", "extent"), None), "check", {}, ConfigError),
+            ((("cameras", 0, "intrinsics"), "x"), "check", {}, ConfigError),
+            ((("depth",), 5), "check", {}, ConfigError),
+            (None, "check", {"channels": 0}, UsageError),
+            (None, "check", {"channels": -1}, UsageError),
+            (None, "run", {"warmup": -1}, UsageError),
+        ],
+        ids=[
+            "width-str", "width-float", "count-str", "camera-int", "extent-null",
+            "intrinsics-str", "depth-int", "channels-0", "channels-neg", "warmup-neg",
+        ],
+    )
+    def test_bad_request_is_typed_error_and_exits_two(
+        self, edit, command, options, error, small_config_path, rig_config_path,
+        tmp_path, capsys,
+    ):
+        # run uses the six-camera rig, so the preset S1 itself is valid
+        source = small_config_path if command == "check" else rig_config_path
+        with open(source, encoding="utf-8") as f:
+            doc = json.load(f)
+        if edit is not None:
+            (*parents, last), value = edit
+            target = doc
+            for key in parents:
+                target = target[key]
+            target[last] = value
+        config = tmp_path / "scene.json"
+        config.write_text(json.dumps(doc))
+        with pytest.raises(error):
+            if command == "check":
+                run_check(str(config), trials=1, seed=0, **options)
+            else:
+                run_bench(str(config), ["S1"], ["matrixvt"], repeats=3, **options)
+        argv = [command, "--config", str(config)]
+        argv += ["--trials", "1"] if command == "check" else ["--repeats", "3"]
+        for name, value in options.items():
+            argv += [f"--{name}", str(value)]
+        assert main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(

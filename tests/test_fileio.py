@@ -1,81 +1,55 @@
+import io
+
 import numpy as np
 import pytest
 
 from bevx import FileFormatError, SparseBinaryMatrix
-from bevx.fileio import read_sparse, read_tensor, write_sparse, write_tensor
+from bevx.fileio import read_cache, write_cache
 
 
-class TestTensorFile:
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 3, 4), (1, 1)])
-    def test_round_trip(self, tmp_path, rng, shape):
-        t = rng.random(shape, dtype=np.float32)
-        path = tmp_path / "t.bxt"
-        write_tensor(path, t)
-        back = read_tensor(path)
-        assert back.shape == t.shape and back.dtype == np.float32
-        np.testing.assert_array_equal(back, t)
-
-    def test_scalar_round_trip(self, tmp_path):
-        path = tmp_path / "s.bxt"
-        write_tensor(path, np.float32(2.5))
-        assert read_tensor(path) == np.float32(2.5)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.bxt"
-        path.write_bytes(b"NOPE" + b"\x00" * 16)
-        with pytest.raises(FileFormatError, match="magic"):
-            read_tensor(path)
-
-    def test_truncated_payload(self, tmp_path, rng):
-        path = tmp_path / "t.bxt"
-        write_tensor(path, rng.random((4, 4), dtype=np.float32))
-        data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(FileFormatError):
-            read_tensor(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "t.bxt"
-        path.write_bytes(b"BXT1\x02")
-        with pytest.raises(FileFormatError, match="truncated"):
-            read_tensor(path)
+def encode(digest, ring, ray):
+    buf = io.BytesIO()
+    write_cache(buf, digest, ring, ray)
+    return buf.getvalue()
 
 
 class TestSparseFile:
-    def test_round_trip(self, tmp_path, rng):
-        m = SparseBinaryMatrix.from_dense(rng.random((13, 29)) < 0.2)
-        path = tmp_path / "m.bxs"
-        write_sparse(path, m)
-        assert read_sparse(path) == m
+    def test_round_trip(self, rng):
+        ring = SparseBinaryMatrix.from_dense(rng.random((13, 29)) < 0.2)
+        ray = SparseBinaryMatrix.from_dense(rng.random((13, 7)) < 0.5)
+        assert read_cache(encode("d", ring, ray), "d") == (ring, ray)
 
-    def test_empty_matrix(self, tmp_path):
-        m = SparseBinaryMatrix(3, 7, np.zeros(4, np.int64), [])
-        path = tmp_path / "m.bxs"
-        write_sparse(path, m)
-        back = read_sparse(path)
-        assert back == m and back.nnz == 0
+    def test_empty_matrix(self):
+        ring = SparseBinaryMatrix(3, 7, np.zeros(4, np.int64), [])
+        ray = SparseBinaryMatrix(3, 2, [0, 1, 1, 2], [0, 1])
+        back_ring, back_ray = read_cache(encode("d", ring, ray), "d")
+        assert back_ring == ring and back_ring.nnz == 0 and back_ray == ray
 
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "m.bxs"
-        path.write_bytes(b"XXXX" + b"\x00" * 32)
+    def test_bad_magic(self):
+        m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        raw = bytearray(encode("d", m, m))
+        raw[13:17] = b"XXXX"  # the ring record's magic, after the 13-byte header
         with pytest.raises(FileFormatError, match="magic"):
-            read_sparse(path)
+            read_cache(bytes(raw), "d")
 
-    def test_wrong_length(self, tmp_path, rng):
+    def test_wrong_length(self, rng):
         m = SparseBinaryMatrix.from_dense(rng.random((5, 5)) < 0.5)
-        path = tmp_path / "m.bxs"
-        write_sparse(path, m)
-        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        raw = encode("d", m, m)
         with pytest.raises(FileFormatError, match="bytes"):
-            read_sparse(path)
+            read_cache(raw + b"\x00" * 8, "d")
+        with pytest.raises(FileFormatError, match="bytes"):
+            read_cache(raw[:-8], "d")
 
-    def test_inconsistent_payload(self, tmp_path):
+    def test_inconsistent_payload(self):
         # valid container, nonsense offsets: starts at 1 instead of 0
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
-        path = tmp_path / "m.bxs"
-        write_sparse(path, m)
-        raw = bytearray(path.read_bytes())
-        raw[28:36] = (1).to_bytes(8, "little")
-        path.write_bytes(bytes(raw))
-        with pytest.raises(FileFormatError, match="inconsistent|bytes"):
-            read_sparse(path)
+        raw = bytearray(encode("d", m, m))
+        raw[41:49] = (1).to_bytes(8, "little")  # ring row_offsets[0]
+        with pytest.raises(FileFormatError, match="inconsistent"):
+            read_cache(bytes(raw), "d")
+
+    def test_other_digest_or_magic_is_none(self):
+        m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        raw = encode("d", m, m)
+        assert read_cache(raw, "e") is None
+        assert read_cache(b"BXC2" + raw[4:], "d") is None

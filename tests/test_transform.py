@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -270,28 +272,63 @@ class TestCache:
     def test_missing(self, tmp_path):
         assert load_ring_ray(tmp_path / "nowhere", "d") is None
 
-    def test_save_dying_after_ring_file_leaves_a_miss(self, tmp_path, rng, monkeypatch):
+    def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
+        _, _, old = build_pair(rng)
+        new = RingRayPair(SparseBinaryMatrix.from_dense(old.ring.densify() == 0), old.ray)
+        slot = tmp_path / "c"
+        save_ring_ray(old, slot, "old")
+        real = transform.write_cache
+
+        def dies_mid_write(f, *args):
+            buf = io.BytesIO()
+            real(buf, *args)
+            f.write(buf.getvalue()[: buf.tell() // 2])
+            raise OSError("simulated crash")
+
+        monkeypatch.setattr(transform, "write_cache", dies_mid_write)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_ring_ray(new, slot, "new")
+        back = load_ring_ray(slot, "old")
+        assert back is not None and back.ring == old.ring and back.ray == old.ray
+        assert load_ring_ray(slot, "new") is None
+        assert [p.name for p in slot.iterdir()] == ["ringray.bxc"]
+
+    def test_save_racing_a_load_never_mixes_pairs(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
         # same shapes as the old pair, different ring: a mix would load
         new = RingRayPair(SparseBinaryMatrix.from_dense(old.ring.densify() == 0), old.ray)
         slot = tmp_path / "c"
         save_ring_ray(old, slot, "old")
-        real = transform.write_sparse
+        real = transform.read_cache
 
-        def dies_after_ring(path, matrix):
-            if not path.name.startswith("ring.bxs"):
-                raise OSError("simulated crash")
-            real(path, matrix)
-
-        monkeypatch.setattr(transform, "write_sparse", dies_after_ring)
-        with pytest.raises(OSError, match="simulated crash"):
+        def save_lands_before_decode(*args):
             save_ring_ray(new, slot, "new")
-        assert load_ring_ray(slot, "old") is None
-        assert load_ring_ray(slot, "new") is None
-        assert sorted(p.name for p in slot.iterdir()) == ["ray.bxs", "ring.bxs"]
+            return real(*args)
+
+        monkeypatch.setattr(transform, "read_cache", save_lands_before_decode)
+        back = load_ring_ray(slot, "old")
+        assert back is None or (back.ring == old.ring and back.ray == old.ray)
+        monkeypatch.undo()
+        back = load_ring_ray(slot, "new")
+        assert back is not None and back.ring == new.ring and back.ray == new.ray
 
     def test_corrupt_matrix_file(self, tmp_path, rng):
         _, _, rr = build_pair(rng)
         save_ring_ray(rr, tmp_path / "c", "digest-1")
-        (tmp_path / "c" / "ring.bxs").write_bytes(b"garbage")
+        path = tmp_path / "c" / "ringray.bxc"
+        raw = bytearray(path.read_bytes())
+        raw[-8:] = b"\xff" * 8  # the ray's last column index, out of range
+        path.write_bytes(bytes(raw))
         assert load_ring_ray(tmp_path / "c", "digest-1") is None
+
+    def test_every_prefix_and_trailing_bytes_miss(self, tmp_path):
+        ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
+        ray = SparseBinaryMatrix(3, 4, [0, 2, 2, 3], [0, 3, 2])
+        slot = tmp_path / "c"
+        save_ring_ray(RingRayPair(ring, ray), slot, "d")
+        path = slot / "ringray.bxc"
+        raw = path.read_bytes()
+        assert load_ring_ray(slot, "d") is not None
+        for bad in [raw[:n] for n in range(len(raw))] + [raw + b"\x00"]:
+            path.write_bytes(bad)
+            assert load_ring_ray(slot, "d") is None, len(bad)
