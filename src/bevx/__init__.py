@@ -26,11 +26,8 @@ from .geometry import (
     Scene,
     generate_frustum,
     load_scene,
-    make_bev_grid,
-    make_depth_bins,
     scene_digest,
     scene_to_dict,
-    synthetic_scene_dict,
 )
 from .prime import (
     AblationReport,
@@ -77,11 +74,8 @@ __all__ = [
     "Scene",
     "generate_frustum",
     "load_scene",
-    "make_bev_grid",
-    "make_depth_bins",
     "scene_digest",
     "scene_to_dict",
-    "synthetic_scene_dict",
     "AblationReport",
     "PrimeAttention",
     "RefineMap",

@@ -25,13 +25,13 @@ import numpy as np
 
 from ..errors import FileFormatError, UsageError, ValidationError
 from ..geometry import (
+    BevGrid,
     Camera,
     CameraRig,
+    DepthBins,
     Scene,
     generate_frustum,
     load_scene,
-    make_bev_grid,
-    make_depth_bins,
 )
 from ..prime import PrimeAttention, RefineMap, prime_depth, prime_feature
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
@@ -169,8 +169,8 @@ def setting_scene(scene, setting):
         CameraRig(
             cameras, setting.feature_width, setting.feature_height, rig.image_stride
         ),
-        make_depth_bins(scene.bins.d_min, scene.bins.d_max, setting.depth_bins),
-        make_bev_grid(-scene.grid.x_min, setting.bev_h, setting.bev_w),
+        DepthBins(scene.bins.d_min, scene.bins.d_max, setting.depth_bins),
+        BevGrid(scene.grid.extent, setting.bev_h, setting.bev_w),
     )
 
 

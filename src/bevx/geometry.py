@@ -1,5 +1,9 @@
 """Pinhole camera rigs, depth-bin discretization, frustum rays, and BEV grids.
 
+A Scene is its config: DepthBins and BevGrid hold only the numbers of the
+config's `depth` and `bev` blocks and derive the rest, so scene_to_dict
+inverts load_scene and scene_digest covers every field.
+
 Conventions:
   * Intrinsics K act in the optical frame: +x right, +y down, +z forward
     (the optical axis). Pixel (u, v) back-projects along K^-1 (u, v, 1).
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,14 +34,10 @@ __all__ = [
     "BevGrid",
     "FrustumGeometry",
     "Scene",
-    "make_depth_bins",
-    "make_bev_grid",
     "generate_frustum",
-    "project_to_pixel",
     "load_scene",
     "scene_to_dict",
     "scene_digest",
-    "synthetic_scene_dict",
 ]
 
 # optical (right, down, forward) -> body (forward, left, up)
@@ -56,6 +57,12 @@ def _readonly(a, dtype=np.float64):
     out = np.ascontiguousarray(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _freeze(obj, **values):
+    """Set attributes of a frozen dataclass from its __post_init__."""
+    for name, value in values.items():
+        object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)
@@ -114,63 +121,69 @@ class CameraRig:
         return len(self.cameras)
 
 
+def _number(value, what, whole=False):
+    """`value` as a finite float, or as an int when `whole`; else GeometryError."""
+    number = float(value)
+    if not math.isfinite(number) or (whole and number != int(number)):
+        kind = "a whole number" if whole else "finite"
+        raise GeometryError(f"{what} must be {kind}, got {value!r}")
+    return int(number) if whole else number
+
+
 @dataclass(frozen=True)
 class DepthBins:
-    """Uniformly spaced categorical depth bin centers, in meters."""
+    """`count` uniform depth bins over [d_min, d_max], in meters: the
+    config's `depth` block. Bin i is centered at d_min + (i + 0.5) * step,
+    step = (d_max - d_min) / count; `centers` is derived, not a field."""
 
     d_min: float
     d_max: float
     count: int
-    centers: np.ndarray
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = _readonly(self.centers)
-        if c.shape != (self.count,):
-            raise ShapeError(f"centers shape {c.shape} != ({self.count},)")
-        if self.count < 1 or not self.d_min < self.d_max:
-            raise GeometryError("need d_min < d_max and count >= 1")
-        if np.any(np.diff(c) <= 0):
-            raise GeometryError("centers must be strictly increasing")
-        if c[0] < self.d_min or c[-1] > self.d_max:
-            raise GeometryError("centers must lie inside [d_min, d_max]")
-        if self.count > 1:
-            gaps = np.diff(c)
-            if np.abs(gaps - gaps[0]).max() > 1e-9:
-                raise GeometryError("centers must be uniformly spaced")
-        object.__setattr__(self, "centers", c)
-
-
-def make_depth_bins(d_min, d_max, n):
-    """n uniform bins over [d_min, d_max]; center i is d_min + (i+0.5)*step."""
-    n = int(n)
-    if n < 1:
-        raise GeometryError(f"bin count must be >= 1, got {n}")
-    if not d_min < d_max:
-        raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
-    step = (d_max - d_min) / n
-    centers = d_min + (np.arange(n) + 0.5) * step
-    return DepthBins(float(d_min), float(d_max), n, centers)
+        d_min, d_max = _number(self.d_min, "d_min"), _number(self.d_max, "d_max")
+        count = _number(self.count, "bin count", whole=True)
+        if count < 1:
+            raise GeometryError(f"bin count must be >= 1, got {count}")
+        if not d_min < d_max:
+            raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
+        step = (d_max - d_min) / count
+        centers = _readonly(d_min + (np.arange(count) + 0.5) * step)
+        _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
 
 
 @dataclass(frozen=True)
 class BevGrid:
-    """Regular grid of half-open square cells on the ground plane."""
+    """Square half-open cells around the ego origin: the config's `bev` block.
 
+    `extent` is the half-width in meters along x, so cell_size = 2 * extent /
+    w_cells; the y span is h_cells cells centered on the origin ([-extent,
+    extent) when h_cells == w_cells). cell_size, x_min and y_min are derived.
+    """
+
+    extent: float
     h_cells: int
     w_cells: int
-    x_min: float
-    y_min: float
-    cell_size: float
+    cell_size: float = field(init=False, repr=False, compare=False)
+    x_min: float = field(init=False, repr=False, compare=False)
+    y_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.h_cells < 1 or self.w_cells < 1:
+        extent = _number(self.extent, "extent")
+        h_cells = _number(self.h_cells, "h_cells", whole=True)
+        w_cells = _number(self.w_cells, "w_cells", whole=True)
+        if h_cells < 1 or w_cells < 1:
             raise GeometryError("cell counts must be positive")
-        if not self.cell_size > 0:
-            raise GeometryError("cell_size must be positive")
-        x_edges = self.x_min + np.arange(self.w_cells + 1) * self.cell_size
-        y_edges = self.y_min + np.arange(self.h_cells + 1) * self.cell_size
-        object.__setattr__(self, "_x_edges", _readonly(x_edges))
-        object.__setattr__(self, "_y_edges", _readonly(y_edges))
+        if not extent > 0:
+            raise GeometryError(f"extent must be positive, got {extent}")
+        cell_size = 2.0 * extent / w_cells
+        x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
+        x_edges = _readonly(x_min + np.arange(w_cells + 1) * cell_size)
+        y_edges = _readonly(y_min + np.arange(h_cells + 1) * cell_size)
+        _freeze(self, extent=extent, h_cells=h_cells, w_cells=w_cells)
+        _freeze(self, cell_size=cell_size, x_min=x_min, y_min=y_min)
+        _freeze(self, _x_edges=x_edges, _y_edges=y_edges)
 
     @property
     def n_cells(self):
@@ -184,29 +197,9 @@ class BevGrid:
     def y_max(self):
         return float(self._y_edges[-1])
 
-    def cell_rect(self, index):
-        """(x0, y0, x1, y1) of the flattened cell index."""
-        h_b, w_b = divmod(int(index), self.w_cells)
-        if not (0 <= h_b < self.h_cells):
-            raise IndexError(f"cell index {index} out of range")
-        return (
-            float(self._x_edges[w_b]),
-            float(self._y_edges[h_b]),
-            float(self._x_edges[w_b + 1]),
-            float(self._y_edges[h_b + 1]),
-        )
-
-    def locate(self, x, y):
-        """Flattened index of the cell containing (x, y), or None if outside.
-
-        Points exactly on an interior boundary belong to the cell on the
-        positive side (half-open convention).
-        """
-        idx = self.locate_many(np.array([[x, y]], dtype=np.float64))[0]
-        return int(idx) if idx >= 0 else None
-
     def locate_many(self, xy):
-        """Vectorized locate; returns int64 indices with -1 for outside."""
+        """Flattened index of the cell holding each (x, y) point, -1 outside;
+        a point on an interior edge goes to the cell on its positive side."""
         xy = np.asarray(xy, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ShapeError(f"locate_many: expected (p, 2) points, got {xy.shape}")
@@ -214,24 +207,6 @@ class BevGrid:
         iy = np.searchsorted(self._y_edges, xy[:, 1], side="right") - 1
         ok = (ix >= 0) & (ix < self.w_cells) & (iy >= 0) & (iy < self.h_cells)
         return np.where(ok, iy * self.w_cells + ix, -1)
-
-
-def make_bev_grid(extent, h_cells, w_cells):
-    """Symmetric grid around the ego origin.
-
-    `extent` is the half-width in meters along x; cells are square with
-    cell_size = 2*extent / w_cells, and the y span is h_cells cells centered
-    on the origin (identical to [-extent, extent) when h_cells == w_cells).
-    """
-    h_cells = int(h_cells)
-    w_cells = int(w_cells)
-    if h_cells < 1 or w_cells < 1:
-        raise GeometryError("cell counts must be positive")
-    if not extent > 0:
-        raise GeometryError(f"extent must be positive, got {extent}")
-    cell_size = 2.0 * float(extent) / w_cells
-    y_half = cell_size * h_cells / 2.0
-    return BevGrid(h_cells, w_cells, -float(extent), -y_half, cell_size)
 
 
 @dataclass(frozen=True)
@@ -308,24 +283,6 @@ def generate_frustum(rig, bins, reference_row=None):
     return FrustumGeometry(points)
 
 
-def project_to_pixel(cam, points_ego):
-    """Forward pinhole projection of ego-frame points to pixel coordinates.
-
-    Args:
-        cam: Camera.
-        points_ego: (..., 3) ego-frame points.
-
-    Returns:
-        (pixels, forward): (..., 2) pixel coordinates and the (...,) planar
-        depth of each point along the optical axis.
-    """
-    p = np.asarray(points_ego, dtype=np.float64)
-    body = (p - cam.translation) @ cam.rotation
-    optical = body @ _OPT_TO_BODY  # inverse permutation (orthonormal)
-    uvw = optical @ cam.intrinsics.T
-    return uvw[..., :2] / uvw[..., 2:3], optical[..., 2]
-
-
 @dataclass(frozen=True)
 class Scene:
     """A camera rig plus the depth and BEV discretizations used with it."""
@@ -399,13 +356,13 @@ def load_scene(source):
             int(_numbers(doc, "image_stride", "scene config", integral=True)),
         )
         depth = _require(doc, "depth", "scene config")
-        bins = make_depth_bins(
+        bins = DepthBins(
             float(_numbers(depth, "min", "depth")),
             float(_numbers(depth, "max", "depth")),
             int(_numbers(depth, "count", "depth", integral=True)),
         )
         bev = _require(doc, "bev", "scene config")
-        grid = make_bev_grid(
+        grid = BevGrid(
             float(_numbers(bev, "extent", "bev")),
             int(_numbers(bev, "h_cells", "bev", integral=True)),
             int(_numbers(bev, "w_cells", "bev", integral=True)),
@@ -416,7 +373,9 @@ def load_scene(source):
 
 
 def scene_to_dict(scene):
-    """Inverse of load_scene, suitable for json.dump."""
+    """Inverse of load_scene, suitable for json.dump. Every field of a Scene
+    is a config number, so the dict holds the whole scene: load_scene
+    rebuilds it and scene_digest covers all of it."""
     return {
         "cameras": [
             {
@@ -435,7 +394,7 @@ def scene_to_dict(scene):
             "count": scene.bins.count,
         },
         "bev": {
-            "extent": -scene.grid.x_min,
+            "extent": scene.grid.extent,
             "h_cells": scene.grid.h_cells,
             "w_cells": scene.grid.w_cells,
         },
@@ -451,42 +410,3 @@ def scene_digest(scene_or_dict):
     )
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def synthetic_scene_dict(
-    n_cameras=6,
-    feature_width=44,
-    feature_height=16,
-    image_stride=16,
-    hfov_deg=70.0,
-    radius=1.0,
-    d_min=2.0,
-    d_max=58.0,
-    n_bins=112,
-    bev_extent=51.2,
-    bev_cells=128,
-):
-    """Config dict for an outward-facing ring of identical cameras."""
-    img_w = feature_width * image_stride
-    img_h = feature_height * image_stride
-    fx = (img_w / 2.0) / np.tan(np.radians(hfov_deg) / 2.0)
-    intrinsics = [fx, 0.0, img_w / 2.0, 0.0, fx, img_h / 2.0, 0.0, 0.0, 1.0]
-    cameras = []
-    for n in range(n_cameras):
-        yaw = 2.0 * np.pi * n / n_cameras
-        c, s = np.cos(yaw), np.sin(yaw)
-        cameras.append(
-            {
-                "intrinsics": intrinsics,
-                "rotation": [c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0],
-                "translation": [radius * c, radius * s, 1.5],
-            }
-        )
-    return {
-        "cameras": cameras,
-        "feature_width": feature_width,
-        "feature_height": feature_height,
-        "image_stride": image_stride,
-        "depth": {"min": d_min, "max": d_max, "count": n_bins},
-        "bev": {"extent": bev_extent, "h_cells": bev_cells, "w_cells": bev_cells},
-    }

@@ -66,12 +66,6 @@ class PrimeAttention:
     def uniform(cls, n_cameras, h_i, w_i):
         return cls(np.full((n_cameras, h_i, w_i), 1.0 / h_i, dtype=np.float32))
 
-    @classmethod
-    def one_hot(cls, n_cameras, h_i, w_i, row):
-        w = np.zeros((n_cameras, h_i, w_i), dtype=np.float32)
-        w[:, row, :] = 1.0
-        return cls(w)
-
 
 @dataclass(frozen=True)
 class RefineMap:

@@ -126,20 +126,6 @@ class SparseBinaryMatrix:
         offsets = np.concatenate([[0], np.cumsum(counts)])
         return cls(rows, cols, offsets, col_ids)
 
-    @classmethod
-    def from_dense(cls, dense):
-        dense = np.asarray(dense)
-        if dense.ndim != 2:
-            raise ShapeError(f"from_dense: expected a matrix, got shape {dense.shape}")
-        row_ids, col_ids = np.nonzero(dense)
-        return cls.from_coo(dense.shape[0], dense.shape[1], row_ids, col_ids)
-
-    def densify(self, dtype=DTYPE):
-        out = np.zeros((self.rows, self.cols), dtype=dtype)
-        row_ids = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        out[row_ids, self.col_indices] = 1
-        return out
-
     @functools.cached_property
     def _scipy(self):
         # read-only execution handle; unit values materialized once
@@ -147,10 +133,6 @@ class SparseBinaryMatrix:
         return sp.csr_matrix(
             (data, self.col_indices, self.row_offsets), shape=self.shape
         )
-
-    def row(self, i):
-        """Column ids of row i (a read-only view)."""
-        return self.col_indices[self.row_offsets[i] : self.row_offsets[i + 1]]
 
     def __eq__(self, other):
         if not isinstance(other, SparseBinaryMatrix):
@@ -172,7 +154,7 @@ class SparseBinaryMatrix:
 
 
 def spmm(s, b):
-    """Sparse-dense product: densify(s) @ b without densifying.
+    """Sparse-dense product s @ b, with s kept sparse.
 
     Args:
         s: SparseBinaryMatrix of shape (m, k).

@@ -73,13 +73,18 @@ class RingRayPair:
 
     @cached_property
     def _plan(self):
-        """The execution plan: a binary (ray.nnz, W * N_d) matrix.
+        """The execution plan: (plan, indptr, indices).
 
-        Row j belongs to the j-th ray nonzero (cell s, column w), in ray CSR
-        order, and holds the lifted source indices {w * N_d + d : d in ring
-        row s}. Applied to the flattened (W, N_d) depths it gives each ray
-        slot's depth mass; an empty ring row under a ray row (a hand-built
-        pair; geometric pairs never do this) is an empty plan row, weight 0.
+        `plan` is a binary (ray.nnz, W * N_d) matrix. Row j belongs to the
+        j-th ray nonzero (cell s, column w), in ray CSR order, and holds the
+        lifted source indices {w * N_d + d : d in ring row s}. Applied to the
+        flattened (W, N_d) depths it gives each ray slot's depth mass; an
+        empty ring row under a ray row (a hand-built pair; geometric pairs
+        never do this) is an empty plan row, weight 0.
+
+        `indptr` and `indices` are the ray's CSR index arrays in the dtype
+        scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
+        reaches 2**31.
         """
         ring, ray = self.ring, self.ray
         s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
@@ -92,7 +97,8 @@ class RingRayPair:
         cols += ring.col_indices[ring_idx]
         plan = SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
         plan._scipy  # the product handle is part of the per-scene build
-        return plan
+        index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
+        return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
 
 
 def build_ring_ray(frustum, grid):
@@ -145,9 +151,9 @@ def vt_matrixvt(features, depths, rr):
         raise ShapeError.mismatch(
             "vt_matrixvt", d.shape, (rr.n_columns, rr.n_depths)
         )
-    weights = rr._plan._scipy @ d.ravel()
-    ray = rr.ray._scipy  # reuse its int32 index arrays; scipy copies int64
-    effective = sp.csr_matrix((weights, ray.indices, ray.indptr), shape=ray.shape)
+    plan, indptr, indices = rr._plan
+    weights = plan._scipy @ d.ravel()
+    effective = sp.csr_matrix((weights, indices, indptr), shape=rr.ray.shape)
     return np.ascontiguousarray(effective @ f, dtype=DTYPE)
 
 
@@ -163,7 +169,7 @@ def effective_ftm(rr):
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
-    plan = rr._plan
+    plan = rr._plan[0]
     # plan rows follow ray CSR order, so cell s owns plan rows
     # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within
     return SparseBinaryMatrix(

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bevx import load_scene, synthetic_scene_dict
+from bevx import load_scene
+from oracles import synthetic_scene_dict
 
 ACCEPTANCE_LINES = []
 

@@ -1,17 +1,20 @@
 """Independent brute-force oracles used across the test suite.
 
-Everything here is written as plain loops or exhaustive scans so it shares
-no code path with the library implementations it validates.
+Everything here is written as plain loops, exhaustive scans or direct numpy
+over the public fields of the library's data types. It builds those types
+but calls no library function or method (test_public_surface checks this),
+so it shares no code path with the implementations it validates.
 """
 import numpy as np
 
 from bevx import (
+    BevGrid,
     Camera,
     CameraRig,
+    DepthBins,
+    PrimeAttention,
     Scene,
     SparseBinaryMatrix,
-    make_bev_grid,
-    make_depth_bins,
 )
 
 
@@ -24,6 +27,25 @@ def csr_from_pairs(pairs, shape):
     offsets = np.cumsum(offsets)
     cols = np.array([c for _, c in pairs], dtype=np.int64)
     return SparseBinaryMatrix(shape[0], shape[1], offsets, cols)
+
+
+def from_dense(dense):
+    """Binary CSR matrix of the nonzeros of a 2-D array."""
+    dense = np.asarray(dense)
+    assert dense.ndim == 2
+    return csr_from_pairs(zip(*np.nonzero(dense)), dense.shape)
+
+
+def densify(m, dtype=np.float32):
+    """Dense 0/1 array of a binary CSR matrix."""
+    out = np.zeros((m.rows, m.cols), dtype=dtype)
+    out[np.repeat(np.arange(m.rows), np.diff(m.row_offsets)), m.col_indices] = 1
+    return out
+
+
+def row(m, i):
+    """Column ids of row i of a binary CSR matrix."""
+    return m.col_indices[m.row_offsets[i] : m.row_offsets[i + 1]]
 
 
 def csr_order_ok_isin(row_offsets, col_indices):
@@ -42,6 +64,15 @@ def grid_edges(grid):
     return xe, ye
 
 
+def cell_rect(grid, index):
+    """(x0, y0, x1, y1) of the flattened cell index."""
+    xe, ye = grid_edges(grid)
+    h_b, w_b = divmod(int(index), grid.w_cells)
+    if not 0 <= h_b < grid.h_cells:
+        raise IndexError(f"cell index {index} out of range")
+    return float(xe[w_b]), float(ye[h_b]), float(xe[w_b + 1]), float(ye[h_b + 1])
+
+
 def locate_scan(grid, x, y):
     """Exhaustive half-open rectangle scan over all cells; None if outside."""
     xe, ye = grid_edges(grid)
@@ -57,7 +88,7 @@ def locate_scan_pure(grid, x, y):
     """Pure-python rectangle scan via cell_rect; anchors locate_scan."""
     hits = []
     for s in range(grid.n_cells):
-        x0, y0, x1, y1 = grid.cell_rect(s)
+        x0, y0, x1, y1 = cell_rect(grid, s)
         if x0 <= x < x1 and y0 <= y < y1:
             hits.append(s)
     assert len(hits) <= 1
@@ -114,7 +145,7 @@ def dense_reformulated(features, depths, rr):
     """The reformulated transform evaluated densely: contract depths with
     the dense ring, mask by the dense ray, multiply by the features. Reads
     ring and ray directly, never the execution plan vt_matrixvt uses."""
-    return ((rr.ring.densify() @ depths.T) * rr.ray.densify()) @ features
+    return ((densify(rr.ring) @ depths.T) * densify(rr.ray)) @ features
 
 
 def lift_loop(features, depths):
@@ -154,6 +185,65 @@ def random_scene(rng, n_cameras=2, w_i=8, h_i=4, n_d=8, grid_cells=16, stride=8)
     cams = tuple(yaw_camera(rng, img_w, img_h) for _ in range(n_cameras))
     rig = CameraRig(cams, w_i, h_i, stride)
     d_min = rng.uniform(1.0, 3.0)
-    bins = make_depth_bins(d_min, d_min + rng.uniform(8.0, 25.0), n_d)
-    grid = make_bev_grid(rng.uniform(8.0, 20.0), grid_cells, grid_cells)
+    bins = DepthBins(d_min, d_min + rng.uniform(8.0, 25.0), n_d)
+    grid = BevGrid(rng.uniform(8.0, 20.0), grid_cells, grid_cells)
     return Scene(rig, bins, grid)
+
+
+def one_hot(n_cameras, h_i, w_i, row):
+    """Attention that picks one feature row in every column."""
+    w = np.zeros((n_cameras, h_i, w_i), dtype=np.float32)
+    w[:, row, :] = 1.0
+    return PrimeAttention(w)
+
+
+def project_to_pixel(cam, points_ego):
+    """Forward pinhole projection of ego-frame points.
+
+    Returns the (..., 2) pixel coordinates and the (...,) planar depth of
+    each point along the optical axis.
+    """
+    body = (np.asarray(points_ego, dtype=np.float64) - cam.translation) @ cam.rotation
+    # body (forward, left, up) -> optical (right, down, forward)
+    optical = np.stack([-body[..., 1], -body[..., 2], body[..., 0]], axis=-1)
+    uvw = optical @ cam.intrinsics.T
+    return uvw[..., :2] / uvw[..., 2:3], optical[..., 2]
+
+
+def synthetic_scene_dict(
+    n_cameras=6,
+    feature_width=44,
+    feature_height=16,
+    image_stride=16,
+    hfov_deg=70.0,
+    radius=1.0,
+    d_min=2.0,
+    d_max=58.0,
+    n_bins=112,
+    bev_extent=51.2,
+    bev_cells=128,
+):
+    """Config dict for an outward-facing ring of identical cameras."""
+    img_w = feature_width * image_stride
+    img_h = feature_height * image_stride
+    fx = (img_w / 2.0) / np.tan(np.radians(hfov_deg) / 2.0)
+    intrinsics = [fx, 0.0, img_w / 2.0, 0.0, fx, img_h / 2.0, 0.0, 0.0, 1.0]
+    cameras = []
+    for n in range(n_cameras):
+        yaw = 2.0 * np.pi * n / n_cameras
+        c, s = np.cos(yaw), np.sin(yaw)
+        cameras.append(
+            {
+                "intrinsics": intrinsics,
+                "rotation": [c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0],
+                "translation": [radius * c, radius * s, 1.5],
+            }
+        )
+    return {
+        "cameras": cameras,
+        "feature_width": feature_width,
+        "feature_height": feature_height,
+        "image_stride": image_stride,
+        "depth": {"min": d_min, "max": d_max, "count": n_bins},
+        "bev": {"extent": bev_extent, "h_cells": bev_cells, "w_cells": bev_cells},
+    }

@@ -24,7 +24,7 @@ from bevx import (
 from bevx.bench import max_rel_diff, parse_csv, run_bench
 from bevx.bench.cli import main
 from conftest import record_acceptance
-from oracles import dense_reformulated, random_scene, ring_ray_loop
+from oracles import densify, dense_reformulated, random_scene, ring_ray_loop
 
 REL_TOL = 1e-5
 
@@ -103,7 +103,7 @@ def small_scene_sweep():
                 "ring_exact": rr.ring == oracle_ring,
                 "ray_exact": rr.ray == oracle_ray,
                 "contained": bool(
-                    (ftm.densify() <= implied.densify()).all()
+                    (densify(ftm) <= densify(implied)).all()
                 ),
                 "spurious": (implied.nnz - ftm.nnz) / implied.nnz
                 if implied.nnz

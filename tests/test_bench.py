@@ -12,6 +12,7 @@ from bevx import (
     build_ftm,
     cost_model,
     effective_ftm,
+    scene_digest,
 )
 from bevx.bench import (
     BACKENDS,
@@ -109,6 +110,26 @@ class TestSettingScene:
         assert adapted.bins.d_min == small_scene.bins.d_min
         assert adapted.grid.n_cells == 48 * 48
         assert adapted.grid.x_min == small_scene.grid.x_min
+
+    def test_pinned_scene_digests(self, rig_scene):
+        """Config digests of the bundled rig and every preset. Cache files
+        on disk are keyed by these; a change to scene_to_dict that moves
+        one silently invalidates every saved pair."""
+        s1 = "0fb90bed7af85d870e7e86f07922eff0725807337bd637b338f66fe9cbf3bfe6"
+        s45 = "f7f4fc617513ccaea36364b4d67ad3eee107d7b3d9e8fe6cb8c17c2d4d12e84d"
+        expected = {
+            "S1": s1,
+            "S2": "ca0fb6a67332f6310ad6c9ce1dcb1e963393952981a0111d68211cad7ad537a7",
+            "S3": "ff1b53c778f8a2f0b1e843151af1cf71d96d40b7536c818014ebd2b17a8ac7d2",
+            "S4": s45,
+            "S5": s45,
+            "S6": "c019dcdf476d08bf728d386914e52784e98e3b553cc1920c336176d510708819",
+        }
+        assert scene_digest(rig_scene) == s1
+        got = {
+            name: scene_digest(setting_scene(rig_scene, PRESETS[name])) for name in expected
+        }
+        assert got == expected
 
     def test_s4_structure_counts(self, rig_scene):
         """Pinned nnz of every per-scene matrix on the bundled rig at S4

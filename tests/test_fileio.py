@@ -5,6 +5,7 @@ import pytest
 
 from bevx import FileFormatError, SparseBinaryMatrix
 from bevx.fileio import read_cache, write_cache
+from oracles import from_dense
 
 
 def encode(digest, ring, ray):
@@ -15,8 +16,8 @@ def encode(digest, ring, ray):
 
 class TestSparseFile:
     def test_round_trip(self, rng):
-        ring = SparseBinaryMatrix.from_dense(rng.random((13, 29)) < 0.2)
-        ray = SparseBinaryMatrix.from_dense(rng.random((13, 7)) < 0.5)
+        ring = from_dense(rng.random((13, 29)) < 0.2)
+        ray = from_dense(rng.random((13, 7)) < 0.5)
         assert read_cache(encode("d", ring, ray), "d") == (ring, ray)
 
     def test_empty_matrix(self):
@@ -33,7 +34,7 @@ class TestSparseFile:
             read_cache(bytes(raw), "d")
 
     def test_wrong_length(self, rng):
-        m = SparseBinaryMatrix.from_dense(rng.random((5, 5)) < 0.5)
+        m = from_dense(rng.random((5, 5)) < 0.5)
         raw = encode("d", m, m)
         with pytest.raises(FileFormatError, match="bytes"):
             read_cache(raw + b"\x00" * 8, "d")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from bevx import (
+    BevGrid,
     Camera,
     CameraRig,
     ConfigError,
@@ -16,14 +17,17 @@ from bevx import (
     Scene,
     generate_frustum,
     load_scene,
-    make_bev_grid,
-    make_depth_bins,
     scene_digest,
     scene_to_dict,
+)
+from oracles import (
+    cell_rect,
+    locate_scan,
+    locate_scan_pure,
+    project_to_pixel,
+    random_scene,
     synthetic_scene_dict,
 )
-from bevx.geometry import project_to_pixel
-from oracles import locate_scan, locate_scan_pure, random_scene
 
 
 def simple_camera(f=10.0, cx=2.0, cy=2.0, rotation=None, translation=(0, 0, 0)):
@@ -39,27 +43,60 @@ def yaw(angle):
 
 class TestDepthBins:
     def test_default_rig_range(self):
-        bins = make_depth_bins(2, 58, 112)
+        bins = DepthBins(2, 58, 112)
         assert bins.centers[0] == pytest.approx(2.25)
         assert np.diff(bins.centers) == pytest.approx(0.5)
         assert bins.centers[111] == pytest.approx(57.75)
 
     def test_single_bin_midpoint(self):
-        assert make_depth_bins(0, 1, 1).centers.tolist() == [0.5]
+        assert DepthBins(0, 1, 1).centers.tolist() == [0.5]
 
     def test_errors(self):
         with pytest.raises(GeometryError):
-            make_depth_bins(2, 58, 0)
+            DepthBins(2, 58, 0)
         with pytest.raises(GeometryError):
-            make_depth_bins(58, 2, 4)
+            DepthBins(58, 2, 4)
 
-    def test_invariants_enforced(self):
-        with pytest.raises(GeometryError, match="uniform"):
-            DepthBins(0.0, 10.0, 3, np.array([1.0, 2.0, 9.0]))
-        with pytest.raises(GeometryError, match="increasing"):
-            DepthBins(0.0, 10.0, 2, np.array([5.0, 4.0]))
-        with pytest.raises(GeometryError, match="inside"):
-            DepthBins(5.0, 10.0, 2, np.array([1.0, 6.0]))
+    def test_equal_configs_compare_equal_and_hash(self):
+        a, b = DepthBins(2, 58, 112), DepthBins(2.0, 58.0, 112.0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != DepthBins(2, 58, 111)
+        assert (a.d_min, a.count) == (2.0, 112) and type(a.count) is int
+
+
+BAD_NUMBERS = [np.nan, np.inf, -np.inf, 0, -3]
+BAD_IDS = ["nan", "inf", "-inf", "zero", "negative"]
+VALID = {
+    DepthBins: {"d_min": 2.0, "d_max": 58.0, "count": 8},
+    BevGrid: {"extent": 4.0, "h_cells": 4, "w_cells": 4},
+}
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=BAD_IDS)
+@pytest.mark.parametrize(
+    "cls, name",
+    [(DepthBins, "d_min"), (DepthBins, "d_max"), (DepthBins, "count"),
+     (BevGrid, "extent"), (BevGrid, "h_cells"), (BevGrid, "w_cells")],
+    ids=lambda v: v if isinstance(v, str) else v.__name__,
+)
+def test_constructor_rejects_bad_numbers(cls, name, bad):
+    """Non-finite numbers, non-positive extents and cell counts, and counts
+    below 1 fail at construction. A zero or negative d_min below d_max is a
+    valid range (bins may start at or behind the camera center)."""
+    args = dict(VALID[cls], **{name: bad})
+    if name == "d_min" and np.isfinite(bad):
+        assert np.isfinite(cls(**args).centers).all()
+        return
+    with pytest.raises(GeometryError):
+        cls(**args)
+
+
+@pytest.mark.parametrize(
+    "cls, name", [(DepthBins, "count"), (BevGrid, "h_cells"), (BevGrid, "w_cells")]
+)
+def test_counts_must_be_whole(cls, name):
+    with pytest.raises(GeometryError, match="whole number"):
+        cls(**dict(VALID[cls], **{name: 2.5}))
 
 
 class TestCamera:
@@ -98,7 +135,7 @@ class TestGenerateFrustum:
         stride = 4
         cam = simple_camera(cx=0.5 * stride, cy=0.5 * stride)
         rig = CameraRig((cam,), 1, 1, stride)
-        bins = make_depth_bins(1, 9, 4)
+        bins = DepthBins(1, 9, 4)
         pts = generate_frustum(rig, bins, 0).points_xyz[0, 0]
         np.testing.assert_allclose(pts[:, 0], bins.centers, atol=1e-12)
         np.testing.assert_allclose(pts[:, 1], 0.0, atol=1e-12)
@@ -109,21 +146,21 @@ class TestGenerateFrustum:
             cx=0.5 * stride, cy=0.5 * stride, rotation=yaw(np.pi / 2)
         )
         rig = CameraRig((cam,), 1, 1, stride)
-        bins = make_depth_bins(1, 9, 4)
+        bins = DepthBins(1, 9, 4)
         pts = generate_frustum(rig, bins, 0).points_xyz[0, 0]
         np.testing.assert_allclose(pts[:, 0], 0.0, atol=1e-12)
         np.testing.assert_allclose(pts[:, 1], bins.centers, atol=1e-12)
 
     def test_default_reference_row_is_middle(self):
         rig = CameraRig((simple_camera(cx=8, cy=8),), 4, 5, 4)
-        bins = make_depth_bins(1, 5, 3)
+        bins = DepthBins(1, 5, 3)
         default = generate_frustum(rig, bins)
         explicit = generate_frustum(rig, bins, 2)
         np.testing.assert_array_equal(default.points_xyz, explicit.points_xyz)
 
     def test_reference_row_out_of_range(self):
         rig = CameraRig((simple_camera(),), 4, 4, 4)
-        bins = make_depth_bins(1, 5, 3)
+        bins = DepthBins(1, 5, 3)
         with pytest.raises(GeometryError, match="reference_row"):
             generate_frustum(rig, bins, 4)
 
@@ -133,7 +170,7 @@ class TestGenerateFrustum:
         cam = Camera(k, np.eye(3), np.zeros(3))
         rig = CameraRig((cam,), 2, 2, 4)
         with pytest.raises(GeometryError, match="singular"):
-            generate_frustum(rig, make_depth_bins(1, 5, 2))
+            generate_frustum(rig, DepthBins(1, 5, 2))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
@@ -153,7 +190,7 @@ class TestGenerateFrustum:
         t = rng.uniform(-3, 3, size=3)
         cam = Camera(k, r, t)
         rig = CameraRig((cam,), w_i, h_i, stride)
-        bins = make_depth_bins(rng.uniform(1, 3), rng.uniform(10, 40), n_d)
+        bins = DepthBins(rng.uniform(1, 3), rng.uniform(10, 40), n_d)
         row = int(rng.integers(0, h_i))
         fr = generate_frustum(rig, bins, row)
         pixels, forward = project_to_pixel(cam, fr.points_xyz[0])
@@ -179,7 +216,7 @@ class TestGenerateFrustum:
     def test_range_non_decreasing_for_origin_camera(self):
         cam = simple_camera(f=8.0, cx=6.0, cy=6.0)
         rig = CameraRig((cam,), 3, 3, 4)
-        bins = make_depth_bins(1, 20, 10)
+        bins = DepthBins(1, 20, 10)
         fr = generate_frustum(rig, bins)
         norms = np.linalg.norm(fr.points, axis=-1)
         assert (np.diff(norms, axis=-1) >= -1e-12).all()
@@ -187,75 +224,75 @@ class TestGenerateFrustum:
 
 class TestBevGrid:
     def test_default_rig_cell_size(self):
-        grid = make_bev_grid(51.2, 128, 128)
+        grid = BevGrid(51.2, 128, 128)
         assert grid.cell_size == pytest.approx(0.8)
         assert grid.n_cells == 128 * 128
 
     def test_tiny_grid_tiles_extent(self):
-        grid = make_bev_grid(1, 2, 2)
+        grid = BevGrid(1, 2, 2)
         assert grid.cell_size == 1.0 and grid.n_cells == 4
-        rects = [grid.cell_rect(i) for i in range(4)]
+        rects = [cell_rect(grid, i) for i in range(4)]
         assert rects[0] == (-1.0, -1.0, 0.0, 0.0)
         assert rects[3] == (0.0, 0.0, 1.0, 1.0)
 
     def test_origin_cell_on_even_grid(self):
         for cells in (2, 4, 128):
-            grid = make_bev_grid(5.0, cells, cells)
-            x0, y0, _, _ = grid.cell_rect(grid.locate(0.0, 0.0))
+            grid = BevGrid(5.0, cells, cells)
+            x0, y0, _, _ = cell_rect(grid, grid.locate_many([[0.0, 0.0]])[0])
             assert x0 == 0.0 and y0 == 0.0
 
     def test_non_square_grid_tiles_exactly(self):
-        grid = make_bev_grid(8.0, 6, 4)
+        grid = BevGrid(8.0, 6, 4)
         assert grid.cell_size == pytest.approx(4.0)
         assert grid.x_max - grid.x_min == pytest.approx(grid.w_cells * grid.cell_size)
         assert grid.y_max - grid.y_min == pytest.approx(grid.h_cells * grid.cell_size)
 
     def test_zero_cells_rejected(self):
         with pytest.raises(GeometryError):
-            make_bev_grid(1.0, 0, 4)
+            BevGrid(1.0, 0, 4)
         with pytest.raises(GeometryError):
-            make_bev_grid(0.0, 4, 4)
+            BevGrid(0.0, 4, 4)
 
     def test_locate_outside_is_absent(self):
-        grid = make_bev_grid(2.0, 4, 4)
-        assert grid.locate(3.0, 0.0) is None
-        assert grid.locate(0.0, -2.5) is None
-        assert grid.locate(2.0, 0.0) is None  # right edge is exclusive
+        grid = BevGrid(2.0, 4, 4)
+        # the right edge is exclusive
+        got = grid.locate_many([[3.0, 0.0], [0.0, -2.5], [2.0, 0.0]])
+        assert got.tolist() == [-1, -1, -1]
 
     def test_locate_boundary_goes_to_positive_side(self):
-        grid = make_bev_grid(2.0, 4, 4)
-        s = grid.locate(0.0, -1.0)
-        x0, y0, _, _ = grid.cell_rect(s)
+        grid = BevGrid(2.0, 4, 4)
+        s = grid.locate_many([[0.0, -1.0]])[0]
+        x0, y0, _, _ = cell_rect(grid, s)
         assert x0 == 0.0 and y0 == -1.0
 
     def test_locate_matches_scan_oracle(self, rng):
-        grid = make_bev_grid(3.5, 7, 5)
+        grid = BevGrid(3.5, 7, 5)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
         got = grid.locate_many(pts)
         for (x, y), s in zip(pts, got):
             assert (None if s < 0 else int(s)) == locate_scan(grid, x, y)
 
     def test_scan_oracle_matches_pure_python(self, rng):
-        grid = make_bev_grid(2.0, 3, 4)
+        grid = BevGrid(2.0, 3, 4)
         for x, y in rng.uniform(-3, 3, size=(200, 2)):
             assert locate_scan(grid, x, y) == locate_scan_pure(grid, x, y)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_partition_property(self, x, y):
-        grid = make_bev_grid(6.0, 5, 8)
+        grid = BevGrid(6.0, 5, 8)
         inside = grid.x_min <= x < grid.x_max and grid.y_min <= y < grid.y_max
-        s = grid.locate(x, y)
+        s = grid.locate_many([[x, y]])[0]
         if inside:
-            x0, y0, x1, y1 = grid.cell_rect(s)
+            x0, y0, x1, y1 = cell_rect(grid, s)
             assert x0 <= x < x1 and y0 <= y < y1
         else:
-            assert s is None
+            assert s == -1
 
     def test_cell_rect_bad_index(self):
-        grid = make_bev_grid(1.0, 2, 2)
+        grid = BevGrid(1.0, 2, 2)
         with pytest.raises(IndexError):
-            grid.cell_rect(4)
+            cell_rect(grid, 4)
 
 
 class TestSceneConfig:
@@ -296,6 +333,31 @@ class TestSceneConfig:
     def test_non_object_document(self):
         with pytest.raises(ConfigError):
             load_scene(io.StringIO("[1, 2, 3]"))
+
+    def test_random_scenes_round_trip(self, rng):
+        for _ in range(20):
+            scene = random_scene(rng, grid_cells=int(rng.integers(1, 20)))
+            again = load_scene(json.loads(json.dumps(scene_to_dict(scene))))
+            assert again.bins == scene.bins and again.grid == scene.grid
+            np.testing.assert_array_equal(again.bins.centers, scene.bins.centers)
+            assert (again.grid.x_min, again.grid.y_min, again.grid.cell_size) == (
+                scene.grid.x_min, scene.grid.y_min, scene.grid.cell_size
+            )
+            assert scene_digest(again) == scene_digest(scene)
+
+    def test_digest_sees_every_grid_and_bin_number(self, rig_scene):
+        base = scene_digest(rig_scene)
+        bins, grid = rig_scene.bins, rig_scene.grid
+        variants = [
+            (DepthBins(bins.d_min + 0.2, bins.d_max, bins.count), grid),
+            (DepthBins(bins.d_min, bins.d_max + 0.2, bins.count), grid),
+            (DepthBins(bins.d_min, bins.d_max, bins.count + 1), grid),
+            (bins, BevGrid(grid.extent + grid.cell_size, grid.h_cells, grid.w_cells)),
+            (bins, BevGrid(grid.extent, grid.h_cells + 3, grid.w_cells)),
+            (bins, BevGrid(grid.extent, grid.h_cells, grid.w_cells + 3)),
+        ]
+        digests = {scene_digest(Scene(rig_scene.rig, b, g)) for b, g in variants}
+        assert len(digests) == len(variants) and base not in digests
 
     def test_scene_fields(self, small_scene):
         assert isinstance(small_scene, Scene)

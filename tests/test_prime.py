@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from bevx import (
+    BevGrid,
     Camera,
     CameraRig,
+    DepthBins,
     PrimeAttention,
     RefineMap,
     Scene,
     ShapeError,
     ValidationError,
     full_vs_prime_ablation,
-    make_bev_grid,
-    make_depth_bins,
     prime_depth,
     prime_feature,
 )
+from oracles import one_hot
 
 
 def normalized_attention(rng, n_c, h_i, w_i):
@@ -29,7 +30,7 @@ def narrow_scene(h_i=3):
     k = np.array([[10.0, 0.0, 0.5 * stride], [0.0, 10.0, cy], [0.0, 0.0, 1.0]])
     cam = Camera(k, np.eye(3), np.zeros(3))
     rig = CameraRig((cam,), 1, h_i, stride)
-    return Scene(rig, make_depth_bins(1, 9, 8), make_bev_grid(10.0, 20, 20))
+    return Scene(rig, DepthBins(1, 9, 8), BevGrid(10.0, 20, 20))
 
 
 class TestPrimeAttention:
@@ -47,14 +48,14 @@ class TestPrimeAttention:
     def test_uniform_and_one_hot(self):
         u = PrimeAttention.uniform(2, 4, 3)
         assert u.weights.sum(axis=1) == pytest.approx(1.0)
-        o = PrimeAttention.one_hot(2, 4, 3, row=1)
+        o = one_hot(2, 4, 3, row=1)
         assert o.weights[:, 1, :].min() == 1.0 and o.weights.sum() == 6.0
 
 
 class TestPrimeDepth:
     def test_one_hot_selects_row(self, rng):
         d = rng.random((2, 4, 3, 5), dtype=np.float32)
-        out = prime_depth(d, PrimeAttention.one_hot(2, 4, 3, row=2))
+        out = prime_depth(d, one_hot(2, 4, 3, row=2))
         np.testing.assert_allclose(out, d[:, 2], rtol=1e-6)
 
     def test_uniform_is_height_mean(self, rng):
@@ -172,7 +173,7 @@ class TestAblation:
         ).copy()
         depth = rng.random((1, 3, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
-        attn = PrimeAttention.one_hot(1, 3, 1, row=1)  # the reference row
+        attn = one_hot(1, 3, 1, row=1)  # the reference row
         report = full_vs_prime_ablation(scene, feat, depth, attn, RefineMap.identity(c))
         assert report.spurious_rate == 0.0  # factorization exact on this scene
         assert report.max_rel_diff <= 1e-5

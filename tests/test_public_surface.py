@@ -1,8 +1,9 @@
 """The package's public boundary: exported names resolve, every module-level
-import is used, and every public route rejects a non-finite input with
-ValidationError."""
+import is used, the test oracles run no library code, and every public route
+rejects a non-finite input with ValidationError."""
 import ast
 import importlib
+import pkgutil
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -69,6 +70,59 @@ def unused_imports(path):
 )
 def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
+
+
+def library_method_names():
+    """Non-dunder names defined on any class of a bevx module, less those
+    numpy arrays and generators also define (`rng.uniform` is not a call
+    into PrimeAttention.uniform)."""
+    import bevx
+
+    modules = [bevx] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(bevx.__path__, "bevx.")
+        if not info.name.endswith("__main__")
+    ]
+    classes = {
+        klass
+        for mod in modules
+        for obj in vars(mod).values()
+        if isinstance(obj, type)
+        for klass in obj.__mro__
+        if klass.__module__.startswith("bevx")
+    }
+    names = {
+        n for klass in classes for n in vars(klass)
+        if not (n.startswith("__") and n.endswith("__"))
+    }
+    return names - set(dir(np.ndarray)) - set(dir(np.random.Generator))
+
+
+def library_uses(path):
+    """What `path` takes from bevx beyond its data types: imported names
+    that are not classes, and calls to methods of bevx classes."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    methods = library_method_names()
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [a.name for a in node.names if a.name.split(".")[0] == "bevx"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "bevx":
+            mod = importlib.import_module(node.module)
+            uses += [
+                a.name for a in node.names
+                if not isinstance(getattr(mod, a.name, None), type)
+            ]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in methods:
+                uses.append(f"{node.func.attr}() at line {node.lineno}")
+    return uses
+
+
+def test_oracles_run_no_library_code():
+    """The oracles validate the library, so they may build its data types
+    but must not call its functions or methods."""
+    assert library_uses(ROOT / "tests" / "oracles.py") == []
 
 
 @pytest.fixture(scope="module")

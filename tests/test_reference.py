@@ -2,21 +2,21 @@ import numpy as np
 import pytest
 
 from bevx import (
+    BevGrid,
     Camera,
     CameraRig,
+    DepthBins,
     ShapeError,
     SparseBinaryMatrix,
     build_ftm,
     generate_frustum,
     lift,
     lift_full,
-    make_bev_grid,
-    make_depth_bins,
     splat_full,
     splat_reference,
     vt_ftm,
 )
-from oracles import ftm_loop, lift_loop, random_scene, splat_loop
+from oracles import densify, ftm_loop, lift_loop, locate_scan, random_scene, splat_loop
 
 
 def single_ray_setup(n_d=8, d_min=1.0, d_max=9.0, extent=10.0, cells=20):
@@ -25,8 +25,8 @@ def single_ray_setup(n_d=8, d_min=1.0, d_max=9.0, extent=10.0, cells=20):
     k = np.array([[10.0, 0.0, 0.5 * stride], [0.0, 10.0, 0.5 * stride], [0, 0, 1.0]])
     cam = Camera(k, np.eye(3), np.zeros(3))
     rig = CameraRig((cam,), 1, 1, stride)
-    bins = make_depth_bins(d_min, d_max, n_d)
-    grid = make_bev_grid(extent, cells, cells)
+    bins = DepthBins(d_min, d_max, n_d)
+    grid = BevGrid(extent, cells, cells)
     return generate_frustum(rig, bins, 0), bins, grid
 
 
@@ -69,7 +69,7 @@ class TestLift:
 class TestSplatReference:
     def test_all_points_outside(self, rng):
         fr, _, _ = single_ray_setup(d_min=100.0, d_max=200.0)
-        grid = make_bev_grid(10.0, 4, 4)
+        grid = BevGrid(10.0, 4, 4)
         lifted = rng.random((1, 8, 3), dtype=np.float32)
         assert not splat_reference(lifted, fr, grid).any()
 
@@ -79,7 +79,7 @@ class TestSplatReference:
         depth = np.zeros((1, 8), dtype=np.float32)
         depth[0, 3] = 1.0
         bev = splat_reference(lift(feats, depth), fr, grid)
-        cell = grid.locate(bins.centers[3], 0.0)
+        cell = locate_scan(grid, bins.centers[3], 0.0)
         nonzero = np.flatnonzero(bev.any(axis=1))
         assert nonzero.tolist() == [cell]
         np.testing.assert_array_equal(bev[cell], feats[0])
@@ -101,7 +101,7 @@ class TestSplatReference:
 class TestBuildFtm:
     def test_empty_overlap(self):
         fr, _, _ = single_ray_setup(d_min=100.0, d_max=200.0)
-        grid = make_bev_grid(10.0, 4, 4)
+        grid = BevGrid(10.0, 4, 4)
         assert build_ftm(fr, grid).nnz == 0
 
     def test_distinct_cells_one_entry_per_column(self):
@@ -109,7 +109,7 @@ class TestBuildFtm:
         fr, _, grid = single_ray_setup(n_d=8, d_min=1.0, d_max=9.0, cells=40)
         ftm = build_ftm(fr, grid)
         assert ftm.nnz == 8
-        dense = ftm.densify()
+        dense = densify(ftm)
         assert (dense.sum(axis=0) == 1).all()
 
     def test_matches_membership_loop(self, rng):
@@ -121,7 +121,7 @@ class TestBuildFtm:
         scene = random_scene(rng, n_cameras=3, w_i=6, h_i=2, n_d=8, grid_cells=16)
         fr = generate_frustum(scene.rig, scene.bins)
         ftm = build_ftm(fr, scene.grid)
-        assert ftm.densify().sum(axis=0).max() <= 1
+        assert densify(ftm).sum(axis=0).max() <= 1
 
 
 class TestVtFtm:

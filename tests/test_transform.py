@@ -6,9 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bevx import (
+    BevGrid,
     Camera,
     CameraRig,
+    DepthBins,
     RingRayPair,
+    Scene,
     ShapeError,
     SparseBinaryMatrix,
     ValidationError,
@@ -19,15 +22,22 @@ from bevx import (
     generate_frustum,
     lift,
     load_ring_ray,
-    make_bev_grid,
-    make_depth_bins,
     save_ring_ray,
+    scene_digest,
     vt_ftm,
     vt_matrixvt,
 )
 from bevx import transform
 from bevx.bench import flip_ring_bit, max_rel_diff
-from oracles import dense_reformulated, random_scene, ring_ray_loop
+from oracles import (
+    densify,
+    dense_reformulated,
+    from_dense,
+    locate_scan,
+    random_scene,
+    ring_ray_loop,
+    row,
+)
 
 from test_reference import single_ray_setup
 
@@ -42,18 +52,18 @@ class TestBuildRingRay:
     def test_single_ray_structure(self):
         fr, bins, grid = single_ray_setup()
         rr = build_ring_ray(fr, grid)
-        cells_by_bin = [grid.locate(c, 0.0) for c in bins.centers]
+        cells_by_bin = [locate_scan(grid, c, 0.0) for c in bins.centers]
         traversed = sorted(set(c for c in cells_by_bin if c is not None))
         ray_cells = sorted(
-            int(s) for s in range(grid.n_cells) if rr.ray.row(s).size
+            int(s) for s in range(grid.n_cells) if row(rr.ray, s).size
         )
         assert ray_cells == traversed
         for d, s in enumerate(cells_by_bin):
             if s is None:
                 continue
-            assert d in rr.ring.row(s)
+            assert d in row(rr.ring, s)
         for s in range(grid.n_cells):
-            for d in rr.ring.row(s):
+            for d in row(rr.ring, s):
                 assert cells_by_bin[int(d)] == s
 
     def test_opposite_cameras_have_disjoint_ray_columns(self):
@@ -66,10 +76,10 @@ class TestBuildRingRay:
             np.zeros(3),
         )
         rig = CameraRig((fwd, back), 1, 1, stride)
-        bins = make_depth_bins(1, 9, 8)
-        grid = make_bev_grid(10.0, 20, 20)
+        bins = DepthBins(1, 9, 8)
+        grid = BevGrid(10.0, 20, 20)
         rr = build_ring_ray(generate_frustum(rig, bins, 0), grid)
-        ray = rr.ray.densify()
+        ray = densify(rr.ray)
         assert not np.logical_and(ray[:, 0], ray[:, 1]).any()
 
     @pytest.mark.parametrize("seed", range(5))
@@ -97,8 +107,8 @@ class TestVtMatrixvt:
     def test_all_ones_single_column(self, rng):
         # every plan row spans all N_d bins
         s, n_d = 6, 4
-        ones_ring = SparseBinaryMatrix.from_dense(np.ones((s, n_d)))
-        ones_ray = SparseBinaryMatrix.from_dense(np.ones((s, 1)))
+        ones_ring = from_dense(np.ones((s, n_d)))
+        ones_ray = from_dense(np.ones((s, 1)))
         rr = RingRayPair(ones_ring, ones_ray)
         f = rng.random((1, 3), dtype=np.float32)
         d = rng.random((1, n_d), dtype=np.float32)
@@ -114,9 +124,20 @@ class TestVtMatrixvt:
         d = np.zeros((1, 8), dtype=np.float32)
         d[0, k] = 1.0
         bev = vt_matrixvt(f, d, rr)
-        cell = grid.locate(bins.centers[k], 0.0)
+        cell = locate_scan(grid, bins.centers[k], 0.0)
         assert np.flatnonzero(bev.any(axis=1)).tolist() == [cell]
         np.testing.assert_array_equal(bev[cell], f[0])
+
+    def test_ray_index_arrays_come_with_the_plan(self, rng):
+        _, _, rr = build_pair(rng)
+        f = rng.random((rr.n_columns, 3), dtype=np.float32)
+        d = rng.random((rr.n_columns, rr.n_depths), dtype=np.float32)
+        vt_matrixvt(f, d, rr)
+        assert "_scipy" not in vars(rr.ray)
+        _, indptr, indices = rr._plan
+        assert indptr.dtype == indices.dtype == np.int32
+        np.testing.assert_array_equal(indptr, rr.ray.row_offsets)
+        np.testing.assert_array_equal(indices, rr.ray.col_indices)
 
     def test_matches_dense_oracle(self, rng):
         _, _, rr = build_pair(rng, n_cameras=2, w_i=6, h_i=2, n_d=10, grid_cells=14)
@@ -179,7 +200,7 @@ class TestVtMatrixvt:
         ring = rng.random((s, n_d)) < ring_density
         ray = rng.random((s, w)) < ray_density
         rr = RingRayPair(
-            SparseBinaryMatrix.from_dense(ring), SparseBinaryMatrix.from_dense(ray)
+            from_dense(ring), from_dense(ray)
         )
         f = rng.random((w, 3), dtype=np.float32)
         d = rng.random((w, n_d), dtype=np.float32)
@@ -189,7 +210,7 @@ class TestVtMatrixvt:
         dead = ~ring.any(axis=1) | ~ray.any(axis=1)
         assert not out[dead].any()
         kron = (ray[:, :, None] & ring[:, None, :]).reshape(s, w * n_d)
-        np.testing.assert_array_equal(effective_ftm(rr).densify(), kron)
+        np.testing.assert_array_equal(densify(effective_ftm(rr)), kron)
 
     def test_shape_mismatch(self, rng):
         _, _, rr = build_pair(rng)
@@ -202,7 +223,7 @@ class TestVtMatrixvt:
 class TestEffectiveFtm:
     def test_zero_ring(self):
         ring = SparseBinaryMatrix(4, 3, np.zeros(5, np.int64), [])
-        ray = SparseBinaryMatrix.from_dense(np.ones((4, 2)))
+        ray = from_dense(np.ones((4, 2)))
         assert effective_ftm(RingRayPair(ring, ray)).nnz == 0
 
     def test_single_ray_equals_exact(self):
@@ -214,16 +235,16 @@ class TestEffectiveFtm:
     def test_containment(self, seed):
         rng = np.random.default_rng(seed)
         fr, grid, rr = build_pair(rng, n_cameras=3, w_i=6, h_i=2, n_d=8, grid_cells=16)
-        exact = build_ftm(fr, grid).densify()
-        implied = effective_ftm(rr).densify()
+        exact = densify(build_ftm(fr, grid))
+        implied = densify(effective_ftm(rr))
         assert (exact <= implied).all()
 
     def test_matches_kronecker_definition(self, rng):
         _, _, rr = build_pair(rng, n_cameras=2, w_i=4, h_i=2, n_d=5, grid_cells=10)
-        ring = rr.ring.densify()
-        ray = rr.ray.densify()
+        ring = densify(rr.ring)
+        ray = densify(rr.ray)
         expect = (ray[:, :, None] * ring[:, None, :]).reshape(rr.n_cells, -1)
-        np.testing.assert_array_equal(effective_ftm(rr).densify(), expect)
+        np.testing.assert_array_equal(densify(effective_ftm(rr)), expect)
 
 
 class TestCostModel:
@@ -269,12 +290,24 @@ class TestCache:
         save_ring_ray(rr, tmp_path / "c", "digest-1")
         assert load_ring_ray(tmp_path / "c", "other") is None
 
+    def test_scene_differing_in_one_config_number_misses(self, tmp_path, rng):
+        scene = random_scene(rng)
+        rr = build_ring_ray(generate_frustum(scene.rig, scene.bins), scene.grid)
+        save_ring_ray(rr, tmp_path, scene_digest(scene))
+        bins, grid = scene.bins, scene.grid
+        for other in (
+            Scene(scene.rig, bins, BevGrid(grid.extent + 1.0, grid.h_cells, grid.w_cells)),
+            Scene(scene.rig, DepthBins(bins.d_min, bins.d_max, bins.count + 1), grid),
+        ):
+            assert load_ring_ray(tmp_path, scene_digest(other)) is None
+        assert load_ring_ray(tmp_path, scene_digest(scene)) == rr
+
     def test_missing(self, tmp_path):
         assert load_ring_ray(tmp_path / "nowhere", "d") is None
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
-        new = RingRayPair(SparseBinaryMatrix.from_dense(old.ring.densify() == 0), old.ray)
+        new = RingRayPair(from_dense(densify(old.ring) == 0), old.ray)
         slot = tmp_path / "c"
         save_ring_ray(old, slot, "old")
         real = transform.write_cache
@@ -296,7 +329,7 @@ class TestCache:
     def test_save_racing_a_load_never_mixes_pairs(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
         # same shapes as the old pair, different ring: a mix would load
-        new = RingRayPair(SparseBinaryMatrix.from_dense(old.ring.densify() == 0), old.ray)
+        new = RingRayPair(from_dense(densify(old.ring) == 0), old.ray)
         slot = tmp_path / "c"
         save_ring_ray(old, slot, "old")
         real = transform.read_cache
