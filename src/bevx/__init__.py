@@ -37,7 +37,7 @@ from .prime import (
     prime_depth,
     prime_feature,
 )
-from .reference import build_ftm, lift, lift_full, splat_full, splat_reference, vt_ftm
+from .reference import build_ftm, lift, splat_reference, vt_ftm
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
@@ -84,8 +84,6 @@ __all__ = [
     "prime_feature",
     "build_ftm",
     "lift",
-    "lift_full",
-    "splat_full",
     "splat_reference",
     "vt_ftm",
     "DTYPE",

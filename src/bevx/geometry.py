@@ -2,7 +2,9 @@
 
 A Scene is its config: DepthBins and BevGrid hold only the numbers of the
 config's `depth` and `bev` blocks and derive the rest, so scene_to_dict
-inverts load_scene and scene_digest covers every field.
+inverts load_scene and scene_digest covers every field. Each type checks
+and normalises its own numbers (one helper, `_numbers`), so a Scene built
+in code and one loaded from JSON compare, hash and digest alike.
 
 Conventions:
   * Intrinsics K act in the optical frame: +x right, +y down, +z forward
@@ -53,10 +55,33 @@ def _near(a, b):
     return bool((np.abs(a - b) <= _ORTHO_TOL + 1e-5 * np.abs(b)).all())
 
 
-def _readonly(a, dtype=np.float64):
-    out = np.ascontiguousarray(a, dtype=dtype)
+def _readonly(a):
+    out = np.ascontiguousarray(a, dtype=np.float64)
     out.setflags(write=False)
     return out
+
+
+def _numbers(value, what, shape=(), whole=False):
+    """`value` as read-only finite float64 values of `shape`, or as a float
+    (an int when `whole`) when `shape == ()`; anything else, including a
+    str or bool, raises GeometryError naming `what`."""
+    # float.is_integer is False for inf and nan, so it checks finiteness too
+    check = float.is_integer if whole else math.isfinite
+    try:
+        raw = np.asarray(value)
+        arr = raw.astype(np.float64).reshape(shape)
+        flat = arr.ravel().tolist()  # python floats: cheaper than ufuncs here
+        ok = raw.dtype.kind in "iuf" and all(map(check, flat))
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        kind = f"{shape} finite numbers" if shape else "a finite number"
+        kind = "a whole number" if whole else kind
+        raise GeometryError(f"{what} must be {kind}, got {value!r}")
+    if shape:
+        arr.setflags(write=False)
+        return arr
+    return int(flat[0]) if whole else flat[0]
 
 
 def _freeze(obj, **values):
@@ -65,13 +90,17 @@ def _freeze(obj, **values):
         object.__setattr__(obj, name, value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Camera:
     """One pinhole camera: intrinsics plus body-to-ego pose.
 
+    Each array is stored as read-only float64 and must be finite. Cameras
+    compare and hash by the bytes of their three arrays, so equal configs
+    give equal cameras, rigs and scenes.
+
     Args:
-        intrinsics: 3x3 pixel matrix; bottom row must be (0, 0, 1) and the
-            focal entries positive.
+        intrinsics: 3x3 pixel matrix (or its 9 entries row-major); bottom
+            row must be (0, 0, 1) and the focal entries positive.
         rotation: 3x3 orthonormal matrix, camera body frame -> ego frame.
         translation: camera center in the ego frame, meters.
     """
@@ -81,23 +110,27 @@ class Camera:
     translation: np.ndarray
 
     def __post_init__(self):
-        k = _readonly(self.intrinsics)
-        r = _readonly(self.rotation)
-        t = _readonly(self.translation)
-        if k.shape != (3, 3) or r.shape != (3, 3) or t.shape != (3,):
-            raise GeometryError(
-                f"camera parameter shapes {k.shape}, {r.shape}, {t.shape} "
-                "must be (3,3), (3,3), (3,)"
-            )
+        k = _numbers(self.intrinsics, "intrinsics", (3, 3))
+        r = _numbers(self.rotation, "rotation", (3, 3))
+        t = _numbers(self.translation, "translation", (3,))
         if not _near(k[2], np.array([0.0, 0.0, 1.0])):
             raise GeometryError(f"intrinsics bottom row must be (0,0,1), got {k[2]}")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise GeometryError("intrinsics focal entries must be positive")
         if not _near(r.T @ r, np.eye(3)):
             raise GeometryError("rotation is not orthonormal within 1e-6")
-        object.__setattr__(self, "intrinsics", k)
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        _freeze(self, intrinsics=k, rotation=r, translation=t)
+
+    def _bytes(self):
+        return self.intrinsics.tobytes() + self.rotation.tobytes() + self.translation.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Camera):
+            return NotImplemented
+        return self._bytes() == other._bytes()
+
+    def __hash__(self):
+        return hash(self._bytes())
 
 
 @dataclass(frozen=True)
@@ -110,24 +143,20 @@ class CameraRig:
     image_stride: int
 
     def __post_init__(self):
-        object.__setattr__(self, "cameras", tuple(self.cameras))
-        if not self.cameras:
+        cameras = tuple(self.cameras)
+        if not cameras:
             raise GeometryError("rig needs at least one camera")
-        if self.feature_width < 1 or self.feature_height < 1 or self.image_stride < 1:
+        extents = {
+            name: _numbers(getattr(self, name), name, whole=True)
+            for name in ("feature_width", "feature_height", "image_stride")
+        }
+        if min(extents.values()) < 1:
             raise GeometryError("feature extents and stride must be positive")
+        _freeze(self, cameras=cameras, **extents)
 
     @property
     def n_cameras(self):
         return len(self.cameras)
-
-
-def _number(value, what, whole=False):
-    """`value` as a finite float, or as an int when `whole`; else GeometryError."""
-    number = float(value)
-    if not math.isfinite(number) or (whole and number != int(number)):
-        kind = "a whole number" if whole else "finite"
-        raise GeometryError(f"{what} must be {kind}, got {value!r}")
-    return int(number) if whole else number
 
 
 @dataclass(frozen=True)
@@ -142,8 +171,8 @@ class DepthBins:
     centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d_min, d_max = _number(self.d_min, "d_min"), _number(self.d_max, "d_max")
-        count = _number(self.count, "bin count", whole=True)
+        d_min, d_max = _numbers(self.d_min, "d_min"), _numbers(self.d_max, "d_max")
+        count = _numbers(self.count, "bin count", whole=True)
         if count < 1:
             raise GeometryError(f"bin count must be >= 1, got {count}")
         if not d_min < d_max:
@@ -170,9 +199,9 @@ class BevGrid:
     y_min: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        extent = _number(self.extent, "extent")
-        h_cells = _number(self.h_cells, "h_cells", whole=True)
-        w_cells = _number(self.w_cells, "w_cells", whole=True)
+        extent = _numbers(self.extent, "extent")
+        h_cells = _numbers(self.h_cells, "h_cells", whole=True)
+        w_cells = _numbers(self.w_cells, "w_cells", whole=True)
         if h_cells < 1 or w_cells < 1:
             raise GeometryError("cell counts must be positive")
         if not extent > 0:
@@ -188,14 +217,6 @@ class BevGrid:
     @property
     def n_cells(self):
         return self.h_cells * self.w_cells
-
-    @property
-    def x_max(self):
-        return float(self._x_edges[-1])
-
-    @property
-    def y_max(self):
-        return float(self._y_edges[-1])
 
     def locate_many(self, xy):
         """Flattened index of the cell holding each (x, y) point, -1 outside;
@@ -300,19 +321,14 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _numbers(mapping, key, where, shape=(), integral=False):
-    """Field `key` as finite float64 values of `shape`, integral if asked."""
-    value = _require(mapping, key, where)
+def _build(make, where, mapping, *keys):
+    """make(*fields) from the `keys` of one config block; a GeometryError
+    becomes a ConfigError naming the block."""
+    values = [_require(mapping, key, where) for key in keys]
     try:
-        arr = np.asarray(value, dtype=np.float64).reshape(shape)
-        ok = np.isfinite(arr).all() and not (integral and (arr % 1).any())
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok or isinstance(value, (str, bool)):
-        what = f"{shape} finite numbers" if shape else "a finite number"
-        what = "an integer" if integral else what
-        raise ConfigError(f"{where}: '{key}' must be {what}, got {value!r}")
-    return arr
+        return make(*values)
+    except GeometryError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_scene(source):
@@ -325,6 +341,10 @@ def load_scene(source):
          "feature_width": int, "feature_height": int, "image_stride": int,
          "depth": {"min": m, "max": m, "count": n},
          "bev": {"extent": m, "h_cells": n, "w_cells": n}}
+
+    Only the layout is checked here: the raw values go to the geometry
+    constructors, which check their own numbers, and their GeometryError
+    comes back as a ConfigError naming the block and the field.
     """
     if isinstance(source, dict):
         doc = source
@@ -337,38 +357,18 @@ def load_scene(source):
     cam_docs = _require(doc, "cameras", "scene config")
     if not isinstance(cam_docs, list) or not cam_docs:
         raise ConfigError("scene config: 'cameras' must be a non-empty list")
-    cameras = []
-    for i, cd in enumerate(cam_docs):
-        where = f"cameras[{i}]"
-        k = _numbers(cd, "intrinsics", where, (3, 3))
-        r = _numbers(cd, "rotation", where, (3, 3))
-        t = _numbers(cd, "translation", where, (3,))
-        try:
-            cameras.append(Camera(k, r, t))
-        except GeometryError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-
-    try:
-        rig = CameraRig(
-            tuple(cameras),
-            int(_numbers(doc, "feature_width", "scene config", integral=True)),
-            int(_numbers(doc, "feature_height", "scene config", integral=True)),
-            int(_numbers(doc, "image_stride", "scene config", integral=True)),
-        )
-        depth = _require(doc, "depth", "scene config")
-        bins = DepthBins(
-            float(_numbers(depth, "min", "depth")),
-            float(_numbers(depth, "max", "depth")),
-            int(_numbers(depth, "count", "depth", integral=True)),
-        )
-        bev = _require(doc, "bev", "scene config")
-        grid = BevGrid(
-            float(_numbers(bev, "extent", "bev")),
-            int(_numbers(bev, "h_cells", "bev", integral=True)),
-            int(_numbers(bev, "w_cells", "bev", integral=True)),
-        )
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+    cameras = tuple(
+        _build(Camera, f"cameras[{i}]", cd, "intrinsics", "rotation", "translation")
+        for i, cd in enumerate(cam_docs)
+    )
+    rig = _build(
+        lambda *extents: CameraRig(cameras, *extents), "scene config", doc,
+        "feature_width", "feature_height", "image_stride",
+    )
+    depth = _require(doc, "depth", "scene config")
+    bins = _build(DepthBins, "depth", depth, "min", "max", "count")
+    bev = _require(doc, "bev", "scene config")
+    grid = _build(BevGrid, "bev", bev, "extent", "h_cells", "w_cells")
     return Scene(rig, bins, grid)
 
 
@@ -401,12 +401,7 @@ def scene_to_dict(scene):
     }
 
 
-def scene_digest(scene_or_dict):
-    """Stable SHA-256 of a scene config; used to detect stale matrix caches."""
-    doc = (
-        scene_to_dict(scene_or_dict)
-        if isinstance(scene_or_dict, Scene)
-        else scene_or_dict
-    )
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+def scene_digest(scene):
+    """Stable SHA-256 of a Scene's config; used to detect stale matrix caches."""
+    blob = json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

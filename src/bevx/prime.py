@@ -12,8 +12,8 @@ carries redundancy. This module collapses it:
 
 Attention and refinement weights are inputs here, not learned.
 `full_vs_prime_ablation` quantifies what the compression loses by running
-the full-height reference splat and the compressed fast transform on the
-same inputs.
+the full-height reference (`lift` + `splat_reference` once per feature row,
+summed) and the compressed fast transform on the same inputs.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ShapeError, ValidationError
 from .geometry import generate_frustum
-from .reference import build_ftm, lift_full, splat_full
+from .reference import build_ftm, lift, splat_reference
 from .tensor_core import as_feature
 from .transform import build_ring_ray, effective_ftm, vt_matrixvt
 
@@ -61,10 +61,6 @@ class PrimeAttention:
                 f"(worst deviation {np.abs(col_mass - 1.0).max():.2e})"
             )
         object.__setattr__(self, "weights", w)
-
-    @classmethod
-    def uniform(cls, n_cameras, h_i, w_i):
-        return cls(np.full((n_cameras, h_i, w_i), 1.0 / h_i, dtype=np.float32))
 
 
 @dataclass(frozen=True)
@@ -154,8 +150,10 @@ class AblationReport:
 def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
     """Run both pipelines on identical inputs and report the gap.
 
-    Full route: per-pixel embedding + refinement, attention-weighted
-    full-height lift, reference splat through one frustum per feature row.
+    Full route: per-pixel embedding + refinement, then for each feature row
+    an attention-weighted `lift` and a `splat_reference` through that row's
+    frustum, summed into one float32 buffer in row order; the full-height
+    lifted tensor is never held.
     Compressed route: prime_feature / prime_depth, then the reformulated
     ring/ray transform through the middle-row frustum.
 
@@ -185,12 +183,14 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
     if pos_embed is None:
         pos_embed = np.zeros(f.shape[1:], dtype=f.dtype)
 
-    refined_full = refine.apply(f + pos_embed)
-    weighted_depth = attn.weights[..., None] * d
-    frusta = [generate_frustum(rig, bins, h) for h in range(rig.feature_height)]
-    bev_full = splat_full(lift_full(refined_full, weighted_depth), frusta, grid)
-
     n_w = rig.n_cameras * rig.feature_width
+    refined = refine.apply(f + pos_embed)
+    weighted = attn.weights[..., None] * d
+    bev_full = np.zeros((grid.n_cells, refined.shape[-1]), dtype=np.float32)
+    for h in range(rig.feature_height):
+        lifted = lift(refined[:, h].reshape(n_w, -1), weighted[:, h].reshape(n_w, -1))
+        bev_full += splat_reference(lifted, generate_frustum(rig, bins, h), grid)
+
     pf = prime_feature(f, pos_embed, refine).reshape(n_w, -1)
     pd = prime_depth(d, attn).reshape(n_w, bins.count)
     frustum = generate_frustum(rig, bins)

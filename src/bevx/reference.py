@@ -2,7 +2,10 @@
 sparse transport matrix.
 
 Everything else in this package is validated against these routines. They
-are written for clarity over speed; `transform` holds the fast route.
+are written for clarity over speed; `transform` holds the fast route. There
+is no full-height variant: a full-height map is one `lift` +
+`splat_reference` per feature row, each through that row's frustum, summed
+(see `prime.full_vs_prime_ablation`).
 
 Shape glossary: W = N_c * W_I flattened (camera, column) index, S = H_B * W_B
 flattened BEV cell index, C = channels, N_d = depth bins. Lifted tensors are
@@ -14,13 +17,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature, scatter_add, spmm
+from .tensor_core import SparseBinaryMatrix, as_feature, scatter_add, spmm
 
 __all__ = [
     "lift",
-    "lift_full",
     "splat_reference",
-    "splat_full",
     "build_ftm",
     "vt_ftm",
 ]
@@ -43,18 +44,6 @@ def lift(features, depths):
     if f.shape[0] != d.shape[0]:
         raise ShapeError.mismatch("lift", f.shape, d.shape)
     return d[:, :, None] * f[:, None, :]
-
-
-def lift_full(features, depths):
-    """Full-height lift: out[n, h, w, d, c] = depths[n, h, w, d] * features[n, h, w, c].
-
-    Slow-path variant used only by the height-compression ablation.
-    """
-    f = as_feature(features, "features")
-    d = as_feature(depths, "depths")
-    if f.ndim != 4 or d.ndim != 4 or f.shape[:3] != d.shape[:3]:
-        raise ShapeError.mismatch("lift_full", f.shape, d.shape)
-    return d[..., :, None] * f[..., None, :]
 
 
 def _check_lifted(lifted, frustum):
@@ -84,35 +73,6 @@ def splat_reference(lifted, frustum, grid):
     targets = grid.locate_many(frustum.points.reshape(-1, 2))
     values = lifted.reshape(-1, lifted.shape[2])
     return scatter_add(values, targets, grid.n_cells)
-
-
-def splat_full(lifted_full, frusta, grid):
-    """Full-height splat: one scatter pass per feature row, summed.
-
-    Args:
-        lifted_full: (N_c, H_I, W_I, N_d, C) tensor from lift_full.
-        frusta: sequence of H_I FrustumGeometry objects, one per feature row
-            (row h back-projected through its own pixel row).
-        grid: BevGrid.
-
-    Returns:
-        (S, C) BEV feature tensor.
-    """
-    # shape only: each row's scatter_add coerces and scans its own slice
-    lifted_full = np.asarray(lifted_full)
-    if lifted_full.ndim != 5:
-        raise ShapeError(
-            f"lifted_full must be (N_c, H_I, W_I, N_d, C), got {lifted_full.shape}"
-        )
-    n_c, h_i, w_i, n_d, c = lifted_full.shape
-    if len(frusta) != h_i:
-        raise ShapeError(f"need {h_i} per-row frusta, got {len(frusta)}")
-    out = np.zeros((grid.n_cells, c), dtype=DTYPE)
-    for h, fr in enumerate(frusta):
-        out += splat_reference(
-            lifted_full[:, h].reshape(n_c * w_i, n_d, c), fr, grid
-        )
-    return out
 
 
 def build_ftm(frustum, grid):

@@ -64,6 +64,16 @@ def grid_edges(grid):
     return xe, ye
 
 
+def x_max(grid):
+    """Right edge of the grid's last column."""
+    return float(grid_edges(grid)[0][-1])
+
+
+def y_max(grid):
+    """Top edge of the grid's last row."""
+    return float(grid_edges(grid)[1][-1])
+
+
 def cell_rect(grid, index):
     """(x0, y0, x1, y1) of the flattened cell index."""
     xe, ye = grid_edges(grid)
@@ -188,6 +198,11 @@ def random_scene(rng, n_cameras=2, w_i=8, h_i=4, n_d=8, grid_cells=16, stride=8)
     bins = DepthBins(d_min, d_min + rng.uniform(8.0, 25.0), n_d)
     grid = BevGrid(rng.uniform(8.0, 20.0), grid_cells, grid_cells)
     return Scene(rig, bins, grid)
+
+
+def uniform(n_cameras, h_i, w_i):
+    """Attention that weighs every feature row of a column equally."""
+    return PrimeAttention(np.full((n_cameras, h_i, w_i), 1.0 / h_i, dtype=np.float32))
 
 
 def one_hot(n_cameras, h_i, w_i, row):

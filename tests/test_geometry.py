@@ -27,6 +27,8 @@ from oracles import (
     project_to_pixel,
     random_scene,
     synthetic_scene_dict,
+    x_max,
+    y_max,
 )
 
 
@@ -99,10 +101,54 @@ def test_counts_must_be_whole(cls, name):
         cls(**dict(VALID[cls], **{name: 2.5}))
 
 
+CAMERA_FIELDS = {"intrinsics": (0, 2), "rotation": (1, 0), "translation": (2,)}
+
+
+def bad_camera_value(name, bad):
+    """simple_camera's `name` array with one entry set to `bad`, or `bad`
+    itself when it is not a number."""
+    cam = simple_camera()
+    if not isinstance(bad, float):
+        return bad
+    value = getattr(cam, name).copy()
+    value[CAMERA_FIELDS[name]] = bad
+    return value
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, np.zeros(4), "0 0 1"],
+    ids=["nan", "inf", "-inf", "wrong-shape", "str"],
+)
+@pytest.mark.parametrize("name", sorted(CAMERA_FIELDS))
+def test_camera_rejects_bad_arrays(name, bad):
+    """Every camera array must be finite numbers of its shape."""
+    cam = simple_camera()
+    args = dict(intrinsics=cam.intrinsics, rotation=cam.rotation, translation=cam.translation)
+    args[name] = bad_camera_value(name, bad)
+    with pytest.raises(GeometryError, match="finite numbers"):
+        Camera(**args)
+
+
+@pytest.mark.parametrize(
+    "bad", [44.5, "44", True, 0, np.nan], ids=["fraction", "str", "bool", "zero", "nan"]
+)
+@pytest.mark.parametrize("name", ["feature_width", "feature_height", "image_stride"])
+def test_rig_rejects_bad_extents(name, bad):
+    args = dict({"feature_width": 4, "feature_height": 4, "image_stride": 8}, **{name: bad})
+    with pytest.raises(GeometryError):
+        CameraRig((simple_camera(),), **args)
+
+
 class TestCamera:
     def test_valid(self):
         cam = simple_camera()
         assert cam.intrinsics[0, 0] == 10.0
+
+    def test_stores_read_only_copies(self):
+        k, r, t = np.diag([10.0, 10.0, 1.0]), np.eye(3), np.zeros(3)
+        cam = Camera(k, r, t)
+        assert k.flags.writeable and r.flags.writeable and t.flags.writeable
+        assert not cam.translation.flags.writeable
 
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(GeometryError, match="orthonormal"):
@@ -244,8 +290,8 @@ class TestBevGrid:
     def test_non_square_grid_tiles_exactly(self):
         grid = BevGrid(8.0, 6, 4)
         assert grid.cell_size == pytest.approx(4.0)
-        assert grid.x_max - grid.x_min == pytest.approx(grid.w_cells * grid.cell_size)
-        assert grid.y_max - grid.y_min == pytest.approx(grid.h_cells * grid.cell_size)
+        assert x_max(grid) - grid.x_min == pytest.approx(grid.w_cells * grid.cell_size)
+        assert y_max(grid) - grid.y_min == pytest.approx(grid.h_cells * grid.cell_size)
 
     def test_zero_cells_rejected(self):
         with pytest.raises(GeometryError):
@@ -281,7 +327,7 @@ class TestBevGrid:
     @given(st.floats(-10, 10), st.floats(-10, 10))
     def test_partition_property(self, x, y):
         grid = BevGrid(6.0, 5, 8)
-        inside = grid.x_min <= x < grid.x_max and grid.y_min <= y < grid.y_max
+        inside = grid.x_min <= x < x_max(grid) and grid.y_min <= y < y_max(grid)
         s = grid.locate_many([[x, y]])[0]
         if inside:
             x0, y0, x1, y1 = cell_rect(grid, s)
@@ -308,9 +354,26 @@ class TestSceneConfig:
         assert scene.rig.n_cameras == 1
 
     def test_digest_changes_with_content(self):
-        a = synthetic_scene_dict(n_cameras=2)
-        b = synthetic_scene_dict(n_cameras=3)
+        a = load_scene(synthetic_scene_dict(n_cameras=2))
+        b = load_scene(synthetic_scene_dict(n_cameras=3))
         assert scene_digest(a) != scene_digest(b)
+
+    def test_whole_float_extents_digest_like_json(self, rig_scene):
+        rig = rig_scene.rig
+        built = CameraRig(
+            rig.cameras, float(rig.feature_width), rig.feature_height, rig.image_stride
+        )
+        assert type(built.feature_width) is int
+        again = Scene(built, rig_scene.bins, rig_scene.grid)
+        assert scene_digest(again) == scene_digest(rig_scene)
+
+    def test_scenes_compare_and_hash_by_value(self, rig_config_path):
+        a, b = load_scene(rig_config_path), load_scene(rig_config_path)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        with open(rig_config_path, encoding="utf-8") as f:
+            doc = json.load(f)
+        doc["cameras"][3]["translation"][1] += 1e-3
+        assert load_scene(doc) != a
 
     def test_missing_field(self):
         doc = synthetic_scene_dict(n_cameras=1)

@@ -12,10 +12,11 @@ from bevx import (
     ShapeError,
     ValidationError,
     full_vs_prime_ablation,
+    generate_frustum,
     prime_depth,
     prime_feature,
 )
-from oracles import one_hot
+from oracles import lift_loop, one_hot, random_scene, splat_loop, uniform
 
 
 def normalized_attention(rng, n_c, h_i, w_i):
@@ -46,7 +47,7 @@ class TestPrimeAttention:
             PrimeAttention(np.full((1, 2, 3), 0.6, dtype=np.float32))
 
     def test_uniform_and_one_hot(self):
-        u = PrimeAttention.uniform(2, 4, 3)
+        u = uniform(2, 4, 3)
         assert u.weights.sum(axis=1) == pytest.approx(1.0)
         o = one_hot(2, 4, 3, row=1)
         assert o.weights[:, 1, :].min() == 1.0 and o.weights.sum() == 6.0
@@ -60,7 +61,7 @@ class TestPrimeDepth:
 
     def test_uniform_is_height_mean(self, rng):
         d = rng.random((1, 4, 3, 5), dtype=np.float32)
-        out = prime_depth(d, PrimeAttention.uniform(1, 4, 3))
+        out = prime_depth(d, uniform(1, 4, 3))
         np.testing.assert_allclose(out, d.mean(axis=1), rtol=1e-5)
 
     def test_loop_oracle(self, rng):
@@ -100,7 +101,7 @@ class TestPrimeDepth:
         with pytest.raises(ShapeError):
             prime_depth(
                 rng.random((1, 2, 3, 4), dtype=np.float32),
-                PrimeAttention.uniform(1, 2, 4),
+                uniform(1, 2, 4),
             )
 
 
@@ -215,3 +216,30 @@ class TestAblation:
         )
         report = full_vs_prime_ablation(scene, feat, depth, attn, refine)
         assert report.bev_prime.shape[1] == 2
+
+    def test_full_route_matches_row_loop_oracle(self, rng):
+        """bev_full is the sum over feature rows of the loop oracles' lift
+        and splat through that row's frustum."""
+        n_c, w_i, h_i, n_d, c = 2, 4, 3, 5, 3
+        scene = random_scene(rng, n_cameras=n_c, w_i=w_i, h_i=h_i, n_d=n_d, grid_cells=10)
+        feat = rng.random((n_c, h_i, w_i, c), dtype=np.float32)
+        depth = rng.random((n_c, h_i, w_i, n_d), dtype=np.float32)
+        depth /= depth.sum(axis=3, keepdims=True)
+        pos_embed = rng.random((h_i, w_i, c), dtype=np.float32)
+        attn = normalized_attention(rng, n_c, h_i, w_i)
+        refine = RefineMap(
+            rng.random((c, c), dtype=np.float32), rng.random(c, dtype=np.float32)
+        )
+        report = full_vs_prime_ablation(scene, feat, depth, attn, refine, pos_embed)
+
+        refined = (feat + pos_embed) @ refine.matrix.T + refine.bias
+        weighted = attn.weights[..., None] * depth
+        expect = np.zeros_like(report.bev_full)
+        for h in range(h_i):
+            lifted = lift_loop(
+                refined[:, h].reshape(n_c * w_i, c), weighted[:, h].reshape(n_c * w_i, n_d)
+            )
+            expect += splat_loop(lifted, generate_frustum(scene.rig, scene.bins, h), scene.grid)
+        assert expect.any()
+        err = np.abs(report.bev_full - expect).max()
+        assert err <= 1e-5 * np.abs(expect).max()

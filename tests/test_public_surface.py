@@ -1,9 +1,14 @@
 """The package's public boundary: exported names resolve, every module-level
-import is used, the test oracles run no library code, and every public route
-rejects a non-finite input with ValidationError."""
+import is used, the test oracles run no library code, every public route
+rejects a non-finite input with ValidationError, and the README's python
+examples run."""
 import ast
 import importlib
+import os
 import pkgutil
+import re
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -11,21 +16,20 @@ import numpy as np
 import pytest
 
 from bevx import (
-    PrimeAttention,
     RefineMap,
     ValidationError,
     build_ftm,
     build_ring_ray,
+    full_vs_prime_ablation,
     generate_frustum,
     lift,
     prime_depth,
     prime_feature,
-    splat_full,
     splat_reference,
     vt_ftm,
     vt_matrixvt,
 )
-from oracles import random_scene
+from oracles import random_scene, uniform
 
 N_C, W_I, H_I, N_D, C = 2, 4, 3, 5, 3
 W = N_C * W_I
@@ -74,8 +78,7 @@ def test_no_unused_module_imports(path):
 
 def library_method_names():
     """Non-dunder names defined on any class of a bevx module, less those
-    numpy arrays and generators also define (`rng.uniform` is not a call
-    into PrimeAttention.uniform)."""
+    numpy arrays also define (`a.shape` is not a bevx property)."""
     import bevx
 
     modules = [bevx] + [
@@ -95,7 +98,7 @@ def library_method_names():
         n for klass in classes for n in vars(klass)
         if not (n.startswith("__") and n.endswith("__"))
     }
-    return names - set(dir(np.ndarray)) - set(dir(np.random.Generator))
+    return names - set(dir(np.ndarray))
 
 
 def library_uses(path):
@@ -156,10 +159,19 @@ ROUTES = {
     "splat_reference-lifted": lambda bad, p: splat_reference(
         poisoned((W, N_D, C), bad), p.frustum, p.scene.grid
     ),
-    "splat_full-lifted": lambda bad, p: splat_full(
-        poisoned((N_C, H_I, W_I, N_D, C), bad),
-        [generate_frustum(p.scene.rig, p.scene.bins, h) for h in range(H_I)],
-        p.scene.grid,
+    "full_vs_prime_ablation-feature": lambda bad, p: full_vs_prime_ablation(
+        p.scene,
+        poisoned((N_C, H_I, W_I, C), bad),
+        clean((N_C, H_I, W_I, N_D)),
+        uniform(N_C, H_I, W_I),
+        RefineMap.identity(C),
+    ),
+    "full_vs_prime_ablation-depth": lambda bad, p: full_vs_prime_ablation(
+        p.scene,
+        clean((N_C, H_I, W_I, C)),
+        poisoned((N_C, H_I, W_I, N_D), bad),
+        uniform(N_C, H_I, W_I),
+        RefineMap.identity(C),
     ),
     "vt_matrixvt-features": lambda bad, p: vt_matrixvt(
         poisoned((W, C), bad), clean((W, N_D)), p.rr
@@ -168,7 +180,7 @@ ROUTES = {
         clean((W, C)), poisoned((W, N_D), bad), p.rr
     ),
     "prime_depth-depth": lambda bad, p: prime_depth(
-        poisoned((N_C, H_I, W_I, N_D), bad), PrimeAttention.uniform(N_C, H_I, W_I)
+        poisoned((N_C, H_I, W_I, N_D), bad), uniform(N_C, H_I, W_I)
     ),
     "prime_feature-feature": lambda bad, p: prime_feature(
         poisoned((N_C, H_I, W_I, C), bad),
@@ -183,3 +195,17 @@ ROUTES = {
 def test_non_finite_input_rejected(route, bad, scene_parts):
     with pytest.raises(ValidationError, match="non-finite"):
         ROUTES[route](bad, scene_parts)
+
+
+def test_readme_python_blocks_run():
+    """Every python block in README.md runs from the repo root, so the docs
+    cannot name deleted API."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert blocks
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for block in blocks:
+        run = subprocess.run(
+            [sys.executable, "-c", block], cwd=ROOT, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert run.returncode == 0, run.stderr

@@ -11,8 +11,6 @@ from bevx import (
     build_ftm,
     generate_frustum,
     lift,
-    lift_full,
-    splat_full,
     splat_reference,
     vt_ftm,
 )
@@ -152,38 +150,3 @@ class TestVtFtm:
         with pytest.raises(ShapeError):
             vt_ftm(rng.random((2, 3, 2), dtype=np.float32), ftm)
 
-
-class TestFullHeight:
-    def test_lift_full_outer_product(self, rng):
-        f = rng.random((2, 3, 4, 5), dtype=np.float32)
-        d = rng.random((2, 3, 4, 6), dtype=np.float32)
-        out = lift_full(f, d)
-        assert out.shape == (2, 3, 4, 6, 5)
-        n, h, w, k, c = 1, 2, 0, 3, 4
-        assert out[n, h, w, k, c] == np.float32(d[n, h, w, k]) * np.float32(
-            f[n, h, w, c]
-        )
-
-    def test_splat_full_sums_rows(self, rng):
-        scene = random_scene(rng, n_cameras=1, w_i=4, h_i=3, n_d=5, grid_cells=10)
-        rig, bins, grid = scene.rig, scene.bins, scene.grid
-        f = rng.random((1, 3, 4, 2), dtype=np.float32)
-        d = rng.random((1, 3, 4, 5), dtype=np.float32)
-        frusta = [generate_frustum(rig, bins, h) for h in range(3)]
-        got = splat_full(lift_full(f, d), frusta, grid)
-        expect = np.zeros_like(got)
-        for h in range(3):
-            expect += splat_reference(
-                lift(f[:, h].reshape(4, 2), d[:, h].reshape(4, 5)),
-                frusta[h],
-                grid,
-            )
-        np.testing.assert_allclose(got, expect, rtol=1e-6, atol=1e-7)
-
-    def test_splat_full_row_count_mismatch(self, rng):
-        scene = random_scene(rng, n_cameras=1, w_i=4, h_i=3, n_d=5)
-        frusta = [generate_frustum(scene.rig, scene.bins, 0)]
-        with pytest.raises(ShapeError, match="frusta"):
-            splat_full(
-                rng.random((1, 3, 4, 5, 2), dtype=np.float32), frusta, scene.grid
-            )
