@@ -38,13 +38,7 @@ from .prime import (
     prime_feature,
 )
 from .reference import build_ftm, lift, splat_reference, vt_ftm
-from .tensor_core import (
-    DTYPE,
-    SparseBinaryMatrix,
-    as_feature,
-    scatter_add,
-    spmm,
-)
+from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 from .transform import (
     CostReport,
     RingRayPair,
@@ -89,8 +83,6 @@ __all__ = [
     "DTYPE",
     "SparseBinaryMatrix",
     "as_feature",
-    "scatter_add",
-    "spmm",
     "CostReport",
     "RingRayPair",
     "build_ring_ray",

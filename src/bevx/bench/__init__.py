@@ -227,7 +227,7 @@ def _prepare(scene, setting, backends, seed):
     features, depths = make_inputs(setting, seed)
     ftm = None
     rr = None
-    if "scatter" in backends or "ftm" in backends:
+    if "ftm" in backends:
         ftm = build_ftm(frustum, adapted.grid)
     if "matrixvt" in backends:
         rr = build_ring_ray(frustum, adapted.grid)

@@ -56,7 +56,8 @@ def _near(a, b):
 
 
 def _readonly(a):
-    out = np.ascontiguousarray(a, dtype=np.float64)
+    """A read-only float64 C-order copy: the caller's array stays writable."""
+    out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
 
@@ -146,6 +147,9 @@ class CameraRig:
         cameras = tuple(self.cameras)
         if not cameras:
             raise GeometryError("rig needs at least one camera")
+        for i, cam in enumerate(cameras):
+            if not isinstance(cam, Camera):
+                raise GeometryError(f"cameras[{i}] must be a Camera, got {cam!r}")
         extents = {
             name: _numbers(getattr(self, name), name, whole=True)
             for name in ("feature_width", "feature_height", "image_stride")

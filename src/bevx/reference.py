@@ -2,7 +2,9 @@
 sparse transport matrix.
 
 Everything else in this package is validated against these routines. They
-are written for clarity over speed; `transform` holds the fast route. There
+are written for clarity over speed; `transform` holds the fast route. Each
+route checks its inputs once and calls numpy or scipy directly: the scatter
+is one `np.add.at`, the transport product one scipy CSR matmul. There
 is no full-height variant: a full-height map is one `lift` +
 `splat_reference` per feature row, each through that row's frustum, summed
 (see `prime.full_vs_prime_ablation`).
@@ -17,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import SparseBinaryMatrix, as_feature, scatter_add, spmm
+from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
     "lift",
@@ -46,19 +48,6 @@ def lift(features, depths):
     return d[:, :, None] * f[:, None, :]
 
 
-def _check_lifted(lifted, frustum):
-    # shape only: scatter_add coerces and scans the values once
-    lifted = np.asarray(lifted)
-    if lifted.ndim != 3:
-        raise ShapeError(f"lifted must be (W, N_d, C), got {lifted.shape}")
-    w = frustum.n_cameras * frustum.n_columns
-    if lifted.shape[0] != w or lifted.shape[1] != frustum.n_depths:
-        raise ShapeError.mismatch(
-            "splat", lifted.shape, (w, frustum.n_depths, "C")
-        )
-    return lifted
-
-
 def splat_reference(lifted, frustum, grid):
     """Scatter-add every lifted sample into its BEV cell.
 
@@ -67,12 +56,20 @@ def splat_reference(lifted, frustum, grid):
     Accumulation runs in ascending sample order.
 
     Returns:
-        (S, C) BEV feature tensor.
+        (S, C) float32 BEV feature tensor.
     """
-    lifted = _check_lifted(lifted, frustum)
-    targets = grid.locate_many(frustum.points.reshape(-1, 2))
+    lifted = as_feature(lifted, "lifted")
+    w = frustum.n_cameras * frustum.n_columns
+    if lifted.ndim != 3 or lifted.shape[:2] != (w, frustum.n_depths):
+        raise ShapeError.mismatch("splat", lifted.shape, (w, frustum.n_depths, "C"))
     values = lifted.reshape(-1, lifted.shape[2])
-    return scatter_add(values, targets, grid.n_cells)
+    # locate_many returns -1 (outside the grid) or a valid cell index
+    targets = grid.locate_many(frustum.points.reshape(-1, 2))
+    present = targets >= 0
+    out = np.zeros((grid.n_cells, values.shape[1]), dtype=DTYPE)
+    # np.add.at applies updates in input order, matching the sequential oracle
+    np.add.at(out, targets[present], values[present])
+    return out
 
 
 def build_ftm(frustum, grid):
@@ -94,12 +91,16 @@ def build_ftm(frustum, grid):
 
 
 def vt_ftm(lifted, ftm):
-    """Transport-matrix transform: BEV = ftm @ lifted reshaped to (W*N_d, C)."""
-    # shape only: spmm coerces and scans the lifted tensor once
-    lifted = np.asarray(lifted)
-    if lifted.ndim != 3:
-        raise ShapeError(f"lifted must be (W, N_d, C), got {lifted.shape}")
+    """Transport-matrix transform: BEV = ftm @ lifted reshaped to (W*N_d, C).
+
+    Within each output row the addends accumulate in ascending column order,
+    so results are reproducible.
+
+    Returns:
+        (S, C) float32 BEV feature tensor.
+    """
+    lifted = as_feature(lifted, "lifted")
+    if lifted.ndim != 3 or lifted.shape[0] * lifted.shape[1] != ftm.cols:
+        raise ShapeError.mismatch("vt_ftm", ftm.shape, lifted.shape)
     flat = lifted.reshape(-1, lifted.shape[2])
-    if ftm.cols != flat.shape[0]:
-        raise ShapeError.mismatch("vt_ftm", (ftm.rows, ftm.cols), flat.shape)
-    return spmm(ftm, flat)
+    return np.ascontiguousarray(ftm._scipy @ flat, dtype=DTYPE)

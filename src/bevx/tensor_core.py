@@ -1,10 +1,12 @@
-"""Dense float32 tensor and binary-sparse matrix primitives.
+"""Dense float32 tensor and binary-sparse matrix types.
 
 Dense feature tensors are plain C-contiguous float32 ndarrays (row-major,
 last axis fastest), so reshapes between the tensor and matrix views used by
-the transforms are zero-copy. Sparse matrices are CSR with implicit unit
-values: every transport matrix in this package is binary, so no value array
-is stored.
+the transforms are zero-copy; `as_feature` coerces to one and rejects
+non-finite values. Sparse matrices are CSR with implicit unit values: every
+transport matrix in this package is binary, so no value array is stored.
+The products over these types live in the routes that own them
+(`reference`, `transform`), which check their inputs once.
 """
 from __future__ import annotations
 
@@ -16,10 +18,9 @@ import scipy.sparse as sp
 from .errors import ShapeError, ValidationError
 
 __all__ = [
+    "DTYPE",
     "as_feature",
     "SparseBinaryMatrix",
-    "spmm",
-    "scatter_add",
 ]
 
 DTYPE = np.float32
@@ -151,55 +152,3 @@ class SparseBinaryMatrix:
             f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz}, "
             f"density={self.density:.4g})"
         )
-
-
-def spmm(s, b):
-    """Sparse-dense product s @ b, with s kept sparse.
-
-    Args:
-        s: SparseBinaryMatrix of shape (m, k).
-        b: dense tensor of shape (k, n).
-
-    Returns:
-        Dense (m, n) float32 tensor. Within each output row the addends are
-        accumulated in ascending column order, so results are reproducible.
-    """
-    b = as_feature(b, "b")
-    if b.ndim != 2 or s.cols != b.shape[0]:
-        raise ShapeError.mismatch("spmm", s.shape, b.shape)
-    out = s._scipy @ b
-    return np.ascontiguousarray(out, dtype=DTYPE)
-
-
-def scatter_add(values, targets, out_cells):
-    """Sum rows of `values` into `out_cells` buckets.
-
-    Args:
-        values: (p, C) float32 rows.
-        targets: (p,) integer cell index per row; negative means "absent"
-            and the row is dropped.
-        out_cells: number of output cells S.
-
-    Returns:
-        (S, C) float32 tensor; out[s] is the sum of all rows with target s,
-        accumulated in ascending input-row order.
-
-    Raises:
-        IndexError: if any target >= out_cells.
-    """
-    values = as_feature(values, "values")
-    if values.ndim != 2:
-        raise ShapeError(f"scatter_add: values must be (p, C), got {values.shape}")
-    targets = np.asarray(targets, dtype=np.int64).ravel()
-    if targets.shape[0] != values.shape[0]:
-        raise ShapeError.mismatch("scatter_add", values.shape, targets.shape)
-    out_cells = int(out_cells)
-    if targets.size and targets.max() >= out_cells:
-        raise IndexError(
-            f"scatter_add: target {int(targets.max())} >= out_cells {out_cells}"
-        )
-    out = np.zeros((out_cells, values.shape[1]), dtype=DTYPE)
-    present = targets >= 0
-    # np.add.at applies updates in input order, matching the sequential oracle
-    np.add.at(out, targets[present], values[present])
-    return out

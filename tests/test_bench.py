@@ -174,6 +174,17 @@ class TestRunBench:
         assert by_backend["ftm"] == cost.mem_params_full_ftm
         assert by_backend["matrixvt"] == cost.mem_params_ringray
 
+    @pytest.mark.parametrize(
+        "backends,builds", [(["scatter"], 0), (["scatter", "ftm"], 1)], ids=["scatter", "both"]
+    )
+    def test_ftm_built_only_for_ftm_backend(self, small_config_path, monkeypatch, backends, builds):
+        calls = []
+        monkeypatch.setattr(
+            "bevx.bench.build_ftm", lambda *a: calls.append(a) or build_ftm(*a)
+        )
+        run_bench(small_config_path, [SMALL], backends, repeats=3, warmup=0)
+        assert len(calls) == builds
+
     def test_unknown_setting_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="unknown setting"):
             run_bench(small_config_path, ["S99"], ["matrixvt"], repeats=3)

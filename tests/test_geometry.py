@@ -13,6 +13,7 @@ from bevx import (
     CameraRig,
     ConfigError,
     DepthBins,
+    FrustumGeometry,
     GeometryError,
     Scene,
     generate_frustum,
@@ -129,14 +130,24 @@ def test_camera_rejects_bad_arrays(name, bad):
         Camera(**args)
 
 
-@pytest.mark.parametrize(
-    "bad", [44.5, "44", True, 0, np.nan], ids=["fraction", "str", "bool", "zero", "nan"]
-)
-@pytest.mark.parametrize("name", ["feature_width", "feature_height", "image_stride"])
-def test_rig_rejects_bad_extents(name, bad):
-    args = dict({"feature_width": 4, "feature_height": 4, "image_stride": 8}, **{name: bad})
-    with pytest.raises(GeometryError):
-        CameraRig((simple_camera(),), **args)
+BAD_EXTENTS = {"fraction": 44.5, "str": "44", "bool": True, "zero": 0, "nan": np.nan}
+BAD_RIG_FIELDS = [
+    pytest.param(name, bad, None, id=f"{name}-{key}")
+    for name in ("feature_width", "feature_height", "image_stride")
+    for key, bad in BAD_EXTENTS.items()
+] + [
+    pytest.param("cameras", ("x",), r"cameras\[0\]", id="cameras-str"),
+    pytest.param("cameras", (simple_camera(), None), r"cameras\[1\]", id="cameras-none"),
+]
+
+
+@pytest.mark.parametrize("name,bad,match", BAD_RIG_FIELDS)
+def test_rig_rejects_bad_extents(name, bad, match):
+    """Extents must be whole numbers >= 1, and every camera a Camera."""
+    args = dict(cameras=(simple_camera(),), feature_width=4, feature_height=4, image_stride=8)
+    args[name] = bad
+    with pytest.raises(GeometryError, match=match):
+        CameraRig(**args)
 
 
 class TestCamera:
@@ -176,6 +187,13 @@ class TestCamera:
 
 
 class TestGenerateFrustum:
+    def test_frustum_copies_caller_points(self):
+        p = np.zeros((1, 2, 3, 3))
+        fr = FrustumGeometry(p)
+        assert p.flags.writeable and not fr.points_xyz.flags.writeable
+        p[...] = 1.0
+        assert not fr.points_xyz.any()
+
     def test_principal_column_maps_to_forward_axis(self):
         # principal point at the column-0 center: u = 0.5 * stride = cx
         stride = 4

@@ -1,7 +1,7 @@
 """The package's public boundary: exported names resolve, every module-level
 import is used, the test oracles run no library code, every public route
-rejects a non-finite input with ValidationError, and the README's python
-examples run."""
+rejects a non-finite input with a ValidationError naming the argument, and
+the README's python examples run."""
 import ast
 import importlib
 import os
@@ -193,7 +193,9 @@ ROUTES = {
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("route", sorted(ROUTES))
 def test_non_finite_input_rejected(route, bad, scene_parts):
-    with pytest.raises(ValidationError, match="non-finite"):
+    """The message names the poisoned argument, the suffix of the route id."""
+    arg = route.rsplit("-", 1)[1]
+    with pytest.raises(ValidationError, match=f"^{arg} contains non-finite"):
         ROUTES[route](bad, scene_parts)
 
 

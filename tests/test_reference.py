@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bevx import (
     BevGrid,
     Camera,
     CameraRig,
     DepthBins,
+    FrustumGeometry,
     ShapeError,
     SparseBinaryMatrix,
     build_ftm,
@@ -14,7 +17,16 @@ from bevx import (
     splat_reference,
     vt_ftm,
 )
-from oracles import densify, ftm_loop, lift_loop, locate_scan, random_scene, splat_loop
+from oracles import (
+    cell_rect,
+    densify,
+    from_dense,
+    ftm_loop,
+    lift_loop,
+    locate_scan,
+    random_scene,
+    splat_loop,
+)
 
 
 def single_ray_setup(n_d=8, d_min=1.0, d_max=9.0, extent=10.0, cells=20):
@@ -26,6 +38,24 @@ def single_ray_setup(n_d=8, d_min=1.0, d_max=9.0, extent=10.0, cells=20):
     bins = DepthBins(d_min, d_max, n_d)
     grid = BevGrid(extent, cells, cells)
     return generate_frustum(rig, bins, 0), bins, grid
+
+
+def frustum_at_cells(grid, targets):
+    """One camera and one depth bin, one column per target: column k's ground
+    point is the center of cell targets[k], or left of the grid when
+    targets[k] < 0. Its lifted tensors are (len(targets), 1, C)."""
+    points = np.zeros((1, len(targets), 1, 3))
+    points[0, :, 0, 0] = -grid.extent - 1.0
+    for k, t in enumerate(targets):
+        if t >= 0:
+            x0, y0, x1, y1 = cell_rect(grid, t)
+            points[0, k, 0, :2] = (x0 + x1) / 2, (y0 + y1) / 2
+    return FrustumGeometry(points)
+
+
+def rel_err(a, b):
+    den = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
+    return np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)).max() / den
 
 
 class TestLift:
@@ -87,8 +117,37 @@ class TestSplatReference:
         fr = generate_frustum(scene.rig, scene.bins)
         lifted = rng.random((10, 6, 4), dtype=np.float32)
         got = splat_reference(lifted, fr, scene.grid)
-        expect = splat_loop(lifted, fr, scene.grid)
-        assert np.abs(got - expect).max() <= 1e-5 * max(1.0, np.abs(expect).max())
+        np.testing.assert_array_equal(got, splat_loop(lifted, fr, scene.grid))
+
+    def test_all_absent(self, rng):
+        grid = BevGrid(1.0, 2, 2)
+        out = splat_reference(
+            rng.random((5, 1, 2), dtype=np.float32), frustum_at_cells(grid, [-1] * 5), grid
+        )
+        assert out.shape == (4, 2) and not out.any()
+
+    def test_identity_permutation(self, rng):
+        grid = BevGrid(3.0, 2, 3)
+        lifted = rng.random((6, 1, 3), dtype=np.float32)
+        out = splat_reference(lifted, frustum_at_cells(grid, np.arange(6)), grid)
+        np.testing.assert_array_equal(out, lifted[:, 0])
+
+    def test_sequential_loop_oracle(self, rng):
+        # 50 samples into 8 cells: most cells are hit repeatedly, some never
+        grid = BevGrid(2.0, 2, 4)
+        targets = rng.integers(-1, 8, size=50)
+        fr = frustum_at_cells(grid, targets)
+        lifted = rng.random((50, 1, 4), dtype=np.float32)
+        np.testing.assert_array_equal(
+            splat_reference(lifted, fr, grid), splat_loop(lifted, fr, grid)
+        )
+
+    def test_scatter_then_gather_permutation_is_identity(self, rng):
+        grid = BevGrid(5.0, 2, 5)
+        lifted = rng.random((10, 1, 3), dtype=np.float32)
+        perm = rng.permutation(10)
+        out = splat_reference(lifted, frustum_at_cells(grid, perm), grid)
+        np.testing.assert_array_equal(out[perm], lifted[:, 0])
 
     def test_shape_mismatch(self, rng):
         fr, _, grid = single_ray_setup()
@@ -144,6 +203,36 @@ class TestVtFtm:
         b = splat_reference(lifted, fr, scene.grid)
         den = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-6)
         assert (np.abs(a - b) / den).max() <= 1e-5
+
+    # a (k, 1, n) lifted tensor has N_d = 1, so vt_ftm is the plain product
+    # ftm @ lifted[:, 0]
+    def test_permutation(self, rng):
+        perm = np.array([2, 0, 1])
+        s = SparseBinaryMatrix.from_coo(3, 3, np.arange(3), perm)
+        b = rng.random((3, 1, 4), dtype=np.float32)
+        np.testing.assert_array_equal(vt_ftm(b, s), b[perm, 0])
+
+    def test_all_zero(self, rng):
+        s = SparseBinaryMatrix(3, 5, np.zeros(4, np.int64), [])
+        assert not vt_ftm(rng.random((5, 1, 2), dtype=np.float32), s).any()
+
+    def test_low_density_matches_densified_matmul(self, rng):
+        s = from_dense(rng.random((100, 200)) < 0.005)
+        b = rng.random((200, 1, 8), dtype=np.float32)
+        assert rel_err(vt_ftm(b, s), densify(s) @ b[:, 0]) <= 1e-6
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.sampled_from([0.001, 0.01, 0.1]),
+        st.integers(0, 999),
+    )
+    def test_matches_densified_matmul(self, m, k, density, seed):
+        rng = np.random.default_rng(seed)
+        s = from_dense(rng.random((m, k)) < density)
+        b = rng.random((k, 1, 3), dtype=np.float32)
+        assert rel_err(vt_ftm(b, s), densify(s) @ b[:, 0]) <= 1e-6
 
     def test_cols_mismatch(self, rng):
         ftm = SparseBinaryMatrix(2, 5, [0, 0, 0], [])

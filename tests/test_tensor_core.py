@@ -3,14 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bevx import (
-    ShapeError,
-    SparseBinaryMatrix,
-    ValidationError,
-    as_feature,
-    scatter_add,
-    spmm,
-)
+from bevx import SparseBinaryMatrix, ValidationError, as_feature
 from oracles import csr_from_pairs, csr_order_ok_isin, densify, from_dense, row
 
 
@@ -40,11 +33,6 @@ def csr_candidates(draw):
         row_lists = [sorted(set(r)) for r in row_lists]
     offsets = np.cumsum([0] + [len(r) for r in row_lists])
     return rows, cols, offsets, [c for r in row_lists for c in r]
-
-
-def rel_err(a, b):
-    den = max(np.abs(a).max(), np.abs(b).max(), 1e-12)
-    return np.abs(np.asarray(a, np.float64) - np.asarray(b, np.float64)).max() / den
 
 
 class TestAsFeature:
@@ -144,69 +132,4 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.from_coo(2, 2, [2], [0])
         with pytest.raises(ValidationError):
             SparseBinaryMatrix.from_coo(2, 2, [0], [-1])
-
-
-class TestSpmm:
-    def test_permutation(self, rng):
-        perm = np.array([2, 0, 1])
-        s = SparseBinaryMatrix.from_coo(3, 3, np.arange(3), perm)
-        b = rng.random((3, 4), dtype=np.float32)
-        np.testing.assert_array_equal(spmm(s, b), b[perm])
-
-    def test_all_zero(self, rng):
-        s = SparseBinaryMatrix(3, 5, np.zeros(4, np.int64), [])
-        assert not spmm(s, rng.random((5, 2), dtype=np.float32)).any()
-
-    def test_low_density_matches_densified_matmul(self, rng):
-        mask = rng.random((100, 200)) < 0.005
-        s = from_dense(mask)
-        b = rng.random((200, 8), dtype=np.float32)
-        assert rel_err(spmm(s, b), densify(s) @ b) <= 1e-6
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.integers(1, 40),
-        st.integers(1, 40),
-        st.sampled_from([0.001, 0.01, 0.1]),
-        st.integers(0, 999),
-    )
-    def test_matches_densified_matmul(self, m, k, density, seed):
-        rng = np.random.default_rng(seed)
-        s = from_dense(rng.random((m, k)) < density)
-        b = rng.random((k, 3), dtype=np.float32)
-        assert rel_err(spmm(s, b), densify(s) @ b) <= 1e-6
-
-    def test_shape_mismatch(self):
-        s = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
-        with pytest.raises(ShapeError):
-            spmm(s, np.ones((4, 2)))
-
-
-class TestScatterAdd:
-    def test_all_absent(self, rng):
-        out = scatter_add(rng.random((5, 2), dtype=np.float32), [-1] * 5, 4)
-        assert out.shape == (4, 2) and not out.any()
-
-    def test_identity_permutation(self, rng):
-        v = rng.random((6, 3), dtype=np.float32)
-        np.testing.assert_array_equal(scatter_add(v, np.arange(6), 6), v)
-
-    def test_sequential_loop_oracle(self, rng):
-        v = rng.random((50, 4), dtype=np.float32)
-        t = rng.integers(-1, 8, size=50)
-        expect = np.zeros((8, 4), dtype=np.float32)
-        for i in range(50):
-            if t[i] >= 0:
-                expect[t[i]] += v[i]
-        np.testing.assert_array_equal(scatter_add(v, t, 8), expect)
-
-    def test_target_out_of_range(self, rng):
-        with pytest.raises(IndexError):
-            scatter_add(rng.random((2, 2), dtype=np.float32), [0, 5], 3)
-
-    def test_scatter_then_gather_permutation_is_identity(self, rng):
-        v = rng.random((10, 3), dtype=np.float32)
-        perm = rng.permutation(10)
-        out = scatter_add(v, perm, 10)
-        np.testing.assert_array_equal(out[perm], v)
 
