@@ -239,3 +239,8 @@ class TestVtFtm:
         with pytest.raises(ShapeError):
             vt_ftm(rng.random((2, 3, 2), dtype=np.float32), ftm)
 
+    def test_shape_mismatch(self):
+        s = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
+        with pytest.raises(ShapeError):
+            vt_ftm(np.ones((4, 1, 2), dtype=np.float32), s)
+
