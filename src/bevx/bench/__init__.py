@@ -1,10 +1,13 @@
 """Benchmark and verification harness for the BEV transform backends.
 
-`run_bench` times the three backends on named transformation settings and
-reports median/p10/p90 wall-clock latency plus the intermediate-parameter
-count each route materializes. Matrix and plan construction happen before
-the timed region: the transport matrices depend only on geometry and are
-built once per scene, so only the per-frame transform is measured.
+`run_bench` times each backend of `_ROUTES` on named transformation settings
+and reports median/p10/p90 wall-clock latency. A table entry holds the
+backend's per-scene build, run off the clock (the transport matrices depend
+only on geometry), its timed per-frame call, and the `cost_model` count it
+reports as `intermediate_params`: closed-form per camera with W_I =
+feature_width, not measured. At S1 that is 44 * 112 * 16,384 = 80,740,352
+for `scatter`/`ftm` and (44 + 112) * 16,384 = 2,555,904 for `matrixvt`.
+`BenchRecord` is the CSV schema.
 
 `run_check` is the equivalence suite: on freshly drawn random inputs it
 asserts that the exact-matrix route matches the scatter reference and that
@@ -18,8 +21,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
-from typing import Optional
+from collections import namedtuple
+from dataclasses import asdict, astuple, dataclass, fields
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -79,16 +83,7 @@ class TransformSetting:
     depth_bins: int = 112
 
     def __post_init__(self):
-        dims = (
-            self.channels,
-            self.feature_height,
-            self.feature_width,
-            self.bev_h,
-            self.bev_w,
-            self.n_cameras,
-            self.depth_bins,
-        )
-        if any(d < 1 for d in dims):
+        if any(d < 1 for d in astuple(self)[1:]):
             raise ValidationError(f"setting {self.name}: extents must be positive")
 
 
@@ -106,21 +101,11 @@ PRESETS = {
     )
 }
 
-BACKENDS = ("scatter", "ftm", "matrixvt")
-
-CSV_FIELDS = (
-    "setting",
-    "backend",
-    "median_s",
-    "p10_s",
-    "p90_s",
-    "intermediate_params",
-    "repeats",
-)
-
 
 @dataclass(frozen=True)
 class BenchRecord:
+    """One CSV row; the fields, in order, are the columns."""
+
     setting: str
     backend: str
     median_s: float
@@ -128,6 +113,37 @@ class BenchRecord:
     p90_s: float
     intermediate_params: int
     repeats: int
+
+
+CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
+
+
+def _build_ring_ray(frustum, grid):
+    rr = build_ring_ray(frustum, grid)
+    rr._plan  # build the reusable execution plan outside the timed region
+    return rr
+
+
+# build(frustum, grid) -> built; run(features, depths, built); params(cost).
+# Lambdas look up module globals when called, so a patched build_ftm is used.
+_Route = namedtuple("_Route", "build run params")
+_ROUTES = {
+    "scatter": _Route(
+        lambda frustum, grid: (frustum, grid),
+        lambda f, d, built: splat_reference(lift(f, d), *built),
+        lambda cost: cost.mem_params_full_ftm,
+    ),
+    "ftm": _Route(
+        lambda frustum, grid: build_ftm(frustum, grid),
+        lambda f, d, ftm: vt_ftm(lift(f, d), ftm),
+        lambda cost: cost.mem_params_full_ftm,
+    ),
+    "matrixvt": _Route(
+        _build_ring_ray, vt_matrixvt, lambda cost: cost.mem_params_ringray
+    ),
+}
+
+BACKENDS = tuple(_ROUTES)
 
 
 def max_rel_diff(a, b, floor=1e-6):
@@ -210,52 +226,15 @@ def _check_backends(backends):
     return backends
 
 
-@dataclass
-class _SettingState:
-    setting: TransformSetting
-    features: np.ndarray
-    depths: np.ndarray
-    frustum: object
-    grid: object
-    ftm: Optional[SparseBinaryMatrix]
-    rr: Optional[RingRayPair]
-
-
 def _prepare(scene, setting, backends, seed):
     adapted = setting_scene(scene, setting)
     frustum = generate_frustum(adapted.rig, adapted.bins)
-    features, depths = make_inputs(setting, seed)
-    ftm = None
-    rr = None
-    if "ftm" in backends:
-        ftm = build_ftm(frustum, adapted.grid)
-    if "matrixvt" in backends:
-        rr = build_ring_ray(frustum, adapted.grid)
-        rr._plan  # build the reusable execution plan outside the timed region
-    return _SettingState(setting, features, depths, frustum, adapted.grid, ftm, rr)
-
-
-def _run_backend(state, backend):
-    if backend == "scatter":
-        return splat_reference(
-            lift(state.features, state.depths), state.frustum, state.grid
-        )
-    if backend == "ftm":
-        return vt_ftm(lift(state.features, state.depths), state.ftm)
-    return vt_matrixvt(state.features, state.depths, state.rr)
-
-
-def _params_for(setting, backend):
-    cost = cost_model(
-        setting.channels,
-        setting.depth_bins,
-        setting.feature_width,
-        setting.bev_h,
-        setting.bev_w,
-    )
-    if backend in ("scatter", "ftm"):
-        return cost.mem_params_full_ftm
-    return cost.mem_params_ringray
+    built = {
+        b: route.build(frustum, adapted.grid)
+        for b, route in _ROUTES.items()
+        if b in backends
+    }
+    return setting, make_inputs(setting, seed), built
 
 
 def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
@@ -273,29 +252,24 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     backends = _check_backends(backends)
     scene = load_scene(config)
 
-    states = [_prepare(scene, s, backends, seed) for s in settings]
+    prepared = [_prepare(scene, s, backends, seed) for s in settings]
 
     records = []
-    for state in states:
+    for s, (features, depths), built in prepared:
+        cost = cost_model(s.channels, s.depth_bins, s.feature_width, s.bev_h, s.bev_w)
         for backend in backends:
+            route = _ROUTES[backend]
             for _ in range(warmup):
-                _run_backend(state, backend)
+                route.run(features, depths, built[backend])
             times = np.empty(repeats)
             for i in range(repeats):
                 t0 = time.perf_counter()
-                _run_backend(state, backend)
+                route.run(features, depths, built[backend])
                 times[i] = time.perf_counter() - t0
-            p10, med, p90 = np.percentile(times, [10, 50, 90])
+            p10, med, p90 = np.percentile(times, [10, 50, 90]).tolist()
+            params = int(route.params(cost))
             records.append(
-                BenchRecord(
-                    setting=state.setting.name,
-                    backend=backend,
-                    median_s=float(med),
-                    p10_s=float(p10),
-                    p90_s=float(p90),
-                    intermediate_params=int(_params_for(state.setting, backend)),
-                    repeats=repeats,
-                )
+                BenchRecord(s.name, backend, med, p10, p90, params, repeats)
             )
     return records
 
@@ -449,17 +423,7 @@ def emit_csv(records):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for r in records:
-        writer.writerow(
-            [
-                r.setting,
-                r.backend,
-                repr(r.median_s),
-                repr(r.p10_s),
-                repr(r.p90_s),
-                r.intermediate_params,
-                r.repeats,
-            ]
-        )
+        writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(r))
     return buf.getvalue()
 
 
@@ -472,6 +436,7 @@ def parse_csv(text):
         raise FileFormatError("empty benchmark CSV") from None
     if tuple(header) != CSV_FIELDS:
         raise FileFormatError(f"unexpected CSV header {header}")
+    types = get_type_hints(BenchRecord).values()
     records = []
     for row in reader:
         if not row:
@@ -479,17 +444,7 @@ def parse_csv(text):
         if len(row) != len(CSV_FIELDS):
             raise FileFormatError(f"bad CSV row {row}")
         try:
-            records.append(
-                BenchRecord(
-                    setting=row[0],
-                    backend=row[1],
-                    median_s=float(row[2]),
-                    p10_s=float(row[3]),
-                    p90_s=float(row[4]),
-                    intermediate_params=int(row[5]),
-                    repeats=int(row[6]),
-                )
-            )
+            records.append(BenchRecord(*(t(cell) for t, cell in zip(types, row))))
         except ValueError as exc:
             raise FileFormatError(f"bad CSV row {row}: {exc}") from None
     return records

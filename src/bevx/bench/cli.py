@@ -93,12 +93,9 @@ def _cmd_check(args):
     if report.passed:
         print(f"result: PASS ({report.trials} trials, seed {args.seed})")
         return 0
-    where = report.failure or "unknown"
-    if report.failed_trial_seed is not None:
-        print(f"result: FAIL in {where}, first failing trial seed "
-              f"{report.failed_trial_seed}")
-    else:
-        print(f"result: FAIL in {where}")
+    seed = report.failed_trial_seed
+    at_seed = "" if seed is None else f", first failing trial seed {seed}"
+    print(f"result: FAIL in {report.failure}{at_seed}")
     return 1
 
 
@@ -109,10 +106,7 @@ def main(argv=None):
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_check(args)
-    except BevxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (BevxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -144,7 +144,12 @@ class CameraRig:
     image_stride: int
 
     def __post_init__(self):
-        cameras = tuple(self.cameras)
+        try:
+            cameras = tuple(self.cameras)
+        except TypeError:
+            raise GeometryError(
+                f"cameras must be a sequence of Camera, got {self.cameras!r}"
+            ) from None
         if not cameras:
             raise GeometryError("rig needs at least one camera")
         for i, cam in enumerate(cameras):

@@ -162,15 +162,19 @@ class TestRunBench:
             assert r.repeats == 4
             assert 0.0 <= r.p10_s <= r.median_s <= r.p90_s
 
+    def test_backend_table_order(self):
+        assert BACKENDS == ("scatter", "ftm", "matrixvt")
+
     def test_intermediate_params_match_cost_model(self, small_config_path):
         records = run_bench(
-            small_config_path, [SMALL], ["ftm", "matrixvt"], repeats=3, warmup=0
+            small_config_path, [SMALL], list(BACKENDS), repeats=3, warmup=0
         )
         cost = cost_model(
             SMALL.channels, SMALL.depth_bins, SMALL.feature_width,
             SMALL.bev_h, SMALL.bev_w,
         )
         by_backend = {r.backend: r.intermediate_params for r in records}
+        assert by_backend["scatter"] == cost.mem_params_full_ftm
         assert by_backend["ftm"] == cost.mem_params_full_ftm
         assert by_backend["matrixvt"] == cost.mem_params_ringray
 
@@ -203,6 +207,12 @@ class TestCsvJson:
 
     def test_empty_is_header_only(self):
         assert emit_csv([]) == ",".join(CSV_FIELDS) + "\n"
+
+    def test_golden_csv(self):
+        assert emit_csv([self.RECORD]) == (
+            "setting,backend,median_s,p10_s,p90_s,intermediate_params,repeats\n"
+            "S1,matrixvt,0.125,0.1,0.15625,193,20\n"
+        )
 
     def test_round_trip_exact(self):
         noisy = BenchRecord("S2", "ftm", 0.1 + 1e-17, 1 / 3, 2 / 3, 4928, 5)

@@ -138,6 +138,8 @@ BAD_RIG_FIELDS = [
 ] + [
     pytest.param("cameras", ("x",), r"cameras\[0\]", id="cameras-str"),
     pytest.param("cameras", (simple_camera(), None), r"cameras\[1\]", id="cameras-none"),
+    pytest.param("cameras", 5, "sequence of Camera", id="cameras-int"),
+    pytest.param("cameras", simple_camera(), "sequence of Camera", id="cameras-camera"),
 ]
 
 
