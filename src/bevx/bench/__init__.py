@@ -9,11 +9,10 @@ feature_width, not measured. At S1 that is 44 * 112 * 16,384 = 80,740,352
 for `scatter`/`ftm` and (44 + 112) * 16,384 = 2,555,904 for `matrixvt`.
 `BenchRecord` is the CSV schema.
 
-`run_check` is the equivalence suite: on freshly drawn random inputs it
-asserts that the exact-matrix route matches the scatter reference and that
-the reformulated route matches the exact-matrix route over the
-factorization-implied matrix, each within 1e-5 relative, and that the exact
-transport matrix is contained in the implied one.
+`run_check` is the equivalence suite. It builds the same `_ROUTES` entries
+`run_bench` times, checks that the exact transport matrix is contained in the
+factorization-implied one, and then, on freshly drawn random inputs, runs each
+gate: a route against a reference route, within 1e-5 relative.
 """
 from __future__ import annotations
 
@@ -27,13 +26,15 @@ from typing import Optional, get_type_hints
 
 import numpy as np
 
-from ..errors import FileFormatError, UsageError, ValidationError
+from ..errors import FileFormatError, GeometryError, UsageError, ValidationError
 from ..geometry import (
     BevGrid,
     Camera,
     CameraRig,
     DepthBins,
     Scene,
+    _freeze,
+    _numbers,
     generate_frustum,
     load_scene,
 )
@@ -69,6 +70,14 @@ __all__ = [
 REL_TOL = 1e-5
 
 
+def _whole(value, what, error):
+    """`value` as an int if it is a whole number (4.0 is; "4" and True are not)."""
+    try:
+        return _numbers(value, what, whole=True)
+    except GeometryError as exc:
+        raise error(str(exc)) from None
+
+
 @dataclass(frozen=True)
 class TransformSetting:
     """One benchmark point: image feature extents mapped to a BEV size."""
@@ -83,8 +92,15 @@ class TransformSetting:
     depth_bins: int = 112
 
     def __post_init__(self):
-        if any(d < 1 for d in astuple(self)[1:]):
+        extents = {
+            f.name: _whole(
+                getattr(self, f.name), f"setting {self.name}: {f.name}", ValidationError
+            )
+            for f in fields(self)[1:]
+        }
+        if min(extents.values()) < 1:
             raise ValidationError(f"setting {self.name}: extents must be positive")
+        _freeze(self, **extents)
 
 
 # Built-in ladder from small features / small grid to large / large. All use
@@ -226,15 +242,14 @@ def _check_backends(backends):
     return backends
 
 
-def _prepare(scene, setting, backends, seed):
-    adapted = setting_scene(scene, setting)
-    frustum = generate_frustum(adapted.rig, adapted.bins)
-    built = {
-        b: route.build(frustum, adapted.grid)
+def _build(scene, backends):
+    """The frustum, then each requested route's per-scene `build`, by name."""
+    frustum = generate_frustum(scene.rig, scene.bins)
+    return {
+        b: route.build(frustum, scene.grid)
         for b, route in _ROUTES.items()
         if b in backends
     }
-    return setting, make_inputs(setting, seed), built
 
 
 def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
@@ -244,6 +259,8 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     after another; every timed call runs alone. The first `warmup` calls per
     backend are discarded.
     """
+    repeats = _whole(repeats, "repeats", UsageError)
+    warmup = _whole(warmup, "warmup", UsageError)
     if repeats < 3:
         raise UsageError(f"repeats must be >= 3, got {repeats}")
     if warmup < 0:
@@ -252,7 +269,10 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     backends = _check_backends(backends)
     scene = load_scene(config)
 
-    prepared = [_prepare(scene, s, backends, seed) for s in settings]
+    prepared = [
+        (s, make_inputs(s, seed), _build(setting_scene(scene, s), backends))
+        for s in settings
+    ]
 
     records = []
     for s, (features, depths), built in prepared:
@@ -297,35 +317,35 @@ def flip_ring_bit(rr, k=None):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of the equivalence suite. All maxima are over every trial."""
+    """Outcome of the equivalence suite. `maxima` maps each gate to its
+    largest relative difference over the trials run, and is empty when
+    containment failed; `failure` is "containment" or the first failing gate."""
 
     trials: int
-    passed: bool
-    max_ftm_vs_scatter: float
-    max_matrixvt_vs_effective: float
-    containment_ok: bool
     spurious_rate: float
-    failed_trial_seed: Optional[int]
+    maxima: dict
     failure: Optional[str]
+    failed_trial_seed: Optional[int]
+
+    @property
+    def containment_ok(self):
+        return self.failure != "containment"
+
+    @property
+    def passed(self):
+        return self.failure is None
 
     def lines(self):
-        def verdict(v):
-            return "PASS" if v else "FAIL"
-
-        out = [
-            f"check: containment            spurious rate {self.spurious_rate:.4f}  "
+        verdict = {True: "PASS", False: "FAIL"}.get
+        rows = {
+            "containment": f"spurious rate {self.spurious_rate:.4f}  "
             + verdict(self.containment_ok)
-        ]
-        if self.failure == "containment":
-            out.append("check: equivalence trials     not run (containment failed)")
-            return out
-        out += [
-            f"check: ftm-vs-scatter         max rel diff {self.max_ftm_vs_scatter:.3e}  "
-            + verdict(self.max_ftm_vs_scatter <= REL_TOL),
-            f"check: matrixvt-vs-effective  max rel diff {self.max_matrixvt_vs_effective:.3e}  "
-            + verdict(self.max_matrixvt_vs_effective <= REL_TOL),
-        ]
-        return out
+        }
+        for name, rel in self.maxima.items():
+            rows[name] = f"max rel diff {rel:.3e}  " + verdict(rel <= REL_TOL)
+        if not self.containment_ok:
+            rows["equivalence trials"] = "not run (containment failed)"
+        return [f"check: {name:<22} {text}" for name, text in rows.items()]
 
 
 def _containment_ok(exact, implied):
@@ -337,84 +357,63 @@ def _containment_ok(exact, implied):
 
 
 def run_check(config, trials, seed, channels=8, corrupt_ring=False):
-    """Cross-validate every transform route on random inputs.
+    """Cross-validate the `_ROUTES` entries `run_bench` times, built the same way.
 
     First the exact transport matrix must be contained in the
     factorization-implied one; if it is not, no trial runs. Per trial:
     fresh attention, full-height depths and features are drawn and
-    compressed; then the exact-matrix transform must match the scatter
-    reference (ftm-vs-scatter), and the reformulated transform must match
-    the exact-matrix transform applied to the implied matrix
-    (matrixvt-vs-effective). Stops at the first failing trial and records
-    its seed.
+    compressed, and each gate runs a route and its reference route on them:
+    `ftm` against `scatter` (ftm-vs-scatter), and `matrixvt` against `ftm`
+    over the implied matrix (matrixvt-vs-effective). Stops at the first
+    failing trial and records its seed.
     """
+    trials = _whole(trials, "trials", UsageError)
+    channels = _whole(channels, "channels", UsageError)
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if channels < 1:
         raise UsageError(f"channels must be >= 1, got {channels}")
     scene = load_scene(config)
-    rig, bins, grid = scene.rig, scene.bins, scene.grid
-    frustum = generate_frustum(rig, bins)
-    ftm = build_ftm(frustum, grid)
-    rr = build_ring_ray(frustum, grid)
-    if corrupt_ring:
-        rr = flip_ring_bit(rr)
+    built = _build(scene, BACKENDS)
+    rr = flip_ring_bit(built["matrixvt"]) if corrupt_ring else built["matrixvt"]
     implied = effective_ftm(rr)
-    containment = _containment_ok(ftm, implied)
-    spurious = (implied.nnz - ftm.nnz) / implied.nnz if implied.nnz else 0.0
+    exact = built["ftm"]
+    spurious = (implied.nnz - exact.nnz) / implied.nnz if implied.nnz else 0.0
+    # name: ((route, its build), (reference route, its build))
+    gates = {
+        "ftm-vs-scatter": (("ftm", exact), ("scatter", built["scatter"])),
+        "matrixvt-vs-effective": (("matrixvt", rr), ("ftm", implied)),
+    }
 
+    if not _containment_ok(exact, implied):
+        return CheckReport(trials, spurious, {}, "containment", None)
+
+    rig = scene.rig
     n_c, h_i, w_i = rig.n_cameras, rig.feature_height, rig.feature_width
-    n_w, n_d = n_c * w_i, bins.count
+    n_w, n_d = n_c * w_i, scene.bins.count
     refine = RefineMap.identity(channels)
     zero_embed = np.zeros((h_i, w_i, channels), dtype=np.float32)
 
-    rng = np.random.default_rng(seed)
-    trial_seeds = [int(s) for s in rng.integers(0, 2**63 - 1, size=trials)]
-    maxima = {"ftm-vs-scatter": 0.0, "matrixvt-vs-effective": 0.0}
-    failed_seed = None
-    failure = None
-    if not containment:
-        failure = "containment"
-    else:
-        for ts in trial_seeds:
-            trng = np.random.default_rng(ts)
-            attn_raw = trng.random((n_c, h_i, w_i), dtype=np.float32) + 1e-3
-            attn = PrimeAttention(attn_raw / attn_raw.sum(axis=1, keepdims=True))
-            depth_raw = trng.random((n_c, h_i, w_i, n_d), dtype=np.float32) + 1e-3
-            depth_full = depth_raw / depth_raw.sum(axis=3, keepdims=True)
-            feat_full = trng.random((n_c, h_i, w_i, channels), dtype=np.float32)
+    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
+    maxima = dict.fromkeys(gates, 0.0)
+    for ts in trial_seeds.tolist():
+        trng = np.random.default_rng(ts)
+        attn_raw = trng.random((n_c, h_i, w_i), dtype=np.float32) + 1e-3
+        attn = PrimeAttention(attn_raw / attn_raw.sum(axis=1, keepdims=True))
+        depth_raw = trng.random((n_c, h_i, w_i, n_d), dtype=np.float32) + 1e-3
+        depth_full = depth_raw / depth_raw.sum(axis=3, keepdims=True)
+        feat_full = trng.random((n_c, h_i, w_i, channels), dtype=np.float32)
 
-            d = prime_depth(depth_full, attn).reshape(n_w, n_d)
-            f = prime_feature(feat_full, zero_embed, refine).reshape(n_w, channels)
-            lifted = lift(f, d)
-
-            checks = (
-                (
-                    "ftm-vs-scatter",
-                    vt_ftm(lifted, ftm),
-                    splat_reference(lifted, frustum, grid),
-                ),
-                ("matrixvt-vs-effective", vt_matrixvt(f, d, rr), vt_ftm(lifted, implied)),
-            )
-            for key, lhs, rhs in checks:
-                rel = max_rel_diff(lhs, rhs)
-                maxima[key] = max(maxima[key], rel)
-                if rel > REL_TOL and failure is None:
-                    failure = key
-            if failure is not None:
-                failed_seed = ts
-                break
-
-    return CheckReport(
-        trials=trials,
-        passed=containment and failure is None,
-        max_ftm_vs_scatter=maxima["ftm-vs-scatter"],
-        max_matrixvt_vs_effective=maxima["matrixvt-vs-effective"],
-        containment_ok=containment,
-        spurious_rate=float(spurious),
-        failed_trial_seed=failed_seed,
-        failure=failure,
-    )
+        d = prime_depth(depth_full, attn).reshape(n_w, n_d)
+        f = prime_feature(feat_full, zero_embed, refine).reshape(n_w, channels)
+        for name, routes in gates.items():
+            lhs, rhs = (_ROUTES[route].run(f, d, on) for route, on in routes)
+            maxima[name] = max(maxima[name], max_rel_diff(lhs, rhs))
+        # every earlier trial passed, so a maximum above tolerance is this trial's
+        failure = next((name for name, rel in maxima.items() if rel > REL_TOL), None)
+        if failure is not None:
+            return CheckReport(trials, spurious, maxima, failure, ts)
+    return CheckReport(trials, spurious, maxima, None, None)
 
 
 def emit_csv(records):

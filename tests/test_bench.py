@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bevx import (
     effective_ftm,
     scene_digest,
 )
+from bevx import bench
 from bevx.bench import (
     BACKENDS,
     CSV_FIELDS,
@@ -54,6 +56,12 @@ class TestSettings:
     def test_rejects_nonpositive_extent(self):
         with pytest.raises(ValidationError, match="positive"):
             TransformSetting("bad", 0, 16, 44, 128, 128)
+        for channels in ("8", 2.5, True, None):
+            with pytest.raises(ValidationError, match="channels must be a whole"):
+                TransformSetting("bad", channels, 16, 44, 128, 128)
+        whole = TransformSetting("ok", 8.0, np.int64(16), 44, 128, 128)
+        assert whole.channels == 8 and type(whole.channels) is int
+        assert type(whole.feature_height) is int
 
 
 class TestMaxRelDiff:
@@ -276,8 +284,8 @@ class TestRunCheck:
         report = run_check(small_config_path, trials=5, seed=3)
         assert report.passed and report.containment_ok
         assert report.failure is None and report.failed_trial_seed is None
-        assert report.max_ftm_vs_scatter <= 1e-5
-        assert report.max_matrixvt_vs_effective <= 1e-5
+        assert report.maxima["ftm-vs-scatter"] <= 1e-5
+        assert report.maxima["matrixvt-vs-effective"] <= 1e-5
         assert 0.0 <= report.spurious_rate < 1.0
         lines = report.lines()
         assert [line.split()[1] for line in lines] == [
@@ -299,6 +307,45 @@ class TestRunCheck:
         lines = report.lines()
         assert "FAIL" in lines[0]
         assert "not run" in lines[1]
+
+    def test_failing_trial_stops_the_suite(
+        self, small_config_path, monkeypatch, capsys
+    ):
+        # matrixvt is off by 1e-3 relative on its second call only, so the
+        # second trial fails matrixvt-vs-effective and no third trial runs
+        calls = []
+        route = bench._ROUTES["matrixvt"]
+
+        def perturbed(f, d, rr):
+            calls.append(None)
+            out = route.run(f, d, rr)
+            return out * np.float32(1.001) if len(calls) == 2 else out
+
+        monkeypatch.setitem(bench._ROUTES, "matrixvt", route._replace(run=perturbed))
+        second = int(np.random.default_rng(3).integers(0, 2**63 - 1, size=4)[1])
+
+        report = run_check(small_config_path, trials=4, seed=3)
+        assert len(calls) == 2
+        assert report.failure == "matrixvt-vs-effective"
+        assert report.failed_trial_seed == second
+        assert not report.passed and report.containment_ok
+        assert set(report.maxima) == {"ftm-vs-scatter", "matrixvt-vs-effective"}
+        assert report.maxima["ftm-vs-scatter"] <= 1e-5
+        assert report.maxima["matrixvt-vs-effective"] == pytest.approx(1e-3, rel=0.01)
+        lines = report.lines()
+        assert lines[1].endswith("PASS")
+        assert lines[2].startswith("check: matrixvt-vs-effective  max rel diff 9.99")
+        assert lines[2].endswith("  FAIL")
+
+        calls.clear()
+        argv = ["check", "--config", small_config_path, "--trials", "4", "--seed", "3"]
+        assert main(argv) == 1
+        assert len(calls) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == lines
+        assert out[-1] == (
+            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {second}"
+        )
 
     def test_rejects_zero_trials(self, small_config_path):
         with pytest.raises(UsageError, match="trials"):
@@ -394,10 +441,17 @@ class TestCli:
             (None, "check", {"channels": 0}, UsageError),
             (None, "check", {"channels": -1}, UsageError),
             (None, "run", {"warmup": -1}, UsageError),
+            (None, "check", {"trials": 2.5}, UsageError),
+            (None, "check", {"trials": "3"}, UsageError),
+            (None, "check", {"channels": 2.5}, UsageError),
+            (None, "run", {"repeats": 3.5}, UsageError),
+            (None, "run", {"warmup": 0.5}, UsageError),
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
             "intrinsics-str", "depth-int", "channels-0", "channels-neg", "warmup-neg",
+            "trials-float", "trials-str", "channels-float", "repeats-float",
+            "warmup-float",
         ],
     )
     def test_bad_request_is_typed_error_and_exits_two(
@@ -418,15 +472,65 @@ class TestCli:
         config.write_text(json.dumps(doc))
         with pytest.raises(error):
             if command == "check":
-                run_check(str(config), trials=1, seed=0, **options)
+                run_check(str(config), **{"trials": 1, "seed": 0, **options})
             else:
-                run_bench(str(config), ["S1"], ["matrixvt"], repeats=3, **options)
+                run_bench(
+                    str(config), ["S1"], ["matrixvt"], **{"repeats": 3, **options}
+                )
+        if any(isinstance(value, str) for value in options.values()):
+            return  # every command-line value is a string; "3" is a valid count there
         argv = [command, "--config", str(config)]
         argv += ["--trials", "1"] if command == "check" else ["--repeats", "3"]
         for name, value in options.items():
             argv += [f"--{name}", str(value)]
-        assert main(argv) == 2
+        if all(isinstance(value, int) for value in options.values()):
+            assert main(argv) == 2
+        else:  # argparse itself rejects a non-integer count
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, expected, code",
+        [
+            (
+                ["--trials", "5"],
+                [
+                    "check: containment            spurious rate 0.2247  PASS",
+                    "check: ftm-vs-scatter         max rel diff 0.000e+00  PASS",
+                    None,
+                    "result: PASS (5 trials, seed 7)",
+                ],
+                0,
+            ),
+            (
+                ["--trials", "2", "--flip-ring-bit"],
+                [
+                    "check: containment            spurious rate 0.2247  FAIL",
+                    "check: equivalence trials     not run (containment failed)",
+                    "result: FAIL in containment",
+                ],
+                1,
+            ),
+        ],
+        ids=["trials-5", "flip-ring-bit"],
+    )
+    def test_check_golden_on_bundled_rig(
+        self, argv, expected, code, rig_config_path, capsys
+    ):
+        assert main(["check", "--config", rig_config_path, *argv]) == code
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == len(expected)
+        for line, want in zip(out, expected):
+            if want is not None:
+                assert line == want
+                continue
+            # the last bits of this gate's value depend on summation order
+            pattern = r"check: matrixvt-vs-effective  max rel diff (\d\.\d{3}e-\d\d)  PASS"
+            m = re.fullmatch(pattern, line)
+            assert m is not None, line
+            assert float(m.group(1)) <= 1e-5
 
     @pytest.mark.parametrize(
         "extra",
