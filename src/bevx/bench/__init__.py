@@ -11,8 +11,9 @@ for `scatter`/`ftm` and (44 + 112) * 16,384 = 2,555,904 for `matrixvt`.
 
 `run_check` is the equivalence suite. It builds the same `_ROUTES` entries
 `run_bench` times, checks that the exact transport matrix is contained in the
-factorization-implied one, and then, on freshly drawn random inputs, runs each
-gate: a route against a reference route, within 1e-5 relative.
+factorization-implied one, and then, on inputs drawn by `make_inputs` (the
+generator `run_bench` uses), runs each gate: a route against a reference
+route, within 1e-5 relative. A non-finite difference fails its gate.
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from ..geometry import (
     generate_frustum,
     load_scene,
 )
-from ..prime import PrimeAttention, RefineMap, prime_depth, prime_feature
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
 from ..tensor_core import SparseBinaryMatrix
 from ..transform import (
@@ -76,6 +76,14 @@ def _whole(value, what, error):
         return _numbers(value, what, whole=True)
     except GeometryError as exc:
         raise error(str(exc)) from None
+
+
+def _at_least(value, what, least):
+    """A request's count as an int: a whole number >= `least`, or UsageError."""
+    value = _whole(value, what, UsageError)
+    if value < least:
+        raise UsageError(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -134,12 +142,6 @@ class BenchRecord:
 CSV_FIELDS = tuple(f.name for f in fields(BenchRecord))
 
 
-def _build_ring_ray(frustum, grid):
-    rr = build_ring_ray(frustum, grid)
-    rr._plan  # build the reusable execution plan outside the timed region
-    return rr
-
-
 # build(frustum, grid) -> built; run(features, depths, built); params(cost).
 # Lambdas look up module globals when called, so a patched build_ftm is used.
 _Route = namedtuple("_Route", "build run params")
@@ -155,7 +157,7 @@ _ROUTES = {
         lambda cost: cost.mem_params_full_ftm,
     ),
     "matrixvt": _Route(
-        _build_ring_ray, vt_matrixvt, lambda cost: cost.mem_params_ringray
+        build_ring_ray, vt_matrixvt, lambda cost: cost.mem_params_ringray
     ),
 }
 
@@ -166,7 +168,7 @@ def max_rel_diff(a, b, floor=1e-6):
     """Largest elementwise |a-b| / max(|a|, |b|, floor).
 
     The floor keeps cells that both routes leave (numerically) empty from
-    dominating the ratio.
+    dominating the ratio. A non-finite entry in either input gives nan.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -175,7 +177,8 @@ def max_rel_diff(a, b, floor=1e-6):
     if a.size == 0:
         return 0.0
     den = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return float((np.abs(a - b) / den).max())
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf are nan
+        return float((np.abs(a - b) / den).max())
 
 
 def setting_scene(scene, setting):
@@ -206,12 +209,13 @@ def setting_scene(scene, setting):
     )
 
 
-def make_inputs(setting, seed):
-    """Deterministic positive inputs: uniform features, categorical depths."""
+def make_inputs(scene, channels, seed):
+    """Deterministic positive inputs for a scene: uniform (W, channels)
+    features and categorical (W, N_d) depths, W = cameras * feature width."""
     rng = np.random.default_rng(seed)
-    w = setting.n_cameras * setting.feature_width
-    features = rng.random((w, setting.channels), dtype=np.float32)
-    depths = rng.random((w, setting.depth_bins), dtype=np.float32) + 1e-3
+    w = scene.rig.n_cameras * scene.rig.feature_width
+    features = rng.random((w, channels), dtype=np.float32)
+    depths = rng.random((w, scene.bins.count), dtype=np.float32) + 1e-3
     depths /= depths.sum(axis=1, keepdims=True)
     return features, depths
 
@@ -259,20 +263,18 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
     after another; every timed call runs alone. The first `warmup` calls per
     backend are discarded.
     """
-    repeats = _whole(repeats, "repeats", UsageError)
-    warmup = _whole(warmup, "warmup", UsageError)
-    if repeats < 3:
-        raise UsageError(f"repeats must be >= 3, got {repeats}")
-    if warmup < 0:
-        raise UsageError(f"warmup must be >= 0, got {warmup}")
+    repeats = _at_least(repeats, "repeats", 3)
+    warmup = _at_least(warmup, "warmup", 0)
+    seed = _at_least(seed, "seed", 0)
     settings = _resolve_settings(settings)
     backends = _check_backends(backends)
     scene = load_scene(config)
 
-    prepared = [
-        (s, make_inputs(s, seed), _build(setting_scene(scene, s), backends))
-        for s in settings
-    ]
+    prepared = []
+    for s in settings:
+        adapted = setting_scene(scene, s)
+        inputs = make_inputs(adapted, s.channels, seed)
+        prepared.append((s, inputs, _build(adapted, backends)))
 
     records = []
     for s, (features, depths), built in prepared:
@@ -356,23 +358,21 @@ def _containment_ok(exact, implied):
     return diff.nnz == 0 or float(diff.data.max()) <= 0.0
 
 
-def run_check(config, trials, seed, channels=8, corrupt_ring=False):
+def run_check(config, trials, seed, corrupt_ring=False):
     """Cross-validate the `_ROUTES` entries `run_bench` times, built the same way.
 
     First the exact transport matrix must be contained in the
     factorization-implied one; if it is not, no trial runs. Per trial:
-    fresh attention, full-height depths and features are drawn and
-    compressed, and each gate runs a route and its reference route on them:
+    `make_inputs(scene, 8, trial_seed)` draws 8-channel features and
+    depths, and each gate runs a route and its reference route on them:
     `ftm` against `scatter` (ftm-vs-scatter), and `matrixvt` against `ftm`
-    over the implied matrix (matrixvt-vs-effective). Stops at the first
-    failing trial and records its seed.
+    over the implied matrix (matrixvt-vs-effective). A gate fails above
+    1e-5 relative or on a non-finite difference, which any non-finite
+    route output gives. Stops at the first failing trial and records its
+    seed. `trials` must be >= 1 and `seed` >= 0, else UsageError.
     """
-    trials = _whole(trials, "trials", UsageError)
-    channels = _whole(channels, "channels", UsageError)
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    if channels < 1:
-        raise UsageError(f"channels must be >= 1, got {channels}")
+    trials = _at_least(trials, "trials", 1)
+    seed = _at_least(seed, "seed", 0)
     scene = load_scene(config)
     built = _build(scene, BACKENDS)
     rr = flip_ring_bit(built["matrixvt"]) if corrupt_ring else built["matrixvt"]
@@ -388,29 +388,16 @@ def run_check(config, trials, seed, channels=8, corrupt_ring=False):
     if not _containment_ok(exact, implied):
         return CheckReport(trials, spurious, {}, "containment", None)
 
-    rig = scene.rig
-    n_c, h_i, w_i = rig.n_cameras, rig.feature_height, rig.feature_width
-    n_w, n_d = n_c * w_i, scene.bins.count
-    refine = RefineMap.identity(channels)
-    zero_embed = np.zeros((h_i, w_i, channels), dtype=np.float32)
-
     trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     maxima = dict.fromkeys(gates, 0.0)
     for ts in trial_seeds.tolist():
-        trng = np.random.default_rng(ts)
-        attn_raw = trng.random((n_c, h_i, w_i), dtype=np.float32) + 1e-3
-        attn = PrimeAttention(attn_raw / attn_raw.sum(axis=1, keepdims=True))
-        depth_raw = trng.random((n_c, h_i, w_i, n_d), dtype=np.float32) + 1e-3
-        depth_full = depth_raw / depth_raw.sum(axis=3, keepdims=True)
-        feat_full = trng.random((n_c, h_i, w_i, channels), dtype=np.float32)
-
-        d = prime_depth(depth_full, attn).reshape(n_w, n_d)
-        f = prime_feature(feat_full, zero_embed, refine).reshape(n_w, channels)
+        f, d = make_inputs(scene, 8, ts)
         for name, routes in gates.items():
             lhs, rhs = (_ROUTES[route].run(f, d, on) for route, on in routes)
-            maxima[name] = max(maxima[name], max_rel_diff(lhs, rhs))
-        # every earlier trial passed, so a maximum above tolerance is this trial's
-        failure = next((name for name, rel in maxima.items() if rel > REL_TOL), None)
+            # np.maximum keeps a nan, where max(0.0, nan) would drop it
+            maxima[name] = float(np.maximum(maxima[name], max_rel_diff(lhs, rhs)))
+        # every earlier trial passed, so a maximum that fails is this trial's
+        failure = next((n for n, rel in maxima.items() if not rel <= REL_TOL), None)
         if failure is not None:
             return CheckReport(trials, spurious, maxima, failure, ts)
     return CheckReport(trials, spurious, maxima, None, None)

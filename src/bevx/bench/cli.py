@@ -46,7 +46,6 @@ def build_parser():
     check_p.add_argument("--config", required=True, help="scene config (JSON)")
     check_p.add_argument("--trials", type=int, default=50)
     check_p.add_argument("--seed", type=int, default=7)
-    check_p.add_argument("--channels", type=int, default=8)
     check_p.add_argument(
         "--flip-ring-bit",
         action="store_true",
@@ -85,7 +84,6 @@ def _cmd_check(args):
         args.config,
         trials=args.trials,
         seed=args.seed,
-        channels=args.channels,
         corrupt_ring=args.flip_ring_bit,
     )
     for line in report.lines():

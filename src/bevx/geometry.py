@@ -101,7 +101,8 @@ class Camera:
 
     Args:
         intrinsics: 3x3 pixel matrix (or its 9 entries row-major); bottom
-            row must be (0, 0, 1) and the focal entries positive.
+            row must be (0, 0, 1), the focal entries positive, and the
+            matrix non-singular.
         rotation: 3x3 orthonormal matrix, camera body frame -> ego frame.
         translation: camera center in the ego frame, meters.
     """
@@ -118,6 +119,11 @@ class Camera:
             raise GeometryError(f"intrinsics bottom row must be (0,0,1), got {k[2]}")
         if k[0, 0] <= 0 or k[1, 1] <= 0:
             raise GeometryError("intrinsics focal entries must be positive")
+        # cofactor determinant in python floats: np.linalg.det costs ~5 us,
+        # a sixth of a Camera, and load_scene builds every camera of a fleet
+        (a, b, c), (d, e, f), (g, h, i) = k.tolist()
+        if abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) < 1e-12:
+            raise GeometryError("intrinsics are singular")
         if not _near(r.T @ r, np.eye(3)):
             raise GeometryError("rotation is not orthonormal within 1e-6")
         _freeze(self, intrinsics=k, rotation=r, translation=t)
@@ -302,8 +308,6 @@ def generate_frustum(rig, bins, reference_row=None):
 
     points = np.empty((rig.n_cameras, w_i, n_d, 3))
     for n, cam in enumerate(rig.cameras):
-        if abs(np.linalg.det(cam.intrinsics)) < 1e-12:
-            raise GeometryError(f"camera {n}: singular intrinsics")
         rays = np.linalg.solve(cam.intrinsics, pixels)  # optical frame, z == 1
         rays /= rays[2]
         rays_body = _OPT_TO_BODY @ rays  # (3, W_I), forward component == 1

@@ -8,11 +8,11 @@ and which feature columns reach it (direction). This module factors it into
   * ray:  S x W,   ray[s, w] = 1 iff some bin of column w lands in s
 
 and applies the pair with vt_matrixvt, which never materializes the lifted
-tensor. Both factors meet in one cached plan matrix (RingRayPair._plan), a
-binary (ray.nnz, W * N_d) CSR whose row for ray nonzero (s, w) picks the
-depths of column w at the bins of ring row s. vt_matrixvt is two sparse
-products over it: plan @ depths gives one weight per ray nonzero, and the
-ray-patterned S x W matrix of those weights times the features gives the
+tensor. Both factors meet in one plan matrix (RingRayPair._plan, built with
+the pair), a binary (ray.nnz, W * N_d) CSR whose row for ray nonzero (s, w)
+picks the depths of column w at the bins of ring row s. vt_matrixvt is two
+sparse products over it: plan @ depths gives one weight per ray nonzero, and
+the ray-patterned S x W matrix of those weights times the features gives the
 BEV tensor. effective_ftm reads the transport matrix the pair implies off
 the same plan; reference.vt_ftm over that matrix is the independent route
 vt_matrixvt is gated against. cost_model is the closed-form cost of the
@@ -21,7 +21,6 @@ paper's naive pipeline next to the reformulated one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import os
@@ -44,12 +43,42 @@ __all__ = [
 ]
 
 
+def _build_plan(ring, ray):
+    """The execution plan of a pair: (plan, indptr, indices).
+
+    `plan` is a binary (ray.nnz, W * N_d) matrix. Row j belongs to the
+    j-th ray nonzero (cell s, column w), in ray CSR order, and holds the
+    lifted source indices {w * N_d + d : d in ring row s}. Applied to the
+    flattened (W, N_d) depths it gives each ray slot's depth mass; an
+    empty ring row under a ray row (a hand-built pair; geometric pairs
+    never do this) is an empty plan row, weight 0.
+
+    `indptr` and `indices` are the ray's CSR index arrays in the dtype
+    scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
+    reaches 2**31.
+    """
+    s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
+    row_len = np.diff(ring.row_offsets)[s_of_j]
+    offsets = np.concatenate(([0], np.cumsum(row_len)))
+    # position of each entry inside its row, then index into ring cols
+    pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
+    ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
+    cols = np.repeat(ray.col_indices, row_len) * ring.cols
+    cols += ring.col_indices[ring_idx]
+    plan = SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
+    plan._scipy  # the product handle is part of the per-scene build
+    index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
+    return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
+
+
 @dataclass(frozen=True)
 class RingRayPair:
     """Immutable ring (S x N_d) and ray (S x W) factor matrices.
 
-    Built once per scene geometry; the derived execution plan (cached) is
-    reused by every transform call, so construction cost is off the hot path.
+    Built once per scene geometry, together with its execution plan
+    (`_plan`, derived like BevGrid's edges, not a field), which every
+    transform call reuses: a pair arrives ready to run, and no call pays
+    for the plan.
     """
 
     ring: SparseBinaryMatrix
@@ -58,6 +87,7 @@ class RingRayPair:
     def __post_init__(self):
         if self.ring.rows != self.ray.rows:
             raise ShapeError.mismatch("ring/ray", self.ring.shape, self.ray.shape)
+        object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
 
     @property
     def n_cells(self):
@@ -70,35 +100,6 @@ class RingRayPair:
     @property
     def n_columns(self):
         return self.ray.cols
-
-    @cached_property
-    def _plan(self):
-        """The execution plan: (plan, indptr, indices).
-
-        `plan` is a binary (ray.nnz, W * N_d) matrix. Row j belongs to the
-        j-th ray nonzero (cell s, column w), in ray CSR order, and holds the
-        lifted source indices {w * N_d + d : d in ring row s}. Applied to the
-        flattened (W, N_d) depths it gives each ray slot's depth mass; an
-        empty ring row under a ray row (a hand-built pair; geometric pairs
-        never do this) is an empty plan row, weight 0.
-
-        `indptr` and `indices` are the ray's CSR index arrays in the dtype
-        scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
-        reaches 2**31.
-        """
-        ring, ray = self.ring, self.ray
-        s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
-        row_len = np.diff(ring.row_offsets)[s_of_j]
-        offsets = np.concatenate(([0], np.cumsum(row_len)))
-        # position of each entry inside its row, then index into ring cols
-        pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
-        ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
-        cols = np.repeat(ray.col_indices, row_len) * ring.cols
-        cols += ring.col_indices[ring_idx]
-        plan = SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
-        plan._scipy  # the product handle is part of the per-scene build
-        index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
-        return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
 
 
 def build_ring_ray(frustum, grid):
@@ -125,7 +126,7 @@ def vt_matrixvt(features, depths, rr):
     """Reformulated transform; no lifted tensor is ever materialized.
 
     Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)),
-    as two sparse products over the cached plan: plan @ depths.ravel() gives,
+    as two sparse products over the pair's plan: plan @ depths.ravel() gives,
     per ray nonzero (cell, column), the depth mass that cell collects from
     that column (ring contraction and ray mask in one step); the (S, W)
     matrix of those weights on the ray's pattern times the (W, C) features

@@ -14,6 +14,7 @@ from bevx import (
     cost_model,
     effective_ftm,
     scene_digest,
+    scene_to_dict,
 )
 from bevx import bench
 from bevx.bench import (
@@ -35,6 +36,7 @@ from bevx.bench import (
 from bevx.bench.cli import main
 from bevx.geometry import generate_frustum
 from bevx.transform import build_ring_ray
+from oracles import degenerate_scene
 
 SMALL = TransformSetting(
     "T-small", 4, 4, 8, 24, 24, n_cameras=2, depth_bins=16
@@ -81,19 +83,19 @@ class TestMaxRelDiff:
 
 
 class TestInputs:
-    def test_deterministic_per_seed(self):
-        f1, d1 = make_inputs(SMALL, seed=5)
-        f2, d2 = make_inputs(SMALL, seed=5)
-        f3, _ = make_inputs(SMALL, seed=6)
+    def test_deterministic_per_seed(self, small_scene):
+        f1, d1 = make_inputs(small_scene, 4, seed=5)
+        f2, d2 = make_inputs(small_scene, 4, seed=5)
+        f3, _ = make_inputs(small_scene, 4, seed=6)
         np.testing.assert_array_equal(f1, f2)
         np.testing.assert_array_equal(d1, d2)
         assert not np.array_equal(f1, f3)
 
-    def test_shapes_and_simplex(self):
-        f, d = make_inputs(SMALL, seed=0)
-        w = SMALL.n_cameras * SMALL.feature_width
-        assert f.shape == (w, SMALL.channels)
-        assert d.shape == (w, SMALL.depth_bins)
+    def test_shapes_and_simplex(self, small_scene):
+        f, d = make_inputs(small_scene, 4, seed=0)
+        w = small_scene.rig.n_cameras * small_scene.rig.feature_width
+        assert f.shape == (w, 4)
+        assert d.shape == (w, small_scene.bins.count)
         assert d.min() > 0.0
         np.testing.assert_allclose(d.sum(axis=1), 1.0, atol=1e-5)
 
@@ -347,6 +349,46 @@ class TestRunCheck:
             f"result: FAIL in matrixvt-vs-effective, first failing trial seed {second}"
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_output_fails_closed(
+        self, bad, small_config_path, monkeypatch, capsys
+    ):
+        # one non-finite cell in matrixvt's output: its difference is nan,
+        # which no "rel > tolerance" comparison can see
+        route = bench._ROUTES["matrixvt"]
+
+        def poisoned(f, d, rr):
+            out = route.run(f, d, rr)
+            out[0, 0] = bad
+            return out
+
+        monkeypatch.setitem(bench._ROUTES, "matrixvt", route._replace(run=poisoned))
+        first = int(np.random.default_rng(3).integers(0, 2**63 - 1, size=2)[0])
+
+        report = run_check(small_config_path, trials=2, seed=3)
+        assert report.failure == "matrixvt-vs-effective"
+        assert report.failed_trial_seed == first
+        assert not report.passed and report.containment_ok
+        lines = report.lines()
+        assert lines[2] == "check: matrixvt-vs-effective  max rel diff nan  FAIL"
+
+        argv = ["check", "--config", small_config_path, "--trials", "2", "--seed", "3"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[:-1] == lines
+        assert out[-1] == (
+            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {first}"
+        )
+
+    def test_passes_on_a_degenerate_rig(self, tmp_path, capsys):
+        # one camera faces away from a one-cell grid, and the bins reach
+        # past the grid's extent
+        scene = degenerate_scene([False, True], n_d=4, h_cells=1, w_cells=1, reach=3.0)
+        config = tmp_path / "degenerate.json"
+        config.write_text(json.dumps(scene_to_dict(scene)))
+        assert main(["check", "--config", str(config), "--trials", "3"]) == 0
+        assert capsys.readouterr().out.endswith("result: PASS (3 trials, seed 7)\n")
+
     def test_rejects_zero_trials(self, small_config_path):
         with pytest.raises(UsageError, match="trials"):
             run_check(small_config_path, trials=0, seed=0)
@@ -438,20 +480,24 @@ class TestCli:
             ((("bev", "extent"), None), "check", {}, ConfigError),
             ((("cameras", 0, "intrinsics"), "x"), "check", {}, ConfigError),
             ((("depth",), 5), "check", {}, ConfigError),
-            (None, "check", {"channels": 0}, UsageError),
-            (None, "check", {"channels": -1}, UsageError),
+            # positive focals and a (0, 0, 1) bottom row, but singular
+            ((("cameras", 0, "intrinsics"), [10, 10, 5, 10, 10, 5, 0, 0, 1]), "check", {},
+             ConfigError),
             (None, "run", {"warmup": -1}, UsageError),
             (None, "check", {"trials": 2.5}, UsageError),
             (None, "check", {"trials": "3"}, UsageError),
-            (None, "check", {"channels": 2.5}, UsageError),
             (None, "run", {"repeats": 3.5}, UsageError),
             (None, "run", {"warmup": 0.5}, UsageError),
+            (None, "check", {"seed": -1}, UsageError),
+            (None, "check", {"seed": 2.5}, UsageError),
+            (None, "run", {"seed": -1}, UsageError),
+            (None, "run", {"seed": 2.5}, UsageError),
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
-            "intrinsics-str", "depth-int", "channels-0", "channels-neg", "warmup-neg",
-            "trials-float", "trials-str", "channels-float", "repeats-float",
-            "warmup-float",
+            "intrinsics-str", "depth-int", "intrinsics-singular", "warmup-neg",
+            "trials-float", "trials-str", "repeats-float", "warmup-float",
+            "check-seed-neg", "check-seed-float", "run-seed-neg", "run-seed-float",
         ],
     )
     def test_bad_request_is_typed_error_and_exits_two(

@@ -24,12 +24,14 @@ from bevx import (
     load_ring_ray,
     save_ring_ray,
     scene_digest,
+    splat_reference,
     vt_ftm,
     vt_matrixvt,
 )
 from bevx import transform
-from bevx.bench import flip_ring_bit, max_rel_diff
+from bevx.bench import flip_ring_bit, make_inputs, max_rel_diff
 from oracles import (
+    degenerate_scene,
     densify,
     dense_reformulated,
     from_dense,
@@ -245,6 +247,50 @@ class TestEffectiveFtm:
         ray = densify(rr.ray)
         expect = (ray[:, :, None] * ring[:, None, :]).reshape(rr.n_cells, -1)
         np.testing.assert_array_equal(densify(effective_ftm(rr)), expect)
+
+
+class TestDegenerateRigs:
+    """The three guarantees, the output shapes and the empty cells, on rigs
+    built from geometry: a camera facing away from the grid, one depth
+    bin, a one-cell grid, and bins beyond the grid's extent."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        away=st.lists(st.booleans(), min_size=1, max_size=3),
+        n_d=st.integers(1, 6),
+        h_cells=st.integers(1, 6),
+        w_cells=st.integers(1, 6),
+        reach=st.floats(0.2, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(away=[True], n_d=4, h_cells=4, w_cells=4, reach=2.0, seed=0)  # empty ray
+    @example(away=[False, True], n_d=4, h_cells=4, w_cells=4, reach=2.0, seed=0)
+    @example(away=[False, False], n_d=1, h_cells=4, w_cells=4, reach=0.8, seed=0)  # one bin
+    @example(away=[False, False], n_d=4, h_cells=1, w_cells=1, reach=0.8, seed=0)  # one cell
+    @example(away=[False, False], n_d=6, h_cells=4, w_cells=4, reach=4.0, seed=0)  # past extent
+    def test_guarantees_hold(self, away, n_d, h_cells, w_cells, reach, seed):
+        scene = degenerate_scene(away, n_d, h_cells, w_cells, reach)
+        frustum = generate_frustum(scene.rig, scene.bins)
+        ftm = build_ftm(frustum, scene.grid)
+        rr = build_ring_ray(frustum, scene.grid)
+        implied = effective_ftm(rr)
+        f, d = make_inputs(scene, 3, seed)
+        lifted = lift(f, d)
+        outs = {
+            "scatter": splat_reference(lifted, frustum, scene.grid),
+            "ftm": vt_ftm(lifted, ftm),
+            "implied": vt_ftm(lifted, implied),
+            "matrixvt": vt_matrixvt(f, d, rr),
+        }
+        np.testing.assert_array_equal(outs["ftm"], outs["scatter"])
+        assert max_rel_diff(outs["matrixvt"], outs["implied"]) <= 1e-5
+        assert (densify(ftm) <= densify(implied)).all()
+        empty = np.diff(ftm.row_offsets) == 0
+        for out in outs.values():
+            assert out.shape == (scene.grid.n_cells, 3)
+            assert not out[empty].any()
+        ray = densify(rr.ray).reshape(rr.n_cells, len(away), scene.rig.feature_width)
+        assert not ray[:, np.array(away, dtype=bool)].any()
 
 
 class TestCostModel:
