@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,10 +63,10 @@ def _readonly(a):
     return out
 
 
-def _numbers(value, what, shape=(), whole=False):
+def _numbers(value, what, shape=(), whole=False, error=GeometryError):
     """`value` as read-only finite float64 values of `shape`, or as a float
     (an int when `whole`) when `shape == ()`; anything else, including a
-    str or bool, raises GeometryError naming `what`."""
+    str or bool, raises `error` naming `what`."""
     # float.is_integer is False for inf and nan, so it checks finiteness too
     check = float.is_integer if whole else math.isfinite
     try:
@@ -78,7 +79,7 @@ def _numbers(value, what, shape=(), whole=False):
     if not ok:
         kind = f"{shape} finite numbers" if shape else "a finite number"
         kind = "a whole number" if whole else kind
-        raise GeometryError(f"{what} must be {kind}, got {value!r}")
+        raise error(f"{what} must be {kind}, got {value!r}")
     if shape:
         arr.setflags(write=False)
         return arr
@@ -234,15 +235,19 @@ class BevGrid:
         return self.h_cells * self.w_cells
 
     def locate_many(self, xy):
-        """Flattened index of the cell holding each (x, y) point, -1 outside;
-        a point on an interior edge goes to the cell on its positive side."""
+        """Where the (x, y) points land: `(cells, inside)`, where `inside`
+        holds the ascending indices of the points inside the grid and
+        `cells` the flattened cell of each. A point outside the grid is in
+        neither; one on an interior edge goes to the cell on its positive
+        side."""
         xy = np.asarray(xy, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ShapeError(f"locate_many: expected (p, 2) points, got {xy.shape}")
         ix = np.searchsorted(self._x_edges, xy[:, 0], side="right") - 1
         iy = np.searchsorted(self._y_edges, xy[:, 1], side="right") - 1
         ok = (ix >= 0) & (ix < self.w_cells) & (iy >= 0) & (iy < self.h_cells)
-        return np.where(ok, iy * self.w_cells + ix, -1)
+        inside = np.flatnonzero(ok)
+        return iy[inside] * self.w_cells + ix[inside], inside
 
 
 @dataclass(frozen=True)
@@ -294,7 +299,7 @@ def generate_frustum(rig, bins, reference_row=None):
     """
     if reference_row is None:
         reference_row = rig.feature_height // 2
-    reference_row = int(reference_row)
+    reference_row = _numbers(reference_row, "reference_row", whole=True)
     if not 0 <= reference_row < rig.feature_height:
         raise GeometryError(
             f"reference_row {reference_row} out of range "
@@ -345,7 +350,8 @@ def _build(make, where, mapping, *keys):
 
 
 def load_scene(source):
-    """Load a Scene from a config path, file object, or parsed dict.
+    """Load a Scene from a config path (str or os.PathLike) or a parsed dict;
+    any other source, or a file that is not JSON, raises ConfigError.
 
     The document layout is::
 
@@ -361,11 +367,16 @@ def load_scene(source):
     """
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
+    elif isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise ConfigError(f"{os.fspath(source)}: not JSON: {exc}") from None
+    else:
+        raise ConfigError(
+            f"scene config must be a path or a dict, got {type(source).__name__}"
+        )
 
     cam_docs = _require(doc, "cameras", "scene config")
     if not isinstance(cam_docs, list) or not cam_docs:

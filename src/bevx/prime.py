@@ -50,8 +50,8 @@ class PrimeAttention:
 
     def __post_init__(self):
         w = as_feature(self.weights, "attention")
-        if w.ndim != 3:
-            raise ShapeError(f"attention must be (N_c, H_I, W_I), got {w.shape}")
+        if w.ndim != 3 or not w.size:
+            raise ShapeError(f"attention must be non-empty (N_c, H_I, W_I), got {w.shape}")
         if np.any(w < 0):
             raise ValidationError("attention weights must be non-negative")
         col_mass = w.sum(axis=1)
@@ -77,10 +77,6 @@ class RefineMap:
             raise ShapeError.mismatch("refine", m.shape, b.shape)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", b)
-
-    @classmethod
-    def identity(cls, channels):
-        return cls(np.eye(channels, dtype=np.float32), np.zeros(channels, np.float32))
 
     def apply(self, x):
         """Apply along the last axis of x (..., C_in) -> (..., C_out)."""

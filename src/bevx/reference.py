@@ -51,8 +51,8 @@ def lift(features, depths):
 def splat_reference(lifted, frustum, grid):
     """Scatter-add every lifted sample into its BEV cell.
 
-    For each (camera, column, depth) sample whose ground point falls inside
-    the grid, the C-vector lifted[(n, w), d, :] is added to that cell.
+    For each (camera, column, depth) sample that `grid.locate_many` lands
+    inside the grid, the C-vector lifted[(n, w), d, :] is added to its cell.
     Accumulation runs in ascending sample order.
 
     Returns:
@@ -63,12 +63,10 @@ def splat_reference(lifted, frustum, grid):
     if lifted.ndim != 3 or lifted.shape[:2] != (w, frustum.n_depths):
         raise ShapeError.mismatch("splat", lifted.shape, (w, frustum.n_depths, "C"))
     values = lifted.reshape(-1, lifted.shape[2])
-    # locate_many returns -1 (outside the grid) or a valid cell index
-    targets = grid.locate_many(frustum.points.reshape(-1, 2))
-    present = targets >= 0
+    cells, samples = grid.locate_many(frustum.points.reshape(-1, 2))
     out = np.zeros((grid.n_cells, values.shape[1]), dtype=DTYPE)
     # np.add.at applies updates in input order, matching the sequential oracle
-    np.add.at(out, targets[present], values[present])
+    np.add.at(out, cells, values[samples])
     return out
 
 
@@ -76,18 +74,16 @@ def build_ftm(frustum, grid):
     """Exact transport matrix: entry (s, (n*W_I+w)*N_d+d) = 1 iff the sample
     (n, w, d) lands in cell s.
 
-    Every column has at most one nonzero because the grid cells partition
-    the plane; samples outside the grid produce no entry.
+    The entries are the (cell, sample) pairs of `grid.locate_many`: every
+    column has at most one nonzero because the grid cells partition the
+    plane, and samples outside the grid produce no entry.
 
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
     n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
-    targets = grid.locate_many(frustum.points.reshape(-1, 2))
-    present = targets >= 0
-    return SparseBinaryMatrix.from_coo(
-        grid.n_cells, n_cols, targets[present], np.flatnonzero(present)
-    )
+    cells, samples = grid.locate_many(frustum.points.reshape(-1, 2))
+    return SparseBinaryMatrix.from_coo(grid.n_cells, n_cols, cells, samples)
 
 
 def vt_ftm(lifted, ftm):

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, ValidationError
+from .geometry import _numbers
 
 __all__ = [
     "DTYPE",
@@ -49,8 +50,8 @@ class SparseBinaryMatrix:
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")
 
     def __init__(self, rows, cols, row_offsets, col_indices):
-        rows = int(rows)
-        cols = int(cols)
+        rows = _numbers(rows, "rows", whole=True, error=ValidationError)
+        cols = _numbers(cols, "cols", whole=True, error=ValidationError)
         row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
         col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
         if rows < 0 or cols < 0:
@@ -95,11 +96,6 @@ class SparseBinaryMatrix:
     def shape(self):
         return (self.rows, self.cols)
 
-    @property
-    def density(self):
-        denom = self.rows * self.cols
-        return self.nnz / denom if denom else 0.0
-
     @classmethod
     def from_coo(cls, rows, cols, row_ids, col_ids):
         """Build from unordered (row, col) pairs; duplicates collapse to 1.
@@ -110,6 +106,8 @@ class SparseBinaryMatrix:
         52k int64 keys of one S4 build it measured 9-11 ms against 0.4 ms
         for np.sort.
         """
+        rows = _numbers(rows, "rows", whole=True, error=ValidationError)
+        cols = _numbers(cols, "cols", whole=True, error=ValidationError)
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
         if row_ids.shape != col_ids.shape:
@@ -148,7 +146,4 @@ class SparseBinaryMatrix:
         return hash((self.shape, self.nnz))
 
     def __repr__(self):
-        return (
-            f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz}, "
-            f"density={self.density:.4g})"
-        )
+        return f"SparseBinaryMatrix({self.rows}x{self.cols}, nnz={self.nnz})"

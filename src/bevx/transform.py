@@ -29,6 +29,7 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
+from .geometry import _numbers
 from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
@@ -107,18 +108,18 @@ def build_ring_ray(frustum, grid):
 
     ring[s, d] = 1 iff any (camera, column) sample at depth bin d falls in
     cell s; ray[s, (n, w)] = 1 iff any depth bin of that column falls in s.
+    Both project the (cell, sample) pairs of `grid.locate_many`, the
+    entries of reference.build_ftm: sample j = (n * W_I + w) * N_d + d
+    gives ring column j % N_d and ray column j // N_d.
 
     Returns:
         RingRayPair with ring (S, N_d) and ray (S, W).
     """
     n_w = frustum.n_cameras * frustum.n_columns
     n_d = frustum.n_depths
-    targets = grid.locate_many(frustum.points.reshape(-1, 2))
-    present = targets >= 0
-    cells = targets[present]
-    flat = np.flatnonzero(present)
-    ring = SparseBinaryMatrix.from_coo(grid.n_cells, n_d, cells, flat % n_d)
-    ray = SparseBinaryMatrix.from_coo(grid.n_cells, n_w, cells, flat // n_d)
+    cells, samples = grid.locate_many(frustum.points.reshape(-1, 2))
+    ring = SparseBinaryMatrix.from_coo(grid.n_cells, n_d, cells, samples % n_d)
+    ray = SparseBinaryMatrix.from_coo(grid.n_cells, n_w, cells, samples // n_d)
     return RingRayPair(ring, ray)
 
 
@@ -217,10 +218,13 @@ def cost_model(c, n_d, w_i, h_b, w_b):
     feature multiply). Intermediate parameters drop from W_I * N_d * S (the
     full transport matrix) to (W_I + N_d) * S (the two factors).
     """
-    dims = (c, n_d, w_i, h_b, w_b)
-    if any(int(x) != x or x <= 0 for x in dims):
+    dims = tuple(
+        _numbers(x, "cost_model: extent", whole=True, error=ValidationError)
+        for x in (c, n_d, w_i, h_b, w_b)
+    )
+    if min(dims) <= 0:
         raise ValidationError(f"cost_model: extents must be positive, got {dims}")
-    c, n_d, w_i, h_b, w_b = (int(x) for x in dims)
+    c, n_d, w_i, h_b, w_b = dims
     s = h_b * w_b
     return CostReport(
         flops_composed=2 * w_i * c * n_d * s,

@@ -13,6 +13,7 @@ from bevx import (
     CameraRig,
     DepthBins,
     PrimeAttention,
+    RefineMap,
     Scene,
     SparseBinaryMatrix,
 )
@@ -234,6 +235,11 @@ def one_hot(n_cameras, h_i, w_i, row):
     w = np.zeros((n_cameras, h_i, w_i), dtype=np.float32)
     w[:, row, :] = 1.0
     return PrimeAttention(w)
+
+
+def identity_refine(channels):
+    """The refinement that maps every feature vector to itself."""
+    return RefineMap(np.eye(channels, dtype=np.float32), np.zeros(channels, np.float32))
 
 
 def project_to_pixel(cam, points_ego):

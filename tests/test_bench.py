@@ -38,12 +38,8 @@ from bevx.geometry import generate_frustum
 from bevx.transform import build_ring_ray
 from oracles import degenerate_scene
 
-SMALL = TransformSetting(
-    "T-small", 4, 4, 8, 24, 24, n_cameras=2, depth_bins=16
-)
-SMALLER = TransformSetting(
-    "T-tiny", 3, 2, 8, 16, 16, n_cameras=2, depth_bins=8
-)
+SMALL = TransformSetting("T-small", 4, 4, 8, 24, 24)
+SMALLER = TransformSetting("T-tiny", 3, 2, 8, 16, 16)
 
 
 class TestSettings:
@@ -52,7 +48,6 @@ class TestSettings:
         s1 = PRESETS["S1"]
         assert (s1.channels, s1.feature_height, s1.feature_width) == (80, 16, 44)
         assert (s1.bev_h, s1.bev_w) == (128, 128)
-        assert all(s.n_cameras == 6 and s.depth_bins == 112 for s in PRESETS.values())
         assert PRESETS["S6"].channels == 256 and PRESETS["S6"].feature_width == 176
 
     def test_rejects_nonpositive_extent(self):
@@ -101,14 +96,19 @@ class TestInputs:
 
 
 class TestSettingScene:
-    def test_camera_count_mismatch(self, small_scene):
-        with pytest.raises(UsageError, match="cameras"):
-            setting_scene(small_scene, PRESETS["S1"])
+    def test_presets_keep_the_config_cameras_and_bins(
+        self, small_scene, small_config_path, capsys
+    ):
+        adapted = setting_scene(small_scene, PRESETS["S1"])
+        assert adapted.rig.n_cameras == small_scene.rig.n_cameras == 2
+        assert adapted.bins == small_scene.bins
+        assert adapted.rig.feature_width == 44 and adapted.grid.n_cells == 128 * 128
+        argv = ["run", "--config", small_config_path, "--settings", "S1", "--repeats", "3"]
+        assert main(argv) == 0
+        assert [r.setting for r in parse_csv(capsys.readouterr().out)] == ["S1", "S1"]
 
     def test_rescales_intrinsics_and_grids(self, small_scene):
-        doubled = TransformSetting(
-            "T-2x", 4, 8, 16, 48, 48, n_cameras=2, depth_bins=32
-        )
+        doubled = TransformSetting("T-2x", 4, 8, 16, 48, 48)
         adapted = setting_scene(small_scene, doubled)
         src = small_scene.rig.cameras[0].intrinsics
         dst = adapted.rig.cameras[0].intrinsics
@@ -116,7 +116,7 @@ class TestSettingScene:
         assert dst[1, 2] == pytest.approx(2.0 * src[1, 2])  # cy tracks height
         assert dst[2, 2] == 1.0
         assert adapted.rig.image_stride == small_scene.rig.image_stride
-        assert adapted.bins.count == 32
+        assert adapted.bins.count == small_scene.bins.count
         assert adapted.bins.d_min == small_scene.bins.d_min
         assert adapted.grid.n_cells == 48 * 48
         assert adapted.grid.x_min == small_scene.grid.x_min
@@ -175,12 +175,12 @@ class TestRunBench:
     def test_backend_table_order(self):
         assert BACKENDS == ("scatter", "ftm", "matrixvt")
 
-    def test_intermediate_params_match_cost_model(self, small_config_path):
+    def test_intermediate_params_match_cost_model(self, small_config_path, small_scene):
         records = run_bench(
             small_config_path, [SMALL], list(BACKENDS), repeats=3, warmup=0
         )
         cost = cost_model(
-            SMALL.channels, SMALL.depth_bins, SMALL.feature_width,
+            SMALL.channels, small_scene.bins.count, SMALL.feature_width,
             SMALL.bev_h, SMALL.bev_w,
         )
         by_backend = {r.backend: r.intermediate_params for r in records}
@@ -271,14 +271,6 @@ class TestFlipRingBit:
         assert flipped.ring.nnz == rr.ring.nnz - 1
         assert flipped.ray == rr.ray
         assert isinstance(flipped.ring, SparseBinaryMatrix)  # revalidated
-
-    def test_explicit_index_and_range(self, small_scene):
-        rr = build_ring_ray(
-            generate_frustum(small_scene.rig, small_scene.bins), small_scene.grid
-        )
-        assert flip_ring_bit(rr, 0).ring.nnz == rr.ring.nnz - 1
-        with pytest.raises(ValidationError, match="out of range"):
-            flip_ring_bit(rr, rr.ring.nnz)
 
 
 class TestRunCheck:
@@ -492,12 +484,15 @@ class TestCli:
             (None, "check", {"seed": 2.5}, UsageError),
             (None, "run", {"seed": -1}, UsageError),
             (None, "run", {"seed": 2.5}, UsageError),
+            ("bad-json", "check", {}, ConfigError),
+            ("not-a-path", "run", {}, ConfigError),
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
             "intrinsics-str", "depth-int", "intrinsics-singular", "warmup-neg",
             "trials-float", "trials-str", "repeats-float", "warmup-float",
             "check-seed-neg", "check-seed-float", "run-seed-neg", "run-seed-float",
+            "bad-json", "not-a-path",
         ],
     )
     def test_bad_request_is_typed_error_and_exits_two(
@@ -508,22 +503,22 @@ class TestCli:
         source = small_config_path if command == "check" else rig_config_path
         with open(source, encoding="utf-8") as f:
             doc = json.load(f)
-        if edit is not None:
+        if isinstance(edit, tuple):
             (*parents, last), value = edit
             target = doc
             for key in parents:
                 target = target[key]
             target[last] = value
         config = tmp_path / "scene.json"
-        config.write_text(json.dumps(doc))
+        config.write_text('{"cameras": [' if edit == "bad-json" else json.dumps(doc))
+        # file descriptor 0 is a path to open(), but not to load_scene
+        source = 0 if edit == "not-a-path" else str(config)
         with pytest.raises(error):
             if command == "check":
-                run_check(str(config), **{"trials": 1, "seed": 0, **options})
+                run_check(source, **{"trials": 1, "seed": 0, **options})
             else:
-                run_bench(
-                    str(config), ["S1"], ["matrixvt"], **{"repeats": 3, **options}
-                )
-        if any(isinstance(value, str) for value in options.values()):
+                run_bench(source, ["S1"], ["matrixvt"], **{"repeats": 3, **options})
+        if edit == "not-a-path" or any(isinstance(v, str) for v in options.values()):
             return  # every command-line value is a string; "3" is a valid count there
         argv = [command, "--config", str(config)]
         argv += ["--trials", "1"] if command == "check" else ["--repeats", "3"]

@@ -230,6 +230,12 @@ class TestGenerateFrustum:
         with pytest.raises(GeometryError, match="reference_row"):
             generate_frustum(rig, bins, 4)
 
+    @pytest.mark.parametrize("row", [2.5, True, "1"], ids=["float", "bool", "str"])
+    def test_reference_row_must_be_whole(self, row):
+        rig = CameraRig((simple_camera(),), 4, 4, 4)
+        with pytest.raises(GeometryError, match="reference_row must be a whole number"):
+            generate_frustum(rig, DepthBins(1, 5, 3), row)
+
     def test_singular_intrinsics(self):
         # positive focals but linearly dependent first two rows
         k = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -302,7 +308,7 @@ class TestBevGrid:
     def test_origin_cell_on_even_grid(self):
         for cells in (2, 4, 128):
             grid = BevGrid(5.0, cells, cells)
-            x0, y0, _, _ = cell_rect(grid, grid.locate_many([[0.0, 0.0]])[0])
+            x0, y0, _, _ = cell_rect(grid, grid.locate_many([[0.0, 0.0]])[0][0])
             assert x0 == 0.0 and y0 == 0.0
 
     def test_non_square_grid_tiles_exactly(self):
@@ -320,21 +326,22 @@ class TestBevGrid:
     def test_locate_outside_is_absent(self):
         grid = BevGrid(2.0, 4, 4)
         # the right edge is exclusive
-        got = grid.locate_many([[3.0, 0.0], [0.0, -2.5], [2.0, 0.0]])
-        assert got.tolist() == [-1, -1, -1]
+        cells, inside = grid.locate_many([[3.0, 0.0], [0.0, -2.5], [2.0, 0.0]])
+        assert cells.tolist() == [] and inside.tolist() == []
 
     def test_locate_boundary_goes_to_positive_side(self):
         grid = BevGrid(2.0, 4, 4)
-        s = grid.locate_many([[0.0, -1.0]])[0]
+        (s,), _ = grid.locate_many([[0.0, -1.0]])
         x0, y0, _, _ = cell_rect(grid, s)
         assert x0 == 0.0 and y0 == -1.0
 
     def test_locate_matches_scan_oracle(self, rng):
         grid = BevGrid(3.5, 7, 5)
         pts = rng.uniform(-5, 5, size=(10_000, 2))
-        got = grid.locate_many(pts)
-        for (x, y), s in zip(pts, got):
-            assert (None if s < 0 else int(s)) == locate_scan(grid, x, y)
+        cells, inside = grid.locate_many(pts)
+        got = dict(zip(inside.tolist(), cells.tolist()))
+        for i, (x, y) in enumerate(pts):
+            assert got.get(i) == locate_scan(grid, x, y)
 
     def test_scan_oracle_matches_pure_python(self, rng):
         grid = BevGrid(2.0, 3, 4)
@@ -346,12 +353,11 @@ class TestBevGrid:
     def test_partition_property(self, x, y):
         grid = BevGrid(6.0, 5, 8)
         inside = grid.x_min <= x < x_max(grid) and grid.y_min <= y < y_max(grid)
-        s = grid.locate_many([[x, y]])[0]
+        cells, found = grid.locate_many([[x, y]])
+        assert found.tolist() == ([0] if inside else [])
         if inside:
-            x0, y0, x1, y1 = cell_rect(grid, s)
+            x0, y0, x1, y1 = cell_rect(grid, cells[0])
             assert x0 <= x < x1 and y0 <= y < y1
-        else:
-            assert s == -1
 
     def test_cell_rect_bad_index(self):
         grid = BevGrid(1.0, 2, 2)
@@ -366,10 +372,26 @@ class TestSceneConfig:
         assert scene_to_dict(again) == doc
         assert scene_digest(again) == scene_digest(small_scene)
 
-    def test_load_from_file_object(self):
+    def test_load_from_file_object(self, tmp_path):
         doc = synthetic_scene_dict(n_cameras=1, feature_width=4, feature_height=2)
-        scene = load_scene(io.StringIO(json.dumps(doc)))
-        assert scene.rig.n_cameras == 1
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        assert load_scene(path).rig.n_cameras == 1
+        assert load_scene(str(path)) == load_scene(doc)
+
+    @pytest.mark.parametrize(
+        "source", [0, 2.5, None, b"scene.json", io.StringIO("{}")],
+        ids=["fd-0", "float", "none", "bytes", "file-object"],
+    )
+    def test_rejects_non_path_source(self, source):
+        with pytest.raises(ConfigError, match="must be a path or a dict"):
+            load_scene(source)
+
+    def test_malformed_json_names_the_file(self, tmp_path):
+        path = tmp_path / "truncated.json"
+        path.write_text('{"cameras": [')
+        with pytest.raises(ConfigError, match="truncated.json: not JSON"):
+            load_scene(path)
 
     def test_digest_changes_with_content(self):
         a = load_scene(synthetic_scene_dict(n_cameras=2))
@@ -411,9 +433,11 @@ class TestSceneConfig:
         with pytest.raises(ConfigError):
             load_scene(doc)
 
-    def test_non_object_document(self):
+    def test_non_object_document(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError):
-            load_scene(io.StringIO("[1, 2, 3]"))
+            load_scene(path)
 
     def test_random_scenes_round_trip(self, rng):
         for _ in range(20):

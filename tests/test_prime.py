@@ -16,7 +16,14 @@ from bevx import (
     prime_depth,
     prime_feature,
 )
-from oracles import lift_loop, one_hot, random_scene, splat_loop, uniform
+from oracles import (
+    identity_refine,
+    lift_loop,
+    one_hot,
+    random_scene,
+    splat_loop,
+    uniform,
+)
 
 
 def normalized_attention(rng, n_c, h_i, w_i):
@@ -45,6 +52,11 @@ class TestPrimeAttention:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValidationError, match="sum to 1"):
             PrimeAttention(np.full((1, 2, 3), 0.6, dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3), (1, 0, 3), (1, 2, 0)])
+    def test_rejects_empty(self, shape):
+        with pytest.raises(ShapeError, match="non-empty"):
+            PrimeAttention(np.zeros(shape, dtype=np.float32))
 
     def test_uniform_and_one_hot(self):
         u = uniform(2, 4, 3)
@@ -110,14 +122,14 @@ class TestPrimeFeature:
         base = rng.random((2, 1, 4, 3), dtype=np.float32)
         f = np.broadcast_to(base, (2, 5, 4, 3)).copy()
         out = prime_feature(
-            f, np.zeros((5, 4, 3), dtype=np.float32), RefineMap.identity(3)
+            f, np.zeros((5, 4, 3), dtype=np.float32), identity_refine(3)
         )
         np.testing.assert_array_equal(out, base[:, 0])
 
     def test_loop_max_oracle(self, rng):
         f = rng.random((2, 4, 3, 5), dtype=np.float32)
         out = prime_feature(
-            f, np.zeros((4, 3, 5), dtype=np.float32), RefineMap.identity(5)
+            f, np.zeros((4, 3, 5), dtype=np.float32), identity_refine(5)
         )
         for n in range(2):
             for w in range(3):
@@ -128,7 +140,7 @@ class TestPrimeFeature:
         f = rng.random((1, 4, 3, 2), dtype=np.float32)
         e = np.zeros((4, 3, 2), dtype=np.float32)
         e[2] = 100.0
-        out = prime_feature(f, e, RefineMap.identity(2))
+        out = prime_feature(f, e, identity_refine(2))
         np.testing.assert_allclose(out, f[:, 2] + 100.0, rtol=1e-6)
 
     def test_refine_applied(self, rng):
@@ -145,7 +157,7 @@ class TestPrimeFeature:
     def test_monotone_under_identity(self, rng):
         f = rng.random((1, 3, 2, 2), dtype=np.float32)
         zero = np.zeros((3, 2, 2), dtype=np.float32)
-        ident = RefineMap.identity(2)
+        ident = identity_refine(2)
         before = prime_feature(f, zero, ident)
         f2 = f.copy()
         f2[0, 1, 0, 1] += 0.7
@@ -157,7 +169,7 @@ class TestPrimeFeature:
             prime_feature(
                 rng.random((1, 2, 3, 4), dtype=np.float32),
                 np.zeros((2, 3, 5), dtype=np.float32),
-                RefineMap.identity(4),
+                identity_refine(4),
             )
 
     def test_refine_validation(self):
@@ -175,7 +187,7 @@ class TestAblation:
         depth = rng.random((1, 3, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
         attn = one_hot(1, 3, 1, row=1)  # the reference row
-        report = full_vs_prime_ablation(scene, feat, depth, attn, RefineMap.identity(c))
+        report = full_vs_prime_ablation(scene, feat, depth, attn, identity_refine(c))
         assert report.spurious_rate == 0.0  # factorization exact on this scene
         assert report.max_rel_diff <= 1e-5
 
@@ -185,7 +197,7 @@ class TestAblation:
         depth = rng.random((1, 4, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
         attn = normalized_attention(rng, 1, 4, 1)
-        report = full_vs_prime_ablation(scene, feat, depth, attn, RefineMap.identity(3))
+        report = full_vs_prime_ablation(scene, feat, depth, attn, identity_refine(3))
         assert np.isfinite(report.max_rel_diff)
         assert report.max_rel_diff > 0.0
         assert 0.0 <= report.mean_rel_diff <= report.max_rel_diff
@@ -201,7 +213,7 @@ class TestAblation:
             np.zeros((1, 3, 1, 2), dtype=np.float32),
             depth,
             attn,
-            RefineMap.identity(2),
+            identity_refine(2),
         )
         assert report.max_rel_diff == 0.0 and report.mean_rel_diff == 0.0
 

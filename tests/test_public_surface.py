@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from bevx import (
-    RefineMap,
     ValidationError,
     build_ftm,
     build_ring_ray,
@@ -29,7 +28,7 @@ from bevx import (
     vt_ftm,
     vt_matrixvt,
 )
-from oracles import random_scene, uniform
+from oracles import identity_refine, random_scene, uniform
 
 N_C, W_I, H_I, N_D, C = 2, 4, 3, 5, 3
 W = N_C * W_I
@@ -164,14 +163,14 @@ ROUTES = {
         poisoned((N_C, H_I, W_I, C), bad),
         clean((N_C, H_I, W_I, N_D)),
         uniform(N_C, H_I, W_I),
-        RefineMap.identity(C),
+        identity_refine(C),
     ),
     "full_vs_prime_ablation-depth": lambda bad, p: full_vs_prime_ablation(
         p.scene,
         clean((N_C, H_I, W_I, C)),
         poisoned((N_C, H_I, W_I, N_D), bad),
         uniform(N_C, H_I, W_I),
-        RefineMap.identity(C),
+        identity_refine(C),
     ),
     "vt_matrixvt-features": lambda bad, p: vt_matrixvt(
         poisoned((W, C), bad), clean((W, N_D)), p.rr
@@ -185,7 +184,7 @@ ROUTES = {
     "prime_feature-feature": lambda bad, p: prime_feature(
         poisoned((N_C, H_I, W_I, C), bad),
         np.zeros((H_I, W_I, C), dtype=np.float32),
-        RefineMap.identity(C),
+        identity_refine(C),
     ),
 }
 

@@ -51,7 +51,6 @@ class TestSparseBinaryMatrix:
     def test_valid_construction(self):
         m = SparseBinaryMatrix(3, 4, [0, 2, 2, 3], [1, 3, 0])
         assert m.shape == (3, 4) and m.nnz == 3
-        assert m.density == pytest.approx(3 / 12)
         assert list(row(m, 0)) == [1, 3] and list(row(m, 1)) == []
 
     def test_densify_is_binary(self):
@@ -73,11 +72,23 @@ class TestSparseBinaryMatrix:
             (3, 3, [0, 0, 0, 2], [1, 0]),  # decrease after leading empty rows
             (3, 3, [0, 2, 2, 2], [2, 2]),  # duplicate before trailing empty rows
             (4, 3, [0, 1, 1, 3, 3], [0, 2, 1]),  # decrease one past a start
+            (2.5, 3, [0, 1, 1], [0]),  # fractional row count
+            ("2", 3, [0, 1, 1], [0]),  # row count as a string
+            (True, 3, [0, 1], [0]),  # row count as a bool
+            (1, 3.7, [0, 1], [0]),  # fractional column count
         ],
     )
     def test_invalid_construction(self, rows, cols, offsets, indices):
         with pytest.raises(ValidationError):
             SparseBinaryMatrix(rows, cols, offsets, indices)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [(2, 3.5), (2.5, 3), ("2", 3), (2, np.nan)],
+        ids=["cols-float", "rows-float", "rows-str", "cols-nan"],
+    )
+    def test_from_coo_counts_must_be_whole(self, rows, cols):
+        with pytest.raises(ValidationError, match="whole number"):
+            SparseBinaryMatrix.from_coo(rows, cols, [0], [0])
 
     def test_row_boundary_decrease_is_legal(self):
         m = SparseBinaryMatrix(2, 3, [0, 2, 3], [1, 2, 0])

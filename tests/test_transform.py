@@ -178,7 +178,7 @@ class TestVtMatrixvt:
     def test_corrupted_ring_still_matches_dense_oracle(self, rng):
         # a ring row emptied under a non-empty ray row is an empty plan row
         _, _, rr = build_pair(rng, n_cameras=1, w_i=4, h_i=2, n_d=6, grid_cells=10)
-        bad = flip_ring_bit(rr, 0)
+        bad = flip_ring_bit(rr)
         f = rng.random((bad.n_columns, 3), dtype=np.float32)
         d = rng.random((bad.n_columns, bad.n_depths), dtype=np.float32)
         assert max_rel_diff(vt_matrixvt(f, d, bad), dense_reformulated(f, d, bad)) <= 1e-5
@@ -321,6 +321,13 @@ class TestCostModel:
             cost_model(0, 112, 44, 128, 128)
         with pytest.raises(ValidationError):
             cost_model(80, 112, 44, -1, 128)
+
+    @pytest.mark.parametrize(
+        "bad", ["a", np.nan, np.inf, True, 2.5], ids=["str", "nan", "inf", "bool", "float"]
+    )
+    def test_extents_must_be_whole_numbers(self, bad):
+        with pytest.raises(ValidationError, match="whole number"):
+            cost_model(bad, 1, 1, 1, 1)
 
 
 class TestCache:
