@@ -14,12 +14,14 @@ for `scatter`/`ftm` and (44 + 112) * 16,384 = 2,555,904 for `matrixvt`.
 factorization-implied one, and then, on inputs drawn by `make_inputs` (the
 generator `run_bench` uses), runs each gate: a route against a reference
 route, within 1e-5 relative. A non-finite difference fails its gate.
+`emit_check_json` writes a report with the facts needed to reproduce it.
 """
 from __future__ import annotations
 
 import csv
 import io
 import json
+import math
 import time
 from collections import namedtuple
 from dataclasses import asdict, astuple, dataclass, fields
@@ -37,6 +39,7 @@ from ..geometry import (
     _numbers,
     generate_frustum,
     load_scene,
+    scene_digest,
 )
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
 from ..tensor_core import SparseBinaryMatrix
@@ -62,6 +65,7 @@ __all__ = [
     "emit_csv",
     "parse_csv",
     "emit_json",
+    "emit_check_json",
     "flip_ring_bit",
     "max_rel_diff",
 ]
@@ -375,9 +379,8 @@ def run_check(config, trials, seed, corrupt_ring=False):
     if not _containment_ok(exact, implied):
         return CheckReport(trials, spurious, {}, "containment", None)
 
-    trial_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials)
     maxima = dict.fromkeys(gates, 0.0)
-    for ts in trial_seeds.tolist():
+    for ts in _trial_seeds(seed, trials):
         f, d = make_inputs(scene, 8, ts)
         for name, routes in gates.items():
             lhs, rhs = (_ROUTES[route].run(f, d, on) for route, on in routes)
@@ -388,6 +391,29 @@ def run_check(config, trials, seed, corrupt_ring=False):
         if failure is not None:
             return CheckReport(trials, spurious, maxima, failure, ts)
     return CheckReport(trials, spurious, maxima, None, None)
+
+
+def _trial_seeds(seed, trials):
+    """The per-trial input seeds `run_check` draws from its `seed`."""
+    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials).tolist()
+
+
+def emit_check_json(report, config, seed):
+    """A `run_check` report as JSON text: its fields, `passed`, the gate
+    tolerance, the seed, the trial seeds it drew and the config's scene
+    digest. JSON has no nan, so a nan maximum is written as null."""
+    doc = asdict(report)
+    doc["maxima"] = {
+        name: None if math.isnan(rel) else rel for name, rel in report.maxima.items()
+    }
+    doc.update(
+        passed=report.passed,
+        rel_tol=REL_TOL,
+        seed=seed,
+        trial_seeds=_trial_seeds(seed, report.trials),
+        scene_digest=scene_digest(load_scene(config)),
+    )
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def emit_csv(records):

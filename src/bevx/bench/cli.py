@@ -8,7 +8,7 @@ import argparse
 import sys
 
 from ..errors import BevxError
-from . import emit_csv, emit_json, run_bench, run_check
+from . import emit_check_json, emit_csv, emit_json, run_bench, run_check
 
 
 def build_parser():
@@ -51,6 +51,12 @@ def build_parser():
         action="store_true",
         help="corrupt one ring entry first (the suite must then fail)",
     )
+    check_p.add_argument(
+        "--json",
+        dest="json_out",
+        default=None,
+        help="also write the report as JSON here",
+    )
     return parser
 
 
@@ -86,6 +92,9 @@ def _cmd_check(args):
         seed=args.seed,
         corrupt_ring=args.flip_ring_bit,
     )
+    if args.json_out:
+        with open(args.json_out, "w", encoding="utf-8") as f:
+            f.write(emit_check_json(report, args.config, args.seed))
     for line in report.lines():
         print(line)
     if report.passed:

@@ -6,9 +6,15 @@ geometry each column maps to one ground ray, so the height axis mostly
 carries redundancy. This module collapses it:
 
   * depths: a per-column attention over rows reduces (H_I, N_d) to (N_d,)
-    by weighted sum, preserving the probability simplex;
+    by weighted sum, preserving the probability simplex. The sum is one
+    batched matmul, (1, H_I) @ (H_I, N_d) per column: it equals the
+    height-weighted sum within float32 rounding, but sums in its own order,
+    so it is not bit-identical to an einsum;
   * features: an additive position embedding, a column-wise max-pool over
     rows, and a user-supplied linear refinement reduce (H_I, C) to (C',).
+    The max-pool streams the rows through one reused (N_c, W_I, C) row
+    buffer, so the embedded full-height tensor is never held; max is
+    exact, so the output is bit-identical to pooling that tensor at once.
 
 Attention and refinement weights are inputs here, not learned.
 `full_vs_prime_ablation` quantifies what the compression loses by running
@@ -104,7 +110,9 @@ def prime_depth(depth, attn):
         attn = PrimeAttention(attn)
     if d.ndim != 4 or d.shape[:3] != attn.weights.shape:
         raise ShapeError.mismatch("prime_depth", d.shape, attn.weights.shape)
-    return np.einsum("nhw,nhwd->nwd", attn.weights, d)
+    # per column, the (1, H_I) attention row times the (H_I, N_d) depths
+    w = attn.weights.transpose(0, 2, 1)[:, :, None, :]
+    return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
 
 
 def prime_feature(feature, pos_embed, refine):
@@ -122,7 +130,11 @@ def prime_feature(feature, pos_embed, refine):
     e = as_feature(pos_embed, "pos_embed")
     if f.ndim != 4 or e.shape != f.shape[1:]:
         raise ShapeError.mismatch("prime_feature", f.shape, e.shape)
-    pooled = (f + e).max(axis=1)
+    pooled = f[:, 0] + e[0]
+    row = np.empty_like(pooled)
+    for h in range(1, f.shape[1]):
+        np.add(f[:, h], e[h], out=row)
+        np.maximum(pooled, row, out=pooled)
     return refine.apply(pooled)
 
 

@@ -25,13 +25,22 @@ __all__ = [
 ]
 
 DTYPE = np.float32
+_FINITE_CHUNK = 1 << 16
 
 
 def as_feature(x, name="tensor"):
-    """Coerce to a C-contiguous float32 ndarray (the dense tensor type)."""
+    """Coerce to a C-contiguous float32 ndarray (the dense tensor type).
+
+    The finiteness scan runs in chunks through one small mask, so checking
+    an input allocates no mask the size of the input.
+    """
     arr = np.ascontiguousarray(x, dtype=DTYPE)
-    if arr.size and not np.isfinite(arr).all():
-        raise ValidationError(f"{name} contains non-finite values")
+    flat = arr.reshape(-1)
+    mask = np.empty(min(flat.size, _FINITE_CHUNK), dtype=bool)
+    for start in range(0, flat.size, _FINITE_CHUNK):
+        part = flat[start : start + _FINITE_CHUNK]
+        if not np.isfinite(part, out=mask[: part.size]).all():
+            raise ValidationError(f"{name} contains non-finite values")
     return arr
 
 
@@ -108,6 +117,8 @@ class SparseBinaryMatrix:
         """
         rows = _numbers(rows, "rows", whole=True, error=ValidationError)
         cols = _numbers(cols, "cols", whole=True, error=ValidationError)
+        if rows < 0 or cols < 0:
+            raise ValidationError("matrix extents must be non-negative")
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
         if row_ids.shape != col_ids.shape:

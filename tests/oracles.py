@@ -237,6 +237,19 @@ def one_hot(n_cameras, h_i, w_i, row):
     return PrimeAttention(w)
 
 
+def prime_feature_oneshot(feature, pos_embed, refine):
+    """Prime feature pooling in one shot: the whole full-height embedded
+    tensor at once, max over rows, then the refine map's fields applied."""
+    f = np.ascontiguousarray(feature, dtype=np.float32)
+    e = np.ascontiguousarray(pos_embed, dtype=np.float32)
+    return (f + e).max(axis=1) @ refine.matrix.T + refine.bias
+
+
+def prime_depth_einsum(depth, attn):
+    """Prime depth pooling as the einsum of its definition."""
+    return np.einsum("nhw,nhwd->nwd", attn.weights, np.asarray(depth, dtype=np.float32))
+
+
 def identity_refine(channels):
     """The refinement that maps every feature vector to itself."""
     return RefineMap(np.eye(channels, dtype=np.float32), np.zeros(channels, np.float32))

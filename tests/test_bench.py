@@ -13,6 +13,7 @@ from bevx import (
     build_ftm,
     cost_model,
     effective_ftm,
+    load_scene,
     scene_digest,
     scene_to_dict,
 )
@@ -343,7 +344,7 @@ class TestRunCheck:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_output_fails_closed(
-        self, bad, small_config_path, monkeypatch, capsys
+        self, bad, small_config_path, monkeypatch, capsys, tmp_path
     ):
         # one non-finite cell in matrixvt's output: its difference is nan,
         # which no "rel > tolerance" comparison can see
@@ -371,6 +372,13 @@ class TestRunCheck:
         assert out[-1] == (
             f"result: FAIL in matrixvt-vs-effective, first failing trial seed {first}"
         )
+
+        path = tmp_path / "check.json"
+        assert main(argv + ["--json", str(path)]) == 1
+        doc = json.loads(path.read_text())
+        assert doc["maxima"]["matrixvt-vs-effective"] is None
+        assert doc["failure"] == "matrixvt-vs-effective" and doc["passed"] is False
+        assert doc["failed_trial_seed"] == first
 
     def test_passes_on_a_degenerate_rig(self, tmp_path, capsys):
         # one camera faces away from a one-cell grid, and the bins reach
@@ -440,6 +448,37 @@ class TestCli:
         )
         assert code == 1
         assert "result: FAIL in containment" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "extra, code", [([], 0), (["--flip-ring-bit"], 1)], ids=["pass", "flip-ring-bit"]
+    )
+    def test_check_json(self, extra, code, small_config_path, tmp_path, capsys):
+        argv = ["check", "--config", small_config_path, "--trials", "3", "--seed", "2"]
+        argv += extra
+        assert main(argv) == code
+        text = capsys.readouterr().out
+        path = tmp_path / "check.json"
+        assert main(argv + ["--json", str(path)]) == code
+        assert capsys.readouterr().out == text
+
+        doc = json.loads(path.read_text())
+        report = run_check(small_config_path, trials=3, seed=2, corrupt_ring=bool(extra))
+        assert doc == {
+            "trials": 3,
+            "spurious_rate": report.spurious_rate,
+            "maxima": report.maxima,
+            "failure": report.failure,
+            "failed_trial_seed": None,
+            "passed": code == 0,
+            "rel_tol": 1e-5,
+            "seed": 2,
+            "trial_seeds": np.random.default_rng(2).integers(0, 2**63 - 1, size=3).tolist(),
+            "scene_digest": scene_digest(load_scene(small_config_path)),
+        }
+        if code:
+            assert doc["failure"] == "containment" and doc["maxima"] == {}
+        else:
+            assert set(doc["maxima"]) == {"ftm-vs-scatter", "matrixvt-vs-effective"}
 
     def test_unknown_backend_is_usage_error(self, small_config_path, capsys):
         # a removed backend's name must fail like any other unknown name

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,8 @@ from oracles import (
     identity_refine,
     lift_loop,
     one_hot,
+    prime_depth_einsum,
+    prime_feature_oneshot,
     random_scene,
     splat_loop,
     uniform,
@@ -29,6 +33,18 @@ from oracles import (
 def normalized_attention(rng, n_c, h_i, w_i):
     raw = rng.random((n_c, h_i, w_i), dtype=np.float32) + 1e-3
     return PrimeAttention(raw / raw.sum(axis=1, keepdims=True))
+
+
+# (N_c, H_I, W_I, channels or bins): one row pools nothing; the rest are drawn
+PRIME_SHAPES = [(1, 1, 1, 1), (3, 1, 5, 4)] + [
+    tuple(int(n) for n in np.random.default_rng(seed).integers(1, (4, 9, 7, 11)))
+    for seed in range(6)
+]
+LAYOUTS = pytest.mark.parametrize(
+    "dtype, order",
+    [(np.float32, "C"), (np.float64, "C"), (np.float32, "F"), (np.float64, "F")],
+    ids=["f32-C", "f64-C", "f32-F", "f64-F"],
+)
 
 
 def narrow_scene(h_i=3):
@@ -109,6 +125,17 @@ class TestPrimeDepth:
         out = prime_depth(d, raw)
         np.testing.assert_allclose(out, 0.5 * d.sum(axis=1), rtol=1e-6)
 
+    @LAYOUTS
+    @pytest.mark.parametrize("shape", PRIME_SHAPES + [(6, 32, 88, 112)], ids=str)
+    def test_matches_einsum(self, rng, shape, dtype, order):
+        # a batched matmul sums over rows in its own order: close, not bitwise
+        n_c, h_i, w_i, _ = shape
+        d = np.asarray(rng.random(shape) + 1e-3, dtype=dtype, order=order)
+        attn = normalized_attention(rng, n_c, h_i, w_i)
+        out = prime_depth(d, attn)
+        assert out.dtype == np.float32 and out.shape == (n_c, w_i, shape[3])
+        np.testing.assert_allclose(out, prime_depth_einsum(d, attn), rtol=1e-6, atol=0)
+
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             prime_depth(
@@ -135,6 +162,39 @@ class TestPrimeFeature:
             for w in range(3):
                 for c in range(5):
                     assert out[n, w, c] == max(f[n, h, w, c] for h in range(4))
+
+    @LAYOUTS
+    @pytest.mark.parametrize("shape", PRIME_SHAPES, ids=str)
+    def test_bit_identical_to_one_shot_pool(self, rng, shape, dtype, order):
+        f = np.asarray(rng.standard_normal(shape), dtype=dtype, order=order)
+        e = np.asarray(rng.standard_normal(shape[1:]), dtype=dtype, order=order)
+        c = shape[3]
+        refine = RefineMap(
+            rng.standard_normal((c + 1, c), dtype=np.float32),
+            rng.standard_normal(c + 1, dtype=np.float32),
+        )
+        out = prime_feature(f, e, refine)
+        ref = prime_feature_oneshot(f, e, refine)
+        assert out.dtype == ref.dtype == np.float32 and out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    def test_pools_without_a_full_height_temporary(self, rng):
+        # S5's 32 rows; the one-shot (f + e).max(axis=1) held a copy of the
+        # whole input, and the pooled row, its buffer and the refined output
+        # are each 1/32 of it
+        f = rng.random((6, 32, 44, 64), dtype=np.float32)
+        e = rng.random(f.shape[1:], dtype=np.float32)
+        refine = identity_refine(64)
+        prime_feature(f, e, refine)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            prime_feature(f, e, refine)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes / 4
 
     def test_dominant_embedded_row_wins(self, rng):
         f = rng.random((1, 4, 3, 2), dtype=np.float32)

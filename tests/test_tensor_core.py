@@ -144,3 +144,10 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValidationError):
             SparseBinaryMatrix.from_coo(2, 2, [0], [-1])
 
+    @pytest.mark.parametrize("shape", [(-1, 3), (3, -1)], ids=["rows", "cols"])
+    def test_from_coo_rejects_negative_extents(self, shape):
+        # with no pairs the sign is all there is to check; np.bincount would
+        # otherwise reject a negative minlength with a raw ValueError
+        with pytest.raises(ValidationError, match="non-negative"):
+            SparseBinaryMatrix.from_coo(*shape, [], [])
+
