@@ -1,10 +1,12 @@
 """bevx: multi-camera to bird's-eye-view feature transforms.
 
-Three equivalent transform routes over shared geometry:
+Two families of transform routes over shared geometry: the exact one
+(bit-identical outputs) and its factorized approximation, whose implied
+transport matrix contains the exact one:
 
-  * reference.splat_reference - per-sample scatter-add (the semantic oracle)
-  * reference.vt_ftm          - one sparse transport matrix
-  * transform.vt_matrixvt     - ring/ray factorization, no lifted tensor
+  * reference.splat_reference - exact: per-sample scatter-add (the oracle)
+  * reference.vt_ftm          - exact: one sparse transport matrix
+  * transform.vt_matrixvt     - factorized: ring/ray, no lifted tensor
 
 plus prime (height-axis compression) and bench (timing + equivalence CLI).
 """

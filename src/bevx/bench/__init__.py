@@ -14,7 +14,9 @@ for `scatter`/`ftm` and (44 + 112) * 16,384 = 2,555,904 for `matrixvt`.
 factorization-implied one, and then, on inputs drawn by `make_inputs` (the
 generator `run_bench` uses), runs each gate: a route against a reference
 route, within 1e-5 relative. A non-finite difference fails its gate.
-`emit_check_json` writes a report with the facts needed to reproduce it.
+`emit_check_json` writes its `CheckReport`, the check's one record, as JSON:
+`trial_seeds` lists the seeds of the trials run, and `scene_digest` is the
+digest of the scene that was checked.
 """
 from __future__ import annotations
 
@@ -249,15 +251,14 @@ def _build(scene, backends):
     }
 
 
-def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
+def run_bench(config, settings, backends, repeats=20, seed=0):
     """Time each (setting, backend) pair; returns records in request order.
 
     Matrix construction and input generation happen up front, one setting
-    after another; every timed call runs alone. The first `warmup` calls per
-    backend are discarded.
+    after another; every timed call runs alone. Two untimed warm-up calls
+    precede each backend's timed ones.
     """
     repeats = _at_least(repeats, "repeats", 3)
-    warmup = _at_least(warmup, "warmup", 0)
     seed = _at_least(seed, "seed", 0)
     settings = _resolve_settings(settings)
     backends = _check_backends(backends)
@@ -274,7 +275,7 @@ def run_bench(config, settings, backends, repeats=20, seed=0, warmup=2):
         cost = cost_model(s.channels, scene.bins.count, s.feature_width, s.bev_h, s.bev_w)
         for backend in backends:
             route = _ROUTES[backend]
-            for _ in range(warmup):
+            for _ in range(2):
                 route.run(features, depths, built[backend])
             times = np.empty(repeats)
             for i in range(repeats):
@@ -310,35 +311,46 @@ def flip_ring_bit(rr):
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of the equivalence suite. `maxima` maps each gate to its
-    largest relative difference over the trials run, and is empty when
-    containment failed; `failure` is "containment" or the first failing gate."""
+    """The one record of a `run_check`: `maxima` maps each gate to its
+    largest relative difference over the trials run (empty when containment
+    failed), `failure` is "containment" or the first failing gate, and
+    `trial_seeds` are the input seeds, drawn from `seed`, of the trials run."""
 
     trials: int
     spurious_rate: float
     maxima: dict
     failure: Optional[str]
-    failed_trial_seed: Optional[int]
-
-    @property
-    def containment_ok(self):
-        return self.failure != "containment"
+    seed: int
+    trial_seeds: tuple
+    scene_digest: str
 
     @property
     def passed(self):
         return self.failure is None
 
+    @property
+    def failed_trial_seed(self):
+        return None if self.failure in (None, "containment") else self.trial_seeds[-1]
+
     def lines(self):
+        """All that `bevx-bench check` prints: a line per check, then the result."""
+        contained = self.failure != "containment"
         verdict = {True: "PASS", False: "FAIL"}.get
         rows = {
             "containment": f"spurious rate {self.spurious_rate:.4f}  "
-            + verdict(self.containment_ok)
+            + verdict(contained)
         }
         for name, rel in self.maxima.items():
             rows[name] = f"max rel diff {rel:.3e}  " + verdict(rel <= REL_TOL)
-        if not self.containment_ok:
+        if not contained:
             rows["equivalence trials"] = "not run (containment failed)"
-        return [f"check: {name:<22} {text}" for name, text in rows.items()]
+        result = f"PASS ({self.trials} trials, seed {self.seed})"
+        if not self.passed:
+            seed = self.failed_trial_seed
+            at_seed = "" if seed is None else f", first failing trial seed {seed}"
+            result = f"FAIL in {self.failure}{at_seed}"
+        lines = [f"check: {name:<22} {text}" for name, text in rows.items()]
+        return lines + [f"result: {result}"]
 
 
 def _containment_ok(exact, implied):
@@ -359,8 +371,8 @@ def run_check(config, trials, seed, corrupt_ring=False):
     `ftm` against `scatter` (ftm-vs-scatter), and `matrixvt` against `ftm`
     over the implied matrix (matrixvt-vs-effective). A gate fails above
     1e-5 relative or on a non-finite difference, which any non-finite
-    route output gives. Stops at the first failing trial and records its
-    seed. `trials` must be >= 1 and `seed` >= 0, else UsageError.
+    route output gives. Stops at the first failing trial. `trials` must be
+    >= 1 and `seed` >= 0, else UsageError.
     """
     trials = _at_least(trials, "trials", 1)
     seed = _at_least(seed, "seed", 0)
@@ -376,42 +388,38 @@ def run_check(config, trials, seed, corrupt_ring=False):
         "matrixvt-vs-effective": (("matrixvt", rr), ("ftm", implied)),
     }
 
-    if not _containment_ok(exact, implied):
-        return CheckReport(trials, spurious, {}, "containment", None)
-
-    maxima = dict.fromkeys(gates, 0.0)
-    for ts in _trial_seeds(seed, trials):
-        f, d = make_inputs(scene, 8, ts)
-        for name, routes in gates.items():
-            lhs, rhs = (_ROUTES[route].run(f, d, on) for route, on in routes)
-            # np.maximum keeps a nan, where max(0.0, nan) would drop it
-            maxima[name] = float(np.maximum(maxima[name], max_rel_diff(lhs, rhs)))
-        # every earlier trial passed, so a maximum that fails is this trial's
-        failure = next((n for n, rel in maxima.items() if not rel <= REL_TOL), None)
-        if failure is not None:
-            return CheckReport(trials, spurious, maxima, failure, ts)
-    return CheckReport(trials, spurious, maxima, None, None)
-
-
-def _trial_seeds(seed, trials):
-    """The per-trial input seeds `run_check` draws from its `seed`."""
-    return np.random.default_rng(seed).integers(0, 2**63 - 1, size=trials).tolist()
+    maxima, failure, trial_seeds = {}, "containment", []
+    if _containment_ok(exact, implied):
+        maxima, failure = dict.fromkeys(gates, 0.0), None
+        rng = np.random.default_rng(seed)
+        for _ in range(trials):
+            trial_seeds.append(int(rng.integers(0, 2**63 - 1)))
+            f, d = make_inputs(scene, 8, trial_seeds[-1])
+            for name, routes in gates.items():
+                lhs, rhs = (_ROUTES[route].run(f, d, on) for route, on in routes)
+                # np.maximum keeps a nan, where max(0.0, nan) would drop it
+                maxima[name] = float(np.maximum(maxima[name], max_rel_diff(lhs, rhs)))
+            # every earlier trial passed, so a maximum that fails is this trial's
+            failure = next((n for n, rel in maxima.items() if not rel <= REL_TOL), None)
+            if failure is not None:
+                break
+    return CheckReport(
+        trials, spurious, maxima, failure, seed, tuple(trial_seeds), scene_digest(scene)
+    )
 
 
-def emit_check_json(report, config, seed):
-    """A `run_check` report as JSON text: its fields, `passed`, the gate
-    tolerance, the seed, the trial seeds it drew and the config's scene
-    digest. JSON has no nan, so a nan maximum is written as null."""
+def emit_check_json(report):
+    """A `run_check` report as JSON text: its fields, `failed_trial_seed`,
+    `passed` and the gate tolerance. JSON has no nan, so a nan maximum is
+    written as null."""
     doc = asdict(report)
     doc["maxima"] = {
         name: None if math.isnan(rel) else rel for name, rel in report.maxima.items()
     }
     doc.update(
+        failed_trial_seed=report.failed_trial_seed,
         passed=report.passed,
         rel_tol=REL_TOL,
-        seed=seed,
-        trial_seeds=_trial_seeds(seed, report.trials),
-        scene_digest=scene_digest(load_scene(config)),
     )
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 

@@ -34,7 +34,6 @@ def build_parser():
     )
     run_p.add_argument("--repeats", type=int, default=20)
     run_p.add_argument("--seed", type=int, default=0)
-    run_p.add_argument("--warmup", type=int, default=2)
     run_p.add_argument(
         "--out", default=None, help="CSV output path (default: stdout)"
     )
@@ -66,12 +65,7 @@ def _split(raw):
 
 def _cmd_run(args):
     records = run_bench(
-        args.config,
-        _split(args.settings),
-        _split(args.backends),
-        repeats=args.repeats,
-        seed=args.seed,
-        warmup=args.warmup,
+        args.config, _split(args.settings), _split(args.backends), args.repeats, args.seed
     )
     text = emit_csv(records)
     if args.out:
@@ -86,24 +80,12 @@ def _cmd_run(args):
 
 
 def _cmd_check(args):
-    report = run_check(
-        args.config,
-        trials=args.trials,
-        seed=args.seed,
-        corrupt_ring=args.flip_ring_bit,
-    )
+    report = run_check(args.config, args.trials, args.seed, args.flip_ring_bit)
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as f:
-            f.write(emit_check_json(report, args.config, args.seed))
-    for line in report.lines():
-        print(line)
-    if report.passed:
-        print(f"result: PASS ({report.trials} trials, seed {args.seed})")
-        return 0
-    seed = report.failed_trial_seed
-    at_seed = "" if seed is None else f", first failing trial seed {seed}"
-    print(f"result: FAIL in {report.failure}{at_seed}")
-    return 1
+            f.write(emit_check_json(report))
+    print("\n".join(report.lines()))
+    return 0 if report.passed else 1
 
 
 def main(argv=None):

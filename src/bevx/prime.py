@@ -130,6 +130,8 @@ def prime_feature(feature, pos_embed, refine):
     e = as_feature(pos_embed, "pos_embed")
     if f.ndim != 4 or e.shape != f.shape[1:]:
         raise ShapeError.mismatch("prime_feature", f.shape, e.shape)
+    if f.shape[1] == 0:
+        raise ShapeError(f"prime_feature: no feature rows to pool in {f.shape}")
     pooled = f[:, 0] + e[0]
     row = np.empty_like(pooled)
     for h in range(1, f.shape[1]):

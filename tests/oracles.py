@@ -190,24 +190,27 @@ def yaw_camera(rng, img_w, img_h):
     return Camera(k, r, t)
 
 
-def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3):
+def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3, pitch=0.0):
     """A rig built from geometry for the degenerate cases.
 
-    One 90-degree camera per entry of `away`, yaws spread evenly. An away
-    camera sits past the grid's corner, facing outward, so none of its
-    samples lands (its ray columns are empty); the others sit at the
-    origin. `n_d` bins run from 1 m to `reach` times the 10 m extent
-    (past the grid when reach > 1), over an h_cells x w_cells grid.
+    One 90-degree camera per entry of `away`, yaws spread evenly, each
+    pitched down by `pitch` degrees about its body y axis. An away camera
+    sits past the grid's corner, facing outward, so none of its samples
+    lands (its ray columns are empty); the others sit at the origin. `n_d`
+    bins run from 1 m to `reach` times the 10 m extent (past the grid when
+    reach > 1), over an h_cells x w_cells grid.
     """
     extent, stride = 10.0, 4
     half = w_i * stride / 2.0
     k = np.array([[half, 0.0, half], [0.0, half, stride / 2.0], [0.0, 0.0, 1.0]])
     corner = np.hypot(extent, extent * h_cells / w_cells)
+    cp, sp = np.cos(np.radians(pitch)), np.sin(np.radians(pitch))
+    down = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     cameras = []
     for n, out in enumerate(away):
         yaw = 2.0 * np.pi * n / len(away)
         c, s = np.cos(yaw), np.sin(yaw)
-        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        r = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]) @ down
         t = (corner + 1.0) * np.array([c, s, 0.0]) if out else np.array([0.0, 0.0, 1.5])
         cameras.append(Camera(k, r, t))
     rig = CameraRig(tuple(cameras), w_i, 1, stride)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -165,7 +166,6 @@ class TestRunBench:
             [SMALL, SMALLER],
             list(BACKENDS),
             repeats=4,
-            warmup=1,
         )
         expect = [(s.name, b) for s in (SMALL, SMALLER) for b in BACKENDS]
         assert [(r.setting, r.backend) for r in records] == expect
@@ -177,9 +177,7 @@ class TestRunBench:
         assert BACKENDS == ("scatter", "ftm", "matrixvt")
 
     def test_intermediate_params_match_cost_model(self, small_config_path, small_scene):
-        records = run_bench(
-            small_config_path, [SMALL], list(BACKENDS), repeats=3, warmup=0
-        )
+        records = run_bench(small_config_path, [SMALL], list(BACKENDS), repeats=3)
         cost = cost_model(
             SMALL.channels, small_scene.bins.count, SMALL.feature_width,
             SMALL.bev_h, SMALL.bev_w,
@@ -197,7 +195,7 @@ class TestRunBench:
         monkeypatch.setattr(
             "bevx.bench.build_ftm", lambda *a: calls.append(a) or build_ftm(*a)
         )
-        run_bench(small_config_path, [SMALL], backends, repeats=3, warmup=0)
+        run_bench(small_config_path, [SMALL], backends, repeats=3)
         assert len(calls) == builds
 
     def test_unknown_setting_rejected(self, small_config_path):
@@ -277,18 +275,20 @@ class TestFlipRingBit:
 class TestRunCheck:
     def test_passes_on_consistent_scene(self, small_config_path):
         report = run_check(small_config_path, trials=5, seed=3)
-        assert report.passed and report.containment_ok
+        assert report.passed
         assert report.failure is None and report.failed_trial_seed is None
+        assert len(report.trial_seeds) == 5 and report.seed == 3
         assert report.maxima["ftm-vs-scatter"] <= 1e-5
         assert report.maxima["matrixvt-vs-effective"] <= 1e-5
         assert 0.0 <= report.spurious_rate < 1.0
         lines = report.lines()
-        assert [line.split()[1] for line in lines] == [
+        assert [line.split()[1] for line in lines[:-1]] == [
             "containment",
             "ftm-vs-scatter",
             "matrixvt-vs-effective",
         ]
-        assert all(line.endswith("PASS") for line in lines)
+        assert all(line.endswith("PASS") for line in lines[:-1])
+        assert lines[-1] == "result: PASS (5 trials, seed 3)"
 
     def test_deterministic_given_seed(self, small_config_path):
         a = run_check(small_config_path, trials=3, seed=11)
@@ -297,11 +297,28 @@ class TestRunCheck:
 
     def test_corrupted_ring_fails_containment(self, small_config_path):
         report = run_check(small_config_path, trials=3, seed=3, corrupt_ring=True)
-        assert not report.passed and not report.containment_ok
+        assert not report.passed
         assert report.failure == "containment"
+        assert report.trial_seeds == () and report.failed_trial_seed is None
         lines = report.lines()
         assert "FAIL" in lines[0]
         assert "not run" in lines[1]
+        assert lines[2:] == ["result: FAIL in containment"]
+
+    def test_containment_failure_records_no_seeds_at_any_trial_count(
+        self, small_config_path
+    ):
+        # no trial runs, so no seed is drawn or held, however many were asked for
+        tracemalloc.start()
+        try:
+            report = run_check(small_config_path, trials=10**6, seed=3, corrupt_ring=True)
+            doc = json.loads(bench.emit_check_json(report))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.trial_seeds == () and doc["trial_seeds"] == []
+        assert doc["trials"] == 10**6
+        assert peak < 2_000_000  # 10**6 int64 seeds alone take 8 MB
 
     def test_failing_trial_stops_the_suite(
         self, small_config_path, monkeypatch, capsys
@@ -317,13 +334,14 @@ class TestRunCheck:
             return out * np.float32(1.001) if len(calls) == 2 else out
 
         monkeypatch.setitem(bench._ROUTES, "matrixvt", route._replace(run=perturbed))
-        second = int(np.random.default_rng(3).integers(0, 2**63 - 1, size=4)[1])
+        first, second = np.random.default_rng(3).integers(0, 2**63 - 1, size=4)[:2].tolist()
 
         report = run_check(small_config_path, trials=4, seed=3)
         assert len(calls) == 2
         assert report.failure == "matrixvt-vs-effective"
         assert report.failed_trial_seed == second
-        assert not report.passed and report.containment_ok
+        assert report.trial_seeds == (first, second)
+        assert not report.passed
         assert set(report.maxima) == {"ftm-vs-scatter", "matrixvt-vs-effective"}
         assert report.maxima["ftm-vs-scatter"] <= 1e-5
         assert report.maxima["matrixvt-vs-effective"] == pytest.approx(1e-3, rel=0.01)
@@ -331,16 +349,15 @@ class TestRunCheck:
         assert lines[1].endswith("PASS")
         assert lines[2].startswith("check: matrixvt-vs-effective  max rel diff 9.99")
         assert lines[2].endswith("  FAIL")
+        assert lines[3] == (
+            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {second}"
+        )
 
         calls.clear()
         argv = ["check", "--config", small_config_path, "--trials", "4", "--seed", "3"]
         assert main(argv) == 1
         assert len(calls) == 2
-        out = capsys.readouterr().out.splitlines()
-        assert out[:-1] == lines
-        assert out[-1] == (
-            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {second}"
-        )
+        assert capsys.readouterr().out.splitlines() == lines
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_output_fails_closed(
@@ -361,24 +378,24 @@ class TestRunCheck:
         report = run_check(small_config_path, trials=2, seed=3)
         assert report.failure == "matrixvt-vs-effective"
         assert report.failed_trial_seed == first
-        assert not report.passed and report.containment_ok
+        assert report.trial_seeds == (first,)
+        assert not report.passed
         lines = report.lines()
         assert lines[2] == "check: matrixvt-vs-effective  max rel diff nan  FAIL"
+        assert lines[3] == (
+            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {first}"
+        )
 
         argv = ["check", "--config", small_config_path, "--trials", "2", "--seed", "3"]
         assert main(argv) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[:-1] == lines
-        assert out[-1] == (
-            f"result: FAIL in matrixvt-vs-effective, first failing trial seed {first}"
-        )
+        assert capsys.readouterr().out.splitlines() == lines
 
         path = tmp_path / "check.json"
         assert main(argv + ["--json", str(path)]) == 1
         doc = json.loads(path.read_text())
         assert doc["maxima"]["matrixvt-vs-effective"] is None
         assert doc["failure"] == "matrixvt-vs-effective" and doc["passed"] is False
-        assert doc["failed_trial_seed"] == first
+        assert doc["failed_trial_seed"] == first and doc["trial_seeds"] == [first]
 
     def test_passes_on_a_degenerate_rig(self, tmp_path, capsys):
         # one camera faces away from a one-cell grid, and the bins reach
@@ -405,7 +422,6 @@ class TestCli:
                 "--settings", "S1",
                 "--backends", "matrixvt",
                 "--repeats", "3",
-                "--warmup", "0",
                 "--out", str(out),
                 "--json", str(jout),
             ]
@@ -423,12 +439,18 @@ class TestCli:
                 "--settings", "S1",
                 "--backends", "matrixvt",
                 "--repeats", "3",
-                "--warmup", "0",
             ]
         )
         assert code == 0
         parsed = parse_csv(capsys.readouterr().out)
         assert parsed[0].backend == "matrixvt"
+
+    def test_run_has_no_warmup_option(self, small_config_path, capsys):
+        # every backend gets two untimed calls; the count is not an option
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", small_config_path, "--warmup", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --warmup 0" in capsys.readouterr().err
 
     def test_check_passes(self, small_config_path, capsys):
         code = main(
@@ -463,6 +485,7 @@ class TestCli:
 
         doc = json.loads(path.read_text())
         report = run_check(small_config_path, trials=3, seed=2, corrupt_ring=bool(extra))
+        seeds = np.random.default_rng(2).integers(0, 2**63 - 1, size=3).tolist()
         assert doc == {
             "trials": 3,
             "spurious_rate": report.spurious_rate,
@@ -472,7 +495,7 @@ class TestCli:
             "passed": code == 0,
             "rel_tol": 1e-5,
             "seed": 2,
-            "trial_seeds": np.random.default_rng(2).integers(0, 2**63 - 1, size=3).tolist(),
+            "trial_seeds": [] if code else seeds,  # the seeds of the trials that ran
             "scene_digest": scene_digest(load_scene(small_config_path)),
         }
         if code:
@@ -514,11 +537,9 @@ class TestCli:
             # positive focals and a (0, 0, 1) bottom row, but singular
             ((("cameras", 0, "intrinsics"), [10, 10, 5, 10, 10, 5, 0, 0, 1]), "check", {},
              ConfigError),
-            (None, "run", {"warmup": -1}, UsageError),
             (None, "check", {"trials": 2.5}, UsageError),
             (None, "check", {"trials": "3"}, UsageError),
             (None, "run", {"repeats": 3.5}, UsageError),
-            (None, "run", {"warmup": 0.5}, UsageError),
             (None, "check", {"seed": -1}, UsageError),
             (None, "check", {"seed": 2.5}, UsageError),
             (None, "run", {"seed": -1}, UsageError),
@@ -528,8 +549,8 @@ class TestCli:
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
-            "intrinsics-str", "depth-int", "intrinsics-singular", "warmup-neg",
-            "trials-float", "trials-str", "repeats-float", "warmup-float",
+            "intrinsics-str", "depth-int", "intrinsics-singular",
+            "trials-float", "trials-str", "repeats-float",
             "check-seed-neg", "check-seed-float", "run-seed-neg", "run-seed-float",
             "bad-json", "not-a-path",
         ],

@@ -231,6 +231,12 @@ class TestPrimeFeature:
                 np.zeros((2, 3, 5), dtype=np.float32),
                 identity_refine(4),
             )
+        with pytest.raises(ShapeError, match="no feature rows"):
+            prime_feature(
+                np.zeros((2, 0, 3, 4), dtype=np.float32),
+                np.zeros((0, 3, 4), dtype=np.float32),
+                identity_refine(4),
+            )
 
     def test_refine_validation(self):
         with pytest.raises(ShapeError):

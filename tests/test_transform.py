@@ -252,7 +252,8 @@ class TestEffectiveFtm:
 class TestDegenerateRigs:
     """The three guarantees, the output shapes and the empty cells, on rigs
     built from geometry: a camera facing away from the grid, one depth
-    bin, a one-cell grid, and bins beyond the grid's extent."""
+    bin, a one-cell grid, bins beyond the grid's extent, and cameras
+    pitched down to near-vertical."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -261,15 +262,21 @@ class TestDegenerateRigs:
         h_cells=st.integers(1, 6),
         w_cells=st.integers(1, 6),
         reach=st.floats(0.2, 4.0),
+        pitch=st.floats(0.0, 89.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(away=[True], n_d=4, h_cells=4, w_cells=4, reach=2.0, seed=0)  # empty ray
-    @example(away=[False, True], n_d=4, h_cells=4, w_cells=4, reach=2.0, seed=0)
-    @example(away=[False, False], n_d=1, h_cells=4, w_cells=4, reach=0.8, seed=0)  # one bin
-    @example(away=[False, False], n_d=4, h_cells=1, w_cells=1, reach=0.8, seed=0)  # one cell
-    @example(away=[False, False], n_d=6, h_cells=4, w_cells=4, reach=4.0, seed=0)  # past extent
-    def test_guarantees_hold(self, away, n_d, h_cells, w_cells, reach, seed):
-        scene = degenerate_scene(away, n_d, h_cells, w_cells, reach)
+    @example(away=[True], n_d=4, h_cells=4, w_cells=4, reach=2.0, pitch=0.0, seed=0)  # empty ray
+    @example(away=[False, True], n_d=4, h_cells=4, w_cells=4, reach=2.0, pitch=0.0, seed=0)
+    # one bin
+    @example(away=[False, False], n_d=1, h_cells=4, w_cells=4, reach=0.8, pitch=0.0, seed=0)
+    # one cell
+    @example(away=[False, False], n_d=4, h_cells=1, w_cells=1, reach=0.8, pitch=0.0, seed=0)
+    # past extent
+    @example(away=[False, False], n_d=6, h_cells=4, w_cells=4, reach=4.0, pitch=0.0, seed=0)
+    # near-vertical: each column's six bins land in one cell (two at pitch 0)
+    @example(away=[False, True], n_d=6, h_cells=4, w_cells=4, reach=0.7, pitch=89.0, seed=0)
+    def test_guarantees_hold(self, away, n_d, h_cells, w_cells, reach, pitch, seed):
+        scene = degenerate_scene(away, n_d, h_cells, w_cells, reach, pitch=pitch)
         frustum = generate_frustum(scene.rig, scene.bins)
         ftm = build_ftm(frustum, scene.grid)
         rr = build_ring_ray(frustum, scene.grid)
