@@ -57,7 +57,17 @@ def _near(a, b):
 
 
 def _readonly(a):
-    """A read-only float64 C-order copy: the caller's array stays writable."""
+    """`a` as a read-only float64 C-order array. An array that already is
+    one and owns its data is returned as it is; anything else is copied, so
+    the caller's array stays writable."""
+    if (
+        isinstance(a, np.ndarray)
+        and a.dtype == np.float64
+        and a.flags.c_contiguous
+        and a.flags.owndata
+        and not a.flags.writeable
+    ):
+        return a
     out = np.array(a, dtype=np.float64, order="C")
     out.setflags(write=False)
     return out
@@ -243,11 +253,27 @@ class BevGrid:
         xy = np.asarray(xy, dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ShapeError(f"locate_many: expected (p, 2) points, got {xy.shape}")
-        ix = np.searchsorted(self._x_edges, xy[:, 0], side="right") - 1
-        iy = np.searchsorted(self._y_edges, xy[:, 1], side="right") - 1
-        ok = (ix >= 0) & (ix < self.w_cells) & (iy >= 0) & (iy < self.h_cells)
-        inside = np.flatnonzero(ok)
-        return iy[inside] * self.w_cells + ix[inside], inside
+        x, y = xy[:, 0], xy[:, 1]
+        xe, ye = self._x_edges, self._y_edges
+        # NaN and +-inf fail one of these comparisons, so they stay outside
+        inside = np.flatnonzero((x >= xe[0]) & (x < xe[-1]) & (y >= ye[0]) & (y < ye[-1]))
+        ix = self._bin_of(x[inside], xe)
+        iy = self._bin_of(y[inside], ye)
+        return iy * self.w_cells + ix, inside
+
+    def _bin_of(self, v, edges):
+        """searchsorted(edges, v, "right") - 1 for values in [edges[0],
+        edges[-1]), without a binary search.
+
+        The guess floor((v - edges[0]) / cell_size) differs from the true
+        bin by rounding only: about n_cells * 2**-52 cells, far below one
+        cell. So it is off by at most one bin, and one comparison with the
+        stored edges in each direction makes it exact for every value."""
+        i = ((v - edges[0]) / self.cell_size).astype(np.int64)
+        np.clip(i, 0, edges.shape[0] - 2, out=i)
+        i -= edges[i] > v
+        i += edges[i + 1] <= v
+        return i
 
 
 @dataclass(frozen=True)
@@ -266,6 +292,22 @@ class FrustumGeometry:
     def points(self):
         """Ground-plane (x, y) samples, shape (N_c, W_I, N_d, 2)."""
         return self.points_xyz[..., :2]
+
+    def landing(self, grid):
+        """`grid.locate_many` over every sample, flattened in (camera,
+        column, depth) order: the read-only `(cells, inside)` pair, where
+        sample j = (n * W_I + w) * N_d + d. The pair of the last grid asked
+        for is kept, so every build over one frustum and grid lands its
+        samples once."""
+        memo = self.__dict__.get("_landing")
+        if memo is not None and memo[0] == grid:
+            return memo[1]
+        # a (p, 2) view of the x, y columns: no copy of the points
+        cells, inside = grid.locate_many(self.points_xyz.reshape(-1, 3)[:, :2])
+        cells.setflags(write=False)
+        inside.setflags(write=False)
+        object.__setattr__(self, "_landing", (grid, (cells, inside)))
+        return cells, inside
 
     @property
     def n_cameras(self):
@@ -319,6 +361,7 @@ def generate_frustum(rig, bins, reference_row=None):
         # (W_I, N_d, 3): scale each unit-forward ray by the bin centers
         pts_body = rays_body.T[:, None, :] * bins.centers[None, :, None]
         points[n] = pts_body @ cam.rotation.T + cam.translation
+    points.setflags(write=False)  # owned and frozen: FrustumGeometry keeps it
     return FrustumGeometry(points)
 
 

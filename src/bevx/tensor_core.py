@@ -90,12 +90,24 @@ class SparseBinaryMatrix:
             not_up[row_offsets[1:-1]] = False
             if not_up.any():
                 raise ValidationError("col_indices must strictly increase within a row")
+        self._store(rows, cols, row_offsets, col_indices)
+
+    def _store(self, rows, cols, row_offsets, col_indices):
         row_offsets.setflags(write=False)
         col_indices.setflags(write=False)
         self.rows = rows
         self.cols = cols
         self.row_offsets = row_offsets
         self.col_indices = col_indices
+
+    @classmethod
+    def _built(cls, rows, cols, row_offsets, col_indices):
+        """A matrix over valid CSR arrays that this package has just built
+        (C-order int64, owned by no caller): they are frozen, not checked
+        again. Arrays from outside go through the constructor."""
+        m = cls.__new__(cls)
+        m._store(rows, cols, row_offsets, col_indices)
+        return m
 
     @property
     def nnz(self):
@@ -128,13 +140,19 @@ class SparseBinaryMatrix:
                 raise ValidationError("row index out of range")
             if col_ids.min() < 0 or col_ids.max() >= cols:
                 raise ValidationError("column index out of range")
+            if rows * cols >= 2**63:
+                raise ValidationError(
+                    f"a {rows} x {cols} matrix has too many entries for int64 keys"
+                )
             keys = np.sort(row_ids * np.int64(cols) + col_ids)
             first = np.ones(keys.shape[0], dtype=bool)
             np.not_equal(keys[1:], keys[:-1], out=first[1:])
             row_ids, col_ids = np.divmod(keys[first], cols)
-        counts = np.bincount(row_ids, minlength=rows)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return cls(rows, cols, offsets, col_ids)
+        else:
+            col_ids = np.empty(0, dtype=np.int64)  # not the caller's array
+        offsets = np.zeros(rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
+        return cls._built(rows, cols, offsets, col_ids)
 
     @functools.cached_property
     def _scipy(self):

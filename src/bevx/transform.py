@@ -58,15 +58,20 @@ def _build_plan(ring, ray):
     scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
     reaches 2**31.
     """
-    s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
-    row_len = np.diff(ring.row_offsets)[s_of_j]
-    offsets = np.concatenate(([0], np.cumsum(row_len)))
-    # position of each entry inside its row, then index into ring cols
-    pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
-    ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
-    cols = np.repeat(ray.col_indices, row_len) * ring.cols
-    cols += ring.col_indices[ring_idx]
-    plan = SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
+    ray_len = np.diff(ray.row_offsets)
+    # ring row length of each ray slot: the slots of cell s are its ray row
+    row_len = np.repeat(np.diff(ring.row_offsets), ray_len)
+    offsets = np.zeros(ray.nnz + 1, dtype=np.int64)
+    np.cumsum(row_len, out=offsets[1:])
+    # entry k of slot j is ring entry k + shift[j], shift = ring start - slot start
+    shift = np.repeat(ring.row_offsets[:-1], ray_len)
+    shift -= offsets[:-1]
+    at = np.repeat(shift, row_len)
+    at += np.arange(offsets[-1])
+    cols = ring.col_indices[at]
+    cols += np.repeat(ray.col_indices * ring.cols, row_len)
+    # RingRayPair keeps ray.cols * ring.cols below 2**63, so nothing wraps
+    plan = SparseBinaryMatrix._built(ray.nnz, ray.cols * ring.cols, offsets, cols)
     plan._scipy  # the product handle is part of the per-scene build
     index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
     return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
@@ -88,6 +93,11 @@ class RingRayPair:
     def __post_init__(self):
         if self.ring.rows != self.ray.rows:
             raise ShapeError.mismatch("ring/ray", self.ring.shape, self.ray.shape)
+        if self.ring.cols * self.ray.cols >= 2**63:
+            raise ShapeError(
+                f"ring/ray: {self.ray.cols} columns x {self.ring.cols} bins "
+                "overflow the plan's int64 column ids"
+            )
         object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
 
     @property
@@ -108,7 +118,7 @@ def build_ring_ray(frustum, grid):
 
     ring[s, d] = 1 iff any (camera, column) sample at depth bin d falls in
     cell s; ray[s, (n, w)] = 1 iff any depth bin of that column falls in s.
-    Both project the (cell, sample) pairs of `grid.locate_many`, the
+    Both project the (cell, sample) pairs of `frustum.landing(grid)`, the
     entries of reference.build_ftm: sample j = (n * W_I + w) * N_d + d
     gives ring column j % N_d and ray column j // N_d.
 
@@ -117,7 +127,7 @@ def build_ring_ray(frustum, grid):
     """
     n_w = frustum.n_cameras * frustum.n_columns
     n_d = frustum.n_depths
-    cells, samples = grid.locate_many(frustum.points.reshape(-1, 2))
+    cells, samples = frustum.landing(grid)
     ring = SparseBinaryMatrix.from_coo(grid.n_cells, n_d, cells, samples % n_d)
     ray = SparseBinaryMatrix.from_coo(grid.n_cells, n_w, cells, samples // n_d)
     return RingRayPair(ring, ray)

@@ -124,6 +124,21 @@ def ring_ray_loop(frustum, grid):
     return ring, ray
 
 
+def plan_oracle(ring, ray):
+    """The ring/ray plan in its first, pass-by-pass form: row j, for the
+    j-th ray nonzero (s, w) in CSR order, holds w * N_d + d for each d in
+    ring row s. Built through the checking constructor."""
+    s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
+    row_len = np.diff(ring.row_offsets)[s_of_j]
+    offsets = np.concatenate(([0], np.cumsum(row_len)))
+    # position of each entry inside its row, then index into ring cols
+    pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
+    ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
+    cols = np.repeat(ray.col_indices, row_len) * ring.cols
+    cols += ring.col_indices[ring_idx]
+    return SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
+
+
 def ftm_loop(frustum, grid):
     """Exact transport matrix by exhaustive membership loop."""
     n_c, w_i, n_d = frustum.n_cameras, frustum.n_columns, frustum.n_depths

@@ -23,6 +23,7 @@ from bevx import (
 )
 from oracles import (
     cell_rect,
+    grid_edges,
     locate_scan,
     locate_scan_pure,
     project_to_pixel,
@@ -196,6 +197,27 @@ class TestGenerateFrustum:
         p[...] = 1.0
         assert not fr.points_xyz.any()
 
+    def test_frustum_keeps_an_owned_frozen_array(self, small_scene):
+        p = np.zeros((1, 2, 3, 3))
+        p.setflags(write=False)
+        assert FrustumGeometry(p).points_xyz is p
+        fr = generate_frustum(small_scene.rig, small_scene.bins)
+        assert fr.points_xyz.flags.owndata and not fr.points_xyz.flags.writeable
+
+    def test_landing_is_locate_many_kept_for_the_last_grid(self, small_scene):
+        fr = generate_frustum(small_scene.rig, small_scene.bins)
+        grid = small_scene.grid
+        other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
+        for g in (grid, other):
+            cells, inside = fr.landing(g)
+            want_cells, want_inside = g.locate_many(fr.points.reshape(-1, 2))
+            np.testing.assert_array_equal(cells, want_cells)
+            np.testing.assert_array_equal(inside, want_inside)
+            assert not cells.flags.writeable and not inside.flags.writeable
+            same = BevGrid(g.extent, g.h_cells, g.w_cells)
+            assert fr.landing(same)[0] is cells
+        assert fr.landing(grid)[0] is not cells
+
     def test_principal_column_maps_to_forward_axis(self):
         # principal point at the column-0 center: u = 0.5 * stride = cx
         stride = 4
@@ -335,13 +357,46 @@ class TestBevGrid:
         x0, y0, _, _ = cell_rect(grid, s)
         assert x0 == 0.0 and y0 == -1.0
 
+    @staticmethod
+    def edge_probes(edges):
+        """Every edge, the doubles just below and above it, NaN and +-inf."""
+        return np.concatenate(
+            [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+             [np.nan, np.inf, -np.inf]]
+        )
+
+    # 51.3 * 2 / 127 is not a double, so edges and guesses both round
+    LOCATE_GRIDS = [(3.5, 7, 5), (51.3, 131, 127)]
+
     def test_locate_matches_scan_oracle(self, rng):
-        grid = BevGrid(3.5, 7, 5)
-        pts = rng.uniform(-5, 5, size=(10_000, 2))
-        cells, inside = grid.locate_many(pts)
-        got = dict(zip(inside.tolist(), cells.tolist()))
-        for i, (x, y) in enumerate(pts):
-            assert got.get(i) == locate_scan(grid, x, y)
+        for shape in self.LOCATE_GRIDS:
+            grid = BevGrid(*shape)
+            xe, ye = grid_edges(grid)
+            px, py = self.edge_probes(xe), self.edge_probes(ye)
+            reach = 1.5 * max(-grid.x_min, -grid.y_min)
+            pts = np.concatenate([
+                rng.uniform(-reach, reach, size=(10_000, 2)),
+                np.stack([px, rng.uniform(grid.y_min, y_max(grid), px.size)], axis=1),
+                np.stack([rng.uniform(grid.x_min, x_max(grid), py.size), py], axis=1),
+                np.stack([rng.permutation(px)[: py.size // 2], py[: py.size // 2]], axis=1),
+            ])
+            cells, inside = grid.locate_many(pts)
+            got = dict(zip(inside.tolist(), cells.tolist()))
+            for i, (x, y) in enumerate(pts):
+                assert got.get(i) == locate_scan(grid, x, y), (shape, x, y)
+
+    @pytest.mark.parametrize("shape", LOCATE_GRIDS)
+    def test_locate_equals_binary_search(self, shape):
+        # every pairing of the edge probes against searchsorted over the edges
+        grid = BevGrid(*shape)
+        xe, ye = grid_edges(grid)
+        x, y = (a.ravel() for a in np.meshgrid(self.edge_probes(xe), self.edge_probes(ye)))
+        ix = np.searchsorted(xe, x, side="right") - 1
+        iy = np.searchsorted(ye, y, side="right") - 1
+        ok = (ix >= 0) & (ix < grid.w_cells) & (iy >= 0) & (iy < grid.h_cells)
+        cells, inside = grid.locate_many(np.stack([x, y], axis=1))
+        np.testing.assert_array_equal(inside, np.flatnonzero(ok))
+        np.testing.assert_array_equal(cells, (iy * grid.w_cells + ix)[ok])
 
     def test_scan_oracle_matches_pure_python(self, rng):
         grid = BevGrid(2.0, 3, 4)

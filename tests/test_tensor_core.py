@@ -143,6 +143,12 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.from_coo(2, 2, [2], [0])
         with pytest.raises(ValidationError):
             SparseBinaryMatrix.from_coo(2, 2, [0], [-1])
+        # row * cols + col keys would wrap past int64
+        with pytest.raises(ValidationError, match="int64"):
+            SparseBinaryMatrix.from_coo(3, 2**62, [1, 2], [0, 5])
+        m = SparseBinaryMatrix.from_coo(3, 2**61, [2, 2, 0], [5, 2**61 - 1, 0])
+        assert m.row_offsets.tolist() == [0, 1, 1, 3]
+        assert m.col_indices.tolist() == [0, 5, 2**61 - 1]
 
     @pytest.mark.parametrize("shape", [(-1, 3), (3, -1)], ids=["rows", "cols"])
     def test_from_coo_rejects_negative_extents(self, shape):

@@ -30,12 +30,14 @@ from bevx import (
 )
 from bevx import transform
 from bevx.bench import flip_ring_bit, make_inputs, max_rel_diff
+from bevx.fileio import read_cache, write_cache
 from oracles import (
     degenerate_scene,
     densify,
     dense_reformulated,
     from_dense,
     locate_scan,
+    plan_oracle,
     random_scene,
     ring_ray_loop,
     row,
@@ -97,6 +99,47 @@ class TestBuildRingRay:
         b = SparseBinaryMatrix(3, 3, [0, 0, 0, 0], [])
         with pytest.raises(ShapeError):
             RingRayPair(a, b)
+
+    def test_plan_column_ids_must_fit_int64(self):
+        # plan column ids run to ray.cols * ring.cols - 1
+        wide = SparseBinaryMatrix(1, 2**33, [0, 0], [])
+        with pytest.raises(ShapeError, match="int64"):
+            RingRayPair(wide, wide)
+        narrow = SparseBinaryMatrix(1, 2**31, [0, 1], [2**31 - 1])
+        rr = RingRayPair(narrow, SparseBinaryMatrix(1, 2**32 - 1, [0, 1], [7]))
+        assert rr._plan[0].col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
+
+
+class TestPlan:
+    """The plan against `plan_oracle`, its first pass-by-pass form."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_oracle_on_geometric_pairs(self, seed):
+        rng = np.random.default_rng(seed)
+        _, _, rr = build_pair(rng, n_cameras=3, w_i=7, n_d=9, grid_cells=10)
+        assert rr._plan[0] == plan_oracle(rr.ring, rr.ray)
+
+    def test_matches_oracle_on_the_bundled_rig(self, rig_scene):
+        frustum = generate_frustum(rig_scene.rig, rig_scene.bins)
+        rr = build_ring_ray(frustum, rig_scene.grid)
+        assert rr._plan[0] == plan_oracle(rr.ring, rr.ray)
+
+    @pytest.mark.parametrize(
+        "ring, ray",
+        [
+            # cell 1's ring row is empty under a two-entry ray row
+            ([[1, 0, 1], [0, 0, 0], [0, 1, 1]], [[1, 0], [1, 1], [0, 1]]),
+            ([[1, 1, 0], [0, 1, 1]], [[0, 0], [0, 0]]),  # an empty ray
+            ([[0, 0], [0, 0]], [[1, 1, 1], [0, 1, 0]]),  # an empty ring
+            (np.zeros((0, 2)), np.zeros((0, 3))),  # no cells
+        ],
+        ids=["empty-ring-row", "empty-ray", "empty-ring", "no-cells"],
+    )
+    def test_matches_oracle_on_hand_built_pairs(self, ring, ray):
+        rr = RingRayPair(from_dense(ring), from_dense(ray))
+        plan = rr._plan[0]
+        assert plan == plan_oracle(rr.ring, rr.ray)
+        assert plan.shape == (rr.ray.nnz, rr.n_columns * rr.n_depths)
 
 
 class TestVtMatrixvt:
@@ -413,6 +456,14 @@ class TestCache:
         raw[-8:] = b"\xff" * 8  # the ray's last column index, out of range
         path.write_bytes(bytes(raw))
         assert load_ring_ray(tmp_path / "c", "digest-1") is None
+
+    def test_pair_too_wide_for_its_plan_misses(self, tmp_path):
+        # two valid records, but ray.cols * ring.cols passes 2**63
+        wide = SparseBinaryMatrix(1, 2**33, [0, 0], [])
+        with open(tmp_path / "ringray.bxc", "wb") as f:
+            write_cache(f, "d", wide, wide)
+        assert read_cache((tmp_path / "ringray.bxc").read_bytes(), "d") is not None
+        assert load_ring_ray(tmp_path, "d") is None
 
     def test_every_prefix_and_trailing_bytes_miss(self, tmp_path):
         ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
