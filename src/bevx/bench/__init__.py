@@ -38,7 +38,7 @@ from ..geometry import (
     CameraRig,
     Scene,
     _freeze,
-    _numbers,
+    _whole,
     generate_frustum,
     load_scene,
     scene_digest,
@@ -76,14 +76,6 @@ REL_TOL = 1e-5
 _REL_FLOOR = 1e-6
 
 
-def _at_least(value, what, least):
-    """A request's count as an int: a whole number >= `least`, or UsageError."""
-    value = _numbers(value, what, whole=True, error=UsageError)
-    if value < least:
-        raise UsageError(f"{what} must be >= {least}, got {value}")
-    return value
-
-
 @dataclass(frozen=True)
 class TransformSetting:
     """One benchmark point: image feature extents mapped to a BEV size. The
@@ -97,15 +89,11 @@ class TransformSetting:
     bev_w: int
 
     def __post_init__(self):
+        what = f"setting {self.name}: "
         extents = {
-            f.name: _numbers(
-                getattr(self, f.name), f"setting {self.name}: {f.name}",
-                whole=True, error=ValidationError,
-            )
+            f.name: _whole(getattr(self, f.name), what + f.name, 1, ValidationError)
             for f in fields(self)[1:]
         }
-        if min(extents.values()) < 1:
-            raise ValidationError(f"setting {self.name}: extents must be positive")
         _freeze(self, **extents)
 
 
@@ -251,43 +239,41 @@ def _build(scene, backends):
     }
 
 
+def _time_setting(scene, s, backends, repeats, seed):
+    """The records of one setting: its inputs and matrices are built off the
+    clock, then each backend is warmed up by two untimed calls and timed."""
+    adapted = setting_scene(scene, s)
+    features, depths = make_inputs(adapted, s.channels, seed)
+    built = _build(adapted, backends)
+    cost = cost_model(s.channels, scene.bins.count, s.feature_width, s.bev_h, s.bev_w)
+    records = []
+    for backend in backends:
+        route = _ROUTES[backend]
+        for _ in range(2):
+            route.run(features, depths, built[backend])
+        times = np.empty(repeats)
+        for i in range(repeats):
+            t0 = time.perf_counter()
+            route.run(features, depths, built[backend])
+            times[i] = time.perf_counter() - t0
+        p10, med, p90 = np.percentile(times, [10, 50, 90]).tolist()
+        params = int(route.params(cost))
+        records.append(BenchRecord(s.name, backend, med, p10, p90, params, repeats))
+    return records
+
+
 def run_bench(config, settings, backends, repeats=20, seed=0):
     """Time each (setting, backend) pair; returns records in request order.
 
-    Matrix construction and input generation happen up front, one setting
-    after another; every timed call runs alone. Two untimed warm-up calls
-    precede each backend's timed ones.
+    One setting at a time is built, warmed up and timed, so only its inputs
+    and matrices are held; every timed call runs alone.
     """
-    repeats = _at_least(repeats, "repeats", 3)
-    seed = _at_least(seed, "seed", 0)
+    repeats = _whole(repeats, "repeats", 3, UsageError)
+    seed = _whole(seed, "seed", 0, UsageError)
     settings = _resolve_settings(settings)
     backends = _check_backends(backends)
     scene = load_scene(config)
-
-    prepared = []
-    for s in settings:
-        adapted = setting_scene(scene, s)
-        inputs = make_inputs(adapted, s.channels, seed)
-        prepared.append((s, inputs, _build(adapted, backends)))
-
-    records = []
-    for s, (features, depths), built in prepared:
-        cost = cost_model(s.channels, scene.bins.count, s.feature_width, s.bev_h, s.bev_w)
-        for backend in backends:
-            route = _ROUTES[backend]
-            for _ in range(2):
-                route.run(features, depths, built[backend])
-            times = np.empty(repeats)
-            for i in range(repeats):
-                t0 = time.perf_counter()
-                route.run(features, depths, built[backend])
-                times[i] = time.perf_counter() - t0
-            p10, med, p90 = np.percentile(times, [10, 50, 90]).tolist()
-            params = int(route.params(cost))
-            records.append(
-                BenchRecord(s.name, backend, med, p10, p90, params, repeats)
-            )
-    return records
+    return [r for s in settings for r in _time_setting(scene, s, backends, repeats, seed)]
 
 
 def flip_ring_bit(rr):
@@ -374,8 +360,8 @@ def run_check(config, trials, seed, corrupt_ring=False):
     route output gives. Stops at the first failing trial. `trials` must be
     >= 1 and `seed` >= 0, else UsageError.
     """
-    trials = _at_least(trials, "trials", 1)
-    seed = _at_least(seed, "seed", 0)
+    trials = _whole(trials, "trials", 1, UsageError)
+    seed = _whole(seed, "seed", 0, UsageError)
     scene = load_scene(config)
     built = _build(scene, BACKENDS)
     rr = flip_ring_bit(built["matrixvt"]) if corrupt_ring else built["matrixvt"]

@@ -36,8 +36,10 @@ def _read_sparse(raw, at):
     end = at + 28 + 8 * (rows + 1 + nnz)
     if len(raw) < end:
         raise FileFormatError(f"expected at least {end} bytes, got {len(raw)}")
-    # int64 views of the bytes, no copy; a word past 2**63 reads negative and fails
+    # int64 views of the bytes; a word past 2**63 reads negative and fails
     words = np.frombuffer(raw, "<i8", rows + 1 + nnz, at + 28)
+    if not words.flags.aligned:  # e.g. the ray under a 64-character digest
+        words = words.copy()  # gathers over an unaligned view run slower
     try:
         return SparseBinaryMatrix(rows, cols, words[: rows + 1], words[rows + 1 :]), end
     except ValueError as exc:
@@ -45,9 +47,10 @@ def _read_sparse(raw, at):
 
 
 def read_cache(raw, digest):
-    """(ring, ray) as read-only views of a cache file's bytes; None unless
-    they start with the header of `digest`, compared before any decoding.
-    Raises FileFormatError on a bad record or bytes past the ray record."""
+    """(ring, ray) as read-only views of a cache file's bytes, or copies of
+    a record whose words are not 8-byte aligned; None unless they start
+    with the header of `digest`, compared before any decoding. Raises
+    FileFormatError on a bad record or bytes past the ray record."""
     head = _header(digest)
     if not raw.startswith(head):
         return None

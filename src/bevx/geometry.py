@@ -3,8 +3,9 @@
 A Scene is its config: DepthBins and BevGrid hold only the numbers of the
 config's `depth` and `bev` blocks and derive the rest, so scene_to_dict
 inverts load_scene and scene_digest covers every field. Each type checks
-and normalises its own numbers (one helper, `_numbers`), so a Scene built
-in code and one loaded from JSON compare, hash and digest alike.
+and normalises its own numbers (`_numbers` for floats, `_whole` for every
+count of the package), so a Scene built in code and one loaded from JSON
+compare, hash and digest alike.
 
 Conventions:
   * Intrinsics K act in the optical frame: +x right, +y down, +z forward
@@ -73,27 +74,46 @@ def _readonly(a):
     return out
 
 
-def _numbers(value, what, shape=(), whole=False, error=GeometryError):
+def _numbers(value, what, shape=()):
     """`value` as read-only finite float64 values of `shape`, or as a float
-    (an int when `whole`) when `shape == ()`; anything else, including a
-    str or bool, raises `error` naming `what`."""
-    # float.is_integer is False for inf and nan, so it checks finiteness too
-    check = float.is_integer if whole else math.isfinite
+    when `shape == ()`; anything else, including a str or bool, raises
+    GeometryError naming `what`."""
     try:
         raw = np.asarray(value)
         arr = raw.astype(np.float64).reshape(shape)
         flat = arr.ravel().tolist()  # python floats: cheaper than ufuncs here
-        ok = raw.dtype.kind in "iuf" and all(map(check, flat))
+        ok = raw.dtype.kind in "iuf" and all(map(math.isfinite, flat))
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
         kind = f"{shape} finite numbers" if shape else "a finite number"
-        kind = "a whole number" if whole else kind
-        raise error(f"{what} must be {kind}, got {value!r}")
+        raise GeometryError(f"{what} must be {kind}, got {value!r}")
     if shape:
         arr.setflags(write=False)
         return arr
-    return int(flat[0]) if whole else flat[0]
+    return flat[0]
+
+
+def _whole(value, what, least, error=GeometryError):
+    """`value`, an extent, count or seed, as an int in [least, 2**63), or
+    `error` naming `what`. An integer (int, numpy integer or 0-d integer
+    array) is taken exactly; a float only when it is whole and below 2**53
+    in magnitude, past which floats skip integers. bool, str, None,
+    non-finite values and sequences, even one-element ones, are rejected."""
+    if isinstance(value, np.ndarray) and value.ndim == 0:
+        value = value[()]  # the numpy scalar
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        n = int(value)
+    elif isinstance(value, (float, np.floating)) and abs(value) < 2**53 and value % 1 == 0:
+        n = int(value)
+    else:
+        raise error(f"{what} must be a whole number (a float only below 2**53), got {value!r}")
+    if n < least:
+        bound = {0: "non-negative", 1: "positive"}.get(least, f">= {least}")
+        raise error(f"{what} must be {bound}, got {n}")
+    if n >= 2**63:
+        raise error(f"{what} must be below 2**63, got {n}")
+    return n
 
 
 def _freeze(obj, **values):
@@ -173,11 +193,9 @@ class CameraRig:
             if not isinstance(cam, Camera):
                 raise GeometryError(f"cameras[{i}] must be a Camera, got {cam!r}")
         extents = {
-            name: _numbers(getattr(self, name), name, whole=True)
+            name: _whole(getattr(self, name), name, 1)
             for name in ("feature_width", "feature_height", "image_stride")
         }
-        if min(extents.values()) < 1:
-            raise GeometryError("feature extents and stride must be positive")
         _freeze(self, cameras=cameras, **extents)
 
     @property
@@ -198,9 +216,7 @@ class DepthBins:
 
     def __post_init__(self):
         d_min, d_max = _numbers(self.d_min, "d_min"), _numbers(self.d_max, "d_max")
-        count = _numbers(self.count, "bin count", whole=True)
-        if count < 1:
-            raise GeometryError(f"bin count must be >= 1, got {count}")
+        count = _whole(self.count, "bin count", 1)
         if not d_min < d_max:
             raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
         step = (d_max - d_min) / count
@@ -226,10 +242,8 @@ class BevGrid:
 
     def __post_init__(self):
         extent = _numbers(self.extent, "extent")
-        h_cells = _numbers(self.h_cells, "h_cells", whole=True)
-        w_cells = _numbers(self.w_cells, "w_cells", whole=True)
-        if h_cells < 1 or w_cells < 1:
-            raise GeometryError("cell counts must be positive")
+        h_cells = _whole(self.h_cells, "h_cells", 1)
+        w_cells = _whole(self.w_cells, "w_cells", 1)
         if not extent > 0:
             raise GeometryError(f"extent must be positive, got {extent}")
         cell_size = 2.0 * extent / w_cells
@@ -341,8 +355,8 @@ def generate_frustum(rig, bins, reference_row=None):
     """
     if reference_row is None:
         reference_row = rig.feature_height // 2
-    reference_row = _numbers(reference_row, "reference_row", whole=True)
-    if not 0 <= reference_row < rig.feature_height:
+    reference_row = _whole(reference_row, "reference_row", 0)
+    if reference_row >= rig.feature_height:
         raise GeometryError(
             f"reference_row {reference_row} out of range "
             f"[0, {rig.feature_height})"

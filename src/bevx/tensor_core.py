@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, ValidationError
-from .geometry import _numbers
+from .geometry import _whole
 
 __all__ = [
     "DTYPE",
@@ -59,12 +59,10 @@ class SparseBinaryMatrix:
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")
 
     def __init__(self, rows, cols, row_offsets, col_indices):
-        rows = _numbers(rows, "rows", whole=True, error=ValidationError)
-        cols = _numbers(cols, "cols", whole=True, error=ValidationError)
+        rows = _whole(rows, "rows", 0, ValidationError)
+        cols = _whole(cols, "cols", 0, ValidationError)
         row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
         col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix extents must be non-negative")
         if row_offsets.ndim != 1 or row_offsets.shape[0] != rows + 1:
             raise ValidationError(
                 f"row_offsets must have length rows+1={rows + 1}, "
@@ -127,10 +125,8 @@ class SparseBinaryMatrix:
         52k int64 keys of one S4 build it measured 9-11 ms against 0.4 ms
         for np.sort.
         """
-        rows = _numbers(rows, "rows", whole=True, error=ValidationError)
-        cols = _numbers(cols, "cols", whole=True, error=ValidationError)
-        if rows < 0 or cols < 0:
-            raise ValidationError("matrix extents must be non-negative")
+        rows = _whole(rows, "rows", 0, ValidationError)
+        cols = _whole(cols, "cols", 0, ValidationError)
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
         if row_ids.shape != col_ids.shape:

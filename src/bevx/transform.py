@@ -29,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
-from .geometry import _numbers
+from .geometry import _whole
 from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
@@ -184,7 +184,8 @@ def effective_ftm(rr):
     plan = rr._plan[0]
     # plan rows follow ray CSR order, so cell s owns plan rows
     # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within
-    return SparseBinaryMatrix(
+    # sliced from the plan, which was built from a checked ring and ray
+    return SparseBinaryMatrix._built(
         rr.n_cells,
         plan.cols,
         plan.row_offsets[rr.ray.row_offsets],
@@ -228,13 +229,10 @@ def cost_model(c, n_d, w_i, h_b, w_b):
     feature multiply). Intermediate parameters drop from W_I * N_d * S (the
     full transport matrix) to (W_I + N_d) * S (the two factors).
     """
-    dims = tuple(
-        _numbers(x, "cost_model: extent", whole=True, error=ValidationError)
+    c, n_d, w_i, h_b, w_b = (
+        _whole(x, "cost_model: extent", 1, ValidationError)
         for x in (c, n_d, w_i, h_b, w_b)
     )
-    if min(dims) <= 0:
-        raise ValidationError(f"cost_model: extents must be positive, got {dims}")
-    c, n_d, w_i, h_b, w_b = dims
     s = h_b * w_b
     return CostReport(
         flops_composed=2 * w_i * c * n_d * s,

@@ -1,6 +1,8 @@
+import gc
 import json
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -205,6 +207,24 @@ class TestRunBench:
     def test_unknown_backend_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="unknown backend"):
             run_bench(small_config_path, [SMALL], ["cuda"], repeats=3)
+
+    def test_holds_one_setting_at_a_time(self, small_config_path, monkeypatch):
+        # each setting is built, warmed up and timed before the next is built,
+        # so no earlier setting's pair is alive at a build
+        real = bench._build
+        pairs = []
+
+        def build(scene, backends):
+            gc.collect()
+            assert all(ref() is None for ref in pairs)
+            built = real(scene, backends)
+            pairs.append(weakref.ref(built["matrixvt"]))
+            return built
+
+        monkeypatch.setattr(bench, "_build", build)
+        records = run_bench(small_config_path, [SMALL, SMALLER], ["matrixvt"], repeats=3)
+        assert [r.setting for r in records] == ["T-small", "T-tiny"]
+        assert len(pairs) == 2
 
     def test_too_few_repeats_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="repeats"):

@@ -284,6 +284,20 @@ class TestEffectiveFtm:
         implied = densify(effective_ftm(rr))
         assert (exact <= implied).all()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_passes_the_checking_constructor(self, seed):
+        # effective_ftm stores arrays sliced from the plan without checking
+        # them again; the checking constructor takes them as they are
+        rng = np.random.default_rng(seed)
+        _, _, rr = build_pair(rng, n_cameras=3, w_i=6, h_i=2, n_d=8, grid_cells=16)
+        hand = RingRayPair(
+            from_dense(rng.random((5, 3)) < 0.5), from_dense(rng.random((5, 4)) < 0.5)
+        )
+        for pair in (rr, hand):
+            m = effective_ftm(pair)
+            assert SparseBinaryMatrix(*m.shape, m.row_offsets, m.col_indices) == m
+            assert not m.row_offsets.flags.writeable and not m.col_indices.flags.writeable
+
     def test_matches_kronecker_definition(self, rng):
         _, _, rr = build_pair(rng, n_cameras=2, w_i=4, h_i=2, n_d=5, grid_cells=10)
         ring = densify(rr.ring)
@@ -407,6 +421,20 @@ class TestCache:
 
     def test_missing(self, tmp_path):
         assert load_ring_ray(tmp_path / "nowhere", "d") is None
+
+    def test_loaded_index_arrays_are_aligned(self, tmp_path, rng):
+        # the ray's words follow a 28-byte record header, so under a 64-character
+        # scene digest they start 4 bytes off an 8-byte boundary; under a
+        # 1-character digest the ring's do too
+        scene = random_scene(rng)
+        rr = build_ring_ray(generate_frustum(scene.rig, scene.bins), scene.grid)
+        for digest in (scene_digest(scene), "d"):
+            save_ring_ray(rr, tmp_path / digest, digest)
+            back = load_ring_ray(tmp_path / digest, digest)
+            assert back == rr
+            for m in (back.ring, back.ray):
+                for a in (m.row_offsets, m.col_indices):
+                    assert a.flags.aligned and not a.flags.writeable, digest
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
