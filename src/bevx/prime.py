@@ -192,6 +192,9 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
         raise ShapeError.mismatch("ablation", f.shape, d.shape)
     if pos_embed is None:
         pos_embed = np.zeros(f.shape[1:], dtype=f.dtype)
+    pos_embed = as_feature(pos_embed, "pos_embed")
+    if pos_embed.shape != f.shape[1:]:
+        raise ShapeError.mismatch("ablation", f.shape, pos_embed.shape)
 
     n_w = rig.n_cameras * rig.feature_width
     refined = refine.apply(f + pos_embed)

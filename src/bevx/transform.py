@@ -246,7 +246,8 @@ _CACHE_FILE = "ringray.bxc"
 
 
 def save_ring_ray(rr, directory, digest):
-    """Cache a pair under a scene-config digest, as one file in `directory`.
+    """Cache a pair under a scene-config digest, as one file in `directory`
+    that replaces the slot's file of any digest or layout.
 
     The file is written under a temp name and moved in by one os.replace, so
     a load sees the previous pair or the new one, never a mix, and a save
@@ -264,8 +265,9 @@ def save_ring_ray(rr, directory, digest):
 
 
 def load_ring_ray(directory, digest):
-    """Load a cached pair with one read of the slot's file; None when it is
-    absent, saved under another digest, truncated, oversized or inconsistent."""
+    """Load a cached pair with one read of the slot's file, as read-only int64
+    views of its bytes; None when it is absent, saved under another digest or
+    an older layout, truncated, oversized or inconsistent."""
     try:
         matrices = read_cache(Path(directory, _CACHE_FILE).read_bytes(), digest)
         return None if matrices is None else RingRayPair(*matrices)

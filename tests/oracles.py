@@ -5,6 +5,8 @@ over the public fields of the library's data types. It builds those types
 but calls no library function or method (test_public_surface checks this),
 so it shares no code path with the implementations it validates.
 """
+import struct
+
 import numpy as np
 
 from bevx import (
@@ -47,6 +49,18 @@ def densify(m, dtype=np.float32):
 def row(m, i):
     """Column ids of row i of a binary CSR matrix."""
     return m.col_indices[m.row_offsets[i] : m.row_offsets[i + 1]]
+
+
+def older_cache_bytes(digest, ring, ray):
+    """A ring/ray cache file in the older, unaligned layout, which the reader
+    must take as a miss: 4-byte tags, an unpadded digest and 28-byte record
+    headers."""
+    key = digest.encode("utf-8")
+    out = b"BXC1" + struct.pack("<Q", len(key)) + key
+    for m in (ring, ray):
+        out += b"BXS1" + struct.pack("<QQQ", m.rows, m.cols, m.nnz)
+        out += np.concatenate((m.row_offsets, m.col_indices)).astype("<i8").tobytes()
+    return out
 
 
 def csr_order_ok_isin(row_offsets, col_indices):

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bevx import FileFormatError, SparseBinaryMatrix
-from bevx.fileio import read_cache, write_cache
-from oracles import from_dense
+from bevx.fileio import _header, read_cache, write_cache
+from oracles import from_dense, older_cache_bytes
+
+RECORD_HEADER = 32  # the 8-byte tag, then rows, cols and nnz
 
 
 def encode(digest, ring, ray):
@@ -29,7 +31,8 @@ class TestSparseFile:
     def test_bad_magic(self):
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
         raw = bytearray(encode("d", m, m))
-        raw[13:17] = b"XXXX"  # the ring record's magic, after the 13-byte header
+        at = len(_header("d"))  # the ring record's tag
+        raw[at : at + 4] = b"XXXX"
         with pytest.raises(FileFormatError, match="magic"):
             read_cache(bytes(raw), "d")
 
@@ -45,7 +48,9 @@ class TestSparseFile:
         # valid container, nonsense offsets: starts at 1 instead of 0
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
         raw = bytearray(encode("d", m, m))
-        raw[41:49] = (1).to_bytes(8, "little")  # ring row_offsets[0]
+        at = len(_header("d")) + RECORD_HEADER  # ring row_offsets[0]
+        assert raw[at : at + 8] == bytes(8)
+        raw[at : at + 8] = (1).to_bytes(8, "little")
         with pytest.raises(FileFormatError, match="inconsistent"):
             read_cache(bytes(raw), "d")
 
@@ -53,4 +58,25 @@ class TestSparseFile:
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
         raw = encode("d", m, m)
         assert read_cache(raw, "e") is None
-        assert read_cache(b"BXC2" + raw[4:], "d") is None
+        assert read_cache(b"BXC3" + raw[4:], "d") is None
+        assert read_cache(older_cache_bytes("d", m, m), "d") is None
+
+    @pytest.mark.parametrize("digest", ["", "d", "1234567", "12345678", "ab" * 32])
+    def test_nonzero_padding_is_rejected(self, digest):
+        m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        raw = encode(digest, m, m)
+        ring_at = len(_header(digest))
+        ray_at = ring_at + RECORD_HEADER + 8 * (3 + 2)
+        assert ring_at % 8 == 0 and read_cache(raw, digest) is not None
+
+        def flipped(i):
+            bad = bytearray(raw)
+            bad[i] = 1
+            return bytes(bad)
+
+        for i in range(16 + len(digest), ring_at):  # the digest's zero padding
+            assert read_cache(flipped(i), digest) is None, i
+        for at in (ring_at, ray_at):  # each record tag's zero padding
+            for i in range(at + 4, at + 8):
+                with pytest.raises(FileFormatError, match="magic"):
+                    read_cache(flipped(i), digest)

@@ -48,7 +48,7 @@ GOLDEN = {
         "ray": "59987152120d30c736419c90e927405e8b3bf155fa9703b97133119c0c9809f9",
         "plan": "516324385a213798e8fc56bde938ccef7f615789ab3201240d9d6e0b29c27e61",
         "plan_index": "307428163daab858e7105449e596d4c5dff1b677bb36ab10cf2252e0f8e07d2b",
-        "cache": "bc234f043d0a6535c448a9703bb66487fe1394657580413cc3da84177fd37cd6",
+        "cache": "cb8501053a082196a95b7b306a83b0591a53324cbfd722e158a10da83f6eab18",
     },
     "S2": {
         "ftm": "1abe147b8041e3387e48e7e8f296782bf1bf3fdf2b82a0c8070f404cbde4e366",
@@ -56,7 +56,7 @@ GOLDEN = {
         "ray": "4c770b7a3778c1215caf41eb85835e588bddccf15e29e4020587139f66a3a250",
         "plan": "03a3b7d2acbb7e034e986a9cfabb24dcf8635bbe99824bcc0bb0c2206684bed9",
         "plan_index": "72d8d8b9199d6a9bf059a86eea001bdec01a00e0ee9e50b5dfe621efd095bdfc",
-        "cache": "d923ac105ea8cd761cb00bea94355f8bd1cd8b5b006eef616fb68fb63496943f",
+        "cache": "adb73968e64f551c3adac3784bdb1090dd610b15806931dac916197516224201",
     },
     "S3": {
         "ftm": "d6d6569947f2c509805e3e9cc09d0f8d512b5d1673e82a2ed526dd7429c02a87",
@@ -64,7 +64,7 @@ GOLDEN = {
         "ray": "74644252878212dd315d1b80648a6db0e84eef27de44a1a1552785d083ed204b",
         "plan": "cc5e5405cb95c0c4714736caab2bbc5d30c2b91dcdf361daad1cca58d195d6a4",
         "plan_index": "1dee48d770dd07c8cf722e8748dc2387466436bd13b37741971117e9770e7f8a",
-        "cache": "52c60a6c1e0bdfb9e80dba5602d09812692d4ff6d3741e9c76bd6e969ed42fb3",
+        "cache": "9133815d7af27ea66dc0107f017998f6c512a8391f34d6bb3f790c146d64b2c0",
     },
     "S4": {
         "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
@@ -72,7 +72,7 @@ GOLDEN = {
         "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
         "plan": "52e1e15bc0d9287b1b2d8857f15773024f4cee216f21d1ead25942c44180cab1",
         "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "b20864bf7298094e027e25eef78ac572f17118f8e253b6c4f1a0e7f00594eedd",
+        "cache": "7489d5c85e968771752dd9b85f60f4de2a794ef2d570b9a836698f337bf7d914",
     },
     "S5": {
         "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
@@ -80,7 +80,7 @@ GOLDEN = {
         "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
         "plan": "52e1e15bc0d9287b1b2d8857f15773024f4cee216f21d1ead25942c44180cab1",
         "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "b20864bf7298094e027e25eef78ac572f17118f8e253b6c4f1a0e7f00594eedd",
+        "cache": "7489d5c85e968771752dd9b85f60f4de2a794ef2d570b9a836698f337bf7d914",
     },
     "S6": {
         "ftm": "8e619273292c28c13a836dc9a3039888886500bae8a39c030f1ea8547240e3c2",
@@ -88,7 +88,7 @@ GOLDEN = {
         "ray": "b5ae8f48ae15891b23cb16a8fcc40f11ef7dc9535b14d4cee70e5723a0c30d8b",
         "plan": "caec461a1d529e01b39f93269bfbaf67bf5cfcd64b5bb648831461f25fed1968",
         "plan_index": "c616b09df5d0328b17c46f8d3b4d5c1eaace6e4a9c9a94a5c127d0c6a1bb4504",
-        "cache": "5c6158724f1003271b065ceaae1199d2f29d3ba8876597a3d62c53f9fc974c9f",
+        "cache": "4546d2fd0884501e65ca6a559de1d35aeab8f365983b3be3d1fa77b6d122f5bb",
     },
 }
 

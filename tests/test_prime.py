@@ -321,3 +321,14 @@ class TestAblation:
         assert expect.any()
         err = np.abs(report.bev_full - expect).max()
         assert err <= 1e-5 * np.abs(expect).max()
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 1, 3), (3, 1, 2, 1)])
+    def test_pos_embed_of_another_shape_rejected_at_the_boundary(self, rng, shape):
+        scene = narrow_scene(h_i=3)
+        feat = rng.random((1, 3, 1, 2), dtype=np.float32)
+        depth = rng.random((1, 3, 1, 8), dtype=np.float32)
+        attn = normalized_attention(rng, 1, 3, 1)
+        with pytest.raises(ShapeError, match="^ablation: incompatible shapes"):
+            full_vs_prime_ablation(
+                scene, feat, depth, attn, identity_refine(2), np.zeros(shape, np.float32)
+            )

@@ -172,6 +172,14 @@ ROUTES = {
         uniform(N_C, H_I, W_I),
         identity_refine(C),
     ),
+    "full_vs_prime_ablation-pos_embed": lambda bad, p: full_vs_prime_ablation(
+        p.scene,
+        clean((N_C, H_I, W_I, C)),
+        clean((N_C, H_I, W_I, N_D)),
+        uniform(N_C, H_I, W_I),
+        identity_refine(C),
+        poisoned((H_I, W_I, C), bad),
+    ),
     "vt_matrixvt-features": lambda bad, p: vt_matrixvt(
         poisoned((W, C), bad), clean((W, N_D)), p.rr
     ),

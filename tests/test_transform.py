@@ -37,6 +37,7 @@ from oracles import (
     dense_reformulated,
     from_dense,
     locate_scan,
+    older_cache_bytes,
     plan_oracle,
     random_scene,
     ring_ray_loop,
@@ -423,9 +424,9 @@ class TestCache:
         assert load_ring_ray(tmp_path / "nowhere", "d") is None
 
     def test_loaded_index_arrays_are_aligned(self, tmp_path, rng):
-        # the ray's words follow a 28-byte record header, so under a 64-character
-        # scene digest they start 4 bytes off an 8-byte boundary; under a
-        # 1-character digest the ring's do too
+        # every field of the cache file starts at a multiple of 8 bytes, so
+        # under a 64-character scene digest and a 1-character one alike each
+        # record's words are aligned views of the file's bytes
         scene = random_scene(rng)
         rr = build_ring_ray(generate_frustum(scene.rig, scene.bins), scene.grid)
         for digest in (scene_digest(scene), "d"):
@@ -435,6 +436,36 @@ class TestCache:
             for m in (back.ring, back.ray):
                 for a in (m.row_offsets, m.col_indices):
                     assert a.flags.aligned and not a.flags.writeable, digest
+
+    @pytest.mark.parametrize("digest", ["d" * n for n in range(17)] + ["e" * 64])
+    def test_load_makes_no_copy(self, tmp_path, rng, digest, monkeypatch):
+        _, _, rr = build_pair(rng)
+        save_ring_ray(rr, tmp_path, digest)
+        files = []
+        real = transform.read_cache
+
+        def keeps_the_bytes(raw, *args):
+            files.append(raw)
+            return real(raw, *args)
+
+        monkeypatch.setattr(transform, "read_cache", keeps_the_bytes)
+        back = load_ring_ray(tmp_path, digest)
+        assert back == rr
+        (raw,) = files
+        for m in (back.ring, back.ray):
+            for a in (m.row_offsets, m.col_indices):
+                assert a.flags.aligned and not a.flags.writeable
+                assert np.shares_memory(a, np.frombuffer(raw, np.uint8))
+
+    def test_older_layout_misses_and_the_next_save_replaces_it(self, tmp_path):
+        ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
+        ray = SparseBinaryMatrix(3, 4, [0, 2, 2, 3], [0, 3, 2])
+        old = older_cache_bytes("d", ring, ray)
+        (tmp_path / "ringray.bxc").write_bytes(old)
+        assert load_ring_ray(tmp_path, "d") is None
+        save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
+        assert (tmp_path / "ringray.bxc").read_bytes() != old
+        assert load_ring_ray(tmp_path, "d") == RingRayPair(ring, ray)
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
