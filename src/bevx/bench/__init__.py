@@ -47,6 +47,7 @@ from ..reference import build_ftm, lift, splat_reference, vt_ftm
 from ..tensor_core import SparseBinaryMatrix
 from ..transform import (
     RingRayPair,
+    _spurious_rate,
     build_ring_ray,
     cost_model,
     effective_ftm,
@@ -367,7 +368,7 @@ def run_check(config, trials, seed, corrupt_ring=False):
     rr = flip_ring_bit(built["matrixvt"]) if corrupt_ring else built["matrixvt"]
     implied = effective_ftm(rr)
     exact = built["ftm"]
-    spurious = (implied.nnz - exact.nnz) / implied.nnz if implied.nnz else 0.0
+    spurious = _spurious_rate(exact, rr)
     # name: ((route, its build), (reference route, its build))
     gates = {
         "ftm-vs-scatter": (("ftm", exact), ("scatter", built["scatter"])),

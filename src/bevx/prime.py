@@ -16,7 +16,9 @@ carries redundancy. This module collapses it:
     buffer, so the embedded full-height tensor is never held; max is
     exact, so the output is bit-identical to pooling that tensor at once.
 
-Attention and refinement weights are inputs here, not learned.
+Attention and refinement weights are inputs here, not learned, and each
+public function takes them in one form: attention as a `PrimeAttention`,
+refinement as a `RefineMap`. Every input is checked once, where it enters.
 `full_vs_prime_ablation` quantifies what the compression loses by running
 the full-height reference (`lift` + `splat_reference` once per feature row,
 summed) and the compressed fast transform on the same inputs.
@@ -31,7 +33,7 @@ from .errors import ShapeError, ValidationError
 from .geometry import generate_frustum
 from .reference import build_ftm, lift, splat_reference
 from .tensor_core import as_feature
-from .transform import build_ring_ray, effective_ftm, vt_matrixvt
+from .transform import _spurious_rate, build_ring_ray, vt_matrixvt
 
 __all__ = [
     "PrimeAttention",
@@ -84,12 +86,31 @@ class RefineMap:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", b)
 
-    def apply(self, x):
-        """Apply along the last axis of x (..., C_in) -> (..., C_out)."""
-        x = as_feature(x, "refine input")
-        if x.shape[-1] != self.matrix.shape[1]:
-            raise ShapeError.mismatch("refine.apply", x.shape, self.matrix.shape)
+    def _apply(self, x):
+        """x (..., C_in) -> (..., C_out); x is a checked float32 array."""
         return x @ self.matrix.T + self.bias
+
+
+def _require(value, kind, name):
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+
+
+def _pool_depth(d, weights):
+    # per column, the (1, H_I) attention row times the (H_I, N_d) depths
+    w = weights.transpose(0, 2, 1)[:, :, None, :]
+    return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
+
+
+def _pool_feature(f, e, refine):
+    pooled = f[:, 0] + e[0]
+    row = np.empty_like(pooled)
+    for h in range(1, f.shape[1]):
+        np.add(f[:, h], e[h], out=row)
+        np.maximum(pooled, row, out=pooled)
+    return refine._apply(pooled)
 
 
 def prime_depth(depth, attn):
@@ -100,19 +121,17 @@ def prime_depth(depth, attn):
 
     Args:
         depth: (N_c, H_I, W_I, N_d) categorical depth scores.
-        attn: PrimeAttention with matching (N_c, H_I, W_I).
+        attn: PrimeAttention with matching (N_c, H_I, W_I); any other value
+            is a ValidationError.
 
     Returns:
         (N_c, W_I, N_d) compressed depth.
     """
+    _require(attn, PrimeAttention, "attn")
     d = as_feature(depth, "depth")
-    if not isinstance(attn, PrimeAttention):
-        attn = PrimeAttention(attn)
     if d.ndim != 4 or d.shape[:3] != attn.weights.shape:
         raise ShapeError.mismatch("prime_depth", d.shape, attn.weights.shape)
-    # per column, the (1, H_I) attention row times the (H_I, N_d) depths
-    w = attn.weights.transpose(0, 2, 1)[:, :, None, :]
-    return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
+    return _pool_depth(d, attn.weights)
 
 
 def prime_feature(feature, pos_embed, refine):
@@ -121,23 +140,22 @@ def prime_feature(feature, pos_embed, refine):
     Args:
         feature: (N_c, H_I, W_I, C) image features.
         pos_embed: (H_I, W_I, C) additive embedding, shared across cameras.
-        refine: RefineMap with C_in == C.
+        refine: RefineMap with C_in == C; any other value is a
+            ValidationError.
 
     Returns:
         (N_c, W_I, C_out) compressed features.
     """
+    _require(refine, RefineMap, "refine")
     f = as_feature(feature, "feature")
     e = as_feature(pos_embed, "pos_embed")
     if f.ndim != 4 or e.shape != f.shape[1:]:
         raise ShapeError.mismatch("prime_feature", f.shape, e.shape)
+    if refine.matrix.shape[1] != f.shape[3]:
+        raise ShapeError.mismatch("prime_feature", f.shape, refine.matrix.shape)
     if f.shape[1] == 0:
         raise ShapeError(f"prime_feature: no feature rows to pool in {f.shape}")
-    pooled = f[:, 0] + e[0]
-    row = np.empty_like(pooled)
-    for h in range(1, f.shape[1]):
-        np.add(f[:, h], e[h], out=row)
-        np.maximum(pooled, row, out=pooled)
-    return refine.apply(pooled)
+    return _pool_feature(f, e, refine)
 
 
 @dataclass(frozen=True)
@@ -157,7 +175,7 @@ class AblationReport:
     bev_prime: np.ndarray
 
 
-def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
+def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     """Run both pipelines on identical inputs and report the gap.
 
     Full route: per-pixel embedding + refinement, then for each feature row
@@ -165,7 +183,8 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
     frustum, summed into one float32 buffer in row order; the full-height
     lifted tensor is never held.
     Compressed route: prime_feature / prime_depth, then the reformulated
-    ring/ray transform through the middle-row frustum.
+    ring/ray transform through the middle-row frustum, the one the full
+    route built for row H_I // 2.
 
     The discrepancy is a diagnostic, not a pass/fail quantity: it mixes the
     height compression itself with the factorization's spurious entries
@@ -175,46 +194,46 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed=None):
         scene: geometry.Scene.
         feature: (N_c, H_I, W_I, C).
         depth: (N_c, H_I, W_I, N_d).
-        attn: PrimeAttention.
-        refine: RefineMap.
-        pos_embed: optional (H_I, W_I, C); zeros when omitted.
+        attn: PrimeAttention of shape (N_c, H_I, W_I).
+        refine: RefineMap with C_in == C.
+        pos_embed: (H_I, W_I, C); pass zeros for no embedding.
 
     Returns:
         AblationReport.
     """
+    _require(attn, PrimeAttention, "attn")
+    _require(refine, RefineMap, "refine")
     rig, bins, grid = scene.rig, scene.bins, scene.grid
     f = as_feature(feature, "feature")
     d = as_feature(depth, "depth")
-    if not isinstance(attn, PrimeAttention):
-        attn = PrimeAttention(attn)
+    e = as_feature(pos_embed, "pos_embed")
     expected = (rig.n_cameras, rig.feature_height, rig.feature_width)
-    if f.shape[:3] != expected or d.shape[:3] != expected:
+    if f.ndim != 4 or d.ndim != 4 or f.shape[:3] != expected or d.shape[:3] != expected:
         raise ShapeError.mismatch("ablation", f.shape, d.shape)
-    if pos_embed is None:
-        pos_embed = np.zeros(f.shape[1:], dtype=f.dtype)
-    pos_embed = as_feature(pos_embed, "pos_embed")
-    if pos_embed.shape != f.shape[1:]:
-        raise ShapeError.mismatch("ablation", f.shape, pos_embed.shape)
+    if attn.weights.shape != expected:
+        raise ShapeError.mismatch("ablation", attn.weights.shape, expected)
+    if e.shape != f.shape[1:]:
+        raise ShapeError.mismatch("ablation", f.shape, e.shape)
+    if refine.matrix.shape[1] != f.shape[3]:
+        raise ShapeError.mismatch("ablation", f.shape, refine.matrix.shape)
 
     n_w = rig.n_cameras * rig.feature_width
-    refined = refine.apply(f + pos_embed)
+    middle = rig.feature_height // 2
+    refined = refine._apply(f + e)
     weighted = attn.weights[..., None] * d
     bev_full = np.zeros((grid.n_cells, refined.shape[-1]), dtype=np.float32)
     for h in range(rig.feature_height):
+        frustum = generate_frustum(rig, bins, h)
         lifted = lift(refined[:, h].reshape(n_w, -1), weighted[:, h].reshape(n_w, -1))
-        bev_full += splat_reference(lifted, generate_frustum(rig, bins, h), grid)
+        bev_full += splat_reference(lifted, frustum, grid)
+        if h == middle:
+            reference = frustum
 
-    pf = prime_feature(f, pos_embed, refine).reshape(n_w, -1)
-    pd = prime_depth(d, attn).reshape(n_w, bins.count)
-    frustum = generate_frustum(rig, bins)
-    rr = build_ring_ray(frustum, grid)
+    pf = _pool_feature(f, e, refine).reshape(n_w, -1)
+    pd = _pool_depth(d, attn.weights).reshape(n_w, bins.count)
+    rr = build_ring_ray(reference, grid)
     bev_prime = vt_matrixvt(pf, pd, rr)
-
-    exact = build_ftm(frustum, grid)
-    implied = effective_ftm(rr)
-    spurious = (
-        (implied.nnz - exact.nnz) / implied.nnz if implied.nnz else 0.0
-    )
+    spurious = _spurious_rate(build_ftm(reference, grid), rr)
 
     gap = np.abs(bev_full - bev_prime).max(axis=1)
     scale = np.maximum(

@@ -2,9 +2,10 @@
 
 Dense feature tensors are plain C-contiguous float32 ndarrays (row-major,
 last axis fastest), so reshapes between the tensor and matrix views used by
-the transforms are zero-copy; `as_feature` coerces to one and rejects
-non-finite values. Sparse matrices are CSR with implicit unit values: every
-transport matrix in this package is binary, so no value array is stored.
+the transforms are zero-copy; `as_feature` coerces real numbers to one and
+rejects any other input and non-finite values. Sparse matrices are CSR with
+implicit unit values: every transport matrix in this package is binary, so
+no value array is stored.
 The products over these types live in the routes that own them
 (`reference`, `transform`), which check their inputs once.
 """
@@ -31,10 +32,19 @@ _FINITE_CHUNK = 1 << 16
 def as_feature(x, name="tensor"):
     """Coerce to a C-contiguous float32 ndarray (the dense tensor type).
 
-    The finiteness scan runs in chunks through one small mask, so checking
-    an input allocates no mask the size of the input.
+    Only real numbers are accepted: an input that is not a rectangular
+    array of bool, int, uint or float values (a complex array, a string, a
+    ragged list) is a ValidationError naming the tensor. The finiteness scan
+    runs in chunks through one small mask, so checking an input allocates
+    no mask the size of the input.
     """
-    arr = np.ascontiguousarray(x, dtype=DTYPE)
+    try:
+        arr = np.asarray(x)
+    except ValueError as exc:
+        raise ValidationError(f"{name} is not an array of real numbers ({exc})") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValidationError(f"{name} is not an array of real numbers (dtype {arr.dtype})")
+    arr = np.ascontiguousarray(arr, dtype=DTYPE)
     flat = arr.reshape(-1)
     mask = np.empty(min(flat.size, _FINITE_CHUNK), dtype=bool)
     for start in range(0, flat.size, _FINITE_CHUNK):

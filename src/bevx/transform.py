@@ -15,8 +15,9 @@ sparse products over it: plan @ depths gives one weight per ray nonzero, and
 the ray-patterned S x W matrix of those weights times the features gives the
 BEV tensor. effective_ftm reads the transport matrix the pair implies off
 the same plan; reference.vt_ftm over that matrix is the independent route
-vt_matrixvt is gated against. cost_model is the closed-form cost of the
-paper's naive pipeline next to the reformulated one.
+vt_matrixvt is gated against, and _spurious_rate is the share of its entries
+the exact matrix lacks. cost_model is the closed-form cost of the paper's
+naive pipeline next to the reformulated one.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import os
+import uuid
 import numpy as np
 import scipy.sparse as sp
 
@@ -84,7 +86,8 @@ class RingRayPair:
     Built once per scene geometry, together with its execution plan
     (`_plan`, derived like BevGrid's edges, not a field), which every
     transform call reuses: a pair arrives ready to run, and no call pays
-    for the plan.
+    for the plan. A pair whose plan would not fit in physical memory at
+    8 bytes per entry is a ShapeError before anything is allocated.
     """
 
     ring: SparseBinaryMatrix
@@ -98,6 +101,19 @@ class RingRayPair:
                 f"ring/ray: {self.ray.cols} columns x {self.ring.cols} bins "
                 "overflow the plan's int64 column ids"
             )
+        # the plan has one entry per (ring entry, ray entry) of a cell: at
+        # most ray.nnz * ring.cols, and exactly the dot of the row lengths,
+        # taken in float64 (which cannot wrap) only when that bound is too big
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if 8 * self.ray.nnz * self.ring.cols > memory:
+            entries = np.dot(
+                np.diff(self.ring.row_offsets).astype(np.float64),
+                np.diff(self.ray.row_offsets).astype(np.float64),
+            )
+            if 8 * entries > memory:
+                raise ShapeError(
+                    f"ring/ray: a plan of {entries:.4g} entries exceeds physical memory"
+                )
         object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
 
     @property
@@ -193,6 +209,14 @@ def effective_ftm(rr):
     )
 
 
+def _spurious_rate(exact, rr):
+    """The share of effective_ftm(rr)'s entries that `exact`, the scene's
+    exact transport matrix, lacks; 0.0 for a pair that implies none.
+    effective_ftm(rr) holds exactly the plan's entries, so it is not built."""
+    implied = rr._plan[0].nnz
+    return (implied - exact.nnz) / implied if implied else 0.0
+
+
 @dataclass(frozen=True)
 class CostReport:
     """Closed-form arithmetic and intermediate-parameter costs of the
@@ -249,13 +273,15 @@ def save_ring_ray(rr, directory, digest):
     """Cache a pair under a scene-config digest, as one file in `directory`
     that replaces the slot's file of any digest or layout.
 
-    The file is written under a temp name and moved in by one os.replace, so
-    a load sees the previous pair or the new one, never a mix, and a save
-    that dies part-way (not a power loss: no fsync) leaves the previous pair.
+    The file is written under a temp name of its own, unique to the call, and
+    moved in by one os.replace, so a load sees the previous pair or a new
+    one, never a mix, concurrent saves to one slot cannot write into each
+    other's file, and a save that dies part-way (not a power loss: no fsync)
+    leaves the previous pair.
     """
     path = Path(directory, _CACHE_FILE)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "wb") as f:
             write_cache(f, digest, rr.ring, rr.ray)

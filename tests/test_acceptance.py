@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bevx import (
+    PrimeAttention,
     build_ftm,
     build_ring_ray,
     cost_model,
@@ -200,7 +201,7 @@ def test_a7_compressed_depth_stays_on_simplex():
     depth /= depth.sum(axis=3, keepdims=True)
     attn = rng.random((n_c, h_i, w_i), dtype=np.float32) + 1e-3
     attn /= attn.sum(axis=1, keepdims=True)
-    sums = prime_depth(depth, attn).sum(axis=2)
+    sums = prime_depth(depth, PrimeAttention(attn)).sum(axis=2)
     worst = float(np.abs(sums - 1.0).max())
     ok = sums.shape == (n_c, w_i) and worst <= 1e-5
     record_acceptance(

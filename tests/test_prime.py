@@ -1,8 +1,11 @@
+import hashlib
+import struct
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import bevx.prime
 from bevx import (
     BevGrid,
     Camera,
@@ -18,6 +21,7 @@ from bevx import (
     prime_depth,
     prime_feature,
 )
+from bevx.bench import run_check
 from oracles import (
     identity_refine,
     lift_loop,
@@ -55,6 +59,11 @@ def narrow_scene(h_i=3):
     cam = Camera(k, np.eye(3), np.zeros(3))
     rig = CameraRig((cam,), 1, h_i, stride)
     return Scene(rig, DepthBins(1, 9, 8), BevGrid(10.0, 20, 20))
+
+
+def not_before_the_checks(*args):
+    """Stands in for work that must not start before the entry checks fail."""
+    raise AssertionError("work started before the inputs were checked")
 
 
 class TestPrimeAttention:
@@ -119,11 +128,12 @@ class TestPrimeDepth:
             prime_depth(3.0 * d, attn), 3.0 * prime_depth(d, attn), rtol=1e-5
         )
 
-    def test_accepts_raw_weights(self, rng):
+    def test_rejects_raw_weights(self, rng):
+        # attention comes in one form, a PrimeAttention, as refine is a RefineMap
         d = rng.random((1, 2, 2, 3), dtype=np.float32)
         raw = np.full((1, 2, 2), 0.5, dtype=np.float32)
-        out = prime_depth(d, raw)
-        np.testing.assert_allclose(out, 0.5 * d.sum(axis=1), rtol=1e-6)
+        with pytest.raises(ValidationError, match="^attn must be a PrimeAttention, got ndarray"):
+            prime_depth(d, raw)
 
     @LAYOUTS
     @pytest.mark.parametrize("shape", PRIME_SHAPES + [(6, 32, 88, 112)], ids=str)
@@ -242,6 +252,16 @@ class TestPrimeFeature:
         with pytest.raises(ShapeError):
             RefineMap(np.ones((2, 3)), np.ones(3))
 
+    def test_refine_of_other_channels_rejected_before_pooling(self, rng, monkeypatch):
+        monkeypatch.setattr(bevx.prime, "_pool_feature", not_before_the_checks)
+        refine = RefineMap(np.ones((2, 5), np.float32), np.zeros(2, np.float32))
+        with pytest.raises(ShapeError, match=r"^prime_feature: incompatible shapes \(1, 2, 3, 4\)"):
+            prime_feature(
+                rng.random((1, 2, 3, 4), dtype=np.float32),
+                np.zeros((2, 3, 4), dtype=np.float32),
+                refine,
+            )
+
 
 class TestAblation:
     def test_degenerate_agreement(self, rng):
@@ -253,7 +273,9 @@ class TestAblation:
         depth = rng.random((1, 3, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
         attn = one_hot(1, 3, 1, row=1)  # the reference row
-        report = full_vs_prime_ablation(scene, feat, depth, attn, identity_refine(c))
+        report = full_vs_prime_ablation(
+            scene, feat, depth, attn, identity_refine(c), np.zeros((3, 1, c), np.float32)
+        )
         assert report.spurious_rate == 0.0  # factorization exact on this scene
         assert report.max_rel_diff <= 1e-5
 
@@ -263,7 +285,9 @@ class TestAblation:
         depth = rng.random((1, 4, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
         attn = normalized_attention(rng, 1, 4, 1)
-        report = full_vs_prime_ablation(scene, feat, depth, attn, identity_refine(3))
+        report = full_vs_prime_ablation(
+            scene, feat, depth, attn, identity_refine(3), np.zeros((4, 1, 3), np.float32)
+        )
         assert np.isfinite(report.max_rel_diff)
         assert report.max_rel_diff > 0.0
         assert 0.0 <= report.mean_rel_diff <= report.max_rel_diff
@@ -280,6 +304,7 @@ class TestAblation:
             depth,
             attn,
             identity_refine(2),
+            np.zeros((3, 1, 2), dtype=np.float32),
         )
         assert report.max_rel_diff == 0.0 and report.mean_rel_diff == 0.0
 
@@ -292,7 +317,9 @@ class TestAblation:
         refine = RefineMap(
             rng.random((2, 4), dtype=np.float32), rng.random(2, dtype=np.float32)
         )
-        report = full_vs_prime_ablation(scene, feat, depth, attn, refine)
+        report = full_vs_prime_ablation(
+            scene, feat, depth, attn, refine, np.zeros((3, 1, 4), np.float32)
+        )
         assert report.bev_prime.shape[1] == 2
 
     def test_full_route_matches_row_loop_oracle(self, rng):
@@ -332,3 +359,136 @@ class TestAblation:
             full_vs_prime_ablation(
                 scene, feat, depth, attn, identity_refine(2), np.zeros(shape, np.float32)
             )
+
+    def test_attention_of_one_row_rejected_before_any_frustum(self, rng, monkeypatch):
+        # a (N_c, 1, W_I) attention broadcasts against the depths, so only an
+        # entry check stops it before the full-height route runs
+        monkeypatch.setattr(bevx.prime, "generate_frustum", not_before_the_checks)
+        scene = narrow_scene(h_i=3)
+        one_row = PrimeAttention(np.ones((1, 1, 1), np.float32))
+        with pytest.raises(ShapeError, match=r"^ablation: incompatible shapes \(1, 1, 1\)"):
+            full_vs_prime_ablation(
+                scene,
+                rng.random((1, 3, 1, 2), dtype=np.float32),
+                rng.random((1, 3, 1, 8), dtype=np.float32),
+                one_row,
+                identity_refine(2),
+                np.zeros((3, 1, 2), np.float32),
+            )
+
+    def test_refine_of_other_channels_rejected_at_the_boundary(self, rng, monkeypatch):
+        monkeypatch.setattr(bevx.prime, "generate_frustum", not_before_the_checks)
+        with pytest.raises(ShapeError, match=r"^ablation: incompatible shapes \(1, 3, 1, 2\)"):
+            full_vs_prime_ablation(
+                narrow_scene(h_i=3),
+                rng.random((1, 3, 1, 2), dtype=np.float32),
+                rng.random((1, 3, 1, 8), dtype=np.float32),
+                normalized_attention(rng, 1, 3, 1),
+                identity_refine(3),
+                np.zeros((3, 1, 2), np.float32),
+            )
+
+    def test_each_row_frustum_is_built_once(self, rng, monkeypatch):
+        rows = []
+        real = bevx.prime.generate_frustum
+
+        def counted(rig, bins, *row):
+            rows.append(row)
+            return real(rig, bins, *row)
+
+        monkeypatch.setattr(bevx.prime, "generate_frustum", counted)
+        h_i = 5
+        full_vs_prime_ablation(
+            narrow_scene(h_i=h_i),
+            rng.random((1, h_i, 1, 2), dtype=np.float32),
+            rng.random((1, h_i, 1, 8), dtype=np.float32),
+            normalized_attention(rng, 1, h_i, 1),
+            identity_refine(2),
+            np.zeros((h_i, 1, 2), np.float32),
+        )
+        assert rows == [(h,) for h in range(h_i)]
+
+    def test_spurious_rate_is_the_checkers(self, rig_config_path, rig_scene):
+        rig = rig_scene.rig
+        shape = (rig.n_cameras, rig.feature_height, rig.feature_width)
+        n_d = rig_scene.bins.count
+        report = full_vs_prime_ablation(
+            rig_scene,
+            np.zeros(shape + (1,), np.float32),
+            np.full(shape + (n_d,), 1.0 / n_d, np.float32),
+            uniform(*shape),
+            identity_refine(1),
+            np.zeros(shape[1:] + (1,), np.float32),
+        )
+        assert report.spurious_rate == run_check(rig_config_path, 1, 0).spurious_rate > 0.0
+
+
+class TestPrimeBoundaries:
+    """Attention is taken only as a PrimeAttention and refinement only as a
+    RefineMap, at every public function of the module."""
+
+    CALLS = {
+        "prime_depth": lambda i: prime_depth(i["depth"], i["attn"]),
+        "prime_feature": lambda i: prime_feature(i["feature"], i["pos_embed"], i["refine"]),
+        "full_vs_prime_ablation": lambda i: full_vs_prime_ablation(narrow_scene(h_i=3), **i),
+    }
+    OTHER_FORMS = {
+        "attn": (PrimeAttention, np.full((1, 3, 1), 1.0 / 3, np.float32)),
+        "refine": (RefineMap, (np.eye(2, dtype=np.float32), np.zeros(2, np.float32))),
+    }
+
+    @pytest.mark.parametrize("raw", [True, False], ids=["raw", "none"])
+    @pytest.mark.parametrize(
+        "call, arg",
+        [
+            ("prime_depth", "attn"),
+            ("prime_feature", "refine"),
+            ("full_vs_prime_ablation", "attn"),
+            ("full_vs_prime_ablation", "refine"),
+        ],
+    )
+    def test_other_forms_rejected(self, rng, call, arg, raw):
+        kind, raw_form = self.OTHER_FORMS[arg]
+        inputs = dict(
+            feature=rng.random((1, 3, 1, 2), dtype=np.float32),
+            depth=rng.random((1, 3, 1, 8), dtype=np.float32),
+            attn=uniform(1, 3, 1),
+            refine=identity_refine(2),
+            pos_embed=np.zeros((3, 1, 2), np.float32),
+        )
+        inputs[arg] = raw_form if raw else None
+        with pytest.raises(ValidationError, match=f"^{arg} must be a {kind.__name__}, got "):
+            self.CALLS[call](inputs)
+
+
+def ablation_digest(report):
+    """sha256 of an AblationReport: both BEVs (dtype, shape and bytes) and
+    the three floats as little-endian doubles."""
+    h = hashlib.sha256()
+    for a in (report.bev_full, report.bev_prime):
+        h.update(f"{a.dtype}{a.shape}:".encode() + np.ascontiguousarray(a).tobytes())
+    h.update(struct.pack("<3d", report.mean_rel_diff, report.max_rel_diff, report.spurious_rate))
+    return h.hexdigest()
+
+
+def test_ablation_report_is_pinned():
+    """One seeded report, bit for bit: restructuring the ablation must not
+    move either BEV or any of its three figures."""
+    rng = np.random.default_rng(18)
+    n_c, w_i, h_i, n_d, c = 3, 6, 5, 7, 4
+    scene = random_scene(rng, n_cameras=n_c, w_i=w_i, h_i=h_i, n_d=n_d, grid_cells=12)
+    feat = rng.standard_normal((n_c, h_i, w_i, c), dtype=np.float32)
+    depth = rng.random((n_c, h_i, w_i, n_d), dtype=np.float32) + 1e-3
+    depth /= depth.sum(axis=3, keepdims=True)
+    attn = normalized_attention(rng, n_c, h_i, w_i)
+    refine = RefineMap(
+        rng.standard_normal((c - 1, c), dtype=np.float32),
+        rng.standard_normal(c - 1, dtype=np.float32),
+    )
+    report = full_vs_prime_ablation(
+        scene, feat, depth, attn, refine, np.zeros((h_i, w_i, c), np.float32)
+    )
+    assert report.spurious_rate > 0.0 and report.bev_full.any()
+    assert ablation_digest(report) == (
+        "538f0b0608db86324574a54681dd7def9ac70786b24cac82e1ae83837f4138da"
+    )

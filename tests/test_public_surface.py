@@ -142,6 +142,10 @@ def scene_parts():
 
 
 def poisoned(shape, bad):
+    """An input of `shape` with one `bad` value, or what `bad(shape)` makes
+    when `bad` is a callable."""
+    if callable(bad):
+        return bad(shape)
     x = np.random.default_rng(0).random(shape, dtype=np.float32)
     x.flat[x.size // 2] = bad
     return x
@@ -164,6 +168,7 @@ ROUTES = {
         clean((N_C, H_I, W_I, N_D)),
         uniform(N_C, H_I, W_I),
         identity_refine(C),
+        np.zeros((H_I, W_I, C), dtype=np.float32),
     ),
     "full_vs_prime_ablation-depth": lambda bad, p: full_vs_prime_ablation(
         p.scene,
@@ -171,6 +176,7 @@ ROUTES = {
         poisoned((N_C, H_I, W_I, N_D), bad),
         uniform(N_C, H_I, W_I),
         identity_refine(C),
+        np.zeros((H_I, W_I, C), dtype=np.float32),
     ),
     "full_vs_prime_ablation-pos_embed": lambda bad, p: full_vs_prime_ablation(
         p.scene,
@@ -194,6 +200,11 @@ ROUTES = {
         np.zeros((H_I, W_I, C), dtype=np.float32),
         identity_refine(C),
     ),
+    "prime_feature-pos_embed": lambda bad, p: prime_feature(
+        clean((N_C, H_I, W_I, C)),
+        poisoned((H_I, W_I, C), bad),
+        identity_refine(C),
+    ),
 }
 
 
@@ -204,6 +215,25 @@ def test_non_finite_input_rejected(route, bad, scene_parts):
     arg = route.rsplit("-", 1)[1]
     with pytest.raises(ValidationError, match=f"^{arg} contains non-finite"):
         ROUTES[route](bad, scene_parts)
+
+
+# each makes an input of a shape that holds no array of real numbers
+NOT_REAL = {
+    "complex": lambda shape: clean(shape) + 1j,
+    "string": lambda shape: "abc",
+    "ragged": lambda shape: [[0.0, 1.0], [0.0]],
+    "none": lambda shape: np.full(shape, None, dtype=object),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+@pytest.mark.parametrize("route", sorted(ROUTES))
+def test_input_of_no_real_numbers_rejected(route, kind, scene_parts):
+    """A complex input loses no imaginary part silently, and a string or a
+    ragged list is a typed error, not a bare ValueError."""
+    arg = route.rsplit("-", 1)[1]
+    with pytest.raises(ValidationError, match=f"^{arg} is not an array of real numbers"):
+        ROUTES[route](NOT_REAL[kind], scene_parts)
 
 
 def test_readme_python_blocks_run():

@@ -46,6 +46,11 @@ class TestAsFeature:
         with pytest.raises(ValidationError):
             as_feature([np.inf])
 
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float16, np.float64])
+    def test_accepts_every_real_dtype(self, dtype):
+        out = as_feature(np.arange(3).astype(dtype))
+        assert out.dtype == np.float32 and out.tolist() == np.arange(3).astype(dtype).tolist()
+
 
 class TestSparseBinaryMatrix:
     def test_valid_construction(self):

@@ -1,4 +1,7 @@
 import io
+import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -109,6 +112,34 @@ class TestBuildRingRay:
         narrow = SparseBinaryMatrix(1, 2**31, [0, 1], [2**31 - 1])
         rr = RingRayPair(narrow, SparseBinaryMatrix(1, 2**32 - 1, [0, 1], [7]))
         assert rr._plan[0].col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
+
+    def test_plan_larger_than_physical_memory_is_refused(self, monkeypatch):
+        ring, ray = plan_larger_than_memory()
+        monkeypatch.setattr(transform, "_build_plan", no_plan)
+        with pytest.raises(ShapeError, match="exceeds physical memory"):
+            RingRayPair(ring, ray)
+
+    def test_wide_pair_with_a_small_plan_builds(self):
+        # ray.nnz * ring.cols passes physical memory, but the plan holds
+        # only one ring entry per ray entry
+        ring, ray = plan_larger_than_memory()
+        narrow = SparseBinaryMatrix(1, ring.cols, [0, 1], [3])
+        rr = RingRayPair(narrow, ray)
+        assert rr._plan[0].nnz == ray.nnz
+
+
+def plan_larger_than_memory():
+    """A 1-row ring and ray, each n entries wide, sized from the machine's
+    physical memory so that the plan's n * n entries need more of it than
+    there is at 8 bytes per entry, while each factor holds only n."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    n = math.isqrt(memory // 8) + 1
+    full = SparseBinaryMatrix(1, n, [0, n], np.arange(n))
+    return full, full
+
+
+def no_plan(*args):
+    raise AssertionError("the plan was built")
 
 
 class TestPlan:
@@ -523,6 +554,49 @@ class TestCache:
             write_cache(f, "d", wide, wide)
         assert read_cache((tmp_path / "ringray.bxc").read_bytes(), "d") is not None
         assert load_ring_ray(tmp_path, "d") is None
+
+    def test_plan_larger_than_physical_memory_misses(self, tmp_path, monkeypatch):
+        ring, ray = plan_larger_than_memory()
+        with open(tmp_path / "ringray.bxc", "wb") as f:
+            write_cache(f, "d", ring, ray)
+        monkeypatch.setattr(transform, "_build_plan", no_plan)
+        assert load_ring_ray(tmp_path, "d") is None
+
+    def test_concurrent_saves_to_one_slot_never_mix(self, tmp_path, rng, monkeypatch):
+        _, _, a = build_pair(rng)
+        b = RingRayPair(from_dense(densify(a.ring) == 0), a.ray)
+        barrier = threading.Barrier(2, timeout=30)
+        real = transform.write_cache
+
+        def meets_the_other_mid_write(f, *args):
+            buf = io.BytesIO()
+            real(buf, *args)
+            raw = buf.getvalue()
+            f.write(raw[: len(raw) // 2])
+            f.flush()
+            barrier.wait()
+            f.write(raw[len(raw) // 2 :])
+
+        monkeypatch.setattr(transform, "write_cache", meets_the_other_mid_write)
+        errors = []
+
+        def save(rr, digest):
+            try:
+                save_ring_ray(rr, tmp_path, digest)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=save, args=job) for job in ((a, "a"), (b, "b"))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        monkeypatch.undo()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        loaded = load_ring_ray(tmp_path, "a"), load_ring_ray(tmp_path, "b")
+        assert loaded in ((a, None), (None, b))
+        assert [p.name for p in tmp_path.iterdir()] == ["ringray.bxc"]
 
     def test_every_prefix_and_trailing_bytes_miss(self, tmp_path):
         ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
