@@ -116,6 +116,14 @@ def _whole(value, what, least, error=GeometryError):
     return n
 
 
+def _fits_in_memory(nbytes):
+    """Whether `nbytes` (an int, or a float64 where an int could be huge)
+    fits in this host's physical memory, a measurement and not a setting.
+    A build that would not fit is refused with its module's typed error
+    before anything is allocated, and does not die in a MemoryError."""
+    return nbytes <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _freeze(obj, **values):
     """Set attributes of a frozen dataclass from its __post_init__."""
     for name, value in values.items():
@@ -219,6 +227,9 @@ class DepthBins:
         count = _whole(self.count, "bin count", 1)
         if not d_min < d_max:
             raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
+        # the centers and their temporaries: a few float64 values per bin
+        if not _fits_in_memory(32 * count):
+            raise GeometryError(f"{count} depth bins exceed physical memory")
         step = (d_max - d_min) / count
         centers = _readonly(d_min + (np.arange(count) + 0.5) * step)
         _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
@@ -246,6 +257,9 @@ class BevGrid:
         w_cells = _whole(self.w_cells, "w_cells", 1)
         if not extent > 0:
             raise GeometryError(f"extent must be positive, got {extent}")
+        # the edges and their temporaries: a few float64 values per edge
+        if not _fits_in_memory(32 * (max(h_cells, w_cells) + 1)):
+            raise GeometryError(f"{h_cells} x {w_cells} cell edges exceed physical memory")
         cell_size = 2.0 * extent / w_cells
         x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
         x_edges = _readonly(x_min + np.arange(w_cells + 1) * cell_size)
@@ -363,6 +377,12 @@ def generate_frustum(rig, bins, reference_row=None):
         )
     w_i = rig.feature_width
     n_d = bins.count
+    # the points, plus one camera's body points and their rotated copy
+    if not _fits_in_memory(24 * w_i * n_d * (rig.n_cameras + 2)):
+        raise GeometryError(
+            f"generate_frustum: {rig.n_cameras} x {w_i} x {n_d} float64 points "
+            "exceed physical memory"
+        )
     u = (np.arange(w_i) + 0.5) * rig.image_stride
     v = (reference_row + 0.5) * rig.image_stride
     pixels = np.stack([u, np.full(w_i, v), np.ones(w_i)])  # (3, W_I)

@@ -15,6 +15,8 @@ carries redundancy. This module collapses it:
     The max-pool streams the rows through one reused (N_c, W_I, C) row
     buffer, so the embedded full-height tensor is never held; max is
     exact, so the output is bit-identical to pooling that tensor at once.
+    The same pass proves the feature finite, so `prime_feature` does not
+    scan it first (see `_pool_feature`).
 
 Attention and refinement weights are inputs here, not learned, and each
 public function takes them in one form: attention as a `PrimeAttention`,
@@ -25,14 +27,15 @@ summed) and the compressed fast transform on the same inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, ValidationError
+from .errors import BevxError, ShapeError, ValidationError
 from .geometry import generate_frustum
 from .reference import build_ftm, lift, splat_reference
-from .tensor_core import as_feature
+from .tensor_core import _all_finite, _coerce, as_feature
 from .transform import _spurious_rate, build_ring_ray, vt_matrixvt
 
 __all__ = [
@@ -104,13 +107,35 @@ def _pool_depth(d, weights):
     return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
 
 
+_OVERFLOW = "float32 overflow of finite inputs in the embedding add or the refine"
+
+
 def _pool_feature(f, e, refine):
-    pooled = f[:, 0] + e[0]
-    row = np.empty_like(pooled)
-    for h in range(1, f.shape[1]):
-        np.add(f[:, h], e[h], out=row)
-        np.maximum(pooled, row, out=pooled)
-    return refine._apply(pooled)
+    """Embed, max-pool over rows and refine: (N_c, H_I, W_I, C) ->
+    (N_c, W_I, C_out), where `f` is coerced but need not be scanned.
+
+    The pool proves `f` finite as it reads it: the running max carries NaN
+    and +inf, and the min of each embedded row, taken while the row is in
+    cache, carries -inf (row 0 included). On a non-finite pool or output,
+    the exact scan of `f` names the cause: a non-finite feature, or else a
+    float32 overflow of finite values, each a ValidationError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        pooled = f[:, 0] + e[0]
+        if not pooled.size:
+            return refine._apply(pooled)
+        low = pooled.min()
+        row = np.empty_like(pooled)
+        for h in range(1, f.shape[1]):
+            np.add(f[:, h], e[h], out=row)
+            low = min(low, row.min())  # a NaN here rides the running max
+            np.maximum(pooled, row, out=pooled)
+        out = refine._apply(pooled)
+    if not (math.isfinite(low) and math.isfinite(pooled.max()) and _all_finite(out)):
+        if not _all_finite(f):
+            raise ValidationError("feature contains non-finite values")
+        raise ValidationError(f"prime_feature: {_OVERFLOW}")
+    return out
 
 
 def prime_depth(depth, attn):
@@ -145,16 +170,25 @@ def prime_feature(feature, pos_embed, refine):
 
     Returns:
         (N_c, W_I, C_out) compressed features.
+
+    Raises:
+        ValidationError: the feature or embedding holds a non-finite
+            value, or finite inputs overflow float32 in the embedding add
+            or the refine, so the output would not be finite.
     """
     _require(refine, RefineMap, "refine")
-    f = as_feature(feature, "feature")
-    e = as_feature(pos_embed, "pos_embed")
-    if f.ndim != 4 or e.shape != f.shape[1:]:
-        raise ShapeError.mismatch("prime_feature", f.shape, e.shape)
-    if refine.matrix.shape[1] != f.shape[3]:
-        raise ShapeError.mismatch("prime_feature", f.shape, refine.matrix.shape)
-    if f.shape[1] == 0:
-        raise ShapeError(f"prime_feature: no feature rows to pool in {f.shape}")
+    f = _coerce(feature, "feature")  # proved finite by the pool that reads it
+    try:
+        e = as_feature(pos_embed, "pos_embed")
+        if f.ndim != 4 or e.shape != f.shape[1:]:
+            raise ShapeError.mismatch("prime_feature", f.shape, e.shape)
+        if refine.matrix.shape[1] != f.shape[3]:
+            raise ShapeError.mismatch("prime_feature", f.shape, refine.matrix.shape)
+        if f.shape[1] == 0:
+            raise ShapeError(f"prime_feature: no feature rows to pool in {f.shape}")
+    except BevxError:
+        as_feature(f, "feature")  # a non-finite feature is named first
+        raise
     return _pool_feature(f, e, refine)
 
 
@@ -219,7 +253,10 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
 
     n_w = rig.n_cameras * rig.feature_width
     middle = rig.feature_height // 2
-    refined = refine._apply(f + e)
+    with np.errstate(over="ignore", invalid="ignore"):
+        refined = refine._apply(f + e)
+    if not _all_finite(refined):
+        raise ValidationError(f"ablation: {_OVERFLOW}")
     weighted = attn.weights[..., None] * d
     bev_full = np.zeros((grid.n_cells, refined.shape[-1]), dtype=np.float32)
     for h in range(rig.feature_height):

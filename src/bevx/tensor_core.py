@@ -3,21 +3,24 @@
 Dense feature tensors are plain C-contiguous float32 ndarrays (row-major,
 last axis fastest), so reshapes between the tensor and matrix views used by
 the transforms are zero-copy; `as_feature` coerces real numbers to one and
-rejects any other input and non-finite values. Sparse matrices are CSR with
-implicit unit values: every transport matrix in this package is binary, so
-no value array is stored.
+rejects any other input and non-finite values. A caller that reads the
+whole tensor anyway may coerce it with `_coerce`, prove it finite in its
+own pass, and scan it with `_all_finite` only to name a failure. Sparse
+matrices are CSR with implicit unit values: every transport matrix in this
+package is binary, so no value array is stored.
 The products over these types live in the routes that own them
 (`reference`, `transform`), which check their inputs once.
 """
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, ValidationError
-from .geometry import _whole
+from .geometry import _fits_in_memory, _whole
 
 __all__ = [
     "DTYPE",
@@ -26,31 +29,47 @@ __all__ = [
 ]
 
 DTYPE = np.float32
-_FINITE_CHUNK = 1 << 16
+_FINITE_CHUNK = 1 << 18  # float32 values: 1 MB, well inside L2
 
 
-def as_feature(x, name="tensor"):
-    """Coerce to a C-contiguous float32 ndarray (the dense tensor type).
-
-    Only real numbers are accepted: an input that is not a rectangular
-    array of bool, int, uint or float values (a complex array, a string, a
-    ragged list) is a ValidationError naming the tensor. The finiteness scan
-    runs in chunks through one small mask, so checking an input allocates
-    no mask the size of the input.
-    """
+def _coerce(x, name):
+    """`x` as a C-contiguous float32 ndarray, not scanned for non-finite
+    values. Only real numbers are accepted: an input that is not a
+    rectangular array of bool, int, uint or float values (a complex array,
+    a string, a ragged list) is a ValidationError naming the tensor."""
     try:
         arr = np.asarray(x)
     except ValueError as exc:
         raise ValidationError(f"{name} is not an array of real numbers ({exc})") from None
     if arr.dtype.kind not in "biuf":
         raise ValidationError(f"{name} is not an array of real numbers (dtype {arr.dtype})")
-    arr = np.ascontiguousarray(arr, dtype=DTYPE)
+    return np.ascontiguousarray(arr, dtype=DTYPE)
+
+
+def _all_finite(arr):
+    """Whether every value of the C-contiguous float array `arr` is finite.
+
+    One max and one min per 1 MB chunk, with no mask: max and min propagate
+    NaN, and +-inf is its own max or min, so the answer is exact. The min
+    reads a chunk the max has just left in cache."""
     flat = arr.reshape(-1)
-    mask = np.empty(min(flat.size, _FINITE_CHUNK), dtype=bool)
     for start in range(0, flat.size, _FINITE_CHUNK):
         part = flat[start : start + _FINITE_CHUNK]
-        if not np.isfinite(part, out=mask[: part.size]).all():
-            raise ValidationError(f"{name} contains non-finite values")
+        if not (math.isfinite(part.max()) and math.isfinite(part.min())):
+            return False
+    return True
+
+
+def as_feature(x, name="tensor"):
+    """Coerce to a C-contiguous float32 ndarray (the dense tensor type).
+
+    Only real numbers are accepted, as in `_coerce`, and a non-finite value
+    is a ValidationError naming the tensor. The scan is `_all_finite`: it
+    allocates nothing the size of the input.
+    """
+    arr = _coerce(x, name)
+    if not _all_finite(arr):
+        raise ValidationError(f"{name} contains non-finite values")
     return arr
 
 
@@ -137,6 +156,11 @@ class SparseBinaryMatrix:
         """
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
+        # the row offsets and the row counts: two int64 arrays of rows + 1
+        if not _fits_in_memory(16 * (rows + 1)):
+            raise ValidationError(
+                f"from_coo: the row offsets of a {rows}-row matrix exceed physical memory"
+            )
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
         if row_ids.shape != col_ids.shape:

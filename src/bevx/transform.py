@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
-from .geometry import _whole
+from .geometry import _fits_in_memory, _whole
 from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
@@ -104,13 +104,12 @@ class RingRayPair:
         # the plan has one entry per (ring entry, ray entry) of a cell: at
         # most ray.nnz * ring.cols, and exactly the dot of the row lengths,
         # taken in float64 (which cannot wrap) only when that bound is too big
-        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if 8 * self.ray.nnz * self.ring.cols > memory:
+        if not _fits_in_memory(8 * self.ray.nnz * self.ring.cols):
             entries = np.dot(
                 np.diff(self.ring.row_offsets).astype(np.float64),
                 np.diff(self.ray.row_offsets).astype(np.float64),
             )
-            if 8 * entries > memory:
+            if not _fits_in_memory(8 * entries):
                 raise ShapeError(
                     f"ring/ray: a plan of {entries:.4g} entries exceeds physical memory"
                 )

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -61,3 +62,30 @@ def small_scene(small_config_path):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def memory_cap():
+    """This host's physical memory in bytes, for sizing oversized cases.
+
+    For the test, the process's address space is capped at what it maps
+    now plus 1 GiB (Linux), so a preflight that lets an oversized build
+    through fails at once with MemoryError and allocates nothing."""
+    page = os.sysconf("SC_PAGE_SIZE")
+    try:
+        import resource
+
+        with open("/proc/self/statm") as f:
+            mapped = int(f.read().split()[0]) * page
+    except (ImportError, OSError):
+        yield page * os.sysconf("SC_PHYS_PAGES")
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = mapped + 2**30
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield page * os.sysconf("SC_PHYS_PAGES")
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

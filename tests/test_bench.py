@@ -10,6 +10,7 @@ import pytest
 from bevx import (
     ConfigError,
     FileFormatError,
+    GeometryError,
     SparseBinaryMatrix,
     UsageError,
     ValidationError,
@@ -566,18 +567,24 @@ class TestCli:
             (None, "run", {"seed": 2.5}, UsageError),
             ("bad-json", "check", {}, ConfigError),
             ("not-a-path", "run", {}, ConfigError),
+            # refused from the shapes, before the frustum or a CSR is allocated
+            ((("feature_width",), 2**40), "check", {}, GeometryError),
+            ((("bev", "h_cells"), 2**40), "check", {}, ConfigError),
+            ((("bev",), {"extent": 12.0, "h_cells": 2**20, "w_cells": 2**20}), "check", {},
+             ValidationError),
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
             "intrinsics-str", "depth-int", "intrinsics-singular",
             "trials-float", "trials-str", "repeats-float",
             "check-seed-neg", "check-seed-float", "run-seed-neg", "run-seed-float",
-            "bad-json", "not-a-path",
+            "bad-json", "not-a-path", "width-oversized", "edges-oversized",
+            "cells-oversized",
         ],
     )
     def test_bad_request_is_typed_error_and_exits_two(
         self, edit, command, options, error, small_config_path, rig_config_path,
-        tmp_path, capsys,
+        tmp_path, capsys, memory_cap,
     ):
         # run uses the six-camera rig, so the preset S1 itself is valid
         source = small_config_path if command == "check" else rig_config_path

@@ -246,6 +246,12 @@ class TestGenerateFrustum:
         explicit = generate_frustum(rig, bins, 2)
         np.testing.assert_array_equal(default.points_xyz, explicit.points_xyz)
 
+    def test_frustum_larger_than_physical_memory_is_refused(self, memory_cap):
+        # sized from the machine: the points alone need more than there is
+        rig = CameraRig((simple_camera(),), memory_cap // 24 + 1, 1, 4)
+        with pytest.raises(GeometryError, match="exceed physical memory"):
+            generate_frustum(rig, DepthBins(1, 5, 1))
+
     def test_reference_row_out_of_range(self):
         rig = CameraRig((simple_camera(),), 4, 4, 4)
         bins = DepthBins(1, 5, 3)
@@ -338,6 +344,12 @@ class TestBevGrid:
         assert grid.cell_size == pytest.approx(4.0)
         assert x_max(grid) - grid.x_min == pytest.approx(grid.w_cells * grid.cell_size)
         assert y_max(grid) - grid.y_min == pytest.approx(grid.h_cells * grid.cell_size)
+
+    def test_edges_larger_than_physical_memory_are_refused(self, memory_cap):
+        with pytest.raises(GeometryError, match="exceed physical memory"):
+            BevGrid(10.0, memory_cap // 8, 4)
+        with pytest.raises(GeometryError, match="exceed physical memory"):
+            DepthBins(1, 5, memory_cap // 8)
 
     def test_zero_cells_rejected(self):
         with pytest.raises(GeometryError):

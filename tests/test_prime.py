@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bevx.prime
+import bevx.tensor_core
 from bevx import (
     BevGrid,
     Camera,
@@ -260,6 +261,106 @@ class TestPrimeFeature:
                 rng.random((1, 2, 3, 4), dtype=np.float32),
                 np.zeros((2, 3, 4), dtype=np.float32),
                 refine,
+            )
+
+
+CHUNK = bevx.tensor_core._FINITE_CHUNK
+
+
+class TestPrimeFeatureFiniteness:
+    """The pool proves the feature finite; the exact scan names the cause."""
+
+    @pytest.mark.parametrize("shape", [(0, 2, 3, 4), (1, 2, 0, 4), (1, 2, 3, 0)], ids=str)
+    def test_zero_size_extents_give_an_empty_pool(self, rng, shape):
+        c = shape[3]
+        refine = RefineMap(
+            rng.standard_normal((c + 2, c), dtype=np.float32),
+            rng.standard_normal(c + 2, dtype=np.float32),
+        )
+        f = np.zeros(shape, np.float32)
+        e = np.zeros(shape[1:], np.float32)
+        out = prime_feature(f, e, refine)
+        ref = prime_feature_oneshot(f, e, refine)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "value, embed, gain",
+        [(3e38, 3e38, 1.0), (-3e38, -3e38, 1.0), (2e38, 0.0, 4.0), (2e38, 0.0, -4.0)],
+        ids=["embed+", "embed-", "refine+", "refine-"],
+    )
+    def test_float32_overflow_of_finite_inputs_is_refused(self, value, embed, gain):
+        # the parent returned [inf] here; the overflow warning is silenced,
+        # so under filterwarnings=error the ValidationError is what surfaces
+        f = np.full((1, 2, 1, 1), value, np.float32)
+        e = np.full((2, 1, 1), embed, np.float32)
+        refine = RefineMap(np.full((1, 1), gain, np.float32), np.zeros(1, np.float32))
+        with pytest.raises(ValidationError, match="^prime_feature: float32 overflow"):
+            prime_feature(f, e, refine)
+
+    def test_largest_float32_passes(self):
+        big = np.finfo(np.float32).max
+        f = np.array([big, -big], np.float32).reshape(1, 1, 1, 2)
+        out = prime_feature(f, np.zeros((1, 1, 2), np.float32), identity_refine(2))
+        assert out.tolist() == [[[big, -big]]]
+
+    @pytest.mark.parametrize("row", [0, 1], ids=["row0", "hidden-middle-row"])
+    def test_negative_inf_is_found_in_any_row(self, rng, row):
+        # row 1's -inf is below row 2's values, so the max never sees it
+        f = rng.random((2, 3, 4, 5), dtype=np.float32)
+        f[:, 2] += 10.0
+        f[1, row, 2, 3] = -np.inf
+        with pytest.raises(ValidationError, match="^feature contains non-finite values$"):
+            prime_feature(f, np.zeros((3, 4, 5), np.float32), identity_refine(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", [0, CHUNK - 1, CHUNK, 2 * CHUNK + 1, -1])
+    def test_non_finite_found_across_scan_chunks(self, bad, at):
+        # three whole scan chunks and a partial fourth
+        f = np.ones((1, 3, CHUNK // 2 + 7, 2), np.float32)
+        f.reshape(-1)[at] = bad
+        with pytest.raises(ValidationError, match="^feature contains non-finite values$"):
+            prime_feature(f, np.zeros(f.shape[1:], np.float32), identity_refine(2))
+
+    def test_non_finite_feature_is_named_before_an_overflow(self):
+        f = np.full((1, 2, 1, 2), 3e38, np.float32)
+        f[0, 1, 0, 1] = np.nan
+        e = np.full((2, 1, 2), 3e38, np.float32)
+        with pytest.raises(ValidationError, match="^feature contains non-finite values$"):
+            prime_feature(f, e, identity_refine(2))
+
+    def test_non_finite_feature_is_named_before_a_shape_error(self):
+        # the order of the checks before the pool stopped scanning the feature
+        f = np.full((1, 2, 3, 4), np.nan, np.float32)
+        with pytest.raises(ValidationError, match="^feature contains non-finite values$"):
+            prime_feature(f, np.full((2, 3, 5), np.nan, np.float32), identity_refine(4))
+
+    def test_a_finite_feature_is_not_scanned_on_its_own(self, rng, monkeypatch):
+        f = rng.random((2, 3, 4, 5), dtype=np.float32)
+        scanned = []
+
+        def recording(arr):
+            scanned.append(arr.size)
+            return real(arr)
+
+        real = bevx.tensor_core._all_finite
+        monkeypatch.setattr(bevx.tensor_core, "_all_finite", recording)
+        monkeypatch.setattr(bevx.prime, "_all_finite", recording)
+        out = prime_feature(f, np.zeros((3, 4, 5), np.float32), identity_refine(5))
+        assert f.size not in scanned and out.size in scanned
+
+    def test_ablation_refine_overflow_is_refused(self, rng):
+        scene = narrow_scene(h_i=3)
+        depth = rng.random((1, 3, 1, 8), dtype=np.float32)
+        depth /= depth.sum(axis=3, keepdims=True)
+        refine = RefineMap(np.full((1, 1), 4.0, np.float32), np.zeros(1, np.float32))
+        with pytest.raises(ValidationError, match="^ablation: float32 overflow"):
+            full_vs_prime_ablation(
+                scene,
+                np.full((1, 3, 1, 1), 2e38, np.float32),
+                depth,
+                normalized_attention(rng, 1, 3, 1),
+                refine,
+                np.zeros((3, 1, 1), np.float32),
             )
 
 

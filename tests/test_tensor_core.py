@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import bevx.tensor_core
 from bevx import SparseBinaryMatrix, ValidationError, as_feature
 from oracles import csr_from_pairs, csr_order_ok_isin, densify, from_dense, row
 
@@ -50,6 +52,63 @@ class TestAsFeature:
     def test_accepts_every_real_dtype(self, dtype):
         out = as_feature(np.arange(3).astype(dtype))
         assert out.dtype == np.float32 and out.tolist() == np.arange(3).astype(dtype).tolist()
+
+
+CHUNK = bevx.tensor_core._FINITE_CHUNK
+# three whole scan chunks and a partial fourth
+SPAN = 3 * CHUNK + 123
+# a chunk's first and last element, each chunk boundary +-1, the array's last
+SCAN_POSITIONS = sorted(
+    {0, CHUNK - 1, SPAN - 1}
+    | {b + k for b in (CHUNK, 2 * CHUNK, 3 * CHUNK) for k in (-1, 0, 1)}
+)
+
+
+class TestFiniteScan:
+    """as_feature's chunked max/min scan against np.isfinite."""
+
+    @pytest.fixture(scope="class")
+    def span(self):
+        return np.random.default_rng(7).standard_normal(SPAN, dtype=np.float32)
+
+    def test_clean_span_passes(self, span):
+        out = as_feature(span)
+        assert out is span  # a C-order float32 input is not copied
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("at", SCAN_POSITIONS)
+    def test_non_finite_anywhere_is_found(self, span, bad, at):
+        x = span.copy()
+        x[at] = bad
+        with pytest.raises(ValidationError, match="^x contains non-finite values$"):
+            as_feature(x.reshape(1, -1), "x")
+
+    def test_float32_extremes_pass(self, span):
+        x = span.copy()
+        big = np.finfo(np.float32).max
+        x[[0, CHUNK, SPAN - 1]] = big
+        x[[1, CHUNK - 1, 2 * CHUNK]] = -big
+        assert as_feature(x) is x
+        assert as_feature([3.4e38, -3.4e38]).tolist() == np.float32([3.4e38, -3.4e38]).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5),
+            elements=st.floats(width=32),
+        )
+    )
+    def test_raises_iff_not_all_finite(self, x):
+        # a 3-value chunk puts chunk boundaries inside these small arrays
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bevx.tensor_core, "_FINITE_CHUNK", 3)
+            try:
+                as_feature(x)
+            except ValidationError:
+                assert not np.isfinite(x).all()
+            else:
+                assert np.isfinite(x).all()
 
 
 class TestSparseBinaryMatrix:
@@ -162,3 +221,12 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValidationError, match="non-negative"):
             SparseBinaryMatrix.from_coo(*shape, [], [])
 
+
+    def test_from_coo_offsets_larger_than_physical_memory_are_refused(self, memory_cap):
+        # sized from the machine so that the int64 offsets cannot fit; the
+        # refusal comes before any array of that size exists
+        rows = memory_cap // 16 + 1
+        with pytest.raises(ValidationError, match="exceed physical memory"):
+            SparseBinaryMatrix.from_coo(rows, 1, [], [])
+        with pytest.raises(ValidationError, match="exceed physical memory"):
+            SparseBinaryMatrix.from_coo(rows, 1, [rows - 1], [0])
