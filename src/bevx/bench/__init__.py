@@ -15,8 +15,10 @@ factorization-implied one, and then, on inputs drawn by `make_inputs` (the
 generator `run_bench` uses), runs each gate: a route against a reference
 route, within 1e-5 relative. A non-finite difference fails its gate.
 `emit_check_json` writes its `CheckReport`, the check's one record, as JSON:
-`trial_seeds` lists the seeds of the trials run, and `scene_digest` is the
-digest of the scene that was checked.
+`trial_seeds` lists the seeds of the trials run, `scene_digest` is the
+digest of the scene that was checked, and the structure counts (`ftm_nnz`,
+`ring_nnz`, `ray_nnz`, `implied_nnz`, `empty_cell_share`) say what was
+built, so `spurious_rate` is `(implied_nnz - ftm_nnz) / implied_nnz`.
 """
 from __future__ import annotations
 
@@ -278,19 +280,23 @@ def run_bench(config, settings, backends, repeats=20, seed=0):
 
 
 def flip_ring_bit(rr):
-    """Return a copy of the pair with its middle ring nonzero removed.
+    """Return a copy of the pair with the bin of its middle one-bin ring row
+    removed.
 
-    Used to prove the checker notices a corrupted matrix: dropping any ring
-    entry breaks the containment of the exact transport matrix.
+    Used to prove the checker notices a corrupted matrix. Not every ring
+    entry is exact: a row holds the bins of its camera's other columns too.
+    But the one bin of a one-bin row is its own column's, which the exact
+    transport matrix holds, so dropping it breaks containment. A pair with
+    no one-bin ring row is a ValidationError.
     """
     ring = rr.ring
-    if ring.nnz == 0:
-        raise ValidationError("ring has no nonzeros to flip")
-    k = ring.nnz // 2
-    row = int(np.searchsorted(ring.row_offsets, k, side="right")) - 1
+    one_bin = np.flatnonzero(np.diff(ring.row_offsets) == 1)
+    if one_bin.size == 0:
+        raise ValidationError("ring has no one-bin row to flip")
+    row = int(one_bin[one_bin.size // 2])
     offsets = ring.row_offsets.copy()
     offsets[row + 1 :] -= 1
-    cols = np.delete(ring.col_indices, k)
+    cols = np.delete(ring.col_indices, ring.row_offsets[row])
     return RingRayPair(
         SparseBinaryMatrix(ring.rows, ring.cols, offsets, cols), rr.ray
     )
@@ -301,7 +307,11 @@ class CheckReport:
     """The one record of a `run_check`: `maxima` maps each gate to its
     largest relative difference over the trials run (empty when containment
     failed), `failure` is "containment" or the first failing gate, and
-    `trial_seeds` are the input seeds, drawn from `seed`, of the trials run."""
+    `trial_seeds` are the input seeds, drawn from `seed`, of the trials run.
+    The last five fields say what was built: the nnz of the exact matrix,
+    of the checked pair's ring and ray and of the matrix they imply, and
+    the share of BEV cells that no sample lands in. `lines` prints none of
+    them; they are in the JSON report."""
 
     trials: int
     spurious_rate: float
@@ -310,6 +320,11 @@ class CheckReport:
     seed: int
     trial_seeds: tuple
     scene_digest: str
+    ftm_nnz: int
+    ring_nnz: int
+    ray_nnz: int
+    implied_nnz: int
+    empty_cell_share: float
 
     @property
     def passed(self):
@@ -390,8 +405,20 @@ def run_check(config, trials, seed, corrupt_ring=False):
             failure = next((n for n, rel in maxima.items() if not rel <= REL_TOL), None)
             if failure is not None:
                 break
+    empty_cells = int(np.count_nonzero(np.diff(exact.row_offsets) == 0))
     return CheckReport(
-        trials, spurious, maxima, failure, seed, tuple(trial_seeds), scene_digest(scene)
+        trials,
+        spurious,
+        maxima,
+        failure,
+        seed,
+        tuple(trial_seeds),
+        scene_digest(scene),
+        exact.nnz,
+        rr.ring.nnz,
+        rr.ray.nnz,
+        implied.nnz,
+        empty_cells / exact.rows,
     )
 
 

@@ -1,7 +1,11 @@
 r"""Byte layout of a ring/ray cache file; 8-byte little-endian integers, each field 8-aligned.
 
-  file: "BXC2\0\0\0\0" | digest length | digest (UTF-8, zero-padded to 8k) | ring | ray
+  file: "BXC3\0\0\0\0" | digest length | digest (UTF-8, zero-padded to 8k) | ring | ray
   record: "BXS2\0\0\0\0" | rows | cols | nnz | row_offsets x (rows+1) | col_indices x nnz
+
+The ring record holds the per-entry ring, one row per ray nonzero, so its
+rows equal the ray's nnz. A "BXC2" file holds the same two records over the
+older shared (S, N_d) ring, and like any other header it reads as a miss.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ _RECORD_TAG = b"BXS2\0\0\0\0"
 
 def _header(digest):
     key = digest.encode("utf-8")
-    return b"BXC2\0\0\0\0" + struct.pack("<Q", len(key)) + key + bytes(-len(key) % 8)
+    return b"BXC3\0\0\0\0" + struct.pack("<Q", len(key)) + key + bytes(-len(key) % 8)
 
 
 def write_cache(f, digest, ring, ray):

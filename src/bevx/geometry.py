@@ -27,6 +27,11 @@ import math
 import os
 from dataclasses import dataclass, field
 
+try:
+    import resource
+except ImportError:  # no address-space limit to read on this platform
+    resource = None
+
 import numpy as np
 
 from .errors import ConfigError, GeometryError, ShapeError
@@ -117,11 +122,18 @@ def _whole(value, what, least, error=GeometryError):
 
 
 def _fits_in_memory(nbytes):
-    """Whether `nbytes` (an int, or a float64 where an int could be huge)
-    fits in this host's physical memory, a measurement and not a setting.
-    A build that would not fit is refused with its module's typed error
-    before anything is allocated, and does not die in a MemoryError."""
-    return nbytes <= os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Whether an allocation of `nbytes` fits in the memory this process may
+    use: the smaller of the host's physical memory and the finite soft
+    address-space limit (RLIMIT_AS, where the platform has one), both read
+    when asked and neither a setting of this package. A build that would not
+    fit is refused with its module's typed error before anything is
+    allocated, and does not die in a MemoryError."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if resource is not None:
+        soft, _ = resource.getrlimit(resource.RLIMIT_AS)
+        if soft != resource.RLIM_INFINITY:
+            limit = min(limit, soft)
+    return nbytes <= limit
 
 
 def _freeze(obj, **values):
@@ -229,7 +241,9 @@ class DepthBins:
             raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
         # the centers and their temporaries: a few float64 values per bin
         if not _fits_in_memory(32 * count):
-            raise GeometryError(f"{count} depth bins exceed physical memory")
+            raise GeometryError(
+                f"{count} depth bins exceed physical memory or the address-space limit"
+            )
         step = (d_max - d_min) / count
         centers = _readonly(d_min + (np.arange(count) + 0.5) * step)
         _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
@@ -259,7 +273,10 @@ class BevGrid:
             raise GeometryError(f"extent must be positive, got {extent}")
         # the edges and their temporaries: a few float64 values per edge
         if not _fits_in_memory(32 * (max(h_cells, w_cells) + 1)):
-            raise GeometryError(f"{h_cells} x {w_cells} cell edges exceed physical memory")
+            raise GeometryError(
+                f"{h_cells} x {w_cells} cell edges exceed physical memory "
+                "or the address-space limit"
+            )
         cell_size = 2.0 * extent / w_cells
         x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
         x_edges = _readonly(x_min + np.arange(w_cells + 1) * cell_size)
@@ -381,7 +398,7 @@ def generate_frustum(rig, bins, reference_row=None):
     if not _fits_in_memory(24 * w_i * n_d * (rig.n_cameras + 2)):
         raise GeometryError(
             f"generate_frustum: {rig.n_cameras} x {w_i} x {n_d} float64 points "
-            "exceed physical memory"
+            "exceed physical memory or the address-space limit"
         )
     u = (np.arange(w_i) + 0.5) * rig.image_stride
     v = (reference_row + 0.5) * rig.image_stride

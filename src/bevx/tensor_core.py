@@ -73,6 +73,44 @@ def as_feature(x, name="tensor"):
     return arr
 
 
+def _sorted_keys(rows, cols, row_ids, col_ids):
+    """The ascending int64 keys row * cols + col of (row, col) pairs already
+    in range, for a CSR build over `rows` rows.
+
+    Two checks come first, and each is a ValidationError before anything
+    of its size is allocated: the build's int64 row offsets and row counts
+    must fit in memory, and a non-empty build's keys must fit in int64.
+    """
+    # the row offsets and the row counts: two int64 arrays of rows + 1
+    if not _fits_in_memory(16 * (rows + 1)):
+        raise ValidationError(
+            f"the row offsets of a {rows}-row matrix exceed physical memory "
+            "or the address-space limit"
+        )
+    if row_ids.size and rows * cols >= 2**63:
+        raise ValidationError(
+            f"a {rows} x {cols} matrix has too many entries for int64 keys"
+        )
+    keys = row_ids * np.int64(cols)
+    keys += col_ids
+    keys.sort()
+    return keys
+
+
+def _run_starts(a):
+    """Mask of the positions where the sorted array `a` takes a new value."""
+    first = np.ones(a.shape[0], dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
+
+
+def _row_offsets(rows, row_ids):
+    """The int64 CSR row offsets of `row_ids`, each in [0, rows)."""
+    offsets = np.zeros(rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
+    return offsets
+
+
 class SparseBinaryMatrix:
     """CSR matrix whose stored entries are all exactly 1.
 
@@ -156,11 +194,6 @@ class SparseBinaryMatrix:
         """
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
-        # the row offsets and the row counts: two int64 arrays of rows + 1
-        if not _fits_in_memory(16 * (rows + 1)):
-            raise ValidationError(
-                f"from_coo: the row offsets of a {rows}-row matrix exceed physical memory"
-            )
         row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
         col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
         if row_ids.shape != col_ids.shape:
@@ -170,19 +203,11 @@ class SparseBinaryMatrix:
                 raise ValidationError("row index out of range")
             if col_ids.min() < 0 or col_ids.max() >= cols:
                 raise ValidationError("column index out of range")
-            if rows * cols >= 2**63:
-                raise ValidationError(
-                    f"a {rows} x {cols} matrix has too many entries for int64 keys"
-                )
-            keys = np.sort(row_ids * np.int64(cols) + col_ids)
-            first = np.ones(keys.shape[0], dtype=bool)
-            np.not_equal(keys[1:], keys[:-1], out=first[1:])
-            row_ids, col_ids = np.divmod(keys[first], cols)
-        else:
-            col_ids = np.empty(0, dtype=np.int64)  # not the caller's array
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
-        return cls._built(rows, cols, offsets, col_ids)
+        keys = _sorted_keys(rows, cols, row_ids, col_ids)
+        keys = keys[_run_starts(keys)]
+        # integer division by a scalar is cheap in numpy; % and divmod are not
+        row_ids = keys // max(cols, 1)
+        return cls._built(rows, cols, _row_offsets(rows, row_ids), keys - row_ids * cols)
 
     @functools.cached_property
     def _scipy(self):

@@ -1,23 +1,28 @@
 """Ring/ray factorization of the camera-to-BEV transport.
 
 The exact transport matrix (reference.build_ftm) is S x (W * N_d) and mostly
-redundant: a BEV cell is described by which depth bins reach it (distance)
-and which feature columns reach it (direction). This module factors it into
+redundant: a BEV cell is described by which feature columns reach it
+(direction) and, for each, which depth bins its camera reaches it at
+(distance). This module factors it into
 
-  * ring: S x N_d, ring[s, d] = 1 iff some column's sample at bin d lands in s
-  * ray:  S x W,   ray[s, w] = 1 iff some bin of column w lands in s
+  * ray:  S x W, ray[s, w] = 1 iff some bin of column w lands in s
+  * ring: ray.nnz x N_d, one row per ray nonzero (s, w) in ray CSR order,
+    holding every bin at which some column of w's camera lands in s
 
-and applies the pair with vt_matrixvt, which never materializes the lifted
-tensor. Both factors meet in one plan matrix (RingRayPair._plan, built with
-the pair), a binary (ray.nnz, W * N_d) CSR whose row for ray nonzero (s, w)
-picks the depths of column w at the bins of ring row s. vt_matrixvt is two
-sparse products over it: plan @ depths gives one weight per ray nonzero, and
-the ray-patterned S x W matrix of those weights times the features gives the
-BEV tensor. effective_ftm reads the transport matrix the pair implies off
-the same plan; reference.vt_ftm over that matrix is the independent route
-vt_matrixvt is gated against, and _spurious_rate is the share of its entries
-the exact matrix lacks. cost_model is the closed-form cost of the paper's
-naive pipeline next to the reformulated one.
+so the ring is per camera, as the paper's FTM is: a row never takes a bin
+that only another camera produces. vt_matrixvt applies the pair without
+materializing the lifted tensor. Both factors meet in one plan matrix
+(RingRayPair._plan, built with the pair): the ring with the columns of row
+j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
+ring's row offsets and picks the depths of column w at the bins of its
+ring row. vt_matrixvt is two sparse products over it: plan @ depths gives
+one weight per ray nonzero, and the ray-patterned S x W matrix of those
+weights times the features gives the BEV tensor. effective_ftm reads the
+transport matrix the pair implies off the same plan; reference.vt_ftm over
+that matrix is the independent route vt_matrixvt is gated against, and
+_spurious_rate is the share of its entries the exact matrix lacks.
+cost_model is the closed-form cost of the paper's naive pipeline next to
+the reformulated one.
 """
 from __future__ import annotations
 
@@ -31,8 +36,15 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
-from .geometry import _fits_in_memory, _whole
-from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
+from .geometry import _whole
+from .tensor_core import (
+    DTYPE,
+    SparseBinaryMatrix,
+    _row_offsets,
+    _run_starts,
+    _sorted_keys,
+    as_feature,
+)
 
 __all__ = [
     "RingRayPair",
@@ -49,31 +61,23 @@ __all__ = [
 def _build_plan(ring, ray):
     """The execution plan of a pair: (plan, indptr, indices).
 
-    `plan` is a binary (ray.nnz, W * N_d) matrix. Row j belongs to the
-    j-th ray nonzero (cell s, column w), in ray CSR order, and holds the
-    lifted source indices {w * N_d + d : d in ring row s}. Applied to the
-    flattened (W, N_d) depths it gives each ray slot's depth mass; an
-    empty ring row under a ray row (a hand-built pair; geometric pairs
-    never do this) is an empty plan row, weight 0.
+    `plan` is a binary (ray.nnz, W * N_d) matrix: the ring with the columns
+    of row j shifted by w * N_d, for the j-th ray nonzero (cell s, column w)
+    in ray CSR order. It shares the ring's row offsets. Applied to the
+    flattened (W, N_d) depths it gives each ray slot's depth mass; an empty
+    ring row (a hand-built pair; geometric pairs never have one) is an
+    empty plan row, weight 0.
 
     `indptr` and `indices` are the ray's CSR index arrays in the dtype
     scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
     reaches 2**31.
     """
-    ray_len = np.diff(ray.row_offsets)
-    # ring row length of each ray slot: the slots of cell s are its ray row
-    row_len = np.repeat(np.diff(ring.row_offsets), ray_len)
-    offsets = np.zeros(ray.nnz + 1, dtype=np.int64)
-    np.cumsum(row_len, out=offsets[1:])
-    # entry k of slot j is ring entry k + shift[j], shift = ring start - slot start
-    shift = np.repeat(ring.row_offsets[:-1], ray_len)
-    shift -= offsets[:-1]
-    at = np.repeat(shift, row_len)
-    at += np.arange(offsets[-1])
-    cols = ring.col_indices[at]
-    cols += np.repeat(ray.col_indices * ring.cols, row_len)
+    cols = np.repeat(ray.col_indices * ring.cols, np.diff(ring.row_offsets))
+    cols += ring.col_indices
     # RingRayPair keeps ray.cols * ring.cols below 2**63, so nothing wraps
-    plan = SparseBinaryMatrix._built(ray.nnz, ray.cols * ring.cols, offsets, cols)
+    plan = SparseBinaryMatrix._built(
+        ray.nnz, ray.cols * ring.cols, ring.row_offsets, cols
+    )
     plan._scipy  # the product handle is part of the per-scene build
     index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
     return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
@@ -81,43 +85,36 @@ def _build_plan(ring, ray):
 
 @dataclass(frozen=True)
 class RingRayPair:
-    """Immutable ring (S x N_d) and ray (S x W) factor matrices.
+    """Immutable per-entry ring (ray.nnz x N_d) and ray (S x W) factors.
 
-    Built once per scene geometry, together with its execution plan
-    (`_plan`, derived like BevGrid's edges, not a field), which every
-    transform call reuses: a pair arrives ready to run, and no call pays
-    for the plan. A pair whose plan would not fit in physical memory at
-    8 bytes per entry is a ShapeError before anything is allocated.
+    Ring row j belongs to the j-th ray nonzero (cell s, column w) in ray CSR
+    order and holds the depth bins that entry takes from column w. Built
+    once per scene geometry, together with its execution plan (`_plan`,
+    derived like BevGrid's edges, not a field), which every transform call
+    reuses: a pair arrives ready to run, and no call pays for the plan. The
+    plan holds exactly the ring's entries, so it is never larger than the
+    pair.
     """
 
     ring: SparseBinaryMatrix
     ray: SparseBinaryMatrix
 
     def __post_init__(self):
-        if self.ring.rows != self.ray.rows:
-            raise ShapeError.mismatch("ring/ray", self.ring.shape, self.ray.shape)
         if self.ring.cols * self.ray.cols >= 2**63:
             raise ShapeError(
                 f"ring/ray: {self.ray.cols} columns x {self.ring.cols} bins "
                 "overflow the plan's int64 column ids"
             )
-        # the plan has one entry per (ring entry, ray entry) of a cell: at
-        # most ray.nnz * ring.cols, and exactly the dot of the row lengths,
-        # taken in float64 (which cannot wrap) only when that bound is too big
-        if not _fits_in_memory(8 * self.ray.nnz * self.ring.cols):
-            entries = np.dot(
-                np.diff(self.ring.row_offsets).astype(np.float64),
-                np.diff(self.ray.row_offsets).astype(np.float64),
+        if self.ring.rows != self.ray.nnz:
+            raise ShapeError(
+                f"ring/ray: a ring of {self.ring.rows} rows under a ray of "
+                f"{self.ray.nnz} entries; the ring has one row per ray entry"
             )
-            if not _fits_in_memory(8 * entries):
-                raise ShapeError(
-                    f"ring/ray: a plan of {entries:.4g} entries exceeds physical memory"
-                )
         object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
 
     @property
     def n_cells(self):
-        return self.ring.rows
+        return self.ray.rows
 
     @property
     def n_depths(self):
@@ -129,22 +126,52 @@ class RingRayPair:
 
 
 def build_ring_ray(frustum, grid):
-    """Existential ring/ray factors of a frustum-to-grid mapping.
+    """Per-camera ring/ray factors of a frustum-to-grid mapping.
 
-    ring[s, d] = 1 iff any (camera, column) sample at depth bin d falls in
-    cell s; ray[s, (n, w)] = 1 iff any depth bin of that column falls in s.
-    Both project the (cell, sample) pairs of `frustum.landing(grid)`, the
-    entries of reference.build_ftm: sample j = (n * W_I + w) * N_d + d
-    gives ring column j % N_d and ray column j // N_d.
+    ray[s, w] = 1 iff some depth bin of column w lands in cell s. Ring row
+    j, for the j-th ray nonzero (s, w) in CSR order, holds every bin d at
+    which some column of w's camera n = w // W_I lands in s: the camera's
+    depth band through s, so the pair implies only transport that camera
+    could make. Both come from one sort of the landing's (cell, sample)
+    keys, the entries of reference.build_ftm in its CSR order: sample
+    j = (n * W_I + w) * N_d + d gives column j // N_d and bin j % N_d. A run
+    of equal (cell, column) keys is a ray nonzero, and a run of equal
+    (cell, camera) keys is one camera's band, whose bins are the union over
+    its columns.
 
     Returns:
-        RingRayPair with ring (S, N_d) and ray (S, W).
+        RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
     """
-    n_w = frustum.n_cameras * frustum.n_columns
-    n_d = frustum.n_depths
+    w_i, n_d = frustum.n_columns, frustum.n_depths
+    n_w = frustum.n_cameras * w_i
     cells, samples = frustum.landing(grid)
-    ring = SparseBinaryMatrix.from_coo(grid.n_cells, n_d, cells, samples % n_d)
-    ray = SparseBinaryMatrix.from_coo(grid.n_cells, n_w, cells, samples // n_d)
+    keys = _sorted_keys(grid.n_cells, n_w * n_d, cells, samples)
+    column = keys // n_d  # cell * W + column
+    entry = column[_run_starts(column)]  # the ray's nonzeros, in CSR order
+    # each camera's bins in cell s, keyed (cell * N_c + camera) * N_d + bin;
+    # the stable sort merges the already ascending bin runs of its columns
+    band = keys // (w_i * n_d) * n_d
+    band += keys
+    band -= column * n_d
+    band.sort(kind="stable")
+    band = band[_run_starts(band)]
+    owner = band // n_d  # cell * N_c + camera
+    bins = band - owner * n_d
+    band_start = np.flatnonzero(np.append(_run_starts(owner), True))
+    # ray nonzero j takes the band of its (cell, camera): its index among
+    # the bands is the count of (cell, camera) runs up to j
+    k = np.cumsum(_run_starts(entry // w_i)) - 1
+    lo = band_start[k]
+    length = band_start[k + 1] - lo
+    ring_offsets = np.zeros(entry.shape[0] + 1, dtype=np.int64)
+    np.cumsum(length, out=ring_offsets[1:])
+    at = np.repeat(lo - ring_offsets[:-1], length)
+    at += np.arange(ring_offsets[-1])
+    ring = SparseBinaryMatrix._built(entry.shape[0], n_d, ring_offsets, bins[at])
+    cell = entry // n_w
+    ray = SparseBinaryMatrix._built(
+        grid.n_cells, n_w, _row_offsets(grid.n_cells, cell), entry - cell * n_w
+    )
     return RingRayPair(ring, ray)
 
 
@@ -186,19 +213,20 @@ def vt_matrixvt(features, depths, rr):
 
 def effective_ftm(rr):
     """The transport matrix the factorization implies: entry
-    (s, w * N_d + d) = ring[s, d] * ray[s, w].
+    (s, w * N_d + d) = 1 iff ray[s, w] = 1 and d is in that ray nonzero's
+    ring row.
 
     A superset of the exact transport matrix for the same geometry: when two
-    columns hit one cell at different bins, the cross combinations appear
-    here but not in the exact matrix. The gap is a measurable diagnostic of
-    factorization fidelity, not an error.
+    columns of one camera hit one cell at different bins, the cross
+    combinations appear here but not in the exact matrix. The gap is a
+    measurable diagnostic of factorization fidelity, not an error.
 
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
     plan = rr._plan[0]
     # plan rows follow ray CSR order, so cell s owns plan rows
-    # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within
+    # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within;
     # sliced from the plan, which was built from a checked ring and ray
     return SparseBinaryMatrix._built(
         rr.n_cells,

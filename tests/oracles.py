@@ -63,6 +63,18 @@ def older_cache_bytes(digest, ring, ray):
     return out
 
 
+def bxc2_cache_bytes(digest, ring, ray):
+    """A ring/ray cache file in the layout before per-entry rings, which the
+    reader must take as a miss: the "BXC2" header over the same two 8-aligned
+    "BXS2" records, the ring one row per cell."""
+    key = digest.encode("utf-8")
+    out = b"BXC2\0\0\0\0" + struct.pack("<Q", len(key)) + key + bytes(-len(key) % 8)
+    for m in (ring, ray):
+        out += b"BXS2\0\0\0\0" + struct.pack("<QQQ", m.rows, m.cols, m.nnz)
+        out += np.concatenate((m.row_offsets, m.col_indices)).astype("<i8").tobytes()
+    return out
+
+
 def csr_order_ok_isin(row_offsets, col_indices):
     """The within-row order rule in its original np.isin form: every
     position where col_indices fails to increase must be an interior row
@@ -121,9 +133,14 @@ def locate_scan_pure(grid, x, y):
 
 
 def ring_ray_loop(frustum, grid):
-    """Literal triple loop over (camera, column, bin) with scan membership."""
-    ring_pairs = []
+    """Literal triple loop over (camera, column, bin) with scan membership.
+
+    The ray holds (s, n * W_I + w) for every sample of column w of camera n
+    that lands in cell s. The ring has one row per ray nonzero, in CSR
+    order: every bin at which some column of that nonzero's camera lands
+    in its cell."""
     ray_pairs = []
+    bands = {}  # (cell, camera) -> bins
     n_c, w_i, n_d = frustum.n_cameras, frustum.n_columns, frustum.n_depths
     for n in range(n_c):
         for w in range(w_i):
@@ -131,26 +148,47 @@ def ring_ray_loop(frustum, grid):
                 x, y = frustum.points[n, w, d]
                 s = locate_scan(grid, float(x), float(y))
                 if s is not None:
-                    ring_pairs.append((s, d))
+                    bands.setdefault((s, n), set()).add(d)
                     ray_pairs.append((s, n * w_i + w))
-    ring = csr_from_pairs(ring_pairs, (grid.n_cells, n_d))
     ray = csr_from_pairs(ray_pairs, (grid.n_cells, n_c * w_i))
+    entries = sorted(set(ray_pairs))
+    ring_pairs = [(j, d) for j, (s, w) in enumerate(entries) for d in bands[s, w // w_i]]
+    ring = csr_from_pairs(ring_pairs, (len(entries), n_d))
     return ring, ray
 
 
+def per_entry(shared_ring, ray):
+    """The per-entry ring of a shared (S, N_d) ring under `ray`: row j, for
+    the j-th ray nonzero (s, w) in CSR order, is shared ring row s. A pair
+    built from it implies what the shared ring and the ray implied."""
+    cells = np.repeat(np.arange(ray.rows), np.diff(ray.row_offsets))
+    pairs = [(j, d) for j, s in enumerate(cells) for d in row(shared_ring, s)]
+    return csr_from_pairs(pairs, (ray.nnz, shared_ring.cols))
+
+
+def shared_ring(ftm, n_d):
+    """The ring all cameras share, rebuilt from the exact matrix: row s holds
+    every bin d at which any column's sample lands in cell s."""
+    cells = np.repeat(np.arange(ftm.rows), np.diff(ftm.row_offsets))
+    return csr_from_pairs(zip(cells, ftm.col_indices % n_d), (ftm.rows, n_d))
+
+
+def entry_keys(m):
+    """Row-major keys row * cols + col of every entry of a binary CSR matrix."""
+    rows = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_offsets))
+    return rows * m.cols + m.col_indices
+
+
 def plan_oracle(ring, ray):
-    """The ring/ray plan in its first, pass-by-pass form: row j, for the
+    """The ring/ray plan by its definition, entry by entry: row j, for the
     j-th ray nonzero (s, w) in CSR order, holds w * N_d + d for each d in
-    ring row s. Built through the checking constructor."""
-    s_of_j = np.repeat(np.arange(ring.rows), np.diff(ray.row_offsets))
-    row_len = np.diff(ring.row_offsets)[s_of_j]
-    offsets = np.concatenate(([0], np.cumsum(row_len)))
-    # position of each entry inside its row, then index into ring cols
-    pos = np.arange(offsets[-1]) - np.repeat(offsets[:-1], row_len)
-    ring_idx = np.repeat(ring.row_offsets[s_of_j], row_len) + pos
-    cols = np.repeat(ray.col_indices, row_len) * ring.cols
-    cols += ring.col_indices[ring_idx]
-    return SparseBinaryMatrix(ray.nnz, ray.cols * ring.cols, offsets, cols)
+    ring row j. Built through the checking constructor."""
+    pairs = [
+        (j, int(w) * ring.cols + int(d))
+        for j, w in enumerate(ray.col_indices)
+        for d in row(ring, j)
+    ]
+    return csr_from_pairs(pairs, (ray.nnz, ray.cols * ring.cols))
 
 
 def ftm_loop(frustum, grid):
@@ -182,10 +220,15 @@ def splat_loop(lifted, frustum, grid):
 
 
 def dense_reformulated(features, depths, rr):
-    """The reformulated transform evaluated densely: contract depths with
-    the dense ring, mask by the dense ray, multiply by the features. Reads
-    ring and ray directly, never the execution plan vt_matrixvt uses."""
-    return ((densify(rr.ring) @ depths.T) * densify(rr.ray)) @ features
+    """The reformulated transform evaluated densely: contract each ray
+    nonzero's dense ring row with its column's depths, place the weights on
+    the ray's (S, W) pattern, multiply by the features. Reads ring and ray
+    directly, never the execution plan vt_matrixvt uses."""
+    columns = rr.ray.col_indices
+    cells = np.repeat(np.arange(rr.ray.rows), np.diff(rr.ray.row_offsets))
+    weights = np.zeros(rr.ray.shape, dtype=np.float32)
+    weights[cells, columns] = (densify(rr.ring) * depths[columns]).sum(axis=1)
+    return weights @ features
 
 
 def lift_loop(features, depths):

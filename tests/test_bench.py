@@ -40,8 +40,8 @@ from bevx.bench import (
 )
 from bevx.bench.cli import main
 from bevx.geometry import generate_frustum
-from bevx.transform import build_ring_ray
-from oracles import degenerate_scene
+from bevx.transform import RingRayPair, build_ring_ray
+from oracles import degenerate_scene, entry_keys
 
 SMALL = TransformSetting("T-small", 4, 4, 8, 24, 24)
 SMALLER = TransformSetting("T-tiny", 3, 2, 8, 16, 16)
@@ -155,9 +155,9 @@ class TestSettingScene:
         ftm = build_ftm(frustum, adapted.grid)
         rr = build_ring_ray(frustum, adapted.grid)
         assert ftm.nnz == 52_212
-        assert rr.ring.nnz == 41_212
+        assert rr.ring.nnz == 52_272
         assert rr.ray.nnz == 52_176
-        assert effective_ftm(rr).nnz == 58_628
+        assert effective_ftm(rr).nnz == 52_272
         assert np.count_nonzero(np.diff(ftm.row_offsets)) == 38_352
         assert ftm.rows == 65_536
 
@@ -291,6 +291,23 @@ class TestFlipRingBit:
         assert flipped.ring.nnz == rr.ring.nnz - 1
         assert flipped.ray == rr.ray
         assert isinstance(flipped.ring, SparseBinaryMatrix)  # revalidated
+
+    @pytest.mark.parametrize("setting", [None, *sorted(PRESETS)])
+    def test_flipped_pair_fails_containment(self, setting, rig_scene):
+        # not every ring entry is exact, but the removed one is
+        scene = rig_scene if setting is None else setting_scene(rig_scene, PRESETS[setting])
+        frustum = generate_frustum(scene.rig, scene.bins)
+        ftm = build_ftm(frustum, scene.grid)
+        rr = build_ring_ray(frustum, scene.grid)
+        exact = entry_keys(ftm)
+        assert np.isin(exact, entry_keys(effective_ftm(rr))).all()
+        assert not np.isin(exact, entry_keys(effective_ftm(flip_ring_bit(rr)))).all()
+
+    def test_pair_without_a_one_bin_row_is_refused(self):
+        ray = SparseBinaryMatrix(1, 1, [0, 1], [0])
+        ring = SparseBinaryMatrix(1, 3, [0, 2], [0, 2])
+        with pytest.raises(ValidationError, match="one-bin row"):
+            flip_ring_bit(RingRayPair(ring, ray))
 
 
 class TestRunCheck:
@@ -518,7 +535,15 @@ class TestCli:
             "seed": 2,
             "trial_seeds": [] if code else seeds,  # the seeds of the trials that ran
             "scene_digest": scene_digest(load_scene(small_config_path)),
+            "ftm_nnz": report.ftm_nnz,
+            "ring_nnz": report.ring_nnz,
+            "ray_nnz": report.ray_nnz,
+            "implied_nnz": report.implied_nnz,
+            "empty_cell_share": report.empty_cell_share,
         }
+        assert doc["spurious_rate"] == (
+            (doc["implied_nnz"] - doc["ftm_nnz"]) / doc["implied_nnz"]
+        )
         if code:
             assert doc["failure"] == "containment" and doc["maxima"] == {}
         else:
@@ -625,7 +650,7 @@ class TestCli:
             (
                 ["--trials", "5"],
                 [
-                    "check: containment            spurious rate 0.2247  PASS",
+                    "check: containment            spurious rate 0.1042  PASS",
                     "check: ftm-vs-scatter         max rel diff 0.000e+00  PASS",
                     None,
                     "result: PASS (5 trials, seed 7)",
@@ -635,7 +660,7 @@ class TestCli:
             (
                 ["--trials", "2", "--flip-ring-bit"],
                 [
-                    "check: containment            spurious rate 0.2247  FAIL",
+                    "check: containment            spurious rate 0.1042  FAIL",
                     "check: equivalence trials     not run (containment failed)",
                     "result: FAIL in containment",
                 ],

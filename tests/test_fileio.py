@@ -58,7 +58,7 @@ class TestSparseFile:
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
         raw = encode("d", m, m)
         assert read_cache(raw, "e") is None
-        assert read_cache(b"BXC3" + raw[4:], "d") is None
+        assert read_cache(b"BXC2" + raw[4:], "d") is None
         assert read_cache(older_cache_bytes("d", m, m), "d") is None
 
     @pytest.mark.parametrize("digest", ["", "d", "1234567", "12345678", "ab" * 32])

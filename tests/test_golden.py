@@ -44,51 +44,51 @@ def digests(scene, tmp_path):
 GOLDEN = {
     "S1": {
         "ftm": "de008167b6571b0e4f962d0de63773fed1d3fe5c63582accb5607fb1991faf2e",
-        "ring": "a958977b08007eb3589ef4373f366a8945b6821fbbb06d4f5944f71ab10b8a4d",
+        "ring": "8cb5d61e186a89b23180f9d06ef1d3d167c68bea66b79bb6c356fd44896bfe35",
         "ray": "59987152120d30c736419c90e927405e8b3bf155fa9703b97133119c0c9809f9",
-        "plan": "516324385a213798e8fc56bde938ccef7f615789ab3201240d9d6e0b29c27e61",
+        "plan": "e0de69f3507268bf5bc1a9726e7527625f82b7a54ab8c23fc0916f2c95ba088f",
         "plan_index": "307428163daab858e7105449e596d4c5dff1b677bb36ab10cf2252e0f8e07d2b",
-        "cache": "cb8501053a082196a95b7b306a83b0591a53324cbfd722e158a10da83f6eab18",
+        "cache": "d1c461ffcce0edae123ac1ef5adfeedb605703f87ceabe6fd872ff4b7139d265",
     },
     "S2": {
         "ftm": "1abe147b8041e3387e48e7e8f296782bf1bf3fdf2b82a0c8070f404cbde4e366",
-        "ring": "968cfcfc8c5db6c7a4cc0ba4f1528a095aaf5a5cc82b05f4f8d84a560348e67e",
+        "ring": "d7b7a77eabf227bd7e6d5669e5f24b532ea5af4f0c70a0181e97765e76840f4f",
         "ray": "4c770b7a3778c1215caf41eb85835e588bddccf15e29e4020587139f66a3a250",
-        "plan": "03a3b7d2acbb7e034e986a9cfabb24dcf8635bbe99824bcc0bb0c2206684bed9",
+        "plan": "1cf134adeed093be95ca40b5797b8410f309c138752e3261ed0a15620f683ce9",
         "plan_index": "72d8d8b9199d6a9bf059a86eea001bdec01a00e0ee9e50b5dfe621efd095bdfc",
-        "cache": "adb73968e64f551c3adac3784bdb1090dd610b15806931dac916197516224201",
+        "cache": "6f7d8c78963f1859150d43895551b98a8cb2c5cd0c344b30817e79e34472be75",
     },
     "S3": {
         "ftm": "d6d6569947f2c509805e3e9cc09d0f8d512b5d1673e82a2ed526dd7429c02a87",
-        "ring": "18fd2e1e9d03749147c236c8e4a57f22da30baa048e16b4f15adc97f582e5098",
+        "ring": "8b1b28df4d63a800ceb34797280f2ef1dbdae76831f62a2828274a9f5063a031",
         "ray": "74644252878212dd315d1b80648a6db0e84eef27de44a1a1552785d083ed204b",
-        "plan": "cc5e5405cb95c0c4714736caab2bbc5d30c2b91dcdf361daad1cca58d195d6a4",
+        "plan": "b3da2945b516ac01f19e3c69d8125b071ab7ddbea0de8f71564712c4dfd18720",
         "plan_index": "1dee48d770dd07c8cf722e8748dc2387466436bd13b37741971117e9770e7f8a",
-        "cache": "9133815d7af27ea66dc0107f017998f6c512a8391f34d6bb3f790c146d64b2c0",
+        "cache": "a913da39c597edb58db3aaf1f8e31a9da8af491c8ca5b53ca520896c862e6840",
     },
     "S4": {
         "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
-        "ring": "51cefc6ba2886522758bb6ebbe79fe6372253f8bfdade75b8f86b2771cde9c8b",
+        "ring": "770325282eeb3d4881453440740bd2d0a8958309efbea6e8da41a47d90550a7d",
         "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
-        "plan": "52e1e15bc0d9287b1b2d8857f15773024f4cee216f21d1ead25942c44180cab1",
+        "plan": "059bf1104ab69ba1d3d08774f5dadacaa5a4d605217ce7c613fd2461729800e5",
         "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "7489d5c85e968771752dd9b85f60f4de2a794ef2d570b9a836698f337bf7d914",
+        "cache": "24380f8ad6a1ed2aeaf137f854eddf7c2a20ab2d397b091b6d318ca7f22fbf40",
     },
     "S5": {
         "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
-        "ring": "51cefc6ba2886522758bb6ebbe79fe6372253f8bfdade75b8f86b2771cde9c8b",
+        "ring": "770325282eeb3d4881453440740bd2d0a8958309efbea6e8da41a47d90550a7d",
         "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
-        "plan": "52e1e15bc0d9287b1b2d8857f15773024f4cee216f21d1ead25942c44180cab1",
+        "plan": "059bf1104ab69ba1d3d08774f5dadacaa5a4d605217ce7c613fd2461729800e5",
         "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "7489d5c85e968771752dd9b85f60f4de2a794ef2d570b9a836698f337bf7d914",
+        "cache": "24380f8ad6a1ed2aeaf137f854eddf7c2a20ab2d397b091b6d318ca7f22fbf40",
     },
     "S6": {
         "ftm": "8e619273292c28c13a836dc9a3039888886500bae8a39c030f1ea8547240e3c2",
-        "ring": "176a3c4c43949887d5d376530e182aef11de61e66e2102c1a92c5341ac4c9319",
+        "ring": "414999642f15f58a6bcc7149917e6569179a198a890a54935d9dbc8a2b96b175",
         "ray": "b5ae8f48ae15891b23cb16a8fcc40f11ef7dc9535b14d4cee70e5723a0c30d8b",
-        "plan": "caec461a1d529e01b39f93269bfbaf67bf5cfcd64b5bb648831461f25fed1968",
+        "plan": "a42714df286a49d2231f5b5f4f2a5a76fcc26f397a2e847ffe415494deabd29a",
         "plan_index": "c616b09df5d0328b17c46f8d3b4d5c1eaace6e4a9c9a94a5c127d0c6a1bb4504",
-        "cache": "4546d2fd0884501e65ca6a559de1d35aeab8f365983b3be3d1fa77b6d122f5bb",
+        "cache": "bf6dec2569b69d2e2b3a13dc9d657cd83d9671ac65d267f7bea9b4ac3538b18b",
     },
 }
 

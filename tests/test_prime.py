@@ -591,5 +591,5 @@ def test_ablation_report_is_pinned():
     )
     assert report.spurious_rate > 0.0 and report.bev_full.any()
     assert ablation_digest(report) == (
-        "538f0b0608db86324574a54681dd7def9ac70786b24cac82e1ae83837f4138da"
+        "0714eb5d6969e4c84dc1d9cb5f4c072a875d8d9ae2c8ce87108e926a39f4264f"
     )

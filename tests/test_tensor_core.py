@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -230,3 +235,42 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.from_coo(rows, 1, [], [])
         with pytest.raises(ValidationError, match="exceed physical memory"):
             SparseBinaryMatrix.from_coo(rows, 1, [rows - 1], [0])
+
+    def test_offsets_past_the_address_space_limit_are_refused(self):
+        # a child process caps its own address space (RLIMIT_AS) at what it
+        # maps plus 512 MiB, below physical memory: the memory bound is the
+        # smaller of the two, so offsets just past the cap are a typed
+        # refusal before the allocation that would die in MemoryError
+        resource = pytest.importorskip("resource")
+        if not os.path.exists("/proc/self/statm"):
+            pytest.skip("needs /proc/self/statm to size the cap")
+        if resource.getrlimit(resource.RLIMIT_AS)[1] != resource.RLIM_INFINITY:
+            pytest.skip("the hard address-space limit is finite")
+        child = textwrap.dedent(
+            """
+            import os, resource
+            from bevx import SparseBinaryMatrix, ValidationError
+            from bevx.geometry import _fits_in_memory
+
+            page = os.sysconf("SC_PAGE_SIZE")
+            with open("/proc/self/statm") as f:
+                cap = int(f.read().split()[0]) * page + 2**29
+            physical = page * os.sysconf("SC_PHYS_PAGES")
+            assert cap < physical, (cap, physical)
+            resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
+            assert _fits_in_memory(cap) and not _fits_in_memory(cap + 1)
+            rows = cap // 16 + 1
+            try:
+                SparseBinaryMatrix.from_coo(rows, 1, [rows - 1], [0])
+            except ValidationError as exc:
+                assert "address-space limit" in str(exc), exc
+            else:
+                raise AssertionError("offsets past the cap were allocated")
+            print("refused")
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "refused\n"

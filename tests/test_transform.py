@@ -1,7 +1,7 @@
 import io
 import math
-import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,19 +32,23 @@ from bevx import (
     vt_matrixvt,
 )
 from bevx import transform
-from bevx.bench import flip_ring_bit, make_inputs, max_rel_diff
+from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
 from bevx.fileio import read_cache, write_cache
 from oracles import (
+    bxc2_cache_bytes,
     degenerate_scene,
     densify,
     dense_reformulated,
+    entry_keys,
     from_dense,
     locate_scan,
     older_cache_bytes,
+    per_entry,
     plan_oracle,
     random_scene,
     ring_ray_loop,
     row,
+    shared_ring,
 )
 
 from test_reference import single_ray_setup
@@ -66,13 +70,11 @@ class TestBuildRingRay:
             int(s) for s in range(grid.n_cells) if row(rr.ray, s).size
         )
         assert ray_cells == traversed
-        for d, s in enumerate(cells_by_bin):
-            if s is None:
-                continue
-            assert d in row(rr.ring, s)
-        for s in range(grid.n_cells):
-            for d in row(rr.ring, s):
-                assert cells_by_bin[int(d)] == s
+        # one column, so ray nonzero j is the j-th traversed cell, and its
+        # ring row holds exactly the bins that land there
+        for j, s in enumerate(traversed):
+            bins = [d for d, c in enumerate(cells_by_bin) if c == s]
+            assert row(rr.ring, j).tolist() == bins
 
     def test_opposite_cameras_have_disjoint_ray_columns(self):
         stride = 4
@@ -113,33 +115,33 @@ class TestBuildRingRay:
         rr = RingRayPair(narrow, SparseBinaryMatrix(1, 2**32 - 1, [0, 1], [7]))
         assert rr._plan[0].col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
 
-    def test_plan_larger_than_physical_memory_is_refused(self, monkeypatch):
-        ring, ray = plan_larger_than_memory()
-        monkeypatch.setattr(transform, "_build_plan", no_plan)
-        with pytest.raises(ShapeError, match="exceeds physical memory"):
+    def test_ray_offsets_larger_than_memory_are_refused(self, memory_cap):
+        # sized from the machine: the grid's cells alone need more int64 row
+        # offsets than there is memory, though its edges and the frustum fit
+        fr, _, _ = single_ray_setup()
+        side = math.isqrt(memory_cap // 16) + 1
+        with pytest.raises(ValidationError, match="exceed physical memory"):
+            build_ring_ray(fr, BevGrid(10.0, side, side))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_ring_rows_other_than_ray_nnz_are_refused(self, extra):
+        ray = from_dense([[1, 1, 0], [0, 0, 0], [0, 1, 0]])
+        ring = from_dense(np.ones((ray.nnz + extra, 4)))
+        with pytest.raises(ShapeError, match="one row per ray entry"):
             RingRayPair(ring, ray)
+        RingRayPair(from_dense(np.ones((ray.nnz, 4))), ray)
 
-    def test_wide_pair_with_a_small_plan_builds(self):
-        # ray.nnz * ring.cols passes physical memory, but the plan holds
-        # only one ring entry per ray entry
-        ring, ray = plan_larger_than_memory()
-        narrow = SparseBinaryMatrix(1, ring.cols, [0, 1], [3])
-        rr = RingRayPair(narrow, ray)
-        assert rr._plan[0].nnz == ray.nnz
-
-
-def plan_larger_than_memory():
-    """A 1-row ring and ray, each n entries wide, sized from the machine's
-    physical memory so that the plan's n * n entries need more of it than
-    there is at 8 bytes per entry, while each factor holds only n."""
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    n = math.isqrt(memory // 8) + 1
-    full = SparseBinaryMatrix(1, n, [0, n], np.arange(n))
-    return full, full
-
-
-def no_plan(*args):
-    raise AssertionError("the plan was built")
+    def test_ring_row_of_two_runs_is_stored_as_it_is(self, tmp_path):
+        # bins 0 and 2 of ray nonzero (0, 1), with no bin 1 between them:
+        # the ring keeps the gap, and so do the plan and the implied matrix
+        ray = from_dense([[0, 1], [1, 0]])
+        ring = from_dense([[1, 0, 1, 0], [0, 1, 0, 0]])
+        rr = RingRayPair(ring, ray)
+        assert row(rr.ring, 0).tolist() == [0, 2]
+        assert rr._plan[0] == plan_oracle(ring, ray)
+        assert row(effective_ftm(rr), 0).tolist() == [4, 6]
+        save_ring_ray(rr, tmp_path, "d")
+        assert row(load_ring_ray(tmp_path, "d").ring, 0).tolist() == [0, 2]
 
 
 class TestPlan:
@@ -168,7 +170,8 @@ class TestPlan:
         ids=["empty-ring-row", "empty-ray", "empty-ring", "no-cells"],
     )
     def test_matches_oracle_on_hand_built_pairs(self, ring, ray):
-        rr = RingRayPair(from_dense(ring), from_dense(ray))
+        ray = from_dense(ray)
+        rr = RingRayPair(per_entry(from_dense(ring), ray), ray)
         plan = rr._plan[0]
         assert plan == plan_oracle(rr.ring, rr.ray)
         assert plan.shape == (rr.ray.nnz, rr.n_columns * rr.n_depths)
@@ -186,7 +189,7 @@ class TestVtMatrixvt:
         s, n_d = 6, 4
         ones_ring = from_dense(np.ones((s, n_d)))
         ones_ray = from_dense(np.ones((s, 1)))
-        rr = RingRayPair(ones_ring, ones_ray)
+        rr = RingRayPair(per_entry(ones_ring, ones_ray), ones_ray)
         f = rng.random((1, 3), dtype=np.float32)
         d = rng.random((1, n_d), dtype=np.float32)
         out = vt_matrixvt(f, d, rr)
@@ -276,9 +279,8 @@ class TestVtMatrixvt:
         rng = np.random.default_rng(seed)
         ring = rng.random((s, n_d)) < ring_density
         ray = rng.random((s, w)) < ray_density
-        rr = RingRayPair(
-            from_dense(ring), from_dense(ray)
-        )
+        ray_m = from_dense(ray)
+        rr = RingRayPair(per_entry(from_dense(ring), ray_m), ray_m)
         f = rng.random((w, 3), dtype=np.float32)
         d = rng.random((w, n_d), dtype=np.float32)
         out = vt_matrixvt(f, d, rr)
@@ -301,7 +303,7 @@ class TestEffectiveFtm:
     def test_zero_ring(self):
         ring = SparseBinaryMatrix(4, 3, np.zeros(5, np.int64), [])
         ray = from_dense(np.ones((4, 2)))
-        assert effective_ftm(RingRayPair(ring, ray)).nnz == 0
+        assert effective_ftm(RingRayPair(per_entry(ring, ray), ray)).nnz == 0
 
     def test_single_ray_equals_exact(self):
         fr, _, grid = single_ray_setup()
@@ -322,20 +324,57 @@ class TestEffectiveFtm:
         # them again; the checking constructor takes them as they are
         rng = np.random.default_rng(seed)
         _, _, rr = build_pair(rng, n_cameras=3, w_i=6, h_i=2, n_d=8, grid_cells=16)
-        hand = RingRayPair(
-            from_dense(rng.random((5, 3)) < 0.5), from_dense(rng.random((5, 4)) < 0.5)
-        )
+        ring, ray = from_dense(rng.random((5, 3)) < 0.5), from_dense(rng.random((5, 4)) < 0.5)
+        hand = RingRayPair(per_entry(ring, ray), ray)
         for pair in (rr, hand):
             m = effective_ftm(pair)
             assert SparseBinaryMatrix(*m.shape, m.row_offsets, m.col_indices) == m
             assert not m.row_offsets.flags.writeable and not m.col_indices.flags.writeable
 
     def test_matches_kronecker_definition(self, rng):
+        # entry (s, w * N_d + d) is ray[s, w] times bin d of that nonzero's ring row
         _, _, rr = build_pair(rng, n_cameras=2, w_i=4, h_i=2, n_d=5, grid_cells=10)
-        ring = densify(rr.ring)
-        ray = densify(rr.ray)
-        expect = (ray[:, :, None] * ring[:, None, :]).reshape(rr.n_cells, -1)
-        np.testing.assert_array_equal(densify(effective_ftm(rr)), expect)
+        cells = np.repeat(np.arange(rr.n_cells), np.diff(rr.ray.row_offsets))
+        expect = np.zeros((rr.n_cells, rr.n_columns, rr.n_depths), dtype=np.float32)
+        expect[cells, rr.ray.col_indices] = densify(rr.ring)
+        np.testing.assert_array_equal(
+            densify(effective_ftm(rr)), expect.reshape(rr.n_cells, -1)
+        )
+
+
+def implied_chain(ftm, rr, n_d):
+    """The implied matrices of the per-camera pair `rr` and of the shared
+    ring rebuilt from `ftm` under the same ray, after checking exact <=
+    per-camera implied <= shared implied entry by entry."""
+    shared = RingRayPair(per_entry(shared_ring(ftm, n_d), rr.ray), rr.ray)
+    per_camera, shared_implied = effective_ftm(rr), effective_ftm(shared)
+    assert np.isin(entry_keys(ftm), entry_keys(per_camera)).all()
+    assert np.isin(entry_keys(per_camera), entry_keys(shared_implied)).all()
+    return per_camera, shared_implied
+
+
+class TestPerCameraRing:
+    """Exact <= per-camera implied <= shared implied on the bundled rig, and
+    the spurious rate of each ring: (implied nnz - exact nnz) / implied nnz."""
+
+    RATES = {  # setting: (per-camera, shared)
+        "S1": (0.1042, 0.2247),
+        "S2": (0.0006, 0.0552),
+        "S3": (0.1902, 0.3148),
+        "S4": (0.0011, 0.1094),
+        "S5": (0.0011, 0.1094),
+        "S6": (0.0041, 0.1412),
+    }
+
+    @pytest.mark.parametrize("setting", sorted(PRESETS))
+    def test_chain_and_spurious_rates(self, setting, rig_scene):
+        scene = setting_scene(rig_scene, PRESETS[setting])
+        frustum = generate_frustum(scene.rig, scene.bins)
+        ftm = build_ftm(frustum, scene.grid)
+        rr = build_ring_ray(frustum, scene.grid)
+        per_camera, shared = implied_chain(ftm, rr, scene.bins.count)
+        rates = tuple(round((m.nnz - ftm.nnz) / m.nnz, 4) for m in (per_camera, shared))
+        assert rates == self.RATES[setting]
 
 
 class TestDegenerateRigs:
@@ -381,6 +420,7 @@ class TestDegenerateRigs:
         np.testing.assert_array_equal(outs["ftm"], outs["scatter"])
         assert max_rel_diff(outs["matrixvt"], outs["implied"]) <= 1e-5
         assert (densify(ftm) <= densify(implied)).all()
+        implied_chain(ftm, rr, n_d)
         empty = np.diff(ftm.row_offsets) == 0
         for out in outs.values():
             assert out.shape == (scene.grid.n_cells, 3)
@@ -494,9 +534,25 @@ class TestCache:
         old = older_cache_bytes("d", ring, ray)
         (tmp_path / "ringray.bxc").write_bytes(old)
         assert load_ring_ray(tmp_path, "d") is None
-        save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
+        rr = RingRayPair(per_entry(ring, ray), ray)
+        save_ring_ray(rr, tmp_path, "d")
         assert (tmp_path / "ringray.bxc").read_bytes() != old
-        assert load_ring_ray(tmp_path, "d") == RingRayPair(ring, ray)
+        assert load_ring_ray(tmp_path, "d") == rr
+
+    def test_shared_ring_layout_misses_and_the_next_save_replaces_it(self, tmp_path, rng):
+        # a file of the layout before per-entry rings: a shared (S, N_d)
+        # ring under the BXC2 header, with the same BXS2 records
+        scene = random_scene(rng)
+        frustum = generate_frustum(scene.rig, scene.bins)
+        rr = build_ring_ray(frustum, scene.grid)
+        digest = scene_digest(scene)
+        shared = shared_ring(build_ftm(frustum, scene.grid), scene.bins.count)
+        old = bxc2_cache_bytes(digest, shared, rr.ray)
+        (tmp_path / "ringray.bxc").write_bytes(old)
+        assert load_ring_ray(tmp_path, digest) is None
+        save_ring_ray(rr, tmp_path, digest)
+        assert (tmp_path / "ringray.bxc").read_bytes()[:8] == b"BXC3\0\0\0\0"
+        assert load_ring_ray(tmp_path, digest) == rr
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
@@ -555,12 +611,24 @@ class TestCache:
         assert read_cache((tmp_path / "ringray.bxc").read_bytes(), "d") is not None
         assert load_ring_ray(tmp_path, "d") is None
 
-    def test_plan_larger_than_physical_memory_misses(self, tmp_path, monkeypatch):
-        ring, ray = plan_larger_than_memory()
+    def test_wide_crafted_file_loads_in_a_small_multiple_of_its_size(self, tmp_path):
+        # the crafted wide file of the shared layout (a 1-row ring and ray,
+        # 2**17 entries each, whose plan took 2**34 entries), rebuilt with
+        # the ring one row per ray entry: the plan is the ring's size
+        n = 2**17
+        ray = SparseBinaryMatrix(1, n, [0, n], np.arange(n))
+        ring = SparseBinaryMatrix(n, n, np.arange(n + 1), np.arange(n))
         with open(tmp_path / "ringray.bxc", "wb") as f:
             write_cache(f, "d", ring, ray)
-        monkeypatch.setattr(transform, "_build_plan", no_plan)
-        assert load_ring_ray(tmp_path, "d") is None
+        size = (tmp_path / "ringray.bxc").stat().st_size
+        tracemalloc.start()
+        try:
+            rr = load_ring_ray(tmp_path, "d")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rr is not None and rr._plan[0].nnz == n
+        assert peak < 3 * size, (peak, size)
 
     def test_concurrent_saves_to_one_slot_never_mix(self, tmp_path, rng, monkeypatch):
         _, _, a = build_pair(rng)
@@ -602,7 +670,7 @@ class TestCache:
         ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
         ray = SparseBinaryMatrix(3, 4, [0, 2, 2, 3], [0, 3, 2])
         slot = tmp_path / "c"
-        save_ring_ray(RingRayPair(ring, ray), slot, "d")
+        save_ring_ray(RingRayPair(per_entry(ring, ray), ray), slot, "d")
         path = slot / "ringray.bxc"
         raw = path.read_bytes()
         assert load_ring_ray(slot, "d") is not None
