@@ -279,27 +279,41 @@ def run_bench(config, settings, backends, repeats=20, seed=0):
     return [r for s in settings for r in _time_setting(scene, s, backends, repeats, seed)]
 
 
-def flip_ring_bit(rr):
-    """Return a copy of the pair with the bin of its middle one-bin ring row
-    removed.
+def flip_ring_bit(rr, exact):
+    """Return a copy of the pair with one ring bin that `exact`, the scene's
+    exact transport matrix, holds removed: the middle such (ray entry, bin).
 
     Used to prove the checker notices a corrupted matrix. Not every ring
     entry is exact: a row holds the bins of its camera's other columns too.
-    But the one bin of a one-bin row is its own column's, which the exact
-    transport matrix holds, so dropping it breaks containment. A pair with
-    no one-bin ring row is a ValidationError.
+    An exact one, (cell s, column w, bin d), is implied only by the ring row
+    of ray entry (s, w), so dropping it always breaks containment. A pair
+    with no ring bin that `exact` holds, as when `exact` is empty, is a
+    ValidationError.
     """
+    implied = effective_ftm(rr)  # its entries are the ring's, in ring order
+    if exact.shape != implied.shape:
+        raise ValidationError(
+            f"flip_ring_bit: an exact matrix of shape {exact.shape} under a "
+            f"pair that implies {implied.shape}"
+        )
+    held = np.flatnonzero(np.isin(_entry_keys(implied), _entry_keys(exact)))
+    if held.size == 0:
+        raise ValidationError("the exact matrix holds no ring bin to flip")
+    at = int(held[held.size // 2])
     ring = rr.ring
-    one_bin = np.flatnonzero(np.diff(ring.row_offsets) == 1)
-    if one_bin.size == 0:
-        raise ValidationError("ring has no one-bin row to flip")
-    row = int(one_bin[one_bin.size // 2])
     offsets = ring.row_offsets.copy()
-    offsets[row + 1 :] -= 1
-    cols = np.delete(ring.col_indices, ring.row_offsets[row])
+    offsets[np.searchsorted(offsets, at, side="right") :] -= 1
+    cols = np.delete(ring.col_indices, at)
     return RingRayPair(
         SparseBinaryMatrix(ring.rows, ring.cols, offsets, cols), rr.ray
     )
+
+
+def _entry_keys(m):
+    """The keys row * cols + col of a binary CSR matrix's entries, ascending."""
+    rows = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_offsets))
+    rows *= m.cols
+    return rows + m.col_indices
 
 
 @dataclass(frozen=True)
@@ -380,9 +394,9 @@ def run_check(config, trials, seed, corrupt_ring=False):
     seed = _whole(seed, "seed", 0, UsageError)
     scene = load_scene(config)
     built = _build(scene, BACKENDS)
-    rr = flip_ring_bit(built["matrixvt"]) if corrupt_ring else built["matrixvt"]
-    implied = effective_ftm(rr)
     exact = built["ftm"]
+    rr = flip_ring_bit(built["matrixvt"], exact) if corrupt_ring else built["matrixvt"]
+    implied = effective_ftm(rr)
     spurious = _spurious_rate(exact, rr)
     # name: ((route, its build), (reference route, its build))
     gates = {

@@ -344,15 +344,38 @@ class FrustumGeometry:
         sample j = (n * W_I + w) * N_d + d. The pair of the last grid asked
         for is kept, so every build over one frustum and grid lands its
         samples once."""
+        return self._memo(grid)["landing"]
+
+    def _landing_keys(self, grid):
+        """The landing as ascending read-only int64 keys
+        cell * (W * N_d) + sample: the entries of the exact transport
+        matrix in CSR order. They are sorted once and kept with the
+        landing of the same grid, so reference.build_ftm and
+        transform.build_ring_ray share one sort. tensor_core._sorted_keys
+        sorts them, after its checks that the matrix's row offsets fit in
+        memory and its keys in int64."""
+        memo = self._memo(grid)
+        if "keys" not in memo:
+            from .tensor_core import _sorted_keys  # tensor_core imports this module
+
+            cells, inside = memo["landing"]
+            keys = _sorted_keys(grid.n_cells, self.points_xyz.size // 3, cells, inside)
+            keys.setflags(write=False)
+            memo["keys"] = keys
+        return memo["keys"]
+
+    def _memo(self, grid):
+        """The memo of the last grid asked for: its landing, and its sorted
+        keys once `_landing_keys` has asked for them."""
         memo = self.__dict__.get("_landing")
-        if memo is not None and memo[0] == grid:
-            return memo[1]
-        # a (p, 2) view of the x, y columns: no copy of the points
-        cells, inside = grid.locate_many(self.points_xyz.reshape(-1, 3)[:, :2])
-        cells.setflags(write=False)
-        inside.setflags(write=False)
-        object.__setattr__(self, "_landing", (grid, (cells, inside)))
-        return cells, inside
+        if memo is None or memo["grid"] != grid:
+            # a (p, 2) view of the x, y columns: no copy of the points
+            cells, inside = grid.locate_many(self.points_xyz.reshape(-1, 3)[:, :2])
+            cells.setflags(write=False)
+            inside.setflags(write=False)
+            memo = {"grid": grid, "landing": (cells, inside)}
+            object.__setattr__(self, "_landing", memo)
+        return memo
 
     @property
     def n_cameras(self):
@@ -371,9 +394,12 @@ def generate_frustum(rig, bins, reference_row=None):
     """Back-project one pixel row of every camera through all depth bins.
 
     For camera n and feature column w, the source pixel is
-    u = (w + 0.5) * stride, v = (reference_row + 0.5) * stride. The pixel ray
-    K^-1 (u, v, 1) is scaled so its forward (optical-axis) component equals
-    each bin center, then moved to the ego frame.
+    u = (w + 0.5) * stride, v = (reference_row + 0.5) * stride. Its pixel
+    ray K^-1 (u, v, 1), scaled to a unit forward (optical-axis) component,
+    is rotated into the ego frame once per camera. Rotation is linear, so
+    R (c r) = c (R r): the sample at bin center c is the rotated ray scaled
+    by c, plus the camera's translation, and each of x, y and z is one
+    broadcast multiply-add over every (camera, column, bin).
 
     Args:
         rig: CameraRig.
@@ -392,26 +418,28 @@ def generate_frustum(rig, bins, reference_row=None):
             f"reference_row {reference_row} out of range "
             f"[0, {rig.feature_height})"
         )
-    w_i = rig.feature_width
-    n_d = bins.count
-    # the points, plus one camera's body points and their rotated copy
-    if not _fits_in_memory(24 * w_i * n_d * (rig.n_cameras + 2)):
+    n_c, w_i, n_d = rig.n_cameras, rig.feature_width, bins.count
+    # the points, every camera's rotated rays, the pixels and one solve
+    if not _fits_in_memory(24 * w_i * (n_c * n_d + n_c + 2)):
         raise GeometryError(
-            f"generate_frustum: {rig.n_cameras} x {w_i} x {n_d} float64 points "
+            f"generate_frustum: {n_c} x {w_i} x {n_d} float64 points "
             "exceed physical memory or the address-space limit"
         )
     u = (np.arange(w_i) + 0.5) * rig.image_stride
     v = (reference_row + 0.5) * rig.image_stride
     pixels = np.stack([u, np.full(w_i, v), np.ones(w_i)])  # (3, W_I)
 
-    points = np.empty((rig.n_cameras, w_i, n_d, 3))
+    rays = np.empty((n_c, 3, w_i))  # each camera's rays, in the ego frame
     for n, cam in enumerate(rig.cameras):
-        rays = np.linalg.solve(cam.intrinsics, pixels)  # optical frame, z == 1
-        rays /= rays[2]
-        rays_body = _OPT_TO_BODY @ rays  # (3, W_I), forward component == 1
-        # (W_I, N_d, 3): scale each unit-forward ray by the bin centers
-        pts_body = rays_body.T[:, None, :] * bins.centers[None, :, None]
-        points[n] = pts_body @ cam.rotation.T + cam.translation
+        optical = np.linalg.solve(cam.intrinsics, pixels)
+        optical /= optical[2]  # unit forward (optical-axis) component
+        rays[n] = cam.rotation @ (_OPT_TO_BODY @ optical)
+    translation = np.array([cam.translation for cam in rig.cameras])  # (N_c, 3)
+    points = np.empty((n_c, w_i, n_d, 3))
+    for k in range(3):
+        axis = points[..., k]
+        np.multiply(rays[:, k, :, None], bins.centers, out=axis)
+        axis += translation[:, k, None, None]
     points.setflags(write=False)  # owned and frozen: FrustumGeometry keeps it
     return FrustumGeometry(points)
 

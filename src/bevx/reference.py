@@ -4,10 +4,11 @@ sparse transport matrix.
 Everything else in this package is validated against these routines. They
 are written for clarity over speed; `transform` holds the fast route. Each
 route checks its inputs once and calls numpy or scipy directly: the scatter
-is one `np.add.at`, the transport product one scipy CSR matmul. There
-is no full-height variant: a full-height map is one `lift` +
-`splat_reference` per feature row, each through that row's frustum, summed
-(see `prime.full_vs_prime_ablation`).
+is one `np.add.at`, the transport product one scipy CSR matmul. build_ftm
+reads the frustum's sorted landing, the one sort per frustum and grid that
+transform.build_ring_ray shares. There is no full-height variant: a
+full-height map is one `lift` + `splat_reference` per feature row, each
+through that row's frustum, summed (see `prime.full_vs_prime_ablation`).
 
 Shape glossary: W = N_c * W_I flattened (camera, column) index, S = H_B * W_B
 flattened BEV cell index, C = channels, N_d = depth bins. Lifted tensors are
@@ -19,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
+from .tensor_core import DTYPE, SparseBinaryMatrix, _row_offsets, as_feature
 
 __all__ = [
     "lift",
@@ -76,14 +77,21 @@ def build_ftm(frustum, grid):
 
     The entries are the (cell, sample) pairs of `frustum.landing(grid)`:
     every column has at most one nonzero because the grid cells partition
-    the plane, and samples outside the grid produce no entry.
+    the plane, and samples outside the grid produce no entry. The CSR
+    arrays come straight from the landing's sorted keys, the one sort that
+    transform.build_ring_ray shares: the landing's ids are in range and
+    hold no sample twice, so nothing from_coo checks needs checking again.
 
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
     n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
-    cells, samples = frustum.landing(grid)
-    return SparseBinaryMatrix.from_coo(grid.n_cells, n_cols, cells, samples)
+    keys = frustum._landing_keys(grid)
+    # integer division by a scalar is cheap in numpy; % and divmod are not
+    cells = keys // n_cols
+    return SparseBinaryMatrix._built(
+        grid.n_cells, n_cols, _row_offsets(grid.n_cells, cells), keys - cells * n_cols
+    )
 
 
 def vt_ftm(lifted, ftm):

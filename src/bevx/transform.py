@@ -10,7 +10,9 @@ redundant: a BEV cell is described by which feature columns reach it
     holding every bin at which some column of w's camera lands in s
 
 so the ring is per camera, as the paper's FTM is: a row never takes a bin
-that only another camera produces. vt_matrixvt applies the pair without
+that only another camera produces. build_ring_ray reads both off the
+frustum's sorted landing, the one sort per frustum and grid that
+reference.build_ftm shares. vt_matrixvt applies the pair without
 materializing the lifted tensor. Both factors meet in one plan matrix
 (RingRayPair._plan, built with the pair): the ring with the columns of row
 j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
@@ -42,7 +44,6 @@ from .tensor_core import (
     SparseBinaryMatrix,
     _row_offsets,
     _run_starts,
-    _sorted_keys,
     as_feature,
 )
 
@@ -132,20 +133,20 @@ def build_ring_ray(frustum, grid):
     j, for the j-th ray nonzero (s, w) in CSR order, holds every bin d at
     which some column of w's camera n = w // W_I lands in s: the camera's
     depth band through s, so the pair implies only transport that camera
-    could make. Both come from one sort of the landing's (cell, sample)
-    keys, the entries of reference.build_ftm in its CSR order: sample
-    j = (n * W_I + w) * N_d + d gives column j // N_d and bin j % N_d. A run
-    of equal (cell, column) keys is a ray nonzero, and a run of equal
-    (cell, camera) keys is one camera's band, whose bins are the union over
-    its columns.
+    could make. Both come from the landing's sorted (cell, sample) keys,
+    which the frustum keeps for reference.build_ftm too, so a scene that
+    builds both sorts once. The keys are the exact matrix's entries in CSR
+    order: sample j = (n * W_I + w) * N_d + d gives column j // N_d and bin
+    j % N_d. A run of equal (cell, column) keys is a ray nonzero, and a run
+    of equal (cell, camera) keys is one camera's band, whose bins are the
+    union over its columns.
 
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
     """
     w_i, n_d = frustum.n_columns, frustum.n_depths
     n_w = frustum.n_cameras * w_i
-    cells, samples = frustum.landing(grid)
-    keys = _sorted_keys(grid.n_cells, n_w * n_d, cells, samples)
+    keys = frustum._landing_keys(grid)
     column = keys // n_d  # cell * W + column
     entry = column[_run_starts(column)]  # the ray's nonzeros, in CSR order
     # each camera's bins in cell s, keyed (cell * N_c + camera) * N_d + bin;

@@ -132,6 +132,26 @@ def locate_scan_pure(grid, x, y):
     return hits[0] if hits else None
 
 
+def frustum_per_point(rig, bins):
+    """The (N_c, W_I, N_d, 3) frustum points of the middle feature row,
+    moved to the ego frame point by point: each camera's body-frame points,
+    its unit-forward pixel rays scaled by every bin center, times the
+    rotation's transpose, plus the translation (pts_body @ R.T + t)."""
+    row = rig.feature_height // 2
+    stride, w_i = rig.image_stride, rig.feature_width
+    pixels = np.stack(
+        [(np.arange(w_i) + 0.5) * stride, np.full(w_i, (row + 0.5) * stride), np.ones(w_i)]
+    )
+    to_body = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    points = np.empty((len(rig.cameras), w_i, bins.centers.shape[0], 3))
+    for n, cam in enumerate(rig.cameras):
+        rays = np.linalg.solve(cam.intrinsics, pixels)
+        rays_body = to_body @ (rays / rays[2])  # (3, W_I), forward component 1
+        pts_body = rays_body.T[:, None, :] * bins.centers[None, :, None]
+        points[n] = pts_body @ cam.rotation.T + cam.translation
+    return points
+
+
 def ring_ray_loop(frustum, grid):
     """Literal triple loop over (camera, column, bin) with scan membership.
 

@@ -282,12 +282,23 @@ class TestCsvJson:
         ]
 
 
+# two-camera rigs where every ring row holds several bins: a one-cell grid
+# (four bins each) and a near-vertical rig (three bins each)
+NO_ONE_BIN_ROW = {
+    "one-cell": dict(away=[False, False], n_d=4, h_cells=1, w_cells=1, reach=0.8),
+    "near-vertical": dict(away=[False, True], n_d=6, reach=0.7, pitch=89.0),
+}
+
+
+def exact_and_pair(scene):
+    frustum = generate_frustum(scene.rig, scene.bins)
+    return build_ftm(frustum, scene.grid), build_ring_ray(frustum, scene.grid)
+
+
 class TestFlipRingBit:
     def test_removes_one_nonzero(self, small_scene):
-        rr = build_ring_ray(
-            generate_frustum(small_scene.rig, small_scene.bins), small_scene.grid
-        )
-        flipped = flip_ring_bit(rr)
+        ftm, rr = exact_and_pair(small_scene)
+        flipped = flip_ring_bit(rr, ftm)
         assert flipped.ring.nnz == rr.ring.nnz - 1
         assert flipped.ray == rr.ray
         assert isinstance(flipped.ring, SparseBinaryMatrix)  # revalidated
@@ -296,18 +307,41 @@ class TestFlipRingBit:
     def test_flipped_pair_fails_containment(self, setting, rig_scene):
         # not every ring entry is exact, but the removed one is
         scene = rig_scene if setting is None else setting_scene(rig_scene, PRESETS[setting])
-        frustum = generate_frustum(scene.rig, scene.bins)
-        ftm = build_ftm(frustum, scene.grid)
-        rr = build_ring_ray(frustum, scene.grid)
+        ftm, rr = exact_and_pair(scene)
         exact = entry_keys(ftm)
         assert np.isin(exact, entry_keys(effective_ftm(rr))).all()
-        assert not np.isin(exact, entry_keys(effective_ftm(flip_ring_bit(rr)))).all()
+        assert not np.isin(exact, entry_keys(effective_ftm(flip_ring_bit(rr, ftm)))).all()
 
-    def test_pair_without_a_one_bin_row_is_refused(self):
-        ray = SparseBinaryMatrix(1, 1, [0, 1], [0])
-        ring = SparseBinaryMatrix(1, 3, [0, 2], [0, 2])
-        with pytest.raises(ValidationError, match="one-bin row"):
-            flip_ring_bit(RingRayPair(ring, ray))
+    def test_pairs_without_a_one_bin_row_fail_containment(self):
+        for rig in NO_ONE_BIN_ROW.values():
+            ftm, rr = exact_and_pair(degenerate_scene(**rig))
+            assert (np.diff(rr.ring.row_offsets) > 1).all()
+            flipped = effective_ftm(flip_ring_bit(rr, ftm))
+            missing = ~np.isin(entry_keys(ftm), entry_keys(flipped))
+            assert missing.sum() == 1  # one exact entry, the removed bin's
+
+    def test_removes_the_middle_exact_bin(self):
+        # ray entry (cell 0, column 0) holds bins 0 and 2, of which only 2 is
+        # exact; entry (cell 1, column 0) holds bin 1, exact
+        ray = SparseBinaryMatrix(2, 1, [0, 1, 2], [0, 0])
+        ring = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
+        exact = SparseBinaryMatrix(2, 3, [0, 1, 2], [2, 1])
+        flipped = flip_ring_bit(RingRayPair(ring, ray), exact)
+        assert flipped.ring == SparseBinaryMatrix(2, 3, [0, 2, 2], [0, 2])
+
+    def test_pair_whose_exact_matrix_is_empty_is_refused(self):
+        # an away camera lands nothing: empty exact matrix, empty ray
+        ftm, rr = exact_and_pair(degenerate_scene([True]))
+        assert ftm.nnz == 0
+        with pytest.raises(ValidationError, match="no ring bin to flip"):
+            flip_ring_bit(rr, ftm)
+
+    def test_exact_matrix_of_another_shape_is_refused(self, small_scene):
+        ftm, rr = exact_and_pair(small_scene)
+        offsets = np.append(ftm.row_offsets, ftm.nnz)  # one more, empty row
+        other = SparseBinaryMatrix(ftm.rows + 1, ftm.cols, offsets, ftm.col_indices)
+        with pytest.raises(ValidationError, match="shape"):
+            flip_ring_bit(rr, other)
 
 
 class TestRunCheck:
@@ -508,6 +542,15 @@ class TestCli:
         )
         assert code == 1
         assert "result: FAIL in containment" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rig", sorted(NO_ONE_BIN_ROW))
+    def test_check_flip_ring_bit_fails_without_a_one_bin_row(self, rig, tmp_path, capsys):
+        path = tmp_path / "rig.json"
+        path.write_text(json.dumps(scene_to_dict(degenerate_scene(**NO_ONE_BIN_ROW[rig]))))
+        argv = ["check", "--config", str(path), "--trials", "2"]
+        assert main(argv) == 0
+        assert main(argv + ["--flip-ring-bit"]) == 1
+        assert capsys.readouterr().out.splitlines()[-1] == "result: FAIL in containment"
 
     @pytest.mark.parametrize(
         "extra, code", [([], 0), (["--flip-ring-bit"], 1)], ids=["pass", "flip-ring-bit"]

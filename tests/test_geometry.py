@@ -20,9 +20,12 @@ from bevx import (
     load_scene,
     scene_digest,
     scene_to_dict,
+    tensor_core,
 )
+from bevx.bench import PRESETS, setting_scene
 from oracles import (
     cell_rect,
+    frustum_per_point,
     grid_edges,
     locate_scan,
     locate_scan_pure,
@@ -217,6 +220,31 @@ class TestGenerateFrustum:
             same = BevGrid(g.extent, g.h_cells, g.w_cells)
             assert fr.landing(same)[0] is cells
         assert fr.landing(grid)[0] is not cells
+
+    def test_landing_keys_are_sorted_once_per_grid(self, small_scene, monkeypatch):
+        fr = generate_frustum(small_scene.rig, small_scene.bins)
+        grid = small_scene.grid
+        other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
+        sorts = []
+        sorted_keys = tensor_core._sorted_keys
+        monkeypatch.setattr(
+            tensor_core, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+        )
+        n_samples = fr.points_xyz.size // 3
+        for g in (grid, other, grid):
+            keys = fr._landing_keys(g)
+            cells, inside = fr.landing(g)
+            np.testing.assert_array_equal(keys, np.sort(cells * n_samples + inside))
+            assert keys.dtype == np.int64 and not keys.flags.writeable
+            assert fr._landing_keys(BevGrid(g.extent, g.h_cells, g.w_cells)) is keys
+        assert len(sorts) == 3  # the memo holds the last grid only
+
+    @pytest.mark.parametrize("setting", sorted(PRESETS))
+    def test_matches_per_point_oracle_on_the_bundled_rig(self, setting, rig_scene):
+        scene = setting_scene(rig_scene, PRESETS[setting])
+        points = generate_frustum(scene.rig, scene.bins).points_xyz
+        want = frustum_per_point(scene.rig, scene.bins)
+        np.testing.assert_allclose(points, want, rtol=0, atol=1e-12)
 
     def test_principal_column_maps_to_forward_axis(self):
         # principal point at the column-0 center: u = 0.5 * stride = cx

@@ -17,6 +17,7 @@ from bevx import (
     splat_reference,
     vt_ftm,
 )
+from bevx.bench import PRESETS, setting_scene
 from oracles import (
     cell_rect,
     densify,
@@ -179,6 +180,39 @@ class TestBuildFtm:
         fr = generate_frustum(scene.rig, scene.bins)
         ftm = build_ftm(fr, scene.grid)
         assert densify(ftm).sum(axis=0).max() <= 1
+
+
+def ftm_from_coo(frustum, grid):
+    """The exact matrix through the checking COO build over the landing."""
+    n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
+    return SparseBinaryMatrix.from_coo(grid.n_cells, n_cols, *frustum.landing(grid))
+
+
+class TestBuildFtmFromLandingKeys:
+    """build_ftm assembles its CSR from the landing's sorted keys, unchecked;
+    it must be the matrix from_coo checks and builds from the same landing."""
+
+    @pytest.mark.parametrize("setting", sorted(PRESETS))
+    def test_bundled_rig(self, setting, rig_scene):
+        scene = setting_scene(rig_scene, PRESETS[setting])
+        fr = generate_frustum(scene.rig, scene.bins)
+        assert build_ftm(fr, scene.grid) == ftm_from_coo(fr, scene.grid)
+
+    def test_grid_that_no_sample_lands_in(self):
+        # every bin lies past the grid's 10 m extent
+        fr, _, _ = single_ray_setup(d_min=100.0, d_max=200.0)
+        grid = BevGrid(10.0, 4, 4)
+        ftm = build_ftm(fr, grid)
+        assert ftm.nnz == 0 and ftm == ftm_from_coo(fr, grid)
+
+    def test_one_frustum_over_two_grids(self, rng):
+        scene = random_scene(rng, n_cameras=2, w_i=5, h_i=2, n_d=7, grid_cells=12)
+        fr = generate_frustum(scene.rig, scene.bins)
+        coarse = BevGrid(scene.grid.extent, 5, 5)
+        for grid in (scene.grid, coarse, scene.grid, coarse):
+            ftm = build_ftm(fr, grid)
+            assert ftm == ftm_from_coo(fr, grid) == ftm_loop(fr, grid)
+            assert ftm.shape == (grid.n_cells, fr.points_xyz.size // 3)
 
 
 class TestVtFtm:

@@ -31,7 +31,7 @@ from bevx import (
     vt_ftm,
     vt_matrixvt,
 )
-from bevx import transform
+from bevx import tensor_core, transform
 from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
 from bevx.fileio import read_cache, write_cache
 from oracles import (
@@ -41,6 +41,8 @@ from oracles import (
     dense_reformulated,
     entry_keys,
     from_dense,
+    ftm_loop,
+    frustum_per_point,
     locate_scan,
     older_cache_bytes,
     per_entry,
@@ -99,6 +101,25 @@ class TestBuildRingRay:
         ring, ray = ring_ray_loop(fr, grid)
         assert rr.ring == ring
         assert rr.ray == ray
+
+    @pytest.mark.parametrize("ftm_first", [True, False], ids=["ftm-first", "ring-ray-first"])
+    def test_shares_one_sort_with_build_ftm(self, ftm_first, monkeypatch):
+        scene = random_scene(np.random.default_rng(4), n_cameras=3, w_i=6, n_d=7)
+        fr = generate_frustum(scene.rig, scene.bins)
+        sorts = []
+        sorted_keys = tensor_core._sorted_keys
+        monkeypatch.setattr(
+            tensor_core, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+        )
+        if ftm_first:
+            ftm = build_ftm(fr, scene.grid)
+            rr = build_ring_ray(fr, scene.grid)
+        else:
+            rr = build_ring_ray(fr, scene.grid)
+            ftm = build_ftm(fr, scene.grid)
+        assert len(sorts) == 1
+        assert ftm == ftm_loop(fr, scene.grid)
+        assert (rr.ring, rr.ray) == ring_ray_loop(fr, scene.grid)
 
     def test_pair_rows_must_match(self):
         a = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
@@ -255,8 +276,8 @@ class TestVtMatrixvt:
 
     def test_corrupted_ring_still_matches_dense_oracle(self, rng):
         # a ring row emptied under a non-empty ray row is an empty plan row
-        _, _, rr = build_pair(rng, n_cameras=1, w_i=4, h_i=2, n_d=6, grid_cells=10)
-        bad = flip_ring_bit(rr)
+        fr, grid, rr = build_pair(rng, n_cameras=1, w_i=4, h_i=2, n_d=6, grid_cells=10)
+        bad = flip_ring_bit(rr, build_ftm(fr, grid))
         f = rng.random((bad.n_columns, 3), dtype=np.float32)
         d = rng.random((bad.n_columns, bad.n_depths), dtype=np.float32)
         assert max_rel_diff(vt_matrixvt(f, d, bad), dense_reformulated(f, d, bad)) <= 1e-5
@@ -406,7 +427,13 @@ class TestDegenerateRigs:
     def test_guarantees_hold(self, away, n_d, h_cells, w_cells, reach, pitch, seed):
         scene = degenerate_scene(away, n_d, h_cells, w_cells, reach, pitch=pitch)
         frustum = generate_frustum(scene.rig, scene.bins)
+        np.testing.assert_allclose(
+            frustum.points_xyz, frustum_per_point(scene.rig, scene.bins), rtol=0, atol=1e-12
+        )
         ftm = build_ftm(frustum, scene.grid)
+        assert ftm == SparseBinaryMatrix.from_coo(
+            scene.grid.n_cells, ftm.cols, *frustum.landing(scene.grid)
+        )
         rr = build_ring_ray(frustum, scene.grid)
         implied = effective_ftm(rr)
         f, d = make_inputs(scene, 3, seed)
