@@ -18,7 +18,9 @@ route, within 1e-5 relative. A non-finite difference fails its gate.
 `trial_seeds` lists the seeds of the trials run, `scene_digest` is the
 digest of the scene that was checked, and the structure counts (`ftm_nnz`,
 `ring_nnz`, `ray_nnz`, `implied_nnz`, `empty_cell_share`) say what was
-built, so `spurious_rate` is `(implied_nnz - ftm_nnz) / implied_nnz`.
+built. `spurious_rate` is the share of implied entries the exact matrix
+lacks, in [0, 1]; whenever containment holds it is
+`(implied_nnz - ftm_nnz) / implied_nnz`.
 """
 from __future__ import annotations
 
@@ -397,7 +399,7 @@ def run_check(config, trials, seed, corrupt_ring=False):
     exact = built["ftm"]
     rr = flip_ring_bit(built["matrixvt"], exact) if corrupt_ring else built["matrixvt"]
     implied = effective_ftm(rr)
-    spurious = _spurious_rate(exact, rr)
+    spurious = _spurious_rate(exact, implied)
     # name: ((route, its build), (reference route, its build))
     gates = {
         "ftm-vs-scatter": (("ftm", exact), ("scatter", built["scatter"])),

@@ -237,12 +237,17 @@ def effective_ftm(rr):
     )
 
 
-def _spurious_rate(exact, rr):
-    """The share of effective_ftm(rr)'s entries that `exact`, the scene's
-    exact transport matrix, lacks; 0.0 for a pair that implies none.
-    effective_ftm(rr) holds exactly the plan's entries, so it is not built."""
-    implied = rr._plan[0].nnz
-    return (implied - exact.nnz) / implied if implied else 0.0
+def _spurious_rate(exact, implied):
+    """The share of `implied`'s entries (effective_ftm of a pair) that
+    `exact`, the scene's exact transport matrix, lacks: implied entries
+    missing from `exact` over implied nnz, 0.0 when nothing is implied. It
+    lies in [0, 1] also when containment fails; when it holds, it is
+    (implied.nnz - exact.nnz) / implied.nnz."""
+    if not implied.nnz:
+        return 0.0
+    # binary matrices: their elementwise product holds the shared entries
+    shared = exact._scipy.multiply(implied._scipy).nnz
+    return (implied.nnz - shared) / implied.nnz
 
 
 @dataclass(frozen=True)

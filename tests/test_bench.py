@@ -552,6 +552,26 @@ class TestCli:
         assert main(argv + ["--flip-ring-bit"]) == 1
         assert capsys.readouterr().out.splitlines()[-1] == "result: FAIL in containment"
 
+    @pytest.mark.parametrize("rig", sorted(NO_ONE_BIN_ROW))
+    def test_check_spurious_rate_of_a_flipped_pair_is_a_share(self, rig, tmp_path, capsys):
+        # the per-camera ring is exact on these rigs, so the flipped pair
+        # implies fewer entries than the exact matrix holds
+        scene = degenerate_scene(**NO_ONE_BIN_ROW[rig])
+        path, report = tmp_path / "rig.json", tmp_path / "check.json"
+        path.write_text(json.dumps(scene_to_dict(scene)))
+        argv = ["check", "--config", str(path), "--trials", "2", "--flip-ring-bit"]
+        assert main(argv + ["--json", str(report)]) == 1
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("check: containment") and "spurious rate -" not in line
+        doc = json.loads(report.read_text())
+        assert doc["implied_nnz"] < doc["ftm_nnz"]
+        assert 0.0 <= doc["spurious_rate"] <= 1.0
+
+        ftm, rr = exact_and_pair(scene)
+        implied = entry_keys(effective_ftm(flip_ring_bit(rr, ftm)))
+        spurious = ~np.isin(implied, entry_keys(ftm))
+        assert doc["spurious_rate"] == spurious.sum() / implied.size
+
     @pytest.mark.parametrize(
         "extra, code", [([], 0), (["--flip-ring-bit"], 1)], ids=["pass", "flip-ring-bit"]
     )
@@ -584,8 +604,11 @@ class TestCli:
             "implied_nnz": report.implied_nnz,
             "empty_cell_share": report.empty_cell_share,
         }
+        # the implied entries the exact matrix lacks, over implied nnz: the
+        # flipped pair lacks one exact entry, so it shares ftm_nnz - 1
+        shared = doc["ftm_nnz"] - (1 if code else 0)
         assert doc["spurious_rate"] == (
-            (doc["implied_nnz"] - doc["ftm_nnz"]) / doc["implied_nnz"]
+            (doc["implied_nnz"] - shared) / doc["implied_nnz"]
         )
         if code:
             assert doc["failure"] == "containment" and doc["maxima"] == {}

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import json
+import random
 
 import numpy as np
 import pytest
@@ -121,8 +123,11 @@ def bad_camera_value(name, bad):
 
 
 @pytest.mark.parametrize(
-    "bad", [np.nan, np.inf, -np.inf, np.zeros(4), "0 0 1"],
-    ids=["nan", "inf", "-inf", "wrong-shape", "str"],
+    "bad",
+    [np.nan, np.inf, -np.inf, np.zeros(4), "0 0 1", True, None,
+     [1.0] * 8, [1.0] * 10, np.zeros((3, 4)).tolist(), [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]],
+    ids=["nan", "inf", "-inf", "wrong-shape", "str", "bool", "none",
+         "8-entries", "10-entries", "3x4", "ragged"],
 )
 @pytest.mark.parametrize("name", sorted(CAMERA_FIELDS))
 def test_camera_rejects_bad_arrays(name, bad):
@@ -176,8 +181,11 @@ class TestCamera:
         with pytest.raises(GeometryError, match="bottom row"):
             Camera(k, np.eye(3), np.zeros(3))
 
-    def test_rejects_non_positive_focal(self):
-        k = np.array([[-10.0, 0, 2], [0, 10.0, 2], [0, 0, 1]])
+    @pytest.mark.parametrize("focal", [-10.0, 0.0])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
+    def test_rejects_non_positive_focal(self, entry, focal):
+        k = np.array([[10.0, 0, 2], [0, 10.0, 2], [0, 0, 1]])
+        k[entry] = focal
         with pytest.raises(GeometryError, match="focal"):
             Camera(k, np.eye(3), np.zeros(3))
 
@@ -190,6 +198,134 @@ class TestCamera:
             CameraRig((), 4, 4, 8)
         with pytest.raises(GeometryError, match="positive"):
             CameraRig((simple_camera(),), 0, 4, 8)
+
+
+CAMERA_VALUES = {  # whole numbers, so every dtype below holds them exactly
+    "intrinsics": np.array([[500.0, 1.0, 352.0], [0.0, 499.0, 128.0], [0.0, 0.0, 1.0]]),
+    "rotation": np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    "translation": np.array([1.0, -2.0, 3.0]),
+}
+
+
+def read_only(a):
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
+CAMERA_FORMS = {
+    "list": lambda a: a.ravel().tolist(),
+    "tuple": lambda a: tuple(a.ravel().tolist()),
+    "nested-list": lambda a: a.tolist(),
+    "c-float64": np.ascontiguousarray,
+    "f-float64": np.asfortranarray,
+    "float32": lambda a: a.astype(np.float32),
+    "int64": lambda a: a.astype(np.int64),
+    "read-only": read_only,
+}
+
+
+class TestCameraParsing:
+    """Every form of a Camera field takes one path to the same stored array,
+    and the checks on its Python floats keep numpy's tolerance rule
+    |x - y| <= 1e-6 + 1e-5 * |y|."""
+
+    @pytest.mark.parametrize("form", sorted(CAMERA_FORMS))
+    @pytest.mark.parametrize("name", sorted(CAMERA_VALUES))
+    def test_every_form_stores_the_same_bytes(self, name, form):
+        value = CAMERA_FORMS[form](CAMERA_VALUES[name])
+        cam = Camera(**dict(CAMERA_VALUES, **{name: value}))
+        stored = getattr(cam, name)
+        expected = np.asarray(value, np.float64).reshape(CAMERA_VALUES[name].shape)
+        assert stored.dtype == np.float64 and stored.shape == expected.shape
+        assert stored.tobytes() == expected.tobytes()
+        assert not stored.flags.writeable and stored.flags.owndata and stored.flags.c_contiguous
+        if isinstance(value, np.ndarray):
+            assert stored is not value
+            assert value.flags.writeable == (form != "read-only")
+
+    @pytest.mark.parametrize(
+        "row, ok",
+        [((0.0, 5e-7, 1.0), True), ((0.0, 2e-6, 1.0), False),
+         ((5e-7, 0.0, 1.0), True), ((-2e-6, 0.0, 1.0), False),
+         ((0.0, 0.0, 1.0 + 1.0e-5), True), ((0.0, 0.0, 1.0 + 1.2e-5), False),
+         ((0.0, 0.0, 1.0 - 1.0e-5), True), ((0.0, 0.0, 1.0 - 1.2e-5), False)],
+    )
+    def test_bottom_row_tolerance(self, row, ok):
+        k = CAMERA_VALUES["intrinsics"].copy()
+        k[2] = row
+        if ok:
+            Camera(k, np.eye(3), np.zeros(3))
+        else:
+            with pytest.raises(GeometryError, match="bottom row must be"):
+                Camera(k, np.eye(3), np.zeros(3))
+
+    @pytest.mark.parametrize("excess, ok", [(1.05e-5, True), (1.15e-5, False), (-1.05e-5, True), (-1.15e-5, False)])
+    def test_gram_diagonal_tolerance(self, excess, ok):
+        # R^T R = (1 + excess) I
+        r = Rotation.from_euler("zyx", [30, 10, -5], degrees=True).as_matrix()
+        r = r * np.sqrt(1.0 + excess)
+        assert abs(np.diag(r.T @ r) - (1.0 + excess)).max() < 1e-12
+        self._check_rotation(r, ok)
+
+    @pytest.mark.parametrize("off, ok", [(0.9e-6, True), (1.1e-6, False), (-0.9e-6, True), (-1.1e-6, False)])
+    @pytest.mark.parametrize("entry", [(0, 1), (0, 2), (1, 2)])
+    def test_gram_off_diagonal_tolerance(self, entry, off, ok):
+        # column m of R gains `off` times the unit vector of column n, so
+        # (R^T R)[m, n] = off and the diagonal moves by off**2 only
+        m, n = entry
+        r = np.eye(3)
+        r[n, m] = off
+        gram = r.T @ r
+        assert gram[m, n] == gram[n, m] == off
+        self._check_rotation(r, ok)
+
+    @staticmethod
+    def _check_rotation(r, ok):
+        if ok:
+            Camera(CAMERA_VALUES["intrinsics"], r, np.zeros(3))
+        else:
+            with pytest.raises(GeometryError, match="rotation is not orthonormal within 1e-6"):
+                Camera(CAMERA_VALUES["intrinsics"], r, np.zeros(3))
+
+
+def perturbed_docs(doc, rng, n):
+    """`n` copies of a scene dict, each camera's mount height moved by up to
+    0.2 m and its yaw turned by up to about 2 degrees. Only IEEE arithmetic
+    on Python floats, no trig or BLAS call, so every platform makes the
+    same bytes: the turn's cosine and sine come from t = tan(yaw / 2)."""
+    docs = []
+    for _ in range(n):
+        new = json.loads(json.dumps(doc))
+        for cam in new["cameras"]:
+            cam["translation"][2] += rng.uniform(-0.2, 0.2)
+            t = rng.uniform(-0.0175, 0.0175)
+            c, s = (1.0 - t * t) / (1.0 + t * t), 2.0 * t / (1.0 + t * t)
+            top, mid, bottom = (cam["rotation"][i:i + 3] for i in (0, 3, 6))
+            cam["rotation"] = (
+                [c * a - s * b for a, b in zip(top, mid)]
+                + [s * a + c * b for a, b in zip(top, mid)]
+                + bottom
+            )
+        docs.append(new)
+    return docs
+
+
+SCENE_DIGESTS_SHA256 = "260b16589d491943fd45b0b4d8ad498e909c09b1968be474310ddee379826014"
+
+
+def test_scene_digests_are_pinned(rig_config_path, rig_scene):
+    """One sha256 over the scene_digest of the bundled rig, S1-S6 and 100
+    seeded rigs with perturbed height and yaw: parsing, the stored arrays
+    and scene_to_dict keep every digest byte."""
+    with open(rig_config_path, encoding="utf-8") as f:
+        doc = json.load(f)
+    scenes = [rig_scene] + [setting_scene(rig_scene, PRESETS[s]) for s in sorted(PRESETS)]
+    scenes += [load_scene(d) for d in perturbed_docs(doc, random.Random(2301), 100)]
+    h = hashlib.sha256()
+    for scene in scenes:
+        h.update(scene_digest(scene).encode())
+    assert h.hexdigest() == SCENE_DIGESTS_SHA256
 
 
 class TestGenerateFrustum:
