@@ -181,9 +181,14 @@ class TestCamera:
         with pytest.raises(GeometryError, match="bottom row"):
             Camera(k, np.eye(3), np.zeros(3))
 
+    def test_rejects_non_positive_focal(self):
+        k = np.array([[-10.0, 0, 2], [0, 10.0, 2], [0, 0, 1]])
+        with pytest.raises(GeometryError, match="focal"):
+            Camera(k, np.eye(3), np.zeros(3))
+
     @pytest.mark.parametrize("focal", [-10.0, 0.0])
     @pytest.mark.parametrize("entry", [(0, 0), (1, 1)])
-    def test_rejects_non_positive_focal(self, entry, focal):
+    def test_rejects_non_positive_focal_entry(self, entry, focal):
         k = np.array([[10.0, 0, 2], [0, 10.0, 2], [0, 0, 1]])
         k[entry] = focal
         with pytest.raises(GeometryError, match="focal"):
