@@ -18,9 +18,11 @@ route, within 1e-5 relative. A non-finite difference fails its gate.
 `trial_seeds` lists the seeds of the trials run, `scene_digest` is the
 digest of the scene that was checked, and the structure counts (`ftm_nnz`,
 `ring_nnz`, `ray_nnz`, `implied_nnz`, `empty_cell_share`) say what was
-built. `spurious_rate` is the share of implied entries the exact matrix
-lacks, in [0, 1]; whenever containment holds it is
-`(implied_nnz - ftm_nnz) / implied_nnz`.
+built. Containment, `spurious_rate` and `flip_ring_bit` all read one mask,
+`transform._held`: which implied entries the exact matrix holds.
+Containment holds when that mask counts `ftm_nnz` entries. `spurious_rate`
+is the share of implied entries the exact matrix lacks, in [0, 1]; whenever
+containment holds it is `(implied_nnz - ftm_nnz) / implied_nnz`.
 """
 from __future__ import annotations
 
@@ -48,9 +50,10 @@ from ..geometry import (
     scene_digest,
 )
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
-from ..tensor_core import SparseBinaryMatrix
+from ..tensor_core import _from_keys, _keys
 from ..transform import (
     RingRayPair,
+    _held,
     _spurious_rate,
     build_ring_ray,
     cost_model,
@@ -288,34 +291,18 @@ def flip_ring_bit(rr, exact):
     Used to prove the checker notices a corrupted matrix. Not every ring
     entry is exact: a row holds the bins of its camera's other columns too.
     An exact one, (cell s, column w, bin d), is implied only by the ring row
-    of ray entry (s, w), so dropping it always breaks containment. A pair
-    with no ring bin that `exact` holds, as when `exact` is empty, is a
-    ValidationError.
+    of ray entry (s, w), so dropping it always breaks containment. The
+    exact bins are those of `transform._held`'s mask; a pair with none, as
+    when `exact` is empty, is a ValidationError, and so is any pair that
+    `_held` refuses.
     """
-    implied = effective_ftm(rr)  # its entries are the ring's, in ring order
-    if exact.shape != implied.shape:
-        raise ValidationError(
-            f"flip_ring_bit: an exact matrix of shape {exact.shape} under a "
-            f"pair that implies {implied.shape}"
-        )
-    held = np.flatnonzero(np.isin(_entry_keys(implied), _entry_keys(exact)))
+    # the implied matrix's entries are the ring's, in ring order
+    held = np.flatnonzero(_held(exact, effective_ftm(rr)))
     if held.size == 0:
         raise ValidationError("the exact matrix holds no ring bin to flip")
-    at = int(held[held.size // 2])
     ring = rr.ring
-    offsets = ring.row_offsets.copy()
-    offsets[np.searchsorted(offsets, at, side="right") :] -= 1
-    cols = np.delete(ring.col_indices, at)
-    return RingRayPair(
-        SparseBinaryMatrix(ring.rows, ring.cols, offsets, cols), rr.ray
-    )
-
-
-def _entry_keys(m):
-    """The keys row * cols + col of a binary CSR matrix's entries, ascending."""
-    rows = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_offsets))
-    rows *= m.cols
-    return rows + m.col_indices
+    keys = np.delete(_keys(ring), held[held.size // 2])
+    return RingRayPair(_from_keys(ring.rows, ring.cols, keys), rr.ray)
 
 
 @dataclass(frozen=True)
@@ -371,19 +358,12 @@ class CheckReport:
         return lines + [f"result: {result}"]
 
 
-def _containment_ok(exact, implied):
-    # exact <= implied elementwise, checked sparsely: their difference may
-    # not contain a positive exact-only entry
-    diff = exact._scipy - implied._scipy
-    diff.eliminate_zeros()
-    return diff.nnz == 0 or float(diff.data.max()) <= 0.0
-
-
 def run_check(config, trials, seed, corrupt_ring=False):
     """Cross-validate the `_ROUTES` entries `run_bench` times, built the same way.
 
     First the exact transport matrix must be contained in the
-    factorization-implied one; if it is not, no trial runs. Per trial:
+    factorization-implied one: `_held`'s mask of the implied entries it
+    holds must count all of its entries. If not, no trial runs. Per trial:
     `make_inputs(scene, 8, trial_seed)` draws 8-channel features and
     depths, and each gate runs a route and its reference route on them:
     `ftm` against `scatter` (ftm-vs-scatter), and `matrixvt` against `ftm`
@@ -399,7 +379,7 @@ def run_check(config, trials, seed, corrupt_ring=False):
     exact = built["ftm"]
     rr = flip_ring_bit(built["matrixvt"], exact) if corrupt_ring else built["matrixvt"]
     implied = effective_ftm(rr)
-    spurious = _spurious_rate(exact, implied)
+    held = _held(exact, implied)
     # name: ((route, its build), (reference route, its build))
     gates = {
         "ftm-vs-scatter": (("ftm", exact), ("scatter", built["scatter"])),
@@ -407,7 +387,7 @@ def run_check(config, trials, seed, corrupt_ring=False):
     }
 
     maxima, failure, trial_seeds = {}, "containment", []
-    if _containment_ok(exact, implied):
+    if np.count_nonzero(held) == exact.nnz:
         maxima, failure = dict.fromkeys(gates, 0.0), None
         rng = np.random.default_rng(seed)
         for _ in range(trials):
@@ -424,7 +404,7 @@ def run_check(config, trials, seed, corrupt_ring=False):
     empty_cells = int(np.count_nonzero(np.diff(exact.row_offsets) == 0))
     return CheckReport(
         trials,
-        spurious,
+        _spurious_rate(held),
         maxima,
         failure,
         seed,

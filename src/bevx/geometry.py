@@ -55,23 +55,6 @@ _OPT_TO_BODY = np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
 _ORTHO_TOL = 1e-6
 
 
-def _readonly(a):
-    """`a` as a read-only float64 C-order array. An array that already is
-    one and owns its data is returned as it is; anything else is copied, so
-    the caller's array stays writable."""
-    if (
-        isinstance(a, np.ndarray)
-        and a.dtype == np.float64
-        and a.flags.c_contiguous
-        and a.flags.owndata
-        and not a.flags.writeable
-    ):
-        return a
-    out = np.array(a, dtype=np.float64, order="C")
-    out.setflags(write=False)
-    return out
-
-
 def _parsed(value, what, shape):
     """`value` parsed once into its read-only, owned, C-order float64 array
     of `shape` and the same values as a flat list of Python floats. Every
@@ -250,7 +233,8 @@ class DepthBins:
                 f"{count} depth bins exceed physical memory or the address-space limit"
             )
         step = (d_max - d_min) / count
-        centers = _readonly(d_min + (np.arange(count) + 0.5) * step)
+        centers = d_min + (np.arange(count) + 0.5) * step
+        centers.setflags(write=False)  # fresh and owned, so frozen in place
         _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
 
 
@@ -284,8 +268,10 @@ class BevGrid:
             )
         cell_size = 2.0 * extent / w_cells
         x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
-        x_edges = _readonly(x_min + np.arange(w_cells + 1) * cell_size)
-        y_edges = _readonly(y_min + np.arange(h_cells + 1) * cell_size)
+        x_edges = x_min + np.arange(w_cells + 1) * cell_size
+        y_edges = y_min + np.arange(h_cells + 1) * cell_size
+        x_edges.setflags(write=False)  # fresh and owned, so frozen in place
+        y_edges.setflags(write=False)
         _freeze(self, extent=extent, h_cells=h_cells, w_cells=w_cells, cell_size=cell_size,
                 x_min=x_min, y_min=y_min, _x_edges=x_edges, _y_edges=y_edges)
 
@@ -332,7 +318,19 @@ class FrustumGeometry:
     points_xyz: np.ndarray  # (N_c, W_I, N_d, 3)
 
     def __post_init__(self):
-        p = _readonly(self.points_xyz)
+        # stored as a read-only float64 C-order array: one that already is
+        # and owns its data, as generate_frustum's, is kept as it is; any
+        # other is copied, so the caller's array stays writable
+        p = self.points_xyz
+        if not (
+            isinstance(p, np.ndarray)
+            and p.dtype == np.float64
+            and p.flags.c_contiguous
+            and p.flags.owndata
+            and not p.flags.writeable
+        ):
+            p = np.array(p, dtype=np.float64, order="C")
+            p.setflags(write=False)
         if p.ndim != 4 or p.shape[3] != 3:
             raise ShapeError(f"points_xyz must be (N_c, W_I, N_d, 3), got {p.shape}")
         object.__setattr__(self, "points_xyz", p)

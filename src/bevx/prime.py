@@ -36,7 +36,7 @@ from .errors import BevxError, ShapeError, ValidationError
 from .geometry import generate_frustum
 from .reference import build_ftm, lift, splat_reference
 from .tensor_core import _all_finite, _coerce, as_feature
-from .transform import _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
+from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
     "PrimeAttention",
@@ -270,7 +270,7 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     pd = _pool_depth(d, attn.weights).reshape(n_w, bins.count)
     rr = build_ring_ray(reference, grid)
     bev_prime = vt_matrixvt(pf, pd, rr)
-    spurious = _spurious_rate(build_ftm(reference, grid), effective_ftm(rr))
+    spurious = _spurious_rate(_held(build_ftm(reference, grid), effective_ftm(rr)))
 
     gap = np.abs(bev_full - bev_prime).max(axis=1)
     scale = np.maximum(

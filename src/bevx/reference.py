@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DTYPE, SparseBinaryMatrix, _row_offsets, as_feature
+from .tensor_core import DTYPE, _from_keys, as_feature
 
 __all__ = [
     "lift",
@@ -77,21 +77,17 @@ def build_ftm(frustum, grid):
 
     The entries are the (cell, sample) pairs of `frustum.landing(grid)`:
     every column has at most one nonzero because the grid cells partition
-    the plane, and samples outside the grid produce no entry. The CSR
-    arrays come straight from the landing's sorted keys, the one sort that
-    transform.build_ring_ray shares: the landing's ids are in range and
-    hold no sample twice, so nothing from_coo checks needs checking again.
+    the plane, and samples outside the grid produce no entry. The landing's
+    sorted keys, the one sort that transform.build_ring_ray shares, are the
+    matrix's entries in tensor_core's key codec, so `_from_keys` decodes
+    them: the landing's ids are in range and hold no sample twice, so
+    nothing from_coo checks needs checking again.
 
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
     n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
-    keys = frustum._landing_keys(grid)
-    # integer division by a scalar is cheap in numpy; % and divmod are not
-    cells = keys // n_cols
-    return SparseBinaryMatrix._built(
-        grid.n_cells, n_cols, _row_offsets(grid.n_cells, cells), keys - cells * n_cols
-    )
+    return _from_keys(grid.n_cells, n_cols, frustum._landing_keys(grid))
 
 
 def vt_ftm(lifted, ftm):

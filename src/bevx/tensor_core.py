@@ -8,6 +8,12 @@ whole tensor anyway may coerce it with `_coerce`, prove it finite in its
 own pass, and scan it with `_all_finite` only to name a failure. Sparse
 matrices are CSR with implicit unit values: every transport matrix in this
 package is binary, so no value array is stored.
+The entries of a matrix are also read and written as one codec, the
+ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
+pairs, `_from_keys` decodes ascending, distinct keys to a matrix, and
+`_keys` encodes a matrix's entries. One rule guards all three: a matrix
+with entries and rows * cols >= 2**63 has keys that would wrap, which is a
+ValidationError.
 The products over these types live in the routes that own them
 (`reference`, `transform`), which check their inputs once.
 """
@@ -73,6 +79,15 @@ def as_feature(x, name="tensor"):
     return arr
 
 
+def _check_key_room(rows, cols, nnz):
+    """The codec's int64 rule: `nnz` entries of a rows x cols matrix have
+    keys row * cols + col that fit in int64, else a ValidationError."""
+    if nnz and rows * cols >= 2**63:
+        raise ValidationError(
+            f"a {rows} x {cols} matrix has too many entries for int64 keys"
+        )
+
+
 def _sorted_keys(rows, cols, row_ids, col_ids):
     """The ascending int64 keys row * cols + col of (row, col) pairs already
     in range, for a CSR build over `rows` rows.
@@ -87,13 +102,30 @@ def _sorted_keys(rows, cols, row_ids, col_ids):
             f"the row offsets of a {rows}-row matrix exceed physical memory "
             "or the address-space limit"
         )
-    if row_ids.size and rows * cols >= 2**63:
-        raise ValidationError(
-            f"a {rows} x {cols} matrix has too many entries for int64 keys"
-        )
+    _check_key_room(rows, cols, row_ids.size)
     keys = row_ids * np.int64(cols)
     keys += col_ids
     keys.sort()
+    return keys
+
+
+def _from_keys(rows, cols, keys):
+    """The matrix of ascending, distinct int64 keys row * cols + col, each
+    in range: built by this package, so `_built`, not checked again."""
+    # integer division by a scalar is cheap in numpy; % and divmod are not
+    row_ids = keys // max(cols, 1)
+    return SparseBinaryMatrix._built(
+        rows, cols, _row_offsets(rows, row_ids), keys - row_ids * cols
+    )
+
+
+def _keys(m):
+    """The ascending int64 keys row * cols + col of a matrix's entries, the
+    inverse of `_from_keys`, under `_sorted_keys`'s int64 rule."""
+    _check_key_room(m.rows, m.cols, m.nnz)
+    keys = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_offsets))
+    keys *= m.cols
+    keys += m.col_indices
     return keys
 
 
@@ -204,10 +236,7 @@ class SparseBinaryMatrix:
             if col_ids.min() < 0 or col_ids.max() >= cols:
                 raise ValidationError("column index out of range")
         keys = _sorted_keys(rows, cols, row_ids, col_ids)
-        keys = keys[_run_starts(keys)]
-        # integer division by a scalar is cheap in numpy; % and divmod are not
-        row_ids = keys // max(cols, 1)
-        return cls._built(rows, cols, _row_offsets(rows, row_ids), keys - row_ids * cols)
+        return _from_keys(rows, cols, keys[_run_starts(keys)])
 
     @functools.cached_property
     def _scipy(self):

@@ -21,8 +21,11 @@ ring row. vt_matrixvt is two sparse products over it: plan @ depths gives
 one weight per ray nonzero, and the ray-patterned S x W matrix of those
 weights times the features gives the BEV tensor. effective_ftm reads the
 transport matrix the pair implies off the same plan; reference.vt_ftm over
-that matrix is the independent route vt_matrixvt is gated against, and
-_spurious_rate is the share of its entries the exact matrix lacks.
+that matrix is the independent route vt_matrixvt is gated against.
+_held is the one comparison of that matrix with the exact one: the mask of
+its entries that the exact matrix holds, over tensor_core's int64 keys.
+Containment (bench.run_check), _spurious_rate (the share of implied
+entries the exact matrix lacks) and bench.flip_ring_bit all read it.
 cost_model is the closed-form cost of the paper's naive pipeline next to
 the reformulated one.
 """
@@ -42,7 +45,8 @@ from .geometry import _whole
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
-    _row_offsets,
+    _from_keys,
+    _keys,
     _run_starts,
     as_feature,
 )
@@ -139,7 +143,8 @@ def build_ring_ray(frustum, grid):
     order: sample j = (n * W_I + w) * N_d + d gives column j // N_d and bin
     j % N_d. A run of equal (cell, column) keys is a ray nonzero, and a run
     of equal (cell, camera) keys is one camera's band, whose bins are the
-    union over its columns.
+    union over its columns. The ray's (cell, column) keys are
+    tensor_core's key codec, so `_from_keys` decodes them.
 
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
@@ -169,11 +174,7 @@ def build_ring_ray(frustum, grid):
     at = np.repeat(lo - ring_offsets[:-1], length)
     at += np.arange(ring_offsets[-1])
     ring = SparseBinaryMatrix._built(entry.shape[0], n_d, ring_offsets, bins[at])
-    cell = entry // n_w
-    ray = SparseBinaryMatrix._built(
-        grid.n_cells, n_w, _row_offsets(grid.n_cells, cell), entry - cell * n_w
-    )
-    return RingRayPair(ring, ray)
+    return RingRayPair(ring, _from_keys(grid.n_cells, n_w, entry))
 
 
 def vt_matrixvt(features, depths, rr):
@@ -237,17 +238,28 @@ def effective_ftm(rr):
     )
 
 
-def _spurious_rate(exact, implied):
-    """The share of `implied`'s entries (effective_ftm of a pair) that
-    `exact`, the scene's exact transport matrix, lacks: implied entries
-    missing from `exact` over implied nnz, 0.0 when nothing is implied. It
-    lies in [0, 1] also when containment fails; when it holds, it is
+def _held(exact, implied):
+    """Which of `implied`'s entries (effective_ftm of a pair), in CSR order,
+    `exact`, the scene's exact transport matrix, holds: a bool mask, and
+    the one comparison of the two. `exact` is contained in `implied` when
+    the mask holds exact.nnz entries. Matrices of different shapes, or
+    whose keys would wrap int64, are a ValidationError."""
+    if exact.shape != implied.shape:
+        raise ValidationError(
+            f"an exact matrix of shape {exact.shape} against an implied "
+            f"matrix of shape {implied.shape}"
+        )
+    return np.isin(_keys(implied), _keys(exact), assume_unique=True)
+
+
+def _spurious_rate(held):
+    """The share of implied entries that the exact matrix lacks, from their
+    `_held` mask: 0.0 when nothing is implied. It lies in [0, 1] also when
+    containment fails; when it holds, it is
     (implied.nnz - exact.nnz) / implied.nnz."""
-    if not implied.nnz:
+    if not held.size:
         return 0.0
-    # binary matrices: their elementwise product holds the shared entries
-    shared = exact._scipy.multiply(implied._scipy).nnz
-    return (implied.nnz - shared) / implied.nnz
+    return (held.size - np.count_nonzero(held)) / held.size
 
 
 @dataclass(frozen=True)

@@ -301,7 +301,7 @@ class TestFlipRingBit:
         flipped = flip_ring_bit(rr, ftm)
         assert flipped.ring.nnz == rr.ring.nnz - 1
         assert flipped.ray == rr.ray
-        assert isinstance(flipped.ring, SparseBinaryMatrix)  # revalidated
+        assert isinstance(flipped.ring, SparseBinaryMatrix)
 
     @pytest.mark.parametrize("setting", [None, *sorted(PRESETS)])
     def test_flipped_pair_fails_containment(self, setting, rig_scene):
@@ -328,6 +328,15 @@ class TestFlipRingBit:
         exact = SparseBinaryMatrix(2, 3, [0, 1, 2], [2, 1])
         flipped = flip_ring_bit(RingRayPair(ring, ray), exact)
         assert flipped.ring == SparseBinaryMatrix(2, 3, [0, 2, 2], [0, 2])
+
+    def test_pair_whose_keys_would_wrap_is_refused(self):
+        # implied entry (4, 0) has key 4 * 2**62, which wraps to 0, the key
+        # of exact entry (0, 0); the two matrices share no entry
+        ray = SparseBinaryMatrix(5, 2**61, [0, 1, 1, 1, 1, 2], [0, 0])
+        ring = SparseBinaryMatrix(2, 2, [0, 1, 2], [1, 0])
+        exact = SparseBinaryMatrix(5, 2**62, [0, 1, 1, 1, 1, 1], [0])
+        with pytest.raises(ValidationError, match="int64 keys"):
+            flip_ring_bit(RingRayPair(ring, ray), exact)
 
     def test_pair_whose_exact_matrix_is_empty_is_refused(self):
         # an away camera lands nothing: empty exact matrix, empty ray

@@ -11,7 +11,8 @@ from hypothesis.extra import numpy as hnp
 
 import bevx.tensor_core
 from bevx import SparseBinaryMatrix, ValidationError, as_feature
-from oracles import csr_from_pairs, csr_order_ok_isin, densify, from_dense, row
+from bevx.tensor_core import _from_keys, _keys
+from oracles import csr_from_pairs, csr_order_ok_isin, densify, entry_keys, from_dense, row
 
 
 @st.composite
@@ -168,12 +169,26 @@ class TestSparseBinaryMatrix:
     @example((1, 1, []))
     @example((1, 1, [(0, 0), (0, 0)]))
     @example((3, 1, [(2, 0), (0, 0), (2, 0)]))
+    @example((3, 2**62, []))  # an empty matrix has keys however wide it is
+    @example((3, 2**62, [(1, 0), (2, 5)]))  # row * cols + col would wrap
     def test_from_coo_matches_sorted_pair_set(self, problem):
         rows, cols, pairs = problem
         r = np.array([p[0] for p in pairs], dtype=np.int64)
         c = np.array([p[1] for p in pairs], dtype=np.int64)
+        expected = csr_from_pairs(pairs, (rows, cols))
+        if pairs and rows * cols >= 2**63:
+            with pytest.raises(ValidationError, match="int64 keys"):
+                SparseBinaryMatrix.from_coo(rows, cols, r, c)
+            with pytest.raises(ValidationError, match="int64 keys"):
+                _keys(expected)
+            return
         m = SparseBinaryMatrix.from_coo(rows, cols, r, c)
-        assert m == csr_from_pairs(pairs, (rows, cols))
+        assert m == expected
+        # the key codec: _keys is entry_keys, and _from_keys inverts it
+        keys = _keys(m)
+        assert keys.dtype == np.int64
+        np.testing.assert_array_equal(keys, entry_keys(m))
+        assert _from_keys(rows, cols, keys) == m
 
     @settings(max_examples=300, deadline=None)
     @given(csr_candidates())
