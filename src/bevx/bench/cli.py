@@ -1,6 +1,7 @@
 """Command-line entry point: `bevx-bench run` and `bevx-bench check`.
 
-Exit codes: 0 success, 1 equivalence-check failure, 2 usage or config error.
+Exit codes: 0 success, 1 equivalence-check failure, 2 usage or config error,
+or a request that runs out of memory.
 """
 from __future__ import annotations
 
@@ -97,6 +98,9 @@ def main(argv=None):
         return _cmd_check(args)
     except (BevxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # past every preflight: a bad request, not a mismatch
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

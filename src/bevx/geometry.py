@@ -342,42 +342,11 @@ class FrustumGeometry:
 
     def landing(self, grid):
         """`grid.locate_many` over every sample, flattened in (camera,
-        column, depth) order: the read-only `(cells, inside)` pair, where
-        sample j = (n * W_I + w) * N_d + d. The pair of the last grid asked
-        for is kept, so every build over one frustum and grid lands its
-        samples once."""
-        return self._memo(grid)["landing"]
-
-    def _landing_keys(self, grid):
-        """The landing as ascending read-only int64 keys
-        cell * (W * N_d) + sample: the entries of the exact transport
-        matrix in CSR order. They are sorted once and kept with the
-        landing of the same grid, so reference.build_ftm and
-        transform.build_ring_ray share one sort. tensor_core._sorted_keys
-        sorts them, after its checks that the matrix's row offsets fit in
-        memory and its keys in int64."""
-        memo = self._memo(grid)
-        if "keys" not in memo:
-            from .tensor_core import _sorted_keys  # tensor_core imports this module
-
-            cells, inside = memo["landing"]
-            keys = _sorted_keys(grid.n_cells, self.points_xyz.size // 3, cells, inside)
-            keys.setflags(write=False)
-            memo["keys"] = keys
-        return memo["keys"]
-
-    def _memo(self, grid):
-        """The memo of the last grid asked for: its landing, and its sorted
-        keys once `_landing_keys` has asked for them."""
-        memo = self.__dict__.get("_landing")
-        if memo is None or memo["grid"] != grid:
-            # a (p, 2) view of the x, y columns: no copy of the points
-            cells, inside = grid.locate_many(self.points_xyz.reshape(-1, 3)[:, :2])
-            cells.setflags(write=False)
-            inside.setflags(write=False)
-            memo = {"grid": grid, "landing": (cells, inside)}
-            object.__setattr__(self, "_landing", memo)
-        return memo
+        column, depth) order: the `(cells, inside)` pair, where sample
+        j = (n * W_I + w) * N_d + d. Nothing is kept: reference.build_ftm
+        keeps the exact matrix built from it."""
+        # a (p, 2) view of the x, y columns: no copy of the points
+        return grid.locate_many(self.points_xyz.reshape(-1, 3)[:, :2])
 
     @property
     def n_cameras(self):

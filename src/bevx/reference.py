@@ -5,10 +5,13 @@ Everything else in this package is validated against these routines. They
 are written for clarity over speed; `transform` holds the fast route. Each
 route checks its inputs once and calls numpy or scipy directly: the scatter
 is one `np.add.at`, the transport product one scipy CSR matmul. build_ftm
-reads the frustum's sorted landing, the one sort per frustum and grid that
-transform.build_ring_ray shares. There is no full-height variant: a
-full-height map is one `lift` + `splat_reference` per feature row, each
-through that row's frustum, summed (see `prime.full_vs_prime_ablation`).
+keeps the exact matrix of the last grid asked for on the frustum, the one
+per-scene product that transform.build_ring_ray decomposes, so a scene
+lands and sorts its samples once. splat_reference lands them on every
+call, so the oracle shares nothing with the routes gated against it.
+There is no full-height variant: a full-height map is one `lift` +
+`splat_reference` per feature row, each through that row's frustum,
+summed (see `prime.full_vs_prime_ablation`).
 
 Shape glossary: W = N_c * W_I flattened (camera, column) index, S = H_B * W_B
 flattened BEV cell index, C = channels, N_d = depth bins. Lifted tensors are
@@ -20,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DTYPE, _from_keys, as_feature
+from .tensor_core import DTYPE, _from_keys, _sorted_keys, as_feature
 
 __all__ = [
     "lift",
@@ -77,17 +80,27 @@ def build_ftm(frustum, grid):
 
     The entries are the (cell, sample) pairs of `frustum.landing(grid)`:
     every column has at most one nonzero because the grid cells partition
-    the plane, and samples outside the grid produce no entry. The landing's
-    sorted keys, the one sort that transform.build_ring_ray shares, are the
-    matrix's entries in tensor_core's key codec, so `_from_keys` decodes
+    the plane, and samples outside the grid produce no entry. `_sorted_keys`
+    sorts them in tensor_core's key codec, after its checks that the row
+    offsets fit in memory and the keys in int64, and `_from_keys` decodes
     them: the landing's ids are in range and hold no sample twice, so
     nothing from_coo checks needs checking again.
+
+    The matrix of the last grid asked for is kept on the frustum, and a
+    call with an equal grid returns that same object: the scene's one
+    exact matrix, which transform.build_ring_ray decomposes.
 
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
+    kept = frustum.__dict__.get("_ftm")
+    if kept is not None and kept[0] == grid:
+        return kept[1]
     n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
-    return _from_keys(grid.n_cells, n_cols, frustum._landing_keys(grid))
+    keys = _sorted_keys(grid.n_cells, n_cols, *frustum.landing(grid))
+    ftm = _from_keys(grid.n_cells, n_cols, keys)
+    object.__setattr__(frustum, "_ftm", (grid, ftm))  # the frustum is frozen
+    return ftm
 
 
 def vt_ftm(lifted, ftm):

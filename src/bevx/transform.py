@@ -10,9 +10,10 @@ redundant: a BEV cell is described by which feature columns reach it
     holding every bin at which some column of w's camera lands in s
 
 so the ring is per camera, as the paper's FTM is: a row never takes a bin
-that only another camera produces. build_ring_ray reads both off the
-frustum's sorted landing, the one sort per frustum and grid that
-reference.build_ftm shares. vt_matrixvt applies the pair without
+that only another camera produces. build_ring_ray decomposes the exact
+matrix that reference.build_ftm keeps on the frustum: it reads both
+factors off that matrix's sorted entries, so a scene that builds both
+lands and sorts its samples once. vt_matrixvt applies the pair without
 materializing the lifted tensor. Both factors meet in one plan matrix
 (RingRayPair._plan, built with the pair): the ring with the columns of row
 j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
@@ -42,6 +43,7 @@ import scipy.sparse as sp
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
 from .geometry import _whole
+from .reference import build_ftm
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
@@ -137,21 +139,22 @@ def build_ring_ray(frustum, grid):
     j, for the j-th ray nonzero (s, w) in CSR order, holds every bin d at
     which some column of w's camera n = w // W_I lands in s: the camera's
     depth band through s, so the pair implies only transport that camera
-    could make. Both come from the landing's sorted (cell, sample) keys,
-    which the frustum keeps for reference.build_ftm too, so a scene that
-    builds both sorts once. The keys are the exact matrix's entries in CSR
-    order: sample j = (n * W_I + w) * N_d + d gives column j // N_d and bin
-    j % N_d. A run of equal (cell, column) keys is a ray nonzero, and a run
-    of equal (cell, camera) keys is one camera's band, whose bins are the
-    union over its columns. The ray's (cell, column) keys are
-    tensor_core's key codec, so `_from_keys` decodes them.
+    could make. Both are a decomposition of the exact matrix,
+    reference.build_ftm(frustum, grid), which the frustum keeps, so a scene
+    that builds both lands and sorts its samples once. Its entries, in
+    tensor_core's key codec, are the ascending (cell, sample) keys: sample
+    j = (n * W_I + w) * N_d + d gives column j // N_d and bin j % N_d. A
+    run of equal (cell, column) keys is a ray nonzero, and a run of equal
+    (cell, camera) keys is one camera's band, whose bins are the union over
+    its columns. The ray's (cell, column) keys are tensor_core's key
+    codec, so `_from_keys` decodes them.
 
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
     """
     w_i, n_d = frustum.n_columns, frustum.n_depths
     n_w = frustum.n_cameras * w_i
-    keys = frustum._landing_keys(grid)
+    keys = _keys(build_ftm(frustum, grid))
     column = keys // n_d  # cell * W + column
     entry = column[_run_starts(column)]  # the ray's nonzeros, in CSR order
     # each camera's bins in cell s, keyed (cell * N_c + camera) * N_d + bin;

@@ -640,6 +640,18 @@ class TestCli:
             assert f"unknown backend {backend!r}" in err
             assert "valid: scatter, ftm, matrixvt" in err
 
+    def test_out_of_memory_exits_two(self, small_config_path, monkeypatch, capsys):
+        # a request past every preflight that still runs out of memory is a
+        # bad request, exit 2, not an equivalence mismatch, exit 1
+        def run_check(*args):
+            raise MemoryError("Unable to allocate 2.00 GiB")
+
+        monkeypatch.setattr("bevx.bench.cli.run_check", run_check)
+        assert main(["check", "--config", small_config_path, "--trials", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "2.00 GiB" in err
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         code = main(["check", "--config", str(tmp_path / "nope.json")])
         assert code == 2

@@ -18,13 +18,15 @@ from bevx import (
     FrustumGeometry,
     GeometryError,
     Scene,
+    build_ftm,
     generate_frustum,
     load_scene,
+    reference,
     scene_digest,
     scene_to_dict,
-    tensor_core,
 )
 from bevx.bench import PRESETS, setting_scene
+from bevx.tensor_core import _keys
 from oracles import (
     cell_rect,
     frustum_per_point,
@@ -348,7 +350,7 @@ class TestGenerateFrustum:
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         assert fr.points_xyz.flags.owndata and not fr.points_xyz.flags.writeable
 
-    def test_landing_is_locate_many_kept_for_the_last_grid(self, small_scene):
+    def test_landing_is_locate_many(self, small_scene):
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         grid = small_scene.grid
         other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
@@ -357,28 +359,30 @@ class TestGenerateFrustum:
             want_cells, want_inside = g.locate_many(fr.points.reshape(-1, 2))
             np.testing.assert_array_equal(cells, want_cells)
             np.testing.assert_array_equal(inside, want_inside)
-            assert not cells.flags.writeable and not inside.flags.writeable
-            same = BevGrid(g.extent, g.h_cells, g.w_cells)
-            assert fr.landing(same)[0] is cells
-        assert fr.landing(grid)[0] is not cells
+            # nothing is kept: each call lands the samples afresh
+            assert fr.landing(g)[0] is not cells
+        assert set(vars(fr)) == {"points_xyz"}  # no per-grid state
 
     def test_landing_keys_are_sorted_once_per_grid(self, small_scene, monkeypatch):
+        # build_ftm keeps the exact matrix of the last grid, whose keys are
+        # the landing's sorted (cell, sample) keys
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         grid = small_scene.grid
         other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
         sorts = []
-        sorted_keys = tensor_core._sorted_keys
+        sorted_keys = reference._sorted_keys
         monkeypatch.setattr(
-            tensor_core, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+            reference, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
         )
         n_samples = fr.points_xyz.size // 3
         for g in (grid, other, grid):
-            keys = fr._landing_keys(g)
+            ftm = build_ftm(fr, g)
             cells, inside = fr.landing(g)
-            np.testing.assert_array_equal(keys, np.sort(cells * n_samples + inside))
-            assert keys.dtype == np.int64 and not keys.flags.writeable
-            assert fr._landing_keys(BevGrid(g.extent, g.h_cells, g.w_cells)) is keys
-        assert len(sorts) == 3  # the memo holds the last grid only
+            np.testing.assert_array_equal(_keys(ftm), np.sort(cells * n_samples + inside))
+            assert not ftm.row_offsets.flags.writeable
+            assert not ftm.col_indices.flags.writeable
+            assert build_ftm(fr, BevGrid(g.extent, g.h_cells, g.w_cells)) is ftm
+        assert len(sorts) == 3  # the frustum keeps the last grid's matrix only
 
     @pytest.mark.parametrize("setting", sorted(PRESETS))
     def test_matches_per_point_oracle_on_the_bundled_rig(self, setting, rig_scene):

@@ -1,7 +1,8 @@
 """The package's public boundary: exported names resolve, every module-level
-import is used, the test oracles run no library code, every public route
-rejects a non-finite input with a ValidationError naming the argument, and
-the README's python examples run."""
+import is used, the test oracles run no library code, geometry imports no
+bevx module but errors, every public route rejects a non-finite input with
+a ValidationError naming the argument, and the README's python examples
+run."""
 import ast
 import importlib
 import os
@@ -125,6 +126,22 @@ def test_oracles_run_no_library_code():
     """The oracles validate the library, so they may build its data types
     but must not call its functions or methods."""
     assert library_uses(ROOT / "tests" / "oracles.py") == []
+
+
+def test_geometry_imports_no_bevx_module_but_errors():
+    """tensor_core imports geometry, so geometry imports nothing from
+    tensor_core, nor from any other bevx module but errors, at module level
+    or inside a function."""
+    tree = ast.parse((ROOT / "src" / "bevx" / "geometry.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bevx"):
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names if a.name.startswith("bevx")}
+    assert imported == {"errors"}
 
 
 @pytest.fixture(scope="module")

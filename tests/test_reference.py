@@ -14,6 +14,7 @@ from bevx import (
     build_ftm,
     generate_frustum,
     lift,
+    reference,
     splat_reference,
     vt_ftm,
 )
@@ -155,6 +156,21 @@ class TestSplatReference:
         with pytest.raises(ShapeError):
             splat_reference(rng.random((2, 8, 3), dtype=np.float32), fr, grid)
 
+    def test_shares_no_sort_with_build_ftm(self, rng, monkeypatch):
+        # the oracle lands its samples on every call and sorts nothing, so
+        # it shares neither the kept matrix nor its sort with the routes
+        scene = random_scene(rng, n_cameras=2, w_i=5, h_i=3, n_d=6, grid_cells=10)
+        fr = generate_frustum(scene.rig, scene.bins)
+        lifted = rng.random((10, 6, 4), dtype=np.float32)
+
+        def no_sort(*args):
+            raise AssertionError("splat_reference sorted keys")
+
+        monkeypatch.setattr(reference, "_sorted_keys", no_sort)
+        np.testing.assert_array_equal(
+            splat_reference(lifted, fr, scene.grid), splat_loop(lifted, fr, scene.grid)
+        )
+
 
 class TestBuildFtm:
     def test_empty_overlap(self):
@@ -204,6 +220,16 @@ class TestBuildFtmFromLandingKeys:
         grid = BevGrid(10.0, 4, 4)
         ftm = build_ftm(fr, grid)
         assert ftm.nnz == 0 and ftm == ftm_from_coo(fr, grid)
+
+    def test_keeps_the_matrix_of_the_last_grid(self, small_scene):
+        fr = generate_frustum(small_scene.rig, small_scene.bins)
+        grid = small_scene.grid
+        other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
+        ftm = build_ftm(fr, grid)
+        assert build_ftm(fr, BevGrid(grid.extent, grid.h_cells, grid.w_cells)) is ftm
+        assert build_ftm(fr, other) is not ftm
+        again = build_ftm(fr, grid)  # only the last grid's matrix is kept
+        assert again is not ftm and again == ftm
 
     def test_one_frustum_over_two_grids(self, rng):
         scene = random_scene(rng, n_cameras=2, w_i=5, h_i=2, n_d=7, grid_cells=12)

@@ -31,7 +31,7 @@ from bevx import (
     vt_ftm,
     vt_matrixvt,
 )
-from bevx import tensor_core, transform
+from bevx import reference, transform
 from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
 from bevx.fileio import read_cache, write_cache
 from oracles import (
@@ -107,9 +107,9 @@ class TestBuildRingRay:
         scene = random_scene(np.random.default_rng(4), n_cameras=3, w_i=6, n_d=7)
         fr = generate_frustum(scene.rig, scene.bins)
         sorts = []
-        sorted_keys = tensor_core._sorted_keys
+        sorted_keys = reference._sorted_keys  # the sort build_ftm calls
         monkeypatch.setattr(
-            tensor_core, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+            reference, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
         )
         if ftm_first:
             ftm = build_ftm(fr, scene.grid)
