@@ -145,7 +145,8 @@ class Camera:
         intrinsics: 3x3 pixel matrix (or its 9 entries row-major); bottom
             row must be (0, 0, 1), the focal entries positive, and the
             matrix non-singular.
-        rotation: 3x3 orthonormal matrix, camera body frame -> ego frame.
+        rotation: 3x3 proper rotation, camera body frame -> ego frame:
+            orthonormal with determinant +1 (a reflection is refused).
         translation: camera center in the ego frame, meters.
     """
 
@@ -167,6 +168,10 @@ class Camera:
             dot = rot[m] * rot[n] + rot[m + 3] * rot[n + 3] + rot[m + 6] * rot[n + 6]
             if not abs(dot - (m == n)) <= _ORTHO_TOL + 1e-5 * (m == n):
                 raise GeometryError("rotation is not orthonormal within 1e-6")
+        # an orthonormal matrix has determinant +1 or -1; -1 mirrors the camera
+        (p, q, s), (u, v, w), (x, y, z) = rot[0:3], rot[3:6], rot[6:9]
+        if p * (v * z - w * y) - q * (u * z - w * x) + s * (u * y - v * x) < 0:
+            raise GeometryError("rotation is a reflection (determinant -1)")
         _freeze(self, intrinsics=k, rotation=r, translation=t)
 
     def _bytes(self):
@@ -311,9 +316,13 @@ class BevGrid:
         return i
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrustumGeometry:
-    """Ego-frame ground coordinates of every (camera, column, depth) sample."""
+    """Ego-frame ground coordinates of every (camera, column, depth) sample.
+
+    A frustum compares and hashes by identity: reference.build_ftm keeps
+    the exact matrix of its last grid on it, so two frusta with equal
+    points are still two per-scene products."""
 
     points_xyz: np.ndarray  # (N_c, W_I, N_d, 3)
 

@@ -20,10 +20,12 @@ carries redundancy. This module collapses it:
 
 Attention and refinement weights are inputs here, not learned, and each
 public function takes them in one form: attention as a `PrimeAttention`,
-refinement as a `RefineMap`. Every input is checked once, where it enters.
-`full_vs_prime_ablation` quantifies what the compression loses by running
-the full-height reference (`lift` + `splat_reference` once per feature row,
-summed) and the compressed fast transform on the same inputs.
+refinement as a `RefineMap`. Every input is checked once, by
+`prime_depth` or `prime_feature`. `full_vs_prime_ablation` quantifies what
+the compression loses by running the full-height reference (`lift` +
+`splat_reference` once per feature row, summed) and the compressed fast
+transform on the same inputs; it composes the two public routes, so it
+checks only what they cannot: that the inputs match the scene's rig.
 """
 from __future__ import annotations
 
@@ -101,12 +103,6 @@ def _require(value, kind, name):
         )
 
 
-def _pool_depth(d, weights):
-    # per column, the (1, H_I) attention row times the (H_I, N_d) depths
-    w = weights.transpose(0, 2, 1)[:, :, None, :]
-    return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
-
-
 _OVERFLOW = "float32 overflow of finite inputs in the embedding add or the refine"
 
 
@@ -156,7 +152,9 @@ def prime_depth(depth, attn):
     d = as_feature(depth, "depth")
     if d.ndim != 4 or d.shape[:3] != attn.weights.shape:
         raise ShapeError.mismatch("prime_depth", d.shape, attn.weights.shape)
-    return _pool_depth(d, attn.weights)
+    # per column, the (1, H_I) attention row times the (H_I, N_d) depths
+    w = attn.weights.transpose(0, 2, 1)[:, :, None, :]
+    return np.matmul(w, d.transpose(0, 2, 1, 3))[:, :, 0]
 
 
 def prime_feature(feature, pos_embed, refine):
@@ -220,6 +218,13 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     ring/ray transform through the middle-row frustum, the one the full
     route built for row H_I // 2.
 
+    Inputs are checked once. This function checks only that the feature
+    and depth match the rig's (N_c, H_I, W_I); prime_depth and
+    prime_feature, called before any frustum is built, check `attn`,
+    `refine` and `pos_embed` and prove every input finite, so their errors
+    name them. The full-height refine is checked for float32 overflow on
+    its own: it refines rows the max-pool drops.
+
     The discrepancy is a diagnostic, not a pass/fail quantity: it mixes the
     height compression itself with the factorization's spurious entries
     (reported separately as spurious_rate).
@@ -235,23 +240,17 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     Returns:
         AblationReport.
     """
-    _require(attn, PrimeAttention, "attn")
-    _require(refine, RefineMap, "refine")
     rig, bins, grid = scene.rig, scene.bins, scene.grid
-    f = as_feature(feature, "feature")
-    d = as_feature(depth, "depth")
-    e = as_feature(pos_embed, "pos_embed")
+    f = _coerce(feature, "feature")  # proved finite by prime_depth / prime_feature below
+    d = _coerce(depth, "depth")
+    e = _coerce(pos_embed, "pos_embed")
     expected = (rig.n_cameras, rig.feature_height, rig.feature_width)
     if f.ndim != 4 or d.ndim != 4 or f.shape[:3] != expected or d.shape[:3] != expected:
         raise ShapeError.mismatch("ablation", f.shape, d.shape)
-    if attn.weights.shape != expected:
-        raise ShapeError.mismatch("ablation", attn.weights.shape, expected)
-    if e.shape != f.shape[1:]:
-        raise ShapeError.mismatch("ablation", f.shape, e.shape)
-    if refine.matrix.shape[1] != f.shape[3]:
-        raise ShapeError.mismatch("ablation", f.shape, refine.matrix.shape)
-
     n_w = rig.n_cameras * rig.feature_width
+    pd = prime_depth(d, attn).reshape(n_w, -1)
+    pf = prime_feature(f, e, refine).reshape(n_w, -1)
+
     middle = rig.feature_height // 2
     with np.errstate(over="ignore", invalid="ignore"):
         refined = refine._apply(f + e)
@@ -266,8 +265,6 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
         if h == middle:
             reference = frustum
 
-    pf = _pool_feature(f, e, refine).reshape(n_w, -1)
-    pd = _pool_depth(d, attn.weights).reshape(n_w, bins.count)
     rr = build_ring_ray(reference, grid)
     bev_prime = vt_matrixvt(pf, pd, rr)
     spurious = _spurious_rate(_held(build_ftm(reference, grid), effective_ftm(rr)))

@@ -1,8 +1,9 @@
 """Ground-truth camera-to-BEV pipeline: lift, scatter splat, and the exact
 sparse transport matrix.
 
-Everything else in this package is validated against these routines. They
-are written for clarity over speed; `transform` holds the fast route. Each
+Everything else in this package is validated against these routines;
+`transform` holds the fast route. lift and splat_reference are written for
+clarity over speed; build_ftm is the tuned, kept per-scene product. Each
 route checks its inputs once and calls numpy or scipy directly: the scatter
 is one `np.add.at`, the transport product one scipy CSR matmul. build_ftm
 keeps the exact matrix of the last grid asked for on the frustum, the one

@@ -670,6 +670,9 @@ class TestCli:
             # positive focals and a (0, 0, 1) bottom row, but singular
             ((("cameras", 0, "intrinsics"), [10, 10, 5, 10, 10, 5, 0, 0, 1]), "check", {},
              ConfigError),
+            # orthonormal, but a mirror: determinant -1
+            ((("cameras", 0, "rotation"), [1, 0, 0, 0, 1, 0, 0, 0, -1]), "check", {},
+             ConfigError),
             (None, "check", {"trials": 2.5}, UsageError),
             (None, "check", {"trials": "3"}, UsageError),
             (None, "run", {"repeats": 3.5}, UsageError),
@@ -687,7 +690,7 @@ class TestCli:
         ],
         ids=[
             "width-str", "width-float", "count-str", "camera-int", "extent-null",
-            "intrinsics-str", "depth-int", "intrinsics-singular",
+            "intrinsics-str", "depth-int", "intrinsics-singular", "rotation-mirrored",
             "trials-float", "trials-str", "repeats-float",
             "check-seed-neg", "check-seed-float", "run-seed-neg", "run-seed-float",
             "bad-json", "not-a-path", "width-oversized", "edges-oversized",

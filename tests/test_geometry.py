@@ -287,6 +287,36 @@ class TestCameraParsing:
         assert gram[m, n] == gram[n, m] == off
         self._check_rotation(r, ok)
 
+    @pytest.mark.parametrize(
+        "mirror",
+        [
+            np.diag([1.0, 1.0, -1.0]),
+            np.eye(3)[[1, 0, 2]],  # a swap of two axes
+            Rotation.from_euler("z", 35, degrees=True).as_matrix() @ np.diag([1.0, -1.0, 1.0]),
+        ],
+        ids=["diag", "permutation", "yawed"],
+    )
+    def test_reflection_is_refused(self, mirror):
+        # R^T R = I holds for these as well; only the determinant is -1
+        assert np.allclose(mirror.T @ mirror, np.eye(3)) and np.linalg.det(mirror) < 0
+        with pytest.raises(GeometryError, match=r"^rotation is a reflection \(determinant -1\)$"):
+            Camera(CAMERA_VALUES["intrinsics"], mirror, np.zeros(3))
+        doc = synthetic_scene_dict(n_cameras=2)
+        doc["cameras"][1]["rotation"] = mirror.ravel().tolist()
+        with pytest.raises(ConfigError, match=r"cameras\[1\].*reflection"):
+            load_scene(doc)
+
+    def test_proper_rotations_are_accepted(self, rig_scene):
+        rotations = [
+            np.eye(3),
+            CAMERA_VALUES["rotation"],
+            Rotation.from_euler("zyx", [30, 10, -5], degrees=True).as_matrix(),
+            np.eye(3)[[1, 2, 0]],  # a cyclic permutation
+            *(cam.rotation for cam in rig_scene.rig.cameras),
+        ]
+        for r in rotations:
+            Camera(CAMERA_VALUES["intrinsics"], r, np.zeros(3))
+
     @staticmethod
     def _check_rotation(r, ok):
         if ok:
@@ -349,6 +379,13 @@ class TestGenerateFrustum:
         assert FrustumGeometry(p).points_xyz is p
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         assert fr.points_xyz.flags.owndata and not fr.points_xyz.flags.writeable
+
+    def test_frustum_compares_and_hashes_by_identity(self, small_scene):
+        fr = generate_frustum(small_scene.rig, small_scene.bins)
+        twin = generate_frustum(small_scene.rig, small_scene.bins)
+        assert fr.points_xyz.tobytes() == twin.points_xyz.tobytes()
+        assert fr == fr and fr != twin
+        assert len({fr}) == 1 and len({fr, twin}) == 2
 
     def test_landing_is_locate_many(self, small_scene):
         fr = generate_frustum(small_scene.rig, small_scene.bins)

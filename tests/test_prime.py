@@ -353,7 +353,7 @@ class TestPrimeFeatureFiniteness:
         depth = rng.random((1, 3, 1, 8), dtype=np.float32)
         depth /= depth.sum(axis=3, keepdims=True)
         refine = RefineMap(np.full((1, 1), 4.0, np.float32), np.zeros(1, np.float32))
-        with pytest.raises(ValidationError, match="^ablation: float32 overflow"):
+        with pytest.raises(ValidationError, match="^prime_feature: float32 overflow"):
             full_vs_prime_ablation(
                 scene,
                 np.full((1, 3, 1, 1), 2e38, np.float32),
@@ -361,6 +361,21 @@ class TestPrimeFeatureFiniteness:
                 normalized_attention(rng, 1, 3, 1),
                 refine,
                 np.zeros((3, 1, 1), np.float32),
+            )
+
+    def test_ablation_full_height_overflow_is_refused(self, rng):
+        # the pooled column is its max, 8e37, and refines to a finite 3.2e38
+        # under 4x; the full-height route also refines the -2e38 row, to -8e38
+        scene = narrow_scene(h_i=3)
+        depth = rng.random((1, 3, 1, 8), dtype=np.float32)
+        depth /= depth.sum(axis=3, keepdims=True)
+        feature = np.array([8e37, -2e38, 0.0], np.float32).reshape(1, 3, 1, 1)
+        refine = RefineMap(np.full((1, 1), 4.0, np.float32), np.zeros(1, np.float32))
+        pos_embed = np.zeros((3, 1, 1), np.float32)
+        assert np.isfinite(prime_feature(feature, pos_embed, refine)).all()
+        with pytest.raises(ValidationError, match="^ablation: float32 overflow"):
+            full_vs_prime_ablation(
+                scene, feature, depth, normalized_attention(rng, 1, 3, 1), refine, pos_embed
             )
 
 
@@ -456,7 +471,7 @@ class TestAblation:
         feat = rng.random((1, 3, 1, 2), dtype=np.float32)
         depth = rng.random((1, 3, 1, 8), dtype=np.float32)
         attn = normalized_attention(rng, 1, 3, 1)
-        with pytest.raises(ShapeError, match="^ablation: incompatible shapes"):
+        with pytest.raises(ShapeError, match="^prime_feature: incompatible shapes"):
             full_vs_prime_ablation(
                 scene, feat, depth, attn, identity_refine(2), np.zeros(shape, np.float32)
             )
@@ -467,7 +482,7 @@ class TestAblation:
         monkeypatch.setattr(bevx.prime, "generate_frustum", not_before_the_checks)
         scene = narrow_scene(h_i=3)
         one_row = PrimeAttention(np.ones((1, 1, 1), np.float32))
-        with pytest.raises(ShapeError, match=r"^ablation: incompatible shapes \(1, 1, 1\)"):
+        with pytest.raises(ShapeError, match=r"^prime_depth: incompatible shapes \(1, 3, 1, 8\) and \(1, 1, 1\)"):
             full_vs_prime_ablation(
                 scene,
                 rng.random((1, 3, 1, 2), dtype=np.float32),
@@ -479,7 +494,7 @@ class TestAblation:
 
     def test_refine_of_other_channels_rejected_at_the_boundary(self, rng, monkeypatch):
         monkeypatch.setattr(bevx.prime, "generate_frustum", not_before_the_checks)
-        with pytest.raises(ShapeError, match=r"^ablation: incompatible shapes \(1, 3, 1, 2\)"):
+        with pytest.raises(ShapeError, match=r"^prime_feature: incompatible shapes \(1, 3, 1, 2\)"):
             full_vs_prime_ablation(
                 narrow_scene(h_i=3),
                 rng.random((1, 3, 1, 2), dtype=np.float32),
@@ -488,6 +503,46 @@ class TestAblation:
                 identity_refine(3),
                 np.zeros((3, 1, 2), np.float32),
             )
+
+    def test_composes_the_prime_routes(self, rng, monkeypatch):
+        """Each prime route runs once, before any frustum. The full-height
+        feature is proved finite by the pool alone; the depth and the
+        embedding are each scanned once."""
+        calls, scanned = [], []
+
+        def counted(name):
+            real = getattr(bevx.prime, name)
+
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        def recording(arr):
+            scanned.append(arr)
+            return real_finite(arr)
+
+        real_finite = bevx.tensor_core._all_finite
+        monkeypatch.setattr(bevx.prime, "prime_depth", counted("prime_depth"))
+        monkeypatch.setattr(bevx.prime, "prime_feature", counted("prime_feature"))
+        monkeypatch.setattr(bevx.prime, "generate_frustum", counted("generate_frustum"))
+        monkeypatch.setattr(bevx.tensor_core, "_all_finite", recording)
+        monkeypatch.setattr(bevx.prime, "_all_finite", recording)
+        inputs = [
+            rng.random((1, 3, 1, 5), dtype=np.float32),
+            rng.random((1, 3, 1, 8), dtype=np.float32),
+            np.zeros((3, 1, 5), np.float32),
+        ]
+        feat, depth, pos_embed = inputs
+        refine = RefineMap(np.eye(2, 5, dtype=np.float32), np.zeros(2, np.float32))
+        full_vs_prime_ablation(
+            narrow_scene(h_i=3), feat, depth, normalized_attention(rng, 1, 3, 1), refine, pos_embed
+        )
+        assert calls[:2] == ["prime_depth", "prime_feature"]
+        assert calls.count("prime_depth") == calls.count("prime_feature") == 1
+        reads = [sum(np.shares_memory(a, x) for a in scanned) for x in inputs]
+        assert reads == [0, 1, 1]
 
     def test_each_row_frustum_is_built_once(self, rng, monkeypatch):
         rows = []
