@@ -52,11 +52,13 @@ __all__ = [
 _SIMPLEX_TOL = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PrimeAttention:
     """Per-column row weights, normalized over the height axis.
 
     weights[n, h, w] >= 0 and sum_h weights[n, h, w] == 1 within 1e-5.
+    An attention compares and hashes by identity, as its array field
+    would make a generated == ambiguous.
     """
 
     weights: np.ndarray  # (N_c, H_I, W_I)
@@ -76,9 +78,11 @@ class PrimeAttention:
         object.__setattr__(self, "weights", w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RefineMap:
-    """Linear stand-in for the learned post-pool refinement: x -> matrix @ x + bias."""
+    """Linear stand-in for the learned post-pool refinement: x -> matrix @ x + bias.
+
+    Compares and hashes by identity, as PrimeAttention does."""
 
     matrix: np.ndarray  # (C_out, C_in)
     bias: np.ndarray  # (C_out,)
@@ -190,14 +194,15 @@ def prime_feature(feature, pos_embed, refine):
     return _pool_feature(f, e, refine)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AblationReport:
     """Per-cell disagreement between the full-height and compressed routes.
 
     rel[s] = max_c |full - prime| / max(max_c |full|, max_c |prime|) per
     BEV cell, 0 where both are zero; mean/max aggregate over cells.
     spurious_rate is the fraction of factorization-implied transport entries
-    absent from the exact transport matrix for this scene.
+    absent from the exact transport matrix for this scene. A report
+    compares and hashes by identity, as PrimeAttention does.
     """
 
     mean_rel_diff: float

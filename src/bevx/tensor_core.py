@@ -10,9 +10,12 @@ matrices are CSR with implicit unit values: every transport matrix in this
 package is binary, so no value array is stored.
 The entries of a matrix are also read and written as one codec, the
 ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
-pairs, `_from_keys` decodes ascending, distinct keys to a matrix, and
-`_keys` encodes a matrix's entries. One rule guards all three: a matrix
-with entries and rows * cols >= 2**63 has keys that would wrap, which is a
+pairs, `_from_keys` decodes ascending, distinct keys to a matrix (for
+from_coo, reference.build_ftm and bench.flip_ring_bit), and `_keys`
+encodes a matrix's entries (for transform._held and flip_ring_bit).
+transform.build_ring_ray does not use the codec: it reads the exact
+matrix's CSR arrays directly. One rule guards all three: a matrix with
+entries and rows * cols >= 2**63 has keys that would wrap, which is a
 ValidationError.
 The products over these types live in the routes that own them
 (`reference`, `transform`), which check their inputs once.

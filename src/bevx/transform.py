@@ -12,8 +12,9 @@ redundant: a BEV cell is described by which feature columns reach it
 so the ring is per camera, as the paper's FTM is: a row never takes a bin
 that only another camera produces. build_ring_ray decomposes the exact
 matrix that reference.build_ftm keeps on the frustum: it reads both
-factors off that matrix's sorted entries, so a scene that builds both
-lands and sorts its samples once. vt_matrixvt applies the pair without
+factors off that matrix's CSR arrays, as runs of equal column and of
+equal camera within each row, so a scene that builds both lands and sorts
+its samples once. vt_matrixvt applies the pair without
 materializing the lifted tensor. Both factors meet in one plan matrix
 (RingRayPair._plan, built with the pair): the ring with the columns of row
 j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
@@ -47,7 +48,6 @@ from .reference import build_ftm
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
-    _from_keys,
     _keys,
     _run_starts,
     as_feature,
@@ -141,43 +141,77 @@ def build_ring_ray(frustum, grid):
     depth band through s, so the pair implies only transport that camera
     could make. Both are a decomposition of the exact matrix,
     reference.build_ftm(frustum, grid), which the frustum keeps, so a scene
-    that builds both lands and sorts its samples once. Its entries, in
-    tensor_core's key codec, are the ascending (cell, sample) keys: sample
-    j = (n * W_I + w) * N_d + d gives column j // N_d and bin j % N_d. A
-    run of equal (cell, column) keys is a ray nonzero, and a run of equal
-    (cell, camera) keys is one camera's band, whose bins are the union over
-    its columns. The ray's (cell, column) keys are tensor_core's key
-    codec, so `_from_keys` decodes them.
+    that builds both lands and sorts its samples once. They are read off
+    that matrix's CSR arrays as runs: within a row its column ids
+    j = (n * W_I + w) * N_d + d ascend, so a run of equal j // N_d is a ray
+    nonzero and a run of equal j // (W_I * N_d) is one camera's band, whose
+    bins are the union over its columns. A run starts where its id changes
+    or a row starts.
 
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
     """
     w_i, n_d = frustum.n_columns, frustum.n_depths
-    n_w = frustum.n_cameras * w_i
-    keys = _keys(build_ftm(frustum, grid))
-    column = keys // n_d  # cell * W + column
-    entry = column[_run_starts(column)]  # the ray's nonzeros, in CSR order
-    # each camera's bins in cell s, keyed (cell * N_c + camera) * N_d + bin;
-    # the stable sort merges the already ascending bin runs of its columns
-    band = keys // (w_i * n_d) * n_d
-    band += keys
-    band -= column * n_d
-    band.sort(kind="stable")
-    band = band[_run_starts(band)]
-    owner = band // n_d  # cell * N_c + camera
-    bins = band - owner * n_d
+    ftm = build_ftm(frustum, grid)
+    col, offsets = ftm.col_indices, ftm.row_offsets
+    n = col.shape[0]
+    # row_first[p]: entry p starts a row; row_first[n] stands for the end
+    row_first = np.zeros(n + 1, dtype=bool)
+    row_first[offsets] = True
+    column = col // n_d  # n * W_I + w
+    first = np.empty(n + 1, dtype=bool)
+    first[0] = True
+    np.not_equal(column[1:], column[:-1], out=first[1:n])
+    first |= row_first
+    entry = np.flatnonzero(first[:n])  # where each ray nonzero starts
+    # index[p]: the running count of ray nonzeros before entry p, written at
+    # their starts and at n; every row offset is one of those positions
+    index = np.empty(n + 1, dtype=np.int64)
+    index[entry] = np.arange(entry.shape[0])
+    index[n] = entry.shape[0]
+    ray = SparseBinaryMatrix._built(
+        grid.n_cells, frustum.n_cameras * w_i, index[offsets], column[entry]
+    )
+    # the ray is built, so `index` holds the bins and `column` becomes the
+    # band key: the camera n, then the band id, the count of band starts
+    bins = index[:n]
+    np.multiply(column, n_d, out=bins)
+    np.subtract(col, bins, out=bins)
+    column //= w_i
+    np.not_equal(column[1:], column[:-1], out=first[1:n])
+    first |= row_first
+    np.cumsum(first[:n], out=column)
+    column -= 1
+    band = column[entry]  # the band of each ray nonzero
+    # band * N_d + bin, below nnz * N_d <= (N_c * W_I * N_d) * N_d, the
+    # frustum's points times N_d, so inside int64: one stable sort merges
+    # the ascending bin runs of a band's columns, and dropping the repeats
+    # leaves each band's bins, its bands in order
+    column *= n_d
+    column += bins
+    column.sort(kind="stable")
+    key = column[_run_starts(column)]
+    # each work array is dropped once spent: the ring's arrays and the
+    # pair's plan reuse its memory, so the build's peak stays near what it
+    # returns
+    del row_first, first, column, entry, index, bins
+    owner = key // n_d
     band_start = np.flatnonzero(np.append(_run_starts(owner), True))
-    # ray nonzero j takes the band of its (cell, camera): its index among
-    # the bands is the count of (cell, camera) runs up to j
-    k = np.cumsum(_run_starts(entry // w_i)) - 1
-    lo = band_start[k]
-    length = band_start[k + 1] - lo
-    ring_offsets = np.zeros(entry.shape[0] + 1, dtype=np.int64)
+    owner *= n_d
+    key -= owner  # the bins
+    # ring row j is its band's bins, key[lo:hi], gathered for every row
+    lo = band_start[band]
+    length = band_start[1:][band]
+    del owner, band, band_start
+    length -= lo
+    ring_offsets = np.zeros(ray.nnz + 1, dtype=np.int64)
     np.cumsum(length, out=ring_offsets[1:])
-    at = np.repeat(lo - ring_offsets[:-1], length)
+    lo -= ring_offsets[:-1]
+    at = np.repeat(lo, length)
     at += np.arange(ring_offsets[-1])
-    ring = SparseBinaryMatrix._built(entry.shape[0], n_d, ring_offsets, bins[at])
-    return RingRayPair(ring, _from_keys(grid.n_cells, n_w, entry))
+    ring = SparseBinaryMatrix._built(ray.nnz, n_d, ring_offsets, key[at])
+    del lo, length, at, key
+    return RingRayPair(ring, ray)
 
 
 def vt_matrixvt(features, depths, rr):

@@ -617,6 +617,23 @@ class TestPrimeBoundaries:
             self.CALLS[call](inputs)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: PrimeAttention(np.full((1, 2, 1), 0.5, np.float32)),
+        lambda: RefineMap(np.eye(2), np.zeros(2)),
+        lambda: bevx.prime.AblationReport(0.0, 0.0, 0.0, np.zeros((2, 1)), np.zeros((2, 1))),
+    ],
+    ids=["attention", "refine", "report"],
+)
+def test_compares_and_hashes_by_identity(make):
+    """An array field would make a generated == ambiguous and hash fail:
+    each compares and hashes by identity, as FrustumGeometry does."""
+    x, twin = make(), make()
+    assert x == x and x != twin
+    assert len({x}) == 1 and len({x, twin}) == 2
+
+
 def ablation_digest(report):
     """sha256 of an AblationReport: both BEVs (dtype, shape and bytes) and
     the three floats as little-endian doubles."""

@@ -31,7 +31,7 @@ from bevx import (
     vt_ftm,
     vt_matrixvt,
 )
-from bevx import reference, transform
+from bevx import reference, tensor_core, transform
 from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
 from bevx.fileio import read_cache, write_cache
 from oracles import (
@@ -120,6 +120,28 @@ class TestBuildRingRay:
         assert len(sorts) == 1
         assert ftm == ftm_loop(fr, scene.grid)
         assert (rr.ring, rr.ray) == ring_ray_loop(fr, scene.grid)
+
+    def test_reads_the_kept_matrix_without_the_key_codec(self, monkeypatch):
+        scene = random_scene(np.random.default_rng(5), n_cameras=3, w_i=6, n_d=7)
+        fr = generate_frustum(scene.rig, scene.bins)
+        ftm = build_ftm(fr, scene.grid)
+        expected = ring_ray_loop(fr, scene.grid)
+
+        def codec(*args):
+            raise AssertionError("build_ring_ray went through the int64 key codec")
+
+        for module, name in [
+            (transform, "_keys"),
+            (tensor_core, "_keys"),
+            (tensor_core, "_from_keys"),
+            (reference, "_from_keys"),
+        ]:
+            monkeypatch.setattr(module, name, codec)
+        # transform imports no _from_keys; one imported there must raise too
+        monkeypatch.setattr(transform, "_from_keys", codec, raising=False)
+        rr = build_ring_ray(fr, scene.grid)
+        assert build_ftm(fr, scene.grid) is ftm
+        assert (rr.ring, rr.ray) == expected
 
     def test_pair_rows_must_match(self):
         a = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
@@ -435,6 +457,7 @@ class TestDegenerateRigs:
             scene.grid.n_cells, ftm.cols, *frustum.landing(scene.grid)
         )
         rr = build_ring_ray(frustum, scene.grid)
+        assert (rr.ring, rr.ray) == ring_ray_loop(frustum, scene.grid)
         implied = effective_ftm(rr)
         f, d = make_inputs(scene, 3, seed)
         lifted = lift(f, d)
