@@ -17,9 +17,10 @@ route, within 1e-5 relative. A non-finite difference fails its gate.
 `emit_check_json` writes its `CheckReport`, the check's one record, as JSON:
 `trial_seeds` lists the seeds of the trials run, `scene_digest` is the
 digest of the scene that was checked, and the structure counts (`ftm_nnz`,
-`ring_nnz`, `ray_nnz`, `implied_nnz`, `empty_cell_share`) say what was
-built. Containment, `spurious_rate` and `flip_ring_bit` all read one mask,
-`transform._held`: which implied entries the exact matrix holds.
+`ring_nnz`, `ray_nnz`, `implied_nnz`, `ftm_bytes`, `pair_bytes`,
+`empty_cell_share`) say what was built. Containment, `spurious_rate` and
+`flip_ring_bit` all read one mask, `transform._held`: which implied
+entries the exact matrix holds.
 Containment holds when that mask counts `ftm_nnz` entries. `spurious_rate`
 is the share of implied entries the exact matrix lacks, in [0, 1]; whenever
 containment holds it is `(implied_nnz - ftm_nnz) / implied_nnz`.
@@ -50,7 +51,7 @@ from ..geometry import (
     scene_digest,
 )
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
-from ..tensor_core import _from_keys, _keys
+from ..tensor_core import _from_keys, _held_bytes, _keys
 from ..transform import (
     RingRayPair,
     _held,
@@ -311,9 +312,12 @@ class CheckReport:
     largest relative difference over the trials run (empty when containment
     failed), `failure` is "containment" or the first failing gate, and
     `trial_seeds` are the input seeds, drawn from `seed`, of the trials run.
-    The last five fields say what was built: the nnz of the exact matrix,
-    of the checked pair's ring and ray and of the matrix they imply, and
-    the share of BEV cells that no sample lands in. `lines` prints none of
+    The last seven fields say what was built: the nnz of the exact matrix,
+    of the checked pair's ring and ray and of the matrix they imply, the
+    bytes that the exact matrix and the pair hold, and the share of BEV
+    cells that no sample lands in. A byte count counts each buffer once and
+    includes the scipy handle the object runs on: the exact matrix's own,
+    and the pair's plan's (`RingRayPair._buffers`). `lines` prints none of
     them; they are in the JSON report."""
 
     trials: int
@@ -327,6 +331,8 @@ class CheckReport:
     ring_nnz: int
     ray_nnz: int
     implied_nnz: int
+    ftm_bytes: int
+    pair_bytes: int
     empty_cell_share: float
 
     @property
@@ -414,6 +420,8 @@ def run_check(config, trials, seed, corrupt_ring=False):
         rr.ring.nnz,
         rr.ray.nnz,
         implied.nnz,
+        _held_bytes(exact._buffers()),
+        _held_bytes(rr._buffers()),
         empty_cells / exact.rows,
     )
 

@@ -84,8 +84,9 @@ def build_ftm(frustum, grid):
     the plane, and samples outside the grid produce no entry. `_sorted_keys`
     sorts them in tensor_core's key codec, after its checks that the row
     offsets fit in memory and the keys in int64, and `_from_keys` decodes
-    them: the landing's ids are in range and hold no sample twice, so
-    nothing from_coo checks needs checking again.
+    them straight into the matrix's index dtype (int32 below 2**31), which
+    `_scipy` wraps with no copy: the landing's ids are in range and hold no
+    sample twice, so nothing from_coo checks needs checking again.
 
     The matrix of the last grid asked for is kept on the frustum, and a
     call with an equal grid returns that same object: the scene's one

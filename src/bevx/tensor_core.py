@@ -7,7 +7,10 @@ rejects any other input and non-finite values. A caller that reads the
 whole tensor anyway may coerce it with `_coerce`, prove it finite in its
 own pass, and scan it with `_all_finite` only to name a failure. Sparse
 matrices are CSR with implicit unit values: every transport matrix in this
-package is binary, so no value array is stored.
+package is binary, so no value array is stored. Their index arrays take
+one dtype, `_index_dtype`: int32 while rows, cols and nnz are all below
+2**31, else int64. That is the dtype scipy picks, so every scipy handle
+wraps a matrix's own arrays, with no copy.
 The entries of a matrix are also read and written as one codec, the
 ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
 pairs, `_from_keys` decodes ascending, distinct keys to a matrix (for
@@ -82,6 +85,25 @@ def as_feature(x, name="tensor"):
     return arr
 
 
+def _index_dtype(rows, cols, nnz):
+    """The dtype of a rows x cols matrix's index arrays with nnz entries:
+    int32 while all three are below 2**31, else int64, as scipy picks it.
+    Every stored value then fits: column ids are below cols and row offsets
+    at most nnz. Arithmetic that can outgrow them (the codec's keys, plan
+    column ids) runs in int64 or in the dtype of the matrix it builds."""
+    return np.int32 if max(rows, cols, nnz) < 2**31 else np.int64
+
+
+def _index_array(a):
+    """`a` as a C-order int32 or int64 array, in its own dtype when it has
+    one of those, so no check needs an upcast copy; any other input as
+    int64."""
+    a = np.asarray(a)
+    if a.dtype == np.int32 or a.dtype == np.int64:
+        return np.ascontiguousarray(a)
+    return np.ascontiguousarray(a, dtype=np.int64)
+
+
 def _check_key_room(rows, cols, nnz):
     """The codec's int64 rule: `nnz` entries of a rows x cols matrix have
     keys row * cols + col that fit in int64, else a ValidationError."""
@@ -96,10 +118,10 @@ def _sorted_keys(rows, cols, row_ids, col_ids):
     in range, for a CSR build over `rows` rows.
 
     Two checks come first, and each is a ValidationError before anything
-    of its size is allocated: the build's int64 row offsets and row counts
+    of its size is allocated: the build's row offsets and int64 row counts
     must fit in memory, and a non-empty build's keys must fit in int64.
     """
-    # the row offsets and the row counts: two int64 arrays of rows + 1
+    # the row offsets and the row counts: at most two int64 arrays of rows + 1
     if not _fits_in_memory(16 * (rows + 1)):
         raise ValidationError(
             f"the row offsets of a {rows}-row matrix exceed physical memory "
@@ -114,12 +136,16 @@ def _sorted_keys(rows, cols, row_ids, col_ids):
 
 def _from_keys(rows, cols, keys):
     """The matrix of ascending, distinct int64 keys row * cols + col, each
-    in range: built by this package, so `_built`, not checked again."""
+    in range: built by this package, so `_built`, not checked again. Its
+    arrays are written in `_index_dtype`, so none is narrowed after."""
+    dtype = _index_dtype(rows, cols, keys.shape[0])
     # integer division by a scalar is cheap in numpy; % and divmod are not
     row_ids = keys // max(cols, 1)
-    return SparseBinaryMatrix._built(
-        rows, cols, _row_offsets(rows, row_ids), keys - row_ids * cols
-    )
+    offsets = np.zeros(rows + 1, dtype=dtype)
+    np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
+    row_ids *= cols
+    col_ids = np.subtract(keys, row_ids, out=np.empty(keys.shape[0], dtype))
+    return SparseBinaryMatrix._built(rows, cols, offsets, col_ids)
 
 
 def _keys(m):
@@ -132,18 +158,23 @@ def _keys(m):
     return keys
 
 
+def _held_bytes(arrays):
+    """The bytes that `arrays` hold, each buffer counted once: a view counts
+    the whole array, or bytes object, that it views."""
+    owners = {}
+    for a in arrays:
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        owner = a if a.base is None else a.base
+        owners[id(owner)] = memoryview(owner).nbytes
+    return sum(owners.values())
+
+
 def _run_starts(a):
     """Mask of the positions where the sorted array `a` takes a new value."""
     first = np.ones(a.shape[0], dtype=bool)
     np.not_equal(a[1:], a[:-1], out=first[1:])
     return first
-
-
-def _row_offsets(rows, row_ids):
-    """The int64 CSR row offsets of `row_ids`, each in [0, rows)."""
-    offsets = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
-    return offsets
 
 
 class SparseBinaryMatrix:
@@ -152,10 +183,16 @@ class SparseBinaryMatrix:
     Args:
         rows: number of rows.
         cols: number of columns.
-        row_offsets: int64 array of length rows+1, non-decreasing, starting
-            at 0; row i owns col_indices[row_offsets[i]:row_offsets[i+1]].
-        col_indices: int64 array of column ids, strictly increasing within
-            each row.
+        row_offsets: integer array of length rows+1, non-decreasing,
+            starting at 0; row i owns
+            col_indices[row_offsets[i]:row_offsets[i+1]].
+        col_indices: integer array of column ids, strictly increasing
+            within each row.
+
+    Both are stored read-only in `_index_dtype(rows, cols, nnz)`: int32
+    while rows, cols and nnz are all below 2**31, else int64. An int32 or
+    int64 input is checked as it is and kept when it has that dtype; other
+    inputs are read as int64 first. `_scipy` wraps these same arrays.
     """
 
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")
@@ -163,8 +200,8 @@ class SparseBinaryMatrix:
     def __init__(self, rows, cols, row_offsets, col_indices):
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
-        row_offsets = np.ascontiguousarray(row_offsets, dtype=np.int64)
-        col_indices = np.ascontiguousarray(col_indices, dtype=np.int64)
+        row_offsets = _index_array(row_offsets)
+        col_indices = _index_array(col_indices)
         if row_offsets.ndim != 1 or row_offsets.shape[0] != rows + 1:
             raise ValidationError(
                 f"row_offsets must have length rows+1={rows + 1}, "
@@ -172,7 +209,8 @@ class SparseBinaryMatrix:
             )
         if row_offsets[0] != 0:
             raise ValidationError("row_offsets[0] must be 0")
-        if np.any(np.diff(row_offsets) < 0):
+        # compared, not differenced: an int32 difference could wrap
+        if np.any(row_offsets[1:] < row_offsets[:-1]):
             raise ValidationError("row_offsets must be non-decreasing")
         if col_indices.ndim != 1 or col_indices.shape[0] != row_offsets[-1]:
             raise ValidationError(
@@ -193,6 +231,10 @@ class SparseBinaryMatrix:
         self._store(rows, cols, row_offsets, col_indices)
 
     def _store(self, rows, cols, row_offsets, col_indices):
+        # checked or built values fit the dtype, so narrowing is exact
+        dtype = _index_dtype(rows, cols, col_indices.shape[0])
+        row_offsets = row_offsets.astype(dtype, copy=False)
+        col_indices = col_indices.astype(dtype, copy=False)
         row_offsets.setflags(write=False)
         col_indices.setflags(write=False)
         self.rows = rows
@@ -203,8 +245,9 @@ class SparseBinaryMatrix:
     @classmethod
     def _built(cls, rows, cols, row_offsets, col_indices):
         """A matrix over valid CSR arrays that this package has just built
-        (C-order int64, owned by no caller): they are frozen, not checked
-        again. Arrays from outside go through the constructor."""
+        (C-order int32 or int64, owned by no caller): they are frozen, not
+        checked again, and narrowed to `_index_dtype` if they are wider.
+        Arrays from outside go through the constructor."""
         m = cls.__new__(cls)
         m._store(rows, cols, row_offsets, col_indices)
         return m
@@ -243,10 +286,23 @@ class SparseBinaryMatrix:
 
     @functools.cached_property
     def _scipy(self):
-        # read-only execution handle; unit values materialized once
+        # read-only execution handle over the matrix's own index arrays,
+        # whose dtype is scipy's; unit values materialized once
         data = np.ones(self.nnz, dtype=DTYPE)
         return sp.csr_matrix(
             (data, self.col_indices, self.row_offsets), shape=self.shape
+        )
+
+    def _buffers(self):
+        """The arrays the matrix runs on: its index arrays and those of its
+        scipy handle, made if it was not yet."""
+        handle = self._scipy
+        return (
+            self.row_offsets,
+            self.col_indices,
+            handle.data,
+            handle.indices,
+            handle.indptr,
         )
 
     def __eq__(self, other):

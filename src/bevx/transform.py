@@ -21,9 +21,13 @@ j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
 ring's row offsets and picks the depths of column w at the bins of its
 ring row. vt_matrixvt is two sparse products over it: plan @ depths gives
 one weight per ray nonzero, and the ray-patterned S x W matrix of those
-weights times the features gives the BEV tensor. effective_ftm reads the
-transport matrix the pair implies off the same plan; reference.vt_ftm over
-that matrix is the independent route vt_matrixvt is gated against.
+weights times the features gives the BEV tensor. Every index array is
+held once: the plan shares the ring's row offsets, and the plan's scipy
+handle and vt_matrixvt's ray-patterned one wrap the plan's and the ray's
+own arrays, whose dtype (tensor_core._index_dtype) is scipy's.
+effective_ftm reads the transport matrix the pair implies off the same
+plan; reference.vt_ftm over that matrix is the independent route
+vt_matrixvt is gated against.
 _held is the one comparison of that matrix with the exact one: the mask of
 its entries that the exact matrix holds, over tensor_core's int64 keys.
 Containment (bench.run_check), _spurious_rate (the share of implied
@@ -48,6 +52,7 @@ from .reference import build_ftm
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
+    _index_dtype,
     _keys,
     _run_starts,
     as_feature,
@@ -66,28 +71,28 @@ __all__ = [
 
 
 def _build_plan(ring, ray):
-    """The execution plan of a pair: (plan, indptr, indices).
+    """The execution plan of a pair.
 
-    `plan` is a binary (ray.nnz, W * N_d) matrix: the ring with the columns
-    of row j shifted by w * N_d, for the j-th ray nonzero (cell s, column w)
-    in ray CSR order. It shares the ring's row offsets. Applied to the
-    flattened (W, N_d) depths it gives each ray slot's depth mass; an empty
-    ring row (a hand-built pair; geometric pairs never have one) is an
-    empty plan row, weight 0.
-
-    `indptr` and `indices` are the ray's CSR index arrays in the dtype
-    scipy keeps without a copy: int32, or int64 once ray.nnz or ray.cols
-    reaches 2**31.
+    A binary (ray.nnz, W * N_d) matrix: the ring with the columns of row j
+    shifted by w * N_d, for the j-th ray nonzero (cell s, column w) in ray
+    CSR order. It shares the ring's row offsets, and its scipy handle
+    wraps its own arrays. Applied to the flattened (W, N_d) depths it gives
+    each ray slot's depth mass; an empty ring row (a hand-built pair;
+    geometric pairs never have one) is an empty plan row, weight 0.
     """
-    cols = np.repeat(ray.col_indices * ring.cols, np.diff(ring.row_offsets))
-    cols += ring.col_indices
-    # RingRayPair keeps ray.cols * ring.cols below 2**63, so nothing wraps
-    plan = SparseBinaryMatrix._built(
-        ray.nnz, ray.cols * ring.cols, ring.row_offsets, cols
-    )
+    rows, cols = ray.nnz, ray.cols * ring.cols
+    # column ids w * N_d + d are below cols, which RingRayPair keeps below
+    # 2**63, so they are computed in the plan's index dtype; N_d must fit it
+    # too, for a ray with no columns makes cols 0
+    dtype = _index_dtype(rows, max(cols, ring.cols), ring.nnz)
+    counts = np.diff(ring.row_offsets)
+    col_ids = np.repeat(ray.col_indices, counts).astype(dtype, copy=False)
+    del counts  # before `_built` widens the offsets of an int64 plan
+    col_ids *= ring.cols
+    col_ids += ring.col_indices
+    plan = SparseBinaryMatrix._built(rows, cols, ring.row_offsets, col_ids)
     plan._scipy  # the product handle is part of the per-scene build
-    index = np.int32 if max(ray.nnz, ray.cols) < 2**31 else np.int64
-    return plan, ray.row_offsets.astype(index), ray.col_indices.astype(index)
+    return plan
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,8 @@ class RingRayPair:
     derived like BevGrid's edges, not a field), which every transform call
     reuses: a pair arrives ready to run, and no call pays for the plan. The
     plan holds exactly the ring's entries, so it is never larger than the
-    pair.
+    pair, and it and every scipy handle over the pair wrap the pair's own
+    index arrays (int32 below 2**31), each held once.
     """
 
     ring: SparseBinaryMatrix
@@ -118,6 +124,18 @@ class RingRayPair:
                 f"{self.ray.nnz} entries; the ring has one row per ray entry"
             )
         object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
+
+    def _buffers(self):
+        """The arrays the pair runs on: the ring's, the ray's and the
+        plan's with its scipy handle."""
+        ring, ray = self.ring, self.ray
+        return (
+            ring.row_offsets,
+            ring.col_indices,
+            ray.row_offsets,
+            ray.col_indices,
+            *self._plan._buffers(),
+        )
 
     @property
     def n_cells(self):
@@ -158,7 +176,8 @@ def build_ring_ray(frustum, grid):
     # row_first[p]: entry p starts a row; row_first[n] stands for the end
     row_first = np.zeros(n + 1, dtype=bool)
     row_first[offsets] = True
-    column = col // n_d  # n * W_I + w
+    # n * W_I + w, in int64: it becomes the band key band * N_d + bin below
+    column = np.floor_divide(col, n_d, dtype=np.int64)
     first = np.empty(n + 1, dtype=bool)
     first[0] = True
     np.not_equal(column[1:], column[:-1], out=first[1:n])
@@ -209,6 +228,7 @@ def build_ring_ray(frustum, grid):
     lo -= ring_offsets[:-1]
     at = np.repeat(lo, length)
     at += np.arange(ring_offsets[-1])
+    # `_built` narrows the int64 work arrays to the matrices' index dtype
     ring = SparseBinaryMatrix._built(ray.nnz, n_d, ring_offsets, key[at])
     del lo, length, at, key
     return RingRayPair(ring, ray)
@@ -244,9 +264,12 @@ def vt_matrixvt(features, depths, rr):
         raise ShapeError.mismatch(
             "vt_matrixvt", d.shape, (rr.n_columns, rr.n_depths)
         )
-    plan, indptr, indices = rr._plan
-    weights = plan._scipy @ d.ravel()
-    effective = sp.csr_matrix((weights, indices, indptr), shape=rr.ray.shape)
+    weights = rr._plan._scipy @ d.ravel()
+    # the ray's index arrays have scipy's dtype, so the handle copies neither
+    ray = rr.ray
+    effective = sp.csr_matrix(
+        (weights, ray.col_indices, ray.row_offsets), shape=ray.shape
+    )
     return np.ascontiguousarray(effective @ f, dtype=DTYPE)
 
 
@@ -263,7 +286,7 @@ def effective_ftm(rr):
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
-    plan = rr._plan[0]
+    plan = rr._plan
     # plan rows follow ray CSR order, so cell s owns plan rows
     # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within;
     # sliced from the plan, which was built from a checked ring and ray
@@ -373,9 +396,10 @@ def save_ring_ray(rr, directory, digest):
 
 
 def load_ring_ray(directory, digest):
-    """Load a cached pair with one read of the slot's file, as read-only int64
-    views of its bytes; None when it is absent, saved under another digest or
-    an older layout, truncated, oversized or inconsistent."""
+    """Load a cached pair with one read of the slot's file, as read-only
+    views of its bytes (int32 words below 2**31, as the pair stores them);
+    None when it is absent, saved under another digest or an older layout,
+    fails its checksum, or is truncated, oversized or inconsistent."""
     try:
         matrices = read_cache(Path(directory, _CACHE_FILE).read_bytes(), digest)
         return None if matrices is None else RingRayPair(*matrices)

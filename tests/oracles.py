@@ -75,6 +75,18 @@ def bxc2_cache_bytes(digest, ring, ray):
     return out
 
 
+def bxc3_cache_bytes(digest, ring, ray):
+    """A ring/ray cache file in the layout before the index dtype rule,
+    which the reader must take as a miss: the "BXC3" header, no crc, and
+    "BXS2" records of int64 words."""
+    key = digest.encode("utf-8")
+    out = b"BXC3\0\0\0\0" + struct.pack("<Q", len(key)) + key + bytes(-len(key) % 8)
+    for m in (ring, ray):
+        out += b"BXS2\0\0\0\0" + struct.pack("<QQQ", m.rows, m.cols, m.nnz)
+        out += np.concatenate((m.row_offsets, m.col_indices)).astype("<i8").tobytes()
+    return out
+
+
 def csr_order_ok_isin(row_offsets, col_indices):
     """The within-row order rule in its original np.isin form: every
     position where col_indices fails to increase must be an interior row

@@ -371,6 +371,20 @@ class TestRunCheck:
         assert all(line.endswith("PASS") for line in lines[:-1])
         assert lines[-1] == "result: PASS (5 trials, seed 3)"
 
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["pass", "flip-ring-bit"])
+    def test_reports_the_bytes_held_in_closed_form(self, rig_config_path, corrupt):
+        # the bundled rig is S1. Every buffer counted once, each entry 4
+        # bytes (int32 ids, float32 unit values): the exact matrix's offsets
+        # and columns and its scipy handle's values; the ring's offsets and
+        # bins, the ray's offsets and columns, and the plan's columns and
+        # handle values, for the plan and its handle share the rest
+        report = run_check(rig_config_path, trials=1, seed=0, corrupt_ring=corrupt)
+        cells = 128 * 128
+        assert report.ftm_bytes == 4 * ((cells + 1) + 2 * report.ftm_nnz)
+        ring = (report.ray_nnz + 1) + report.ring_nnz
+        ray = (cells + 1) + report.ray_nnz
+        assert report.pair_bytes == 4 * (ring + ray + 2 * report.ring_nnz)
+
     def test_deterministic_given_seed(self, small_config_path):
         a = run_check(small_config_path, trials=3, seed=11)
         b = run_check(small_config_path, trials=3, seed=11)
@@ -611,6 +625,8 @@ class TestCli:
             "ring_nnz": report.ring_nnz,
             "ray_nnz": report.ray_nnz,
             "implied_nnz": report.implied_nnz,
+            "ftm_bytes": report.ftm_bytes,
+            "pair_bytes": report.pair_bytes,
             "empty_cell_share": report.empty_cell_share,
         }
         # the implied entries the exact matrix lacks, over implied nnz: the

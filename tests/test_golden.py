@@ -4,6 +4,8 @@ The frustum landing, `build_ftm`, the ring/ray pair, its plan and the
 cache file are pure functions of the scene, and each must stay bit-for-bit
 the same when the code that builds them is rewritten for speed. Each entry
 below is the sha256 of one product's arrays (or bytes), for settings S1-S6.
+Each array's dtype is hashed with it, so a digest also pins the index
+dtype: int32 on every setting here.
 """
 import hashlib
 
@@ -29,66 +31,58 @@ def digests(scene, tmp_path):
     frustum = generate_frustum(scene.rig, scene.bins)
     ftm = build_ftm(frustum, scene.grid)
     rr = build_ring_ray(frustum, scene.grid)
-    plan, indptr, indices = rr._plan
     save_ring_ray(rr, tmp_path, scene_digest(scene))
     return {
         "ftm": _csr(ftm),
         "ring": _csr(rr.ring),
         "ray": _csr(rr.ray),
-        "plan": _csr(plan),
-        "plan_index": _sha(indptr, indices),
+        "plan": _csr(rr._plan),
         "cache": hashlib.sha256((tmp_path / "ringray.bxc").read_bytes()).hexdigest(),
     }
 
 
 GOLDEN = {
     "S1": {
-        "ftm": "de008167b6571b0e4f962d0de63773fed1d3fe5c63582accb5607fb1991faf2e",
-        "ring": "8cb5d61e186a89b23180f9d06ef1d3d167c68bea66b79bb6c356fd44896bfe35",
-        "ray": "59987152120d30c736419c90e927405e8b3bf155fa9703b97133119c0c9809f9",
-        "plan": "e0de69f3507268bf5bc1a9726e7527625f82b7a54ab8c23fc0916f2c95ba088f",
-        "plan_index": "307428163daab858e7105449e596d4c5dff1b677bb36ab10cf2252e0f8e07d2b",
-        "cache": "d1c461ffcce0edae123ac1ef5adfeedb605703f87ceabe6fd872ff4b7139d265",
+        "ftm": "7e3379a88797c205231770b12c0d7a4aad3b2a870d80390f5c5f6554f9932dc5",
+        "ring": "c9551ed77565871562fc30f314027de2cf1365a76ea7106716851f2b2791ce1d",
+        "ray": "307428163daab858e7105449e596d4c5dff1b677bb36ab10cf2252e0f8e07d2b",
+        "plan": "a7688f692cd990b35faac5e8f6ceab514055a2b0f801e3fb82655674c282b5e5",
+        "cache": "969a7b2c9f1e6547a8a930ada05bc6104306a1d19eda3cd1bf3e51d506fa0982",
     },
     "S2": {
-        "ftm": "1abe147b8041e3387e48e7e8f296782bf1bf3fdf2b82a0c8070f404cbde4e366",
-        "ring": "d7b7a77eabf227bd7e6d5669e5f24b532ea5af4f0c70a0181e97765e76840f4f",
-        "ray": "4c770b7a3778c1215caf41eb85835e588bddccf15e29e4020587139f66a3a250",
-        "plan": "1cf134adeed093be95ca40b5797b8410f309c138752e3261ed0a15620f683ce9",
-        "plan_index": "72d8d8b9199d6a9bf059a86eea001bdec01a00e0ee9e50b5dfe621efd095bdfc",
-        "cache": "6f7d8c78963f1859150d43895551b98a8cb2c5cd0c344b30817e79e34472be75",
+        "ftm": "063b76cff1bb9a799c83dda18fcf4de28ba9bbab95f4b598b86940019b141279",
+        "ring": "10d5b134b58b3f1f46ff1bedace8bc0db31b5016881ebad9b348deb1a8d49c99",
+        "ray": "72d8d8b9199d6a9bf059a86eea001bdec01a00e0ee9e50b5dfe621efd095bdfc",
+        "plan": "f326a7fcd2a73d8ee691c5bc51533cd0ffba027d3ef4dd3e9ad7b78f5e2f2e93",
+        "cache": "53e2621ee3a7d0295ff241cf7d88f6f382a255acb839f01bf302443e3a50fd38",
     },
     "S3": {
-        "ftm": "d6d6569947f2c509805e3e9cc09d0f8d512b5d1673e82a2ed526dd7429c02a87",
-        "ring": "8b1b28df4d63a800ceb34797280f2ef1dbdae76831f62a2828274a9f5063a031",
-        "ray": "74644252878212dd315d1b80648a6db0e84eef27de44a1a1552785d083ed204b",
-        "plan": "b3da2945b516ac01f19e3c69d8125b071ab7ddbea0de8f71564712c4dfd18720",
-        "plan_index": "1dee48d770dd07c8cf722e8748dc2387466436bd13b37741971117e9770e7f8a",
-        "cache": "a913da39c597edb58db3aaf1f8e31a9da8af491c8ca5b53ca520896c862e6840",
+        "ftm": "e87852b2a373b5d3194a868a49f1f0b662d9be27f9c5044b102de947fde3c3fe",
+        "ring": "664cdb0f646b41774784f22b95a5fa3567e0aedee8a0934706a9ca9502e185cc",
+        "ray": "1dee48d770dd07c8cf722e8748dc2387466436bd13b37741971117e9770e7f8a",
+        "plan": "564ab4e7f175528e31b7eb2c141ef01e6813cbcec8bb71eef34a3c75847a9e51",
+        "cache": "3da631d43ac71e93095798e9e549860f9fe926cf8a636507aa1252d23b95ba21",
     },
     "S4": {
-        "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
-        "ring": "770325282eeb3d4881453440740bd2d0a8958309efbea6e8da41a47d90550a7d",
-        "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
-        "plan": "059bf1104ab69ba1d3d08774f5dadacaa5a4d605217ce7c613fd2461729800e5",
-        "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "24380f8ad6a1ed2aeaf137f854eddf7c2a20ab2d397b091b6d318ca7f22fbf40",
+        "ftm": "0fe8e4c08a84b33ec427d8c7fd164fdba02a4ca307db680fde0cd3d634cad6b0",
+        "ring": "90c0f2c57e2898b69bb47530c5664cb11d238ef6c391fc7c2e909f3da01e7130",
+        "ray": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
+        "plan": "3e8b9d62251a5ff0e3ffaadf73cbe2d7fab31a56b1f1d83a444bf19ebca66e03",
+        "cache": "179a4070506a8e4173ad254a5cc1ebd34444d6e48b7cdde2e1c8cf49e3f2e7b9",
     },
     "S5": {
-        "ftm": "613540925d4c2388bcafef55d778691f5a6b4cecf9ca2abcdb4b5eda0f139647",
-        "ring": "770325282eeb3d4881453440740bd2d0a8958309efbea6e8da41a47d90550a7d",
-        "ray": "ad4f8ecc819c5b38b52c8724c1531cd8a2ee0b0aaad881c5ec5fd9107dc6064a",
-        "plan": "059bf1104ab69ba1d3d08774f5dadacaa5a4d605217ce7c613fd2461729800e5",
-        "plan_index": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
-        "cache": "24380f8ad6a1ed2aeaf137f854eddf7c2a20ab2d397b091b6d318ca7f22fbf40",
+        "ftm": "0fe8e4c08a84b33ec427d8c7fd164fdba02a4ca307db680fde0cd3d634cad6b0",
+        "ring": "90c0f2c57e2898b69bb47530c5664cb11d238ef6c391fc7c2e909f3da01e7130",
+        "ray": "0c70f54ac88a5f3d3ceaa0b8599fc19e0eb1555d4889c73c42e9da67656c4593",
+        "plan": "3e8b9d62251a5ff0e3ffaadf73cbe2d7fab31a56b1f1d83a444bf19ebca66e03",
+        "cache": "179a4070506a8e4173ad254a5cc1ebd34444d6e48b7cdde2e1c8cf49e3f2e7b9",
     },
     "S6": {
-        "ftm": "8e619273292c28c13a836dc9a3039888886500bae8a39c030f1ea8547240e3c2",
-        "ring": "414999642f15f58a6bcc7149917e6569179a198a890a54935d9dbc8a2b96b175",
-        "ray": "b5ae8f48ae15891b23cb16a8fcc40f11ef7dc9535b14d4cee70e5723a0c30d8b",
-        "plan": "a42714df286a49d2231f5b5f4f2a5a76fcc26f397a2e847ffe415494deabd29a",
-        "plan_index": "c616b09df5d0328b17c46f8d3b4d5c1eaace6e4a9c9a94a5c127d0c6a1bb4504",
-        "cache": "bf6dec2569b69d2e2b3a13dc9d657cd83d9671ac65d267f7bea9b4ac3538b18b",
+        "ftm": "07a956bfb474d2ad540ee2279ad5056681e6d8f52f82f058bda7940b3bde7e7c",
+        "ring": "884df9cc97e93ec6a0e23a8b7649e39482199cefada4dad82f10dba964e851cf",
+        "ray": "c616b09df5d0328b17c46f8d3b4d5c1eaace6e4a9c9a94a5c127d0c6a1bb4504",
+        "plan": "9e90404f4c8839edbde74a216b328f6cd3ba4a68653f9848ca13e141b6f8fc9c",
+        "cache": "33ef99f7fe8e61589d110f2e16ec4c63ec54272893fa50885f9b583fc4dea424",
     },
 }
 

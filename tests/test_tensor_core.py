@@ -160,6 +160,33 @@ class TestSparseBinaryMatrix:
         with pytest.raises(ValidationError, match="whole number"):
             SparseBinaryMatrix.from_coo(rows, cols, [0], [0])
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint8, np.float64])
+    def test_index_arrays_are_int32_below_2_31(self, dtype):
+        offsets, indices = np.array([0, 2, 3], dtype), np.array([0, 2, 1], dtype)
+        m = SparseBinaryMatrix(2, 3, offsets, indices)
+        assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
+        assert m.row_offsets.tolist() == [0, 2, 3] and m.col_indices.tolist() == [0, 2, 1]
+        # an int32 input is checked and kept as it is, with no copy
+        assert np.shares_memory(m.col_indices, indices) == (dtype is np.int32)
+        assert not m.row_offsets.flags.writeable and not m.col_indices.flags.writeable
+
+    @pytest.mark.parametrize("cols, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
+    def test_index_dtype_widens_at_2_31_columns(self, cols, dtype):
+        for given in (np.int32, np.int64):
+            m = SparseBinaryMatrix(1, cols, np.array([0, 1], given), np.array([5], given))
+            assert m.row_offsets.dtype == m.col_indices.dtype == dtype
+        keys = np.array([cols - 1], np.int64)
+        m = _from_keys(1, cols, keys)
+        assert m.row_offsets.dtype == m.col_indices.dtype == dtype
+        assert m.col_indices.tolist() == [cols - 1] and _keys(m).tolist() == [cols - 1]
+
+    def test_int32_offsets_are_compared_not_differenced(self):
+        # in int32 these offsets differ by 2**31 - 1, 1 (it wraps), 2**31 - 1
+        # and 1, all positive, yet they decrease
+        offsets = np.array([0, 2**31 - 1, -(2**31), -1, 0], np.int32)
+        with pytest.raises(ValidationError, match="non-decreasing"):
+            SparseBinaryMatrix(4, 3, offsets, np.array([], np.int32))
+
     def test_row_boundary_decrease_is_legal(self):
         m = SparseBinaryMatrix(2, 3, [0, 2, 3], [1, 2, 0])
         assert densify(m).tolist() == [[0, 1, 1], [1, 0, 0]]

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import threading
@@ -34,8 +35,10 @@ from bevx import (
 from bevx import reference, tensor_core, transform
 from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
 from bevx.fileio import read_cache, write_cache
+from bevx.tensor_core import _held_bytes
 from oracles import (
     bxc2_cache_bytes,
+    bxc3_cache_bytes,
     degenerate_scene,
     densify,
     dense_reformulated,
@@ -54,6 +57,28 @@ from oracles import (
 )
 
 from test_reference import single_ray_setup
+
+
+def recorded_csr_handles(monkeypatch):
+    """The list that every scipy CSR matrix made from now on is appended to."""
+    handles = []
+    real = transform.sp.csr_matrix
+
+    def recorded(*args, **kwargs):
+        handles.append(real(*args, **kwargs))
+        return handles[-1]
+
+    monkeypatch.setattr(transform.sp, "csr_matrix", recorded)
+    return handles
+
+
+@functools.lru_cache(maxsize=1)
+def _saved_cache_bytes():
+    """A geometric pair's cache file under digest "d", and the pair."""
+    _, _, rr = build_pair(np.random.default_rng(9))
+    buf = io.BytesIO()
+    write_cache(buf, "d", rr.ring, rr.ray)
+    return buf.getvalue(), (rr.ring, rr.ray)
 
 
 def build_pair(rng, n_cameras=2, w_i=5, h_i=2, n_d=6, grid_cells=12):
@@ -156,7 +181,8 @@ class TestBuildRingRay:
             RingRayPair(wide, wide)
         narrow = SparseBinaryMatrix(1, 2**31, [0, 1], [2**31 - 1])
         rr = RingRayPair(narrow, SparseBinaryMatrix(1, 2**32 - 1, [0, 1], [7]))
-        assert rr._plan[0].col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
+        assert rr._plan.col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
+        assert rr._plan.col_indices.dtype == np.int64
 
     def test_ray_offsets_larger_than_memory_are_refused(self, memory_cap):
         # sized from the machine: the grid's cells alone need more int64 row
@@ -181,7 +207,7 @@ class TestBuildRingRay:
         ring = from_dense([[1, 0, 1, 0], [0, 1, 0, 0]])
         rr = RingRayPair(ring, ray)
         assert row(rr.ring, 0).tolist() == [0, 2]
-        assert rr._plan[0] == plan_oracle(ring, ray)
+        assert rr._plan == plan_oracle(ring, ray)
         assert row(effective_ftm(rr), 0).tolist() == [4, 6]
         save_ring_ray(rr, tmp_path, "d")
         assert row(load_ring_ray(tmp_path, "d").ring, 0).tolist() == [0, 2]
@@ -194,12 +220,12 @@ class TestPlan:
     def test_matches_oracle_on_geometric_pairs(self, seed):
         rng = np.random.default_rng(seed)
         _, _, rr = build_pair(rng, n_cameras=3, w_i=7, n_d=9, grid_cells=10)
-        assert rr._plan[0] == plan_oracle(rr.ring, rr.ray)
+        assert rr._plan == plan_oracle(rr.ring, rr.ray)
 
     def test_matches_oracle_on_the_bundled_rig(self, rig_scene):
         frustum = generate_frustum(rig_scene.rig, rig_scene.bins)
         rr = build_ring_ray(frustum, rig_scene.grid)
-        assert rr._plan[0] == plan_oracle(rr.ring, rr.ray)
+        assert rr._plan == plan_oracle(rr.ring, rr.ray)
 
     @pytest.mark.parametrize(
         "ring, ray",
@@ -215,7 +241,7 @@ class TestPlan:
     def test_matches_oracle_on_hand_built_pairs(self, ring, ray):
         ray = from_dense(ray)
         rr = RingRayPair(per_entry(from_dense(ring), ray), ray)
-        plan = rr._plan[0]
+        plan = rr._plan
         assert plan == plan_oracle(rr.ring, rr.ray)
         assert plan.shape == (rr.ray.nnz, rr.n_columns * rr.n_depths)
 
@@ -251,16 +277,17 @@ class TestVtMatrixvt:
         assert np.flatnonzero(bev.any(axis=1)).tolist() == [cell]
         np.testing.assert_array_equal(bev[cell], f[0])
 
-    def test_ray_index_arrays_come_with_the_plan(self, rng):
+    def test_ray_patterned_handle_wraps_the_ray_own_arrays(self, rng, monkeypatch):
         _, _, rr = build_pair(rng)
         f = rng.random((rr.n_columns, 3), dtype=np.float32)
         d = rng.random((rr.n_columns, rr.n_depths), dtype=np.float32)
+        handles = recorded_csr_handles(monkeypatch)
         vt_matrixvt(f, d, rr)
         assert "_scipy" not in vars(rr.ray)
-        _, indptr, indices = rr._plan
-        assert indptr.dtype == indices.dtype == np.int32
-        np.testing.assert_array_equal(indptr, rr.ray.row_offsets)
-        np.testing.assert_array_equal(indices, rr.ray.col_indices)
+        (handle,) = handles
+        assert rr.ray.row_offsets.dtype == rr.ray.col_indices.dtype == np.int32
+        assert np.shares_memory(handle.indptr, rr.ray.row_offsets)
+        assert np.shares_memory(handle.indices, rr.ray.col_indices)
 
     def test_matches_dense_oracle(self, rng):
         _, _, rr = build_pair(rng, n_cameras=2, w_i=6, h_i=2, n_d=10, grid_cells=14)
@@ -340,6 +367,32 @@ class TestVtMatrixvt:
             vt_matrixvt(
                 np.ones((rr.n_columns, 2)), np.ones((rr.n_columns, rr.n_depths + 1)), rr
             )
+
+
+@pytest.mark.parametrize("setting", sorted(PRESETS))
+def test_every_scipy_handle_wraps_its_matrix_arrays(setting, rig_scene, monkeypatch):
+    scene = setting_scene(rig_scene, PRESETS[setting])
+    frustum = generate_frustum(scene.rig, scene.bins)
+    ftm = build_ftm(frustum, scene.grid)
+    rr = build_ring_ray(frustum, scene.grid)
+    f, d = make_inputs(scene, 1, 0)
+    vt_ftm(lift(f, d), ftm)
+    handles = recorded_csr_handles(monkeypatch)
+    vt_matrixvt(f, d, rr)
+    (ray_handle,) = handles  # the plan's handle was made with the pair
+    plan = rr._plan
+    assert plan.row_offsets is rr.ring.row_offsets
+    for handle, m in [(ftm._scipy, ftm), (plan._scipy, plan), (ray_handle, rr.ray)]:
+        assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
+        assert np.shares_memory(handle.indptr, m.row_offsets)
+        assert np.shares_memory(handle.indices, m.col_indices)
+    # so the pair holds each of its arrays once, 4 bytes an entry: the
+    # ring's, the ray's, and the plan's columns and unit values
+    cells, ring, ray = rr.n_cells, rr.ring, rr.ray
+    held = (ring.rows + 1 + ring.nnz) + (cells + 1 + ray.nnz) + 2 * ring.nnz
+    assert _held_bytes(rr._buffers()) == 4 * held
+    if setting == "S4":
+        assert 4 * held <= 1.35e6
 
 
 class TestEffectiveFtm:
@@ -575,6 +628,7 @@ class TestCache:
         (raw,) = files
         for m in (back.ring, back.ray):
             for a in (m.row_offsets, m.col_indices):
+                assert a.dtype == np.int32
                 assert a.flags.aligned and not a.flags.writeable
                 assert np.shares_memory(a, np.frombuffer(raw, np.uint8))
 
@@ -589,6 +643,18 @@ class TestCache:
         assert (tmp_path / "ringray.bxc").read_bytes() != old
         assert load_ring_ray(tmp_path, "d") == rr
 
+    def test_int64_layout_without_crc_misses_and_the_next_save_replaces_it(self, tmp_path, rng):
+        # a file of the layout before the index dtype rule: "BXC3", int64
+        # words and no crc, over the same per-entry ring
+        _, _, rr = build_pair(rng)
+        old = bxc3_cache_bytes("d", rr.ring, rr.ray)
+        (tmp_path / "ringray.bxc").write_bytes(old)
+        assert load_ring_ray(tmp_path, "d") is None
+        save_ring_ray(rr, tmp_path, "d")
+        raw = (tmp_path / "ringray.bxc").read_bytes()
+        assert raw[:8] == b"BXC4\0\0\0\0" and len(raw) < len(old)
+        assert load_ring_ray(tmp_path, "d") == rr
+
     def test_shared_ring_layout_misses_and_the_next_save_replaces_it(self, tmp_path, rng):
         # a file of the layout before per-entry rings: a shared (S, N_d)
         # ring under the BXC2 header, with the same BXS2 records
@@ -601,7 +667,7 @@ class TestCache:
         (tmp_path / "ringray.bxc").write_bytes(old)
         assert load_ring_ray(tmp_path, digest) is None
         save_ring_ray(rr, tmp_path, digest)
-        assert (tmp_path / "ringray.bxc").read_bytes()[:8] == b"BXC3\0\0\0\0"
+        assert (tmp_path / "ringray.bxc").read_bytes()[:8] == b"BXC4\0\0\0\0"
         assert load_ring_ray(tmp_path, digest) == rr
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
@@ -644,6 +710,22 @@ class TestCache:
         back = load_ring_ray(slot, "new")
         assert back is not None and back.ring == new.ring and back.ray == new.ray
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, None), st.integers(0, 7)), min_size=1, max_size=3),
+        st.integers(-16, 8),
+    )
+    def test_corrupted_bytes_read_as_the_saved_pair_or_a_miss(self, flips, resize):
+        # bit flips anywhere in the file, then bytes cut off or appended:
+        # the crc makes every change that decodes to another pair a miss
+        raw, expected = _saved_cache_bytes()
+        bad = bytearray(raw)
+        for at, bit in flips:
+            bad[at % len(bad)] ^= 1 << bit
+        bad = bad[: len(bad) + resize] if resize < 0 else bad + bytes(resize)
+        got = read_cache(bytes(bad), "d")
+        assert got is None or got == expected
+
     def test_corrupt_matrix_file(self, tmp_path, rng):
         _, _, rr = build_pair(rng)
         save_ring_ray(rr, tmp_path / "c", "digest-1")
@@ -677,7 +759,7 @@ class TestCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rr is not None and rr._plan[0].nnz == n
+        assert rr is not None and rr._plan.nnz == n
         assert peak < 3 * size, (peak, size)
 
     def test_concurrent_saves_to_one_slot_never_mix(self, tmp_path, rng, monkeypatch):
