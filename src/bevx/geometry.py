@@ -66,8 +66,7 @@ def _parsed(value, what, shape):
             arr = np.array(raw.reshape(shape), dtype=np.float64, order="C")
             flat = arr.ravel().tolist()
             if all(map(math.isfinite, flat)):
-                arr.setflags(write=False)
-                return arr, flat
+                return _frozen(arr, np.float64), flat
     except (TypeError, ValueError, OverflowError):
         pass
     kind = f"{shape} finite numbers" if shape else "a finite number"
@@ -127,6 +126,41 @@ def _freeze(obj, **values):
     """Set attributes of a frozen dataclass from its __post_init__."""
     for name, value in values.items():
         object.__setattr__(obj, name, value)
+
+
+def _owner(a):
+    """The object whose memory the array `a` views: the end of its `.base`
+    chain, an array that owns its data or the bytes (or other buffer) that
+    the chain's last array views."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+def _owned(a, dtype):
+    """The array a type keeps for the caller's array `a`, the one ownership
+    rule of the package. `a` is kept as it is only when it already has
+    `dtype`, is C-order and read-only, and the memory it views is read-only
+    too (a cache file's bytes, generate_frustum's points); any other array
+    is copied once, in `dtype`, and the copy frozen. So no write to the
+    caller's array, or to a writeable base under it, changes what was kept,
+    and the caller's array stays writeable."""
+    try:
+        keep = memoryview(_owner(a)).readonly and not a.flags.writeable
+    except TypeError:  # an owner with no buffer, only __array_interface__
+        keep = False
+    if keep and a.dtype == dtype and a.flags.c_contiguous:
+        return a
+    return _frozen(np.array(a, dtype=dtype, order="C"), dtype)
+
+
+def _frozen(a, dtype):
+    """`a`, an array this package has just built (or already keeps
+    frozen), in `dtype` and frozen in place: copied only when its dtype
+    changes. No caller holds it, so no copy is needed to own it."""
+    a = a.astype(dtype, copy=False)
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,8 +272,7 @@ class DepthBins:
                 f"{count} depth bins exceed physical memory or the address-space limit"
             )
         step = (d_max - d_min) / count
-        centers = d_min + (np.arange(count) + 0.5) * step
-        centers.setflags(write=False)  # fresh and owned, so frozen in place
+        centers = _frozen(d_min + (np.arange(count) + 0.5) * step, np.float64)
         _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
 
 
@@ -273,10 +306,8 @@ class BevGrid:
             )
         cell_size = 2.0 * extent / w_cells
         x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
-        x_edges = x_min + np.arange(w_cells + 1) * cell_size
-        y_edges = y_min + np.arange(h_cells + 1) * cell_size
-        x_edges.setflags(write=False)  # fresh and owned, so frozen in place
-        y_edges.setflags(write=False)
+        x_edges = _frozen(x_min + np.arange(w_cells + 1) * cell_size, np.float64)
+        y_edges = _frozen(y_min + np.arange(h_cells + 1) * cell_size, np.float64)
         _freeze(self, extent=extent, h_cells=h_cells, w_cells=w_cells, cell_size=cell_size,
                 x_min=x_min, y_min=y_min, _x_edges=x_edges, _y_edges=y_edges)
 
@@ -320,6 +351,9 @@ class BevGrid:
 class FrustumGeometry:
     """Ego-frame ground coordinates of every (camera, column, depth) sample.
 
+    The points are real numbers (no bool or str, as for a Camera), kept as
+    float64 under `_owned`'s rule: generate_frustum's read-only points are
+    kept as they are, and any caller's writeable array is copied.
     A frustum compares and hashes by identity: reference.build_ftm keeps
     the exact matrix of its last grid on it, so two frusta with equal
     points are still two per-scene products."""
@@ -327,19 +361,13 @@ class FrustumGeometry:
     points_xyz: np.ndarray  # (N_c, W_I, N_d, 3)
 
     def __post_init__(self):
-        # stored as a read-only float64 C-order array: one that already is
-        # and owns its data, as generate_frustum's, is kept as it is; any
-        # other is copied, so the caller's array stays writable
-        p = self.points_xyz
-        if not (
-            isinstance(p, np.ndarray)
-            and p.dtype == np.float64
-            and p.flags.c_contiguous
-            and p.flags.owndata
-            and not p.flags.writeable
-        ):
-            p = np.array(p, dtype=np.float64, order="C")
-            p.setflags(write=False)
+        try:
+            p = np.asarray(self.points_xyz)
+        except ValueError:  # ragged
+            p = np.asarray(None)
+        if p.dtype.kind not in "iuf":
+            raise GeometryError(f"points_xyz must be real numbers, got dtype {p.dtype}")
+        p = _owned(p, np.float64)
         if p.ndim != 4 or p.shape[3] != 3:
             raise ShapeError(f"points_xyz must be (N_c, W_I, N_d, 3), got {p.shape}")
         object.__setattr__(self, "points_xyz", p)
@@ -420,8 +448,7 @@ def generate_frustum(rig, bins, reference_row=None):
         axis = points[..., k]
         np.multiply(rays[:, k, :, None], bins.centers, out=axis)
         axis += translation[:, k, None, None]
-    points.setflags(write=False)  # owned and frozen: FrustumGeometry keeps it
-    return FrustumGeometry(points)
+    return FrustumGeometry(_frozen(points, np.float64))  # kept with no copy
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BevxError, ShapeError, ValidationError
-from .geometry import generate_frustum
+from .geometry import _owned, generate_frustum
 from .reference import build_ftm, lift, splat_reference
-from .tensor_core import _all_finite, _coerce, as_feature
+from .tensor_core import DTYPE, _all_finite, _coerce, _require, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
@@ -52,19 +52,28 @@ __all__ = [
 _SIMPLEX_TOL = 1e-5
 
 
+def _kept(x, name):
+    """`x` as the float32 array an attention or refine map keeps: real
+    numbers only (`_coerce`), kept under `geometry._owned`'s rule, and then
+    proved finite, so the array that is checked is the array that is kept."""
+    return as_feature(_owned(_coerce(x, name), DTYPE), name)
+
+
 @dataclass(frozen=True, eq=False)
 class PrimeAttention:
     """Per-column row weights, normalized over the height axis.
 
     weights[n, h, w] >= 0 and sum_h weights[n, h, w] == 1 within 1e-5.
-    An attention compares and hashes by identity, as its array field
-    would make a generated == ambiguous.
+    The attention holds its own read-only float32 copy (`_kept`), so no
+    write to the caller's array can move it off the simplex after it was
+    checked. An attention compares and hashes by identity, as its array
+    field would make a generated == ambiguous.
     """
 
     weights: np.ndarray  # (N_c, H_I, W_I)
 
     def __post_init__(self):
-        w = as_feature(self.weights, "attention")
+        w = _kept(self.weights, "attention")
         if w.ndim != 3 or not w.size:
             raise ShapeError(f"attention must be non-empty (N_c, H_I, W_I), got {w.shape}")
         if np.any(w < 0):
@@ -82,14 +91,15 @@ class PrimeAttention:
 class RefineMap:
     """Linear stand-in for the learned post-pool refinement: x -> matrix @ x + bias.
 
-    Compares and hashes by identity, as PrimeAttention does."""
+    Holds its own read-only float32 copies of both arrays, as
+    PrimeAttention does, and compares and hashes by identity."""
 
     matrix: np.ndarray  # (C_out, C_in)
     bias: np.ndarray  # (C_out,)
 
     def __post_init__(self):
-        m = as_feature(self.matrix, "refine matrix")
-        b = as_feature(self.bias, "refine bias")
+        m = _kept(self.matrix, "refine matrix")
+        b = _kept(self.bias, "refine bias")
         if m.ndim != 2 or b.shape != (m.shape[0],):
             raise ShapeError.mismatch("refine", m.shape, b.shape)
         object.__setattr__(self, "matrix", m)
@@ -98,13 +108,6 @@ class RefineMap:
     def _apply(self, x):
         """x (..., C_in) -> (..., C_out); x is a checked float32 array."""
         return x @ self.matrix.T + self.bias
-
-
-def _require(value, kind, name):
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
-        )
 
 
 _OVERFLOW = "float32 overflow of finite inputs in the embedding add or the refine"

@@ -10,7 +10,11 @@ matrices are CSR with implicit unit values: every transport matrix in this
 package is binary, so no value array is stored. Their index arrays take
 one dtype, `_index_dtype`: int32 while rows, cols and nnz are all below
 2**31, else int64. That is the dtype scipy picks, so every scipy handle
-wraps a matrix's own arrays, with no copy.
+wraps a matrix's own arrays, with no copy. They hold whole numbers only
+(`_index_array`). A caller's array is kept under `geometry._owned`, the
+package's one ownership rule: as it is only when it is read-only over
+read-only memory (a cache file's bytes), else as a frozen copy; arrays
+the package has just built are frozen in place (`_built`).
 The entries of a matrix are also read and written as one codec, the
 ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
 pairs, `_from_keys` decodes ascending, distinct keys to a matrix (for
@@ -32,7 +36,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, ValidationError
-from .geometry import _fits_in_memory, _whole
+from .geometry import _fits_in_memory, _frozen, _owned, _owner, _whole
 
 __all__ = [
     "DTYPE",
@@ -94,14 +98,27 @@ def _index_dtype(rows, cols, nnz):
     return np.int32 if max(rows, cols, nnz) < 2**31 else np.int64
 
 
-def _index_array(a):
-    """`a` as a C-order int32 or int64 array, in its own dtype when it has
-    one of those, so no check needs an upcast copy; any other input as
-    int64."""
-    a = np.asarray(a)
+def _index_array(a, name):
+    """`a`, an index array, as a C-order int32 or int64 array: in its own
+    dtype when it has one of those, so no value is narrowed before it is
+    checked and no check needs an upcast copy; any other integer array as
+    int64, and a float array only when every value is whole and below
+    2**53 in magnitude, `_whole`'s rule (so NaN and +-inf are refused). A
+    bool, str, complex, object or ragged array is a ValidationError naming
+    the array; an empty list is an empty array."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # ragged
+        a = np.asarray(None)
     if a.dtype == np.int32 or a.dtype == np.int64:
         return np.ascontiguousarray(a)
-    return np.ascontiguousarray(a, dtype=np.int64)
+    if a.dtype.kind in "iu" or (
+        a.dtype.kind == "f" and np.all(np.abs(a) < 2**53) and np.all(a == np.trunc(a))
+    ):
+        return np.ascontiguousarray(a, dtype=np.int64)
+    raise ValidationError(
+        f"{name} must be whole numbers (a float only below 2**53), got a {a.dtype} array"
+    )
 
 
 def _check_key_room(rows, cols, nnz):
@@ -160,14 +177,17 @@ def _keys(m):
 
 def _held_bytes(arrays):
     """The bytes that `arrays` hold, each buffer counted once: a view counts
-    the whole array, or bytes object, that it views."""
-    owners = {}
-    for a in arrays:
-        while isinstance(a.base, np.ndarray):
-            a = a.base
-        owner = a if a.base is None else a.base
-        owners[id(owner)] = memoryview(owner).nbytes
-    return sum(owners.values())
+    the whole array, or bytes object, that it views (`_owner`)."""
+    return sum({id(owner): memoryview(owner).nbytes for owner in map(_owner, arrays)}.values())
+
+
+def _require(value, kind, name):
+    """The one type check of an argument that must be a `kind`: any other
+    value is a ValidationError naming `name`."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
+        )
 
 
 def _run_starts(a):
@@ -189,10 +209,11 @@ class SparseBinaryMatrix:
         col_indices: integer array of column ids, strictly increasing
             within each row.
 
-    Both are stored read-only in `_index_dtype(rows, cols, nnz)`: int32
-    while rows, cols and nnz are all below 2**31, else int64. An int32 or
-    int64 input is checked as it is and kept when it has that dtype; other
-    inputs are read as int64 first. `_scipy` wraps these same arrays.
+    Both take whole numbers only (`_index_array`) and are checked in the
+    input's own int32 or int64 dtype, so nothing is narrowed before it is
+    checked. After the checks each is kept under `geometry._owned` in
+    `_index_dtype(rows, cols, nnz)`: int32 while rows, cols and nnz are all
+    below 2**31, else int64. `_scipy` wraps these same arrays.
     """
 
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")
@@ -200,8 +221,8 @@ class SparseBinaryMatrix:
     def __init__(self, rows, cols, row_offsets, col_indices):
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
-        row_offsets = _index_array(row_offsets)
-        col_indices = _index_array(col_indices)
+        row_offsets = _index_array(row_offsets, "row_offsets")
+        col_indices = _index_array(col_indices, "col_indices")
         if row_offsets.ndim != 1 or row_offsets.shape[0] != rows + 1:
             raise ValidationError(
                 f"row_offsets must have length rows+1={rows + 1}, "
@@ -228,28 +249,24 @@ class SparseBinaryMatrix:
             not_up[row_offsets[1:-1]] = False
             if not_up.any():
                 raise ValidationError("col_indices must strictly increase within a row")
-        self._store(rows, cols, row_offsets, col_indices)
+        self._store(rows, cols, row_offsets, col_indices, _owned)
 
-    def _store(self, rows, cols, row_offsets, col_indices):
+    def _store(self, rows, cols, row_offsets, col_indices, keep):
         # checked or built values fit the dtype, so narrowing is exact
         dtype = _index_dtype(rows, cols, col_indices.shape[0])
-        row_offsets = row_offsets.astype(dtype, copy=False)
-        col_indices = col_indices.astype(dtype, copy=False)
-        row_offsets.setflags(write=False)
-        col_indices.setflags(write=False)
         self.rows = rows
         self.cols = cols
-        self.row_offsets = row_offsets
-        self.col_indices = col_indices
+        self.row_offsets = keep(row_offsets, dtype)
+        self.col_indices = keep(col_indices, dtype)
 
     @classmethod
     def _built(cls, rows, cols, row_offsets, col_indices):
         """A matrix over valid CSR arrays that this package has just built
-        (C-order int32 or int64, owned by no caller): they are frozen, not
-        checked again, and narrowed to `_index_dtype` if they are wider.
-        Arrays from outside go through the constructor."""
+        (C-order int32 or int64, owned by no caller): they are frozen in
+        place, not checked again, and narrowed to `_index_dtype` if they
+        are wider. Arrays from outside go through the constructor."""
         m = cls.__new__(cls)
-        m._store(rows, cols, row_offsets, col_indices)
+        m._store(rows, cols, row_offsets, col_indices, _frozen)
         return m
 
     @property
@@ -263,6 +280,7 @@ class SparseBinaryMatrix:
     @classmethod
     def from_coo(cls, rows, cols, row_ids, col_ids):
         """Build from unordered (row, col) pairs; duplicates collapse to 1.
+        The ids take whole numbers only, as the constructor's arrays do.
 
         Pairs are encoded as row * cols + col keys, sorted, and deduplicated
         by comparing neighbours. np.unique would give the same keys, but
@@ -272,8 +290,8 @@ class SparseBinaryMatrix:
         """
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
-        row_ids = np.asarray(row_ids, dtype=np.int64).ravel()
-        col_ids = np.asarray(col_ids, dtype=np.int64).ravel()
+        row_ids = _index_array(row_ids, "row_ids").ravel()
+        col_ids = _index_array(col_ids, "col_ids").ravel()
         if row_ids.shape != col_ids.shape:
             raise ShapeError.mismatch("from_coo", row_ids.shape, col_ids.shape)
         if row_ids.size:

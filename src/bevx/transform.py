@@ -54,6 +54,7 @@ from .tensor_core import (
     SparseBinaryMatrix,
     _index_dtype,
     _keys,
+    _require,
     _run_starts,
     as_feature,
 )
@@ -113,6 +114,8 @@ class RingRayPair:
     ray: SparseBinaryMatrix
 
     def __post_init__(self):
+        _require(self.ring, SparseBinaryMatrix, "ring")
+        _require(self.ray, SparseBinaryMatrix, "ray")
         if self.ring.cols * self.ray.cols >= 2**63:
             raise ShapeError(
                 f"ring/ray: {self.ray.cols} columns x {self.ring.cols} bins "

@@ -166,9 +166,14 @@ class TestSparseBinaryMatrix:
         m = SparseBinaryMatrix(2, 3, offsets, indices)
         assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
         assert m.row_offsets.tolist() == [0, 2, 3] and m.col_indices.tolist() == [0, 2, 1]
-        # an int32 input is checked and kept as it is, with no copy
-        assert np.shares_memory(m.col_indices, indices) == (dtype is np.int32)
+        # a writeable input is copied, so the caller's array stays writeable
+        assert not np.shares_memory(m.col_indices, indices)
+        assert offsets.flags.writeable and indices.flags.writeable
         assert not m.row_offsets.flags.writeable and not m.col_indices.flags.writeable
+        # a read-only int32 input over read-only memory is kept as it is, with no copy
+        indices.setflags(write=False)
+        kept = SparseBinaryMatrix(2, 3, offsets, indices)
+        assert (kept.col_indices is indices) == (dtype is np.int32)
 
     @pytest.mark.parametrize("cols, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
     def test_index_dtype_widens_at_2_31_columns(self, cols, dtype):
