@@ -56,17 +56,18 @@ _ORTHO_TOL = 1e-6
 
 
 def _parsed(value, what, shape):
-    """`value` parsed once into its read-only, owned, C-order float64 array
-    of `shape` and the same values as a flat list of Python floats. Every
-    form (list, tuple or numpy array of any real dtype and order) takes this
-    path; anything else, non-finite or mis-sized, raises GeometryError."""
+    """`value` parsed once into the C-order float64 array of `shape` that
+    `_owned` keeps for it and the same values as a flat list of Python
+    floats. Every form (list, tuple or numpy array of any real dtype and
+    order) takes this path; anything else, non-finite or mis-sized, raises
+    GeometryError."""
     try:
         raw = np.asarray(value)
         if raw.dtype.kind in "iuf":
-            arr = np.array(raw.reshape(shape), dtype=np.float64, order="C")
+            arr = _owned(raw.reshape(shape), np.float64)
             flat = arr.ravel().tolist()
             if all(map(math.isfinite, flat)):
-                return _frozen(arr, np.float64), flat
+                return arr, flat
     except (TypeError, ValueError, OverflowError):
         pass
     kind = f"{shape} finite numbers" if shape else "a finite number"
@@ -139,17 +140,15 @@ def _owner(a):
 
 def _owned(a, dtype):
     """The array a type keeps for the caller's array `a`, the one ownership
-    rule of the package. `a` is kept as it is only when it already has
-    `dtype`, is C-order and read-only, and the memory it views is read-only
-    too (a cache file's bytes, generate_frustum's points); any other array
-    is copied once, in `dtype`, and the copy frozen. So no write to the
-    caller's array, or to a writeable base under it, changes what was kept,
-    and the caller's array stays writeable."""
-    try:
-        keep = memoryview(_owner(a)).readonly and not a.flags.writeable
-    except TypeError:  # an owner with no buffer, only __array_interface__
-        keep = False
-    if keep and a.dtype == dtype and a.flags.c_contiguous:
+    rule of the package. `a` is kept as it is only when it views a `bytes`
+    object (a cache file's words), already has `dtype` and is C-order:
+    numpy never lets such an array, or any view of it, be written. Any
+    other caller's array is copied once, in `dtype`, and the copy frozen,
+    since numpy lets the owner of a read-only array turn writes back on and
+    a view taken before it was frozen still writes into it. So the caller's
+    arrays stay as they were, and no write to them changes what was kept.
+    Arrays the package has just built take `_frozen` instead."""
+    if isinstance(_owner(a), bytes) and a.dtype == dtype and a.flags.c_contiguous:
         return a
     return _frozen(np.array(a, dtype=dtype, order="C"), dtype)
 
@@ -167,7 +166,7 @@ def _frozen(a, dtype):
 class Camera:
     """One pinhole camera: intrinsics plus body-to-ego pose.
 
-    Each array is stored as an owned, read-only float64 copy and must be
+    Each array is kept as float64 under `_owned`'s rule and must be
     finite. Cameras compare and hash by the bytes of their three arrays, so
     equal configs give equal cameras, rigs and scenes. The checks run on the
     Python floats `_parsed` returns: an entry x with target y in {0, 1}
@@ -352,8 +351,8 @@ class FrustumGeometry:
     """Ego-frame ground coordinates of every (camera, column, depth) sample.
 
     The points are real numbers (no bool or str, as for a Camera), kept as
-    float64 under `_owned`'s rule: generate_frustum's read-only points are
-    kept as they are, and any caller's writeable array is copied.
+    float64 under `_owned`'s rule, so a caller's array is copied;
+    generate_frustum hands over the points it has just built with no copy.
     A frustum compares and hashes by identity: reference.build_ftm keeps
     the exact matrix of its last grid on it, so two frusta with equal
     points are still two per-scene products."""
@@ -448,7 +447,9 @@ def generate_frustum(rig, bins, reference_row=None):
         axis = points[..., k]
         np.multiply(rays[:, k, :, None], bins.centers, out=axis)
         axis += translation[:, k, None, None]
-    return FrustumGeometry(_frozen(points, np.float64))  # kept with no copy
+    frustum = FrustumGeometry.__new__(FrustumGeometry)  # built here, so kept with no copy
+    _freeze(frustum, points_xyz=_frozen(points, np.float64))
+    return frustum
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ import numpy as np
 from .errors import BevxError, ShapeError, ValidationError
 from .geometry import _owned, generate_frustum
 from .reference import build_ftm, lift, splat_reference
-from .tensor_core import DTYPE, _all_finite, _coerce, _require, as_feature
+from .tensor_core import DTYPE, _all_finite, _coerce, _real, _require, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
@@ -54,9 +54,10 @@ _SIMPLEX_TOL = 1e-5
 
 def _kept(x, name):
     """`x` as the float32 array an attention or refine map keeps: real
-    numbers only (`_coerce`), kept under `geometry._owned`'s rule, and then
-    proved finite, so the array that is checked is the array that is kept."""
-    return as_feature(_owned(_coerce(x, name), DTYPE), name)
+    numbers only (`_real`), converted once under `geometry._owned`'s rule,
+    and then proved finite, so the array that is checked is the array that
+    is kept."""
+    return as_feature(_owned(_real(x, name), DTYPE), name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,10 +65,10 @@ class PrimeAttention:
     """Per-column row weights, normalized over the height axis.
 
     weights[n, h, w] >= 0 and sum_h weights[n, h, w] == 1 within 1e-5.
-    The attention holds its own read-only float32 copy (`_kept`), so no
-    write to the caller's array can move it off the simplex after it was
-    checked. An attention compares and hashes by identity, as its array
-    field would make a generated == ambiguous.
+    The attention keeps its weights as float32 under `geometry._owned`'s
+    rule (`_kept`), so no write to the caller's array can move it off the
+    simplex after it was checked. An attention compares and hashes by
+    identity, as its array field would make a generated == ambiguous.
     """
 
     weights: np.ndarray  # (N_c, H_I, W_I)
@@ -91,8 +92,8 @@ class PrimeAttention:
 class RefineMap:
     """Linear stand-in for the learned post-pool refinement: x -> matrix @ x + bias.
 
-    Holds its own read-only float32 copies of both arrays, as
-    PrimeAttention does, and compares and hashes by identity."""
+    Keeps both arrays as PrimeAttention keeps its weights, and compares
+    and hashes by identity."""
 
     matrix: np.ndarray  # (C_out, C_in)
     bias: np.ndarray  # (C_out,)

@@ -12,9 +12,9 @@ one dtype, `_index_dtype`: int32 while rows, cols and nnz are all below
 2**31, else int64. That is the dtype scipy picks, so every scipy handle
 wraps a matrix's own arrays, with no copy. They hold whole numbers only
 (`_index_array`). A caller's array is kept under `geometry._owned`, the
-package's one ownership rule: as it is only when it is read-only over
-read-only memory (a cache file's bytes), else as a frozen copy; arrays
-the package has just built are frozen in place (`_built`).
+package's one ownership rule: with no copy only when it views a cache
+file's bytes, else as a frozen copy; arrays the package has just built
+are frozen in place (`_built`).
 The entries of a matrix are also read and written as one codec, the
 ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
 pairs, `_from_keys` decodes ascending, distinct keys to a matrix (for
@@ -48,18 +48,24 @@ DTYPE = np.float32
 _FINITE_CHUNK = 1 << 18  # float32 values: 1 MB, well inside L2
 
 
-def _coerce(x, name):
-    """`x` as a C-contiguous float32 ndarray, not scanned for non-finite
-    values. Only real numbers are accepted: an input that is not a
-    rectangular array of bool, int, uint or float values (a complex array,
-    a string, a ragged list) is a ValidationError naming the tensor."""
+def _real(x, name):
+    """`x` as an ndarray of real numbers, in its own dtype and order: an
+    input that is not a rectangular array of bool, int, uint or float
+    values (a complex array, a string, a ragged list) is a ValidationError
+    naming the tensor."""
     try:
         arr = np.asarray(x)
     except ValueError as exc:
         raise ValidationError(f"{name} is not an array of real numbers ({exc})") from None
     if arr.dtype.kind not in "biuf":
         raise ValidationError(f"{name} is not an array of real numbers (dtype {arr.dtype})")
-    return np.ascontiguousarray(arr, dtype=DTYPE)
+    return arr
+
+
+def _coerce(x, name):
+    """`x`, real numbers only (`_real`), as a C-contiguous float32 ndarray,
+    not scanned for non-finite values."""
+    return np.ascontiguousarray(_real(x, name), dtype=DTYPE)
 
 
 def _all_finite(arr):
@@ -104,14 +110,17 @@ def _index_array(a, name):
     checked and no check needs an upcast copy; any other integer array as
     int64, and a float array only when every value is whole and below
     2**53 in magnitude, `_whole`'s rule (so NaN and +-inf are refused). A
-    bool, str, complex, object or ragged array is a ValidationError naming
-    the array; an empty list is an empty array."""
+    bool, str, complex, object or ragged array, or an unsigned value at or
+    above 2**63 (which int64 would wrap), is a ValidationError naming the
+    array; an empty list is an empty array."""
     try:
         a = np.asarray(a)
     except ValueError:  # ragged
         a = np.asarray(None)
     if a.dtype == np.int32 or a.dtype == np.int64:
         return np.ascontiguousarray(a)
+    if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
+        raise ValidationError(f"{name} must be below 2**63, got {a.max()}")
     if a.dtype.kind in "iu" or (
         a.dtype.kind == "f" and np.all(np.abs(a) < 2**53) and np.all(a == np.trunc(a))
     ):
@@ -213,7 +222,9 @@ class SparseBinaryMatrix:
     input's own int32 or int64 dtype, so nothing is narrowed before it is
     checked. After the checks each is kept under `geometry._owned` in
     `_index_dtype(rows, cols, nnz)`: int32 while rows, cols and nnz are all
-    below 2**31, else int64. `_scipy` wraps these same arrays.
+    below 2**31, else int64. So a cache file's words are kept as views of
+    its bytes, and any other caller's array as a frozen copy. `_scipy`
+    wraps these same arrays.
     """
 
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")

@@ -374,9 +374,10 @@ class TestGenerateFrustum:
         assert not fr.points_xyz.any()
 
     def test_frustum_keeps_an_owned_frozen_array(self, small_scene):
+        # a caller's read-only array is copied: its owner may turn writes back on
         p = np.zeros((1, 2, 3, 3))
         p.setflags(write=False)
-        assert FrustumGeometry(p).points_xyz is p
+        assert not np.shares_memory(FrustumGeometry(p).points_xyz, p)
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         assert fr.points_xyz.flags.owndata and not fr.points_xyz.flags.writeable
 

@@ -1,9 +1,14 @@
 """One ownership rule for every array a type keeps (`geometry._owned`).
 
-Each row of the table builds an object from a caller's array. The caller's
-array stays writeable; a write to it, or to the writeable base under a
-read-only view of it, changes nothing the object holds; and every array the
-object keeps is read-only."""
+Each row of the table builds an object from a caller's array, in each of
+four forms. The object changes no flag of the caller's arrays; a write to
+the caller's array, to the writeable base under a read-only view of it, to
+a read-only array whose owner turns writes back on, or through a view taken
+before the array was frozen, changes nothing the object holds; and every
+array the object keeps is read-only. Only a view of `bytes`, which numpy
+never lets anyone write, is kept with no copy."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,26 +95,55 @@ def read_only_view_form(value):
     return view, base
 
 
-@pytest.mark.parametrize("form", [writeable_form, read_only_view_form], ids=["writeable", "read-only-view"])
+def writes_turned_back_on_form(value):
+    """(a read-only array that owns its data, the same array): its owner
+    may turn writes back on."""
+    a = value.copy()
+    a.setflags(write=False)
+    return a, a
+
+
+def earlier_view_form(value):
+    """(a read-only array, a writeable view taken before it was frozen)."""
+    a = value.copy()
+    early = a.view()
+    a.setflags(write=False)
+    return a, early
+
+
+FORMS = {
+    "writeable": writeable_form,
+    "read-only-view": read_only_view_form,
+    "writes-turned-back-on": writes_turned_back_on_form,
+    "earlier-writeable-view": earlier_view_form,
+}
+
+
+@pytest.mark.parametrize("form", FORMS.values(), ids=FORMS.keys())
 @pytest.mark.parametrize("row", sorted(ROWS))
 def test_a_kept_array_is_the_objects_own(row, form):
     value, make = ROWS[row]
     given, written = form(value)
+    flags = (given.flags.writeable, written.flags.writeable)
     obj = make(given)
     held = kept_arrays(obj)
     assert held and all(not a.flags.writeable for a in held)
     before = [a.copy() for a in held]
-    assert written.flags.writeable
+    assert (given.flags.writeable, written.flags.writeable) == flags
+    if not written.flags.writeable:
+        written.setflags(write=True)  # the owner turns writes back on
     written += 1
     assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(held, before))
 
 
-@pytest.mark.parametrize("row", ["matrix-col_indices-int64", "attention"])
-def test_a_read_only_array_over_read_only_memory_is_kept_with_no_copy(row):
+@pytest.mark.parametrize("row", sorted(ROWS))
+def test_a_bytes_view_is_kept_a_read_only_array_copied(row):
     value, make = ROWS[row]
+    view = np.frombuffer(value.tobytes(), value.dtype).reshape(value.shape)
+    assert any(np.shares_memory(held, view) for held in kept_arrays(make(view)))
     a = value.copy()
     a.setflags(write=False)
-    assert any(held is a for held in kept_arrays(make(a)))
+    assert not any(np.shares_memory(held, a) for held in kept_arrays(make(a)))
 
 
 class NoBuffer:
@@ -139,6 +173,31 @@ def test_prime_depth_stays_on_the_simplex_after_the_callers_weights_change():
     out = prime_depth(depth, attn)
     np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
     np.testing.assert_allclose(out, 1.0 / n_d, atol=1e-6)
+
+
+def test_prime_depth_stays_on_the_simplex_after_the_weights_turn_writeable():
+    n_c, h_i, w_i, n_d = 2, 4, 3, 5
+    w = uniform_weights(n_c, h_i, w_i)
+    w.setflags(write=False)
+    attn = PrimeAttention(w)
+    w.setflags(write=True)
+    w[:] = -7.0
+    depth = np.full((n_c, h_i, w_i, n_d), 1.0 / n_d, np.float32)
+    out = prime_depth(depth, attn)
+    np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+    np.testing.assert_allclose(out, 1.0 / n_d, atol=1e-6)
+
+
+def test_a_float64_attention_is_converted_once():
+    w = np.full((6, 32, 88), 1.0 / 32)
+    tracemalloc.start()
+    try:
+        attn = PrimeAttention(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert attn.weights.dtype == np.float32
+    assert peak < 1.5 * attn.weights.nbytes, (peak, attn.weights.nbytes)
 
 
 class TestWholeIndexArrays:
@@ -178,7 +237,36 @@ class TestWholeIndexArrays:
         with pytest.raises(ValidationError, match=name):
             SparseBinaryMatrix.from_coo(2, 3, row_ids, col_ids)
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "offsets, indices, name",
+        [([0, 2**63], [0], "row_offsets"), ([0, 1], [2**64 - 1], "col_indices")],
+        ids=["offset-2**63", "col-2**64-1"],
+    )
+    def test_constructor_refuses_unsigned_values_int64_would_wrap(self, offsets, indices, name):
+        offsets, indices = np.array(offsets, np.uint64), np.array(indices, np.uint64)
+        with pytest.raises(ValidationError, match=rf"{name} must be below 2\*\*63"):
+            SparseBinaryMatrix(1, 3, offsets, indices)
+
+    @pytest.mark.parametrize(
+        "row_ids, col_ids, name",
+        [([2**63], [0], "row_ids"), ([0], [2**64 - 1], "col_ids")],
+        ids=["row-2**63", "col-2**64-1"],
+    )
+    def test_from_coo_refuses_unsigned_values_int64_would_wrap(self, row_ids, col_ids, name):
+        row_ids, col_ids = np.array(row_ids, np.uint64), np.array(col_ids, np.uint64)
+        with pytest.raises(ValidationError, match=rf"{name} must be below 2\*\*63"):
+            SparseBinaryMatrix.from_coo(1, 3, row_ids, col_ids)
+
+    def test_unsigned_values_below_2_63_are_checked_as_ids(self):
+        big = np.array([2**63 - 1], np.uint64)
+        with pytest.raises(ValidationError, match="column index out of range"):
+            SparseBinaryMatrix(1, 3, np.array([0, 1], np.uint64), big)
+        with pytest.raises(ValidationError, match="row index out of range"):
+            SparseBinaryMatrix.from_coo(1, 3, big, np.array([0], np.uint64))
+
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.int16, np.uint32, np.uint64, np.float32, np.float64]
+    )
     def test_whole_values_of_any_real_dtype_are_taken(self, dtype):
         m = SparseBinaryMatrix(2, 3, np.array([0, 2, 3], dtype), np.array([0, 2, 1], dtype))
         assert m.row_offsets.tolist() == [0, 2, 3] and m.col_indices.tolist() == [0, 2, 1]

@@ -170,10 +170,10 @@ class TestSparseBinaryMatrix:
         assert not np.shares_memory(m.col_indices, indices)
         assert offsets.flags.writeable and indices.flags.writeable
         assert not m.row_offsets.flags.writeable and not m.col_indices.flags.writeable
-        # a read-only int32 input over read-only memory is kept as it is, with no copy
+        # a read-only input is copied too: only a view of bytes is kept as it is
         indices.setflags(write=False)
         kept = SparseBinaryMatrix(2, 3, offsets, indices)
-        assert (kept.col_indices is indices) == (dtype is np.int32)
+        assert not np.shares_memory(kept.col_indices, indices)
 
     @pytest.mark.parametrize("cols, dtype", [(2**31 - 1, np.int32), (2**31, np.int64)])
     def test_index_dtype_widens_at_2_31_columns(self, cols, dtype):
