@@ -51,7 +51,7 @@ from ..geometry import (
     scene_digest,
 )
 from ..reference import build_ftm, lift, splat_reference, vt_ftm
-from ..tensor_core import _from_keys, _held_bytes, _keys
+from ..tensor_core import SparseBinaryMatrix, _held_bytes
 from ..transform import (
     RingRayPair,
     _held,
@@ -295,15 +295,19 @@ def flip_ring_bit(rr, exact):
     of ray entry (s, w), so dropping it always breaks containment. The
     exact bins are those of `transform._held`'s mask; a pair with none, as
     when `exact` is empty, is a ValidationError, and so is any pair that
-    `_held` refuses.
+    `_held` refuses. The bin is deleted from the ring's CSR arrays: its
+    column id goes, and every row offset past it drops by one.
     """
     # the implied matrix's entries are the ring's, in ring order
     held = np.flatnonzero(_held(exact, effective_ftm(rr)))
     if held.size == 0:
         raise ValidationError("the exact matrix holds no ring bin to flip")
-    ring = rr.ring
-    keys = np.delete(_keys(ring), held[held.size // 2])
-    return RingRayPair(_from_keys(ring.rows, ring.cols, keys), rr.ray)
+    ring, at = rr.ring, held[held.size // 2]
+    offsets = ring.row_offsets - (ring.row_offsets > at)
+    ring = SparseBinaryMatrix._built(
+        ring.rows, ring.cols, offsets, np.delete(ring.col_indices, at)
+    )
+    return RingRayPair(ring, rr.ray)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .tensor_core import DTYPE, _from_keys, _sorted_keys, as_feature
+from .geometry import BevGrid, FrustumGeometry
+from .tensor_core import DTYPE, SparseBinaryMatrix, _from_pairs, _require, as_feature
 
 __all__ = [
     "lift",
@@ -63,6 +64,8 @@ def splat_reference(lifted, frustum, grid):
     Returns:
         (S, C) float32 BEV feature tensor.
     """
+    _require(frustum, FrustumGeometry, "frustum")
+    _require(grid, BevGrid, "grid")
     lifted = as_feature(lifted, "lifted")
     w = frustum.n_cameras * frustum.n_columns
     if lifted.ndim != 3 or lifted.shape[:2] != (w, frustum.n_depths):
@@ -81,12 +84,11 @@ def build_ftm(frustum, grid):
 
     The entries are the (cell, sample) pairs of `frustum.landing(grid)`:
     every column has at most one nonzero because the grid cells partition
-    the plane, and samples outside the grid produce no entry. `_sorted_keys`
-    sorts them in tensor_core's key codec, after its checks that the row
-    offsets fit in memory and the keys in int64, and `_from_keys` decodes
-    them straight into the matrix's index dtype (int32 below 2**31), which
-    `_scipy` wraps with no copy: the landing's ids are in range and hold no
-    sample twice, so nothing from_coo checks needs checking again.
+    the plane, and samples outside the grid produce no entry. They go
+    straight to tensor_core's `_from_pairs`, scipy's COO to CSR conversion,
+    in the matrix's index dtype (int32 below 2**31), which `_scipy` wraps
+    with no copy: the landing's ids are in range and hold no sample twice,
+    so nothing from_coo checks needs checking again.
 
     The matrix of the last grid asked for is kept on the frustum, and a
     call with an equal grid returns that same object: the scene's one
@@ -95,12 +97,13 @@ def build_ftm(frustum, grid):
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
+    _require(frustum, FrustumGeometry, "frustum")
+    _require(grid, BevGrid, "grid")
     kept = frustum.__dict__.get("_ftm")
     if kept is not None and kept[0] == grid:
         return kept[1]
     n_cols = frustum.n_cameras * frustum.n_columns * frustum.n_depths
-    keys = _sorted_keys(grid.n_cells, n_cols, *frustum.landing(grid))
-    ftm = _from_keys(grid.n_cells, n_cols, keys)
+    ftm = _from_pairs(grid.n_cells, n_cols, *frustum.landing(grid))
     object.__setattr__(frustum, "_ftm", (grid, ftm))  # the frustum is frozen
     return ftm
 
@@ -114,6 +117,7 @@ def vt_ftm(lifted, ftm):
     Returns:
         (S, C) float32 BEV feature tensor.
     """
+    _require(ftm, SparseBinaryMatrix, "ftm")
     lifted = as_feature(lifted, "lifted")
     if lifted.ndim != 3 or lifted.shape[0] * lifted.shape[1] != ftm.cols:
         raise ShapeError.mismatch("vt_ftm", ftm.shape, lifted.shape)

@@ -15,15 +15,8 @@ wraps a matrix's own arrays, with no copy. They hold whole numbers only
 package's one ownership rule: with no copy only when it views a cache
 file's bytes, else as a frozen copy; arrays the package has just built
 are frozen in place (`_built`).
-The entries of a matrix are also read and written as one codec, the
-ascending int64 keys row * cols + col: `_sorted_keys` encodes (row, col)
-pairs, `_from_keys` decodes ascending, distinct keys to a matrix (for
-from_coo, reference.build_ftm and bench.flip_ring_bit), and `_keys`
-encodes a matrix's entries (for transform._held and flip_ring_bit).
-transform.build_ring_ray does not use the codec: it reads the exact
-matrix's CSR arrays directly. One rule guards all three: a matrix with
-entries and rows * cols >= 2**63 has keys that would wrap, which is a
-ValidationError.
+A matrix is assembled from (row, col) pairs by scipy's own COO to CSR
+conversion (`_from_pairs`), the one build for from_coo and build_ftm.
 The products over these types live in the routes that own them
 (`reference`, `transform`), which check their inputs once.
 """
@@ -99,8 +92,8 @@ def _index_dtype(rows, cols, nnz):
     """The dtype of a rows x cols matrix's index arrays with nnz entries:
     int32 while all three are below 2**31, else int64, as scipy picks it.
     Every stored value then fits: column ids are below cols and row offsets
-    at most nnz. Arithmetic that can outgrow them (the codec's keys, plan
-    column ids) runs in int64 or in the dtype of the matrix it builds."""
+    at most nnz. Arithmetic that can outgrow them (plan column ids, band
+    keys) runs in int64 or in the dtype of the matrix it builds."""
     return np.int32 if max(rows, cols, nnz) < 2**31 else np.int64
 
 
@@ -130,58 +123,23 @@ def _index_array(a, name):
     )
 
 
-def _check_key_room(rows, cols, nnz):
-    """The codec's int64 rule: `nnz` entries of a rows x cols matrix have
-    keys row * cols + col that fit in int64, else a ValidationError."""
-    if nnz and rows * cols >= 2**63:
-        raise ValidationError(
-            f"a {rows} x {cols} matrix has too many entries for int64 keys"
-        )
-
-
-def _sorted_keys(rows, cols, row_ids, col_ids):
-    """The ascending int64 keys row * cols + col of (row, col) pairs already
-    in range, for a CSR build over `rows` rows.
-
-    Two checks come first, and each is a ValidationError before anything
-    of its size is allocated: the build's row offsets and int64 row counts
-    must fit in memory, and a non-empty build's keys must fit in int64.
-    """
-    # the row offsets and the row counts: at most two int64 arrays of rows + 1
+def _from_pairs(rows, cols, row_ids, col_ids):
+    """The matrix of (row, col) pairs already in range, duplicates collapsed,
+    by scipy's COO to CSR conversion: built by this package, so `_built`,
+    not checked again. Row offsets that would not fit in memory are a
+    ValidationError before anything of their size is allocated."""
+    # scipy's row offsets and room for one more array of their size, both
+    # at most int64: 16 bytes a row
     if not _fits_in_memory(16 * (rows + 1)):
         raise ValidationError(
             f"the row offsets of a {rows}-row matrix exceed physical memory "
             "or the address-space limit"
         )
-    _check_key_room(rows, cols, row_ids.size)
-    keys = row_ids * np.int64(cols)
-    keys += col_ids
-    keys.sort()
-    return keys
-
-
-def _from_keys(rows, cols, keys):
-    """The matrix of ascending, distinct int64 keys row * cols + col, each
-    in range: built by this package, so `_built`, not checked again. Its
-    arrays are written in `_index_dtype`, so none is narrowed after."""
-    dtype = _index_dtype(rows, cols, keys.shape[0])
-    # integer division by a scalar is cheap in numpy; % and divmod are not
-    row_ids = keys // max(cols, 1)
-    offsets = np.zeros(rows + 1, dtype=dtype)
-    np.cumsum(np.bincount(row_ids, minlength=rows), out=offsets[1:])
-    row_ids *= cols
-    col_ids = np.subtract(keys, row_ids, out=np.empty(keys.shape[0], dtype))
-    return SparseBinaryMatrix._built(rows, cols, offsets, col_ids)
-
-
-def _keys(m):
-    """The ascending int64 keys row * cols + col of a matrix's entries, the
-    inverse of `_from_keys`, under `_sorted_keys`'s int64 rule."""
-    _check_key_room(m.rows, m.cols, m.nnz)
-    keys = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.row_offsets))
-    keys *= m.cols
-    keys += m.col_indices
-    return keys
+    ones = np.ones(row_ids.shape[0], dtype=bool)
+    m = sp.csr_matrix((ones, (row_ids, col_ids)), shape=(rows, cols))
+    # merging duplicates can leave the ids a view of a longer array
+    indices = m.indices if m.indices.base is None else m.indices.copy()
+    return SparseBinaryMatrix._built(rows, cols, m.indptr, indices)
 
 
 def _held_bytes(arrays):
@@ -197,13 +155,6 @@ def _require(value, kind, name):
         raise ValidationError(
             f"{name} must be a {kind.__name__}, got {type(value).__name__}"
         )
-
-
-def _run_starts(a):
-    """Mask of the positions where the sorted array `a` takes a new value."""
-    first = np.ones(a.shape[0], dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
 
 
 class SparseBinaryMatrix:
@@ -293,11 +244,8 @@ class SparseBinaryMatrix:
         """Build from unordered (row, col) pairs; duplicates collapse to 1.
         The ids take whole numbers only, as the constructor's arrays do.
 
-        Pairs are encoded as row * cols + col keys, sorted, and deduplicated
-        by comparing neighbours. np.unique would give the same keys, but
-        numpy 2.4.6 sends it through a hash table (`_unique_hash`): on the
-        52k int64 keys of one S4 build it measured 9-11 ms against 0.4 ms
-        for np.sort.
+        After the checks the pairs go to `_from_pairs`, scipy's COO to CSR
+        conversion.
         """
         rows = _whole(rows, "rows", 0, ValidationError)
         cols = _whole(cols, "cols", 0, ValidationError)
@@ -310,8 +258,7 @@ class SparseBinaryMatrix:
                 raise ValidationError("row index out of range")
             if col_ids.min() < 0 or col_ids.max() >= cols:
                 raise ValidationError("column index out of range")
-        keys = _sorted_keys(rows, cols, row_ids, col_ids)
-        return _from_keys(rows, cols, keys[_run_starts(keys)])
+        return _from_pairs(rows, cols, row_ids, col_ids)
 
     @functools.cached_property
     def _scipy(self):

@@ -29,7 +29,7 @@ effective_ftm reads the transport matrix the pair implies off the same
 plan; reference.vt_ftm over that matrix is the independent route
 vt_matrixvt is gated against.
 _held is the one comparison of that matrix with the exact one: the mask of
-its entries that the exact matrix holds, over tensor_core's int64 keys.
+its entries that the exact matrix holds, read off one scipy sparse sum.
 Containment (bench.run_check), _spurious_rate (the share of implied
 entries the exact matrix lacks) and bench.flip_ring_bit all read it.
 cost_model is the closed-form cost of the paper's naive pipeline next to
@@ -53,9 +53,7 @@ from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
     _index_dtype,
-    _keys,
     _require,
-    _run_starts,
     as_feature,
 )
 
@@ -69,6 +67,13 @@ __all__ = [
     "save_ring_ray",
     "load_ring_ray",
 ]
+
+
+def _run_starts(a):
+    """Mask of the positions where the sorted array `a` takes a new value."""
+    first = np.ones(a.shape[0], dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return first
 
 
 def _build_plan(ring, ray):
@@ -172,8 +177,8 @@ def build_ring_ray(frustum, grid):
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
     """
+    ftm = build_ftm(frustum, grid)  # which checks both arguments' types
     w_i, n_d = frustum.n_columns, frustum.n_depths
-    ftm = build_ftm(frustum, grid)
     col, offsets = ftm.col_indices, ftm.row_offsets
     n = col.shape[0]
     # row_first[p]: entry p starts a row; row_first[n] stands for the end
@@ -259,6 +264,7 @@ def vt_matrixvt(features, depths, rr):
     Returns:
         (S, C) BEV feature tensor.
     """
+    _require(rr, RingRayPair, "rr")
     f = as_feature(features, "features")
     d = as_feature(depths, "depths")
     if f.ndim != 2 or d.ndim != 2 or f.shape[0] != d.shape[0]:
@@ -289,6 +295,7 @@ def effective_ftm(rr):
     Returns:
         SparseBinaryMatrix of shape (S, W * N_d).
     """
+    _require(rr, RingRayPair, "rr")
     plan = rr._plan
     # plan rows follow ray CSR order, so cell s owns plan rows
     # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within;
@@ -305,14 +312,19 @@ def _held(exact, implied):
     """Which of `implied`'s entries (effective_ftm of a pair), in CSR order,
     `exact`, the scene's exact transport matrix, holds: a bool mask, and
     the one comparison of the two. `exact` is contained in `implied` when
-    the mask holds exact.nnz entries. Matrices of different shapes, or
-    whose keys would wrap int64, are a ValidationError."""
+    the mask holds exact.nnz entries. It is read off one sparse sum,
+    implied + 2 * exact, whose values are 1 (implied only), 2 (exact only)
+    or 3 (both), in row-major order. Matrices of different shapes are a
+    ValidationError."""
     if exact.shape != implied.shape:
         raise ValidationError(
             f"an exact matrix of shape {exact.shape} against an implied "
             f"matrix of shape {implied.shape}"
         )
-    return np.isin(_keys(implied), _keys(exact), assume_unique=True)
+    if not implied.nnz:  # scipy narrows a handle with a zero extent to int32
+        return np.zeros(0, dtype=bool)
+    both = (implied._scipy + 2 * exact._scipy).data
+    return both[both != 2] == 3
 
 
 def _spurious_rate(held):
@@ -385,8 +397,11 @@ def save_ring_ray(rr, directory, digest):
     moved in by one os.replace, so a load sees the previous pair or a new
     one, never a mix, concurrent saves to one slot cannot write into each
     other's file, and a save that dies part-way (not a power loss: no fsync)
-    leaves the previous pair.
+    leaves the previous pair. A pair or a digest of another type is a
+    ValidationError.
     """
+    _require(rr, RingRayPair, "rr")
+    _require(digest, str, "digest")
     path = Path(directory, _CACHE_FILE)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
@@ -402,7 +417,9 @@ def load_ring_ray(directory, digest):
     """Load a cached pair with one read of the slot's file, as read-only
     views of its bytes (int32 words below 2**31, as the pair stores them);
     None when it is absent, saved under another digest or an older layout,
-    fails its checksum, or is truncated, oversized or inconsistent."""
+    fails its checksum, or is truncated, oversized or inconsistent. A
+    digest that is not a str is a ValidationError."""
+    _require(digest, str, "digest")
     try:
         matrices = read_cache(Path(directory, _CACHE_FILE).read_bytes(), digest)
         return None if matrices is None else RingRayPair(*matrices)

@@ -294,6 +294,13 @@ def yaw_camera(rng, img_w, img_h):
     return Camera(k, r, t)
 
 
+def pitch_down(pitch):
+    """The rotation that pitches a camera down by `pitch` degrees about its
+    body y axis, applied on the right of its rotation."""
+    cp, sp = np.cos(np.radians(pitch)), np.sin(np.radians(pitch))
+    return np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+
+
 def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3, pitch=0.0):
     """A rig built from geometry for the degenerate cases.
 
@@ -308,8 +315,7 @@ def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3, pitch=
     half = w_i * stride / 2.0
     k = np.array([[half, 0.0, half], [0.0, half, stride / 2.0], [0.0, 0.0, 1.0]])
     corner = np.hypot(extent, extent * h_cells / w_cells)
-    cp, sp = np.cos(np.radians(pitch)), np.sin(np.radians(pitch))
-    down = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+    down = pitch_down(pitch)
     cameras = []
     for n, out in enumerate(away):
         yaw = 2.0 * np.pi * n / len(away)

@@ -330,13 +330,24 @@ class TestFlipRingBit:
         assert flipped.ring == SparseBinaryMatrix(2, 3, [0, 2, 2], [0, 2])
 
     def test_pair_whose_keys_would_wrap_is_refused(self):
-        # implied entry (4, 0) has key 4 * 2**62, which wraps to 0, the key
-        # of exact entry (0, 0); the two matrices share no entry
+        # implied entries (0, 1) and (4, 0): a key 4 * 2**62 + 0 would wrap
+        # to 0, that of exact entry (0, 0), yet the two matrices share no
+        # entry, so there is no bin to flip
         ray = SparseBinaryMatrix(5, 2**61, [0, 1, 1, 1, 1, 2], [0, 0])
         ring = SparseBinaryMatrix(2, 2, [0, 1, 2], [1, 0])
         exact = SparseBinaryMatrix(5, 2**62, [0, 1, 1, 1, 1, 1], [0])
-        with pytest.raises(ValidationError, match="int64 keys"):
+        with pytest.raises(ValidationError, match="no ring bin to flip"):
             flip_ring_bit(RingRayPair(ring, ray), exact)
+
+    def test_pair_past_int64_extents_is_flipped(self):
+        # the same pair against an exact matrix holding implied entry (4, 0):
+        # ring row 1's one bin is dropped
+        ray = SparseBinaryMatrix(5, 2**61, [0, 1, 1, 1, 1, 2], [0, 0])
+        ring = SparseBinaryMatrix(2, 2, [0, 1, 2], [1, 0])
+        exact = SparseBinaryMatrix(5, 2**62, [0, 0, 0, 0, 0, 1], [0])
+        flipped = flip_ring_bit(RingRayPair(ring, ray), exact)
+        assert flipped.ring == SparseBinaryMatrix(2, 2, [0, 1, 1], [1])
+        assert flipped.ray == ray
 
     def test_pair_whose_exact_matrix_is_empty_is_refused(self):
         # an away camera lands nothing: empty exact matrix, empty ray

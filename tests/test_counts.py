@@ -49,7 +49,7 @@ class TestExact:
         assert m.cols == BIG and type(m.cols) is int
 
     def test_from_coo_extent(self):
-        cols = 3074457345618258602  # 3 * cols just fits int64 keys
+        cols = 3074457345618258602  # (2**63 - 1) // 3, far past 2**53
         m = SparseBinaryMatrix.from_coo(3, cols, [2], [5])
         assert m.cols == cols
         assert m.row_offsets.tolist() == [0, 0, 0, 1]

@@ -26,9 +26,9 @@ from bevx import (
     scene_to_dict,
 )
 from bevx.bench import PRESETS, setting_scene
-from bevx.tensor_core import _keys
 from oracles import (
     cell_rect,
+    entry_keys,
     frustum_per_point,
     grid_edges,
     locate_scan,
@@ -402,25 +402,25 @@ class TestGenerateFrustum:
         assert set(vars(fr)) == {"points_xyz"}  # no per-grid state
 
     def test_landing_keys_are_sorted_once_per_grid(self, small_scene, monkeypatch):
-        # build_ftm keeps the exact matrix of the last grid, whose keys are
-        # the landing's sorted (cell, sample) keys
+        # build_ftm keeps the exact matrix of the last grid, whose entries
+        # are the landing's (cell, sample) pairs, sorted by one CSR build
         fr = generate_frustum(small_scene.rig, small_scene.bins)
         grid = small_scene.grid
         other = BevGrid(grid.extent / 2, grid.h_cells, grid.w_cells)
-        sorts = []
-        sorted_keys = reference._sorted_keys
+        builds = []
+        from_pairs = reference._from_pairs
         monkeypatch.setattr(
-            reference, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+            reference, "_from_pairs", lambda *a: builds.append(a) or from_pairs(*a)
         )
         n_samples = fr.points_xyz.size // 3
         for g in (grid, other, grid):
             ftm = build_ftm(fr, g)
             cells, inside = fr.landing(g)
-            np.testing.assert_array_equal(_keys(ftm), np.sort(cells * n_samples + inside))
+            np.testing.assert_array_equal(entry_keys(ftm), np.sort(cells * n_samples + inside))
             assert not ftm.row_offsets.flags.writeable
             assert not ftm.col_indices.flags.writeable
             assert build_ftm(fr, BevGrid(g.extent, g.h_cells, g.w_cells)) is ftm
-        assert len(sorts) == 3  # the frustum keeps the last grid's matrix only
+        assert len(builds) == 3  # the frustum keeps the last grid's matrix only
 
     @pytest.mark.parametrize("setting", sorted(PRESETS))
     def test_matches_per_point_oracle_on_the_bundled_rig(self, setting, rig_scene):

@@ -20,11 +20,14 @@ from bevx import (
     ValidationError,
     build_ftm,
     build_ring_ray,
+    effective_ftm,
     full_vs_prime_ablation,
     generate_frustum,
     lift,
+    load_ring_ray,
     prime_depth,
     prime_feature,
+    save_ring_ray,
     splat_reference,
     vt_ftm,
     vt_matrixvt,
@@ -251,6 +254,38 @@ def test_input_of_no_real_numbers_rejected(route, kind, scene_parts):
     arg = route.rsplit("-", 1)[1]
     with pytest.raises(ValidationError, match=f"^{arg} is not an array of real numbers"):
         ROUTES[route](NOT_REAL[kind], scene_parts)
+
+
+# each passes one object argument of the wrong type, `None` or a digest that
+# is not a str, with valid other arguments; `d` is an empty cache directory
+WRONG_TYPE = {
+    "vt_matrixvt-rr": lambda p, d: vt_matrixvt(clean((W, C)), clean((W, N_D)), None),
+    "effective_ftm-rr": lambda p, d: effective_ftm(None),
+    "save_ring_ray-rr": lambda p, d: save_ring_ray(None, d, "digest"),
+    "save_ring_ray-digest": lambda p, d: save_ring_ray(p.rr, d, b"digest"),
+    "load_ring_ray-digest": lambda p, d: load_ring_ray(d, b"digest"),
+    "load_ring_ray-digest-saved": lambda p, d: (
+        save_ring_ray(p.rr, d, "digest"), load_ring_ray(d, b"digest")
+    ),
+    "vt_ftm-ftm": lambda p, d: vt_ftm(clean((W, N_D, C)), None),
+    "build_ftm-frustum": lambda p, d: build_ftm(None, p.scene.grid),
+    "build_ftm-grid": lambda p, d: build_ftm(p.frustum, None),
+    "build_ring_ray-frustum": lambda p, d: build_ring_ray(None, p.scene.grid),
+    "build_ring_ray-grid": lambda p, d: build_ring_ray(p.frustum, None),
+    "splat_reference-frustum": lambda p, d: splat_reference(
+        clean((W, N_D, C)), None, p.scene.grid
+    ),
+    "splat_reference-grid": lambda p, d: splat_reference(clean((W, N_D, C)), p.frustum, None),
+}
+
+
+@pytest.mark.parametrize("route", sorted(WRONG_TYPE))
+def test_argument_of_the_wrong_type_rejected(route, scene_parts, tmp_path):
+    """A typed error naming the argument, not a bare AttributeError, and the
+    same whether or not the cache slot holds a file."""
+    arg = route.split("-")[1]
+    with pytest.raises(ValidationError, match=f"^{arg} must be a "):
+        WRONG_TYPE[route](scene_parts, tmp_path)
 
 
 def test_readme_python_blocks_run():

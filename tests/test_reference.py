@@ -164,9 +164,9 @@ class TestSplatReference:
         lifted = rng.random((10, 6, 4), dtype=np.float32)
 
         def no_sort(*args):
-            raise AssertionError("splat_reference sorted keys")
+            raise AssertionError("splat_reference sorted its pairs into a matrix")
 
-        monkeypatch.setattr(reference, "_sorted_keys", no_sort)
+        monkeypatch.setattr(reference, "_from_pairs", no_sort)
         np.testing.assert_array_equal(
             splat_reference(lifted, fr, scene.grid), splat_loop(lifted, fr, scene.grid)
         )

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import bevx.tensor_core
 from bevx import SparseBinaryMatrix, ValidationError, as_feature
-from bevx.tensor_core import _from_keys, _keys
+from bevx.tensor_core import _from_pairs, _held_bytes, _index_dtype
 from oracles import csr_from_pairs, csr_order_ok_isin, densify, entry_keys, from_dense, row
 
 
@@ -180,10 +180,9 @@ class TestSparseBinaryMatrix:
         for given in (np.int32, np.int64):
             m = SparseBinaryMatrix(1, cols, np.array([0, 1], given), np.array([5], given))
             assert m.row_offsets.dtype == m.col_indices.dtype == dtype
-        keys = np.array([cols - 1], np.int64)
-        m = _from_keys(1, cols, keys)
+        m = _from_pairs(1, cols, np.array([0]), np.array([cols - 1]))
         assert m.row_offsets.dtype == m.col_indices.dtype == dtype
-        assert m.col_indices.tolist() == [cols - 1] and _keys(m).tolist() == [cols - 1]
+        assert m.col_indices.tolist() == [cols - 1] and entry_keys(m).tolist() == [cols - 1]
 
     def test_int32_offsets_are_compared_not_differenced(self):
         # in int32 these offsets differ by 2**31 - 1, 1 (it wraps), 2**31 - 1
@@ -201,26 +200,26 @@ class TestSparseBinaryMatrix:
     @example((1, 1, []))
     @example((1, 1, [(0, 0), (0, 0)]))
     @example((3, 1, [(2, 0), (0, 0), (2, 0)]))
-    @example((3, 2**62, []))  # an empty matrix has keys however wide it is
-    @example((3, 2**62, [(1, 0), (2, 5)]))  # row * cols + col would wrap
+    @example((3, 2**62, []))
+    @example((3, 2**62, [(1, 0), (2, 5)]))  # rows * cols is past int64
+    @example((3, 2**62, [(2, 2**62 - 1), (1, 0), (2, 5), (1, 0)]))
     def test_from_coo_matches_sorted_pair_set(self, problem):
         rows, cols, pairs = problem
         r = np.array([p[0] for p in pairs], dtype=np.int64)
         c = np.array([p[1] for p in pairs], dtype=np.int64)
-        expected = csr_from_pairs(pairs, (rows, cols))
-        if pairs and rows * cols >= 2**63:
-            with pytest.raises(ValidationError, match="int64 keys"):
-                SparseBinaryMatrix.from_coo(rows, cols, r, c)
-            with pytest.raises(ValidationError, match="int64 keys"):
-                _keys(expected)
-            return
         m = SparseBinaryMatrix.from_coo(rows, cols, r, c)
-        assert m == expected
-        # the key codec: _keys is entry_keys, and _from_keys inverts it
-        keys = _keys(m)
-        assert keys.dtype == np.int64
-        np.testing.assert_array_equal(keys, entry_keys(m))
-        assert _from_keys(rows, cols, keys) == m
+        assert m == csr_from_pairs(pairs, (rows, cols))
+        dtype = _index_dtype(rows, cols, m.nnz)
+        assert m.row_offsets.dtype == m.col_indices.dtype == dtype
+        if rows * cols < 2**63:
+            keys = np.unique([row * cols + col for row, col in pairs]).astype(np.int64)
+            np.testing.assert_array_equal(entry_keys(m), keys)
+
+    def test_from_coo_holds_exactly_its_entries(self):
+        # the duplicates that scipy merges leave no slack in the kept ids
+        m = SparseBinaryMatrix.from_coo(3, 4, [2, 0, 2, 2, 0, 2], [1, 3, 1, 1, 3, 0])
+        assert m.nnz == 3
+        assert _held_bytes([m.row_offsets, m.col_indices]) == 4 * (3 + 1 + m.nnz)
 
     @settings(max_examples=300, deadline=None)
     @given(csr_candidates())
@@ -259,9 +258,10 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.from_coo(2, 2, [2], [0])
         with pytest.raises(ValidationError):
             SparseBinaryMatrix.from_coo(2, 2, [0], [-1])
-        # row * cols + col keys would wrap past int64
-        with pytest.raises(ValidationError, match="int64"):
-            SparseBinaryMatrix.from_coo(3, 2**62, [1, 2], [0, 5])
+        # rows * cols is past int64: the matrix builds, with int64 arrays
+        m = SparseBinaryMatrix.from_coo(3, 2**62, [1, 2], [0, 5])
+        assert m.row_offsets.tolist() == [0, 0, 1, 2] and m.col_indices.tolist() == [0, 5]
+        assert m.row_offsets.dtype == m.col_indices.dtype == np.int64
         m = SparseBinaryMatrix.from_coo(3, 2**61, [2, 2, 0], [5, 2**61 - 1, 0])
         assert m.row_offsets.tolist() == [0, 1, 1, 3]
         assert m.col_indices.tolist() == [0, 5, 2**61 - 1]

@@ -39,6 +39,7 @@ from bevx.tensor_core import _held_bytes
 from oracles import (
     bxc2_cache_bytes,
     bxc3_cache_bytes,
+    csr_from_pairs,
     degenerate_scene,
     densify,
     dense_reformulated,
@@ -132,9 +133,9 @@ class TestBuildRingRay:
         scene = random_scene(np.random.default_rng(4), n_cameras=3, w_i=6, n_d=7)
         fr = generate_frustum(scene.rig, scene.bins)
         sorts = []
-        sorted_keys = reference._sorted_keys  # the sort build_ftm calls
+        from_pairs = reference._from_pairs  # the sorting build build_ftm calls
         monkeypatch.setattr(
-            reference, "_sorted_keys", lambda *a: sorts.append(a) or sorted_keys(*a)
+            reference, "_from_pairs", lambda *a: sorts.append(a) or from_pairs(*a)
         )
         if ftm_first:
             ftm = build_ftm(fr, scene.grid)
@@ -146,24 +147,21 @@ class TestBuildRingRay:
         assert ftm == ftm_loop(fr, scene.grid)
         assert (rr.ring, rr.ray) == ring_ray_loop(fr, scene.grid)
 
-    def test_reads_the_kept_matrix_without_the_key_codec(self, monkeypatch):
+    def test_reads_the_kept_matrix_without_assembling_pairs(self, monkeypatch):
+        # no pair is assembled again: the kept matrix's CSR arrays are read
         scene = random_scene(np.random.default_rng(5), n_cameras=3, w_i=6, n_d=7)
         fr = generate_frustum(scene.rig, scene.bins)
         ftm = build_ftm(fr, scene.grid)
         expected = ring_ray_loop(fr, scene.grid)
 
-        def codec(*args):
-            raise AssertionError("build_ring_ray went through the int64 key codec")
+        def assemble(*args):
+            raise AssertionError("build_ring_ray assembled a matrix from pairs")
 
-        for module, name in [
-            (transform, "_keys"),
-            (tensor_core, "_keys"),
-            (tensor_core, "_from_keys"),
-            (reference, "_from_keys"),
-        ]:
-            monkeypatch.setattr(module, name, codec)
-        # transform imports no _from_keys; one imported there must raise too
-        monkeypatch.setattr(transform, "_from_keys", codec, raising=False)
+        for module in (tensor_core, reference):
+            monkeypatch.setattr(module, "_from_pairs", assemble)
+        # transform imports no _from_pairs; one imported there must raise too
+        monkeypatch.setattr(transform, "_from_pairs", assemble, raising=False)
+        monkeypatch.setattr(SparseBinaryMatrix, "from_coo", assemble)
         rr = build_ring_ray(fr, scene.grid)
         assert build_ftm(fr, scene.grid) is ftm
         assert (rr.ring, rr.ray) == expected
@@ -530,6 +528,41 @@ class TestDegenerateRigs:
             assert not out[empty].any()
         ray = densify(rr.ray).reshape(rr.n_cells, len(away), scene.rig.feature_width)
         assert not ray[:, np.array(away, dtype=bool)].any()
+
+
+@st.composite
+def held_problems(draw):
+    """(rows, cols, implied, exact): two sets of in-range (row, col) pairs.
+    Some exact pairs are implied and some are not; `cols` is small, or so
+    wide that rows * cols >= 2**63 once there are two rows or more."""
+    rows = draw(st.integers(0, 5))
+    cols = draw(st.one_of(st.integers(0, 6), st.integers(2**62, 2**63 - 1)))
+    if not rows or not cols:
+        return rows, cols, set(), set()
+    col = st.one_of(st.integers(0, min(cols, 6) - 1), st.integers(max(cols - 3, 0), cols - 1))
+    pair = st.tuples(st.integers(0, rows - 1), col)
+    implied = sorted(draw(st.sets(pair, max_size=20)))
+    kept = draw(st.lists(st.booleans(), min_size=len(implied), max_size=len(implied)))
+    exact = {p for p, k in zip(implied, kept) if k} | draw(st.sets(pair, max_size=6))
+    return rows, cols, set(implied), exact
+
+
+class TestHeld:
+    @settings(max_examples=200, deadline=None)
+    @given(held_problems())
+    @example((0, 0, set(), set()))
+    @example((0, 2**62, set(), set()))  # scipy's handle of it is int32
+    @example((3, 4, set(), {(1, 2)}))  # nothing implied
+    @example((3, 4, {(1, 2), (2, 0)}, set()))  # nothing exact
+    @example((5, 2**62, {(0, 1), (4, 0)}, {(0, 0)}))  # no entry shared
+    @example((5, 2**62, {(0, 1), (4, 0)}, {(4, 0), (2, 2**62 - 1)}))
+    def test_matches_pair_set_oracle(self, problem):
+        rows, cols, implied, exact = problem
+        mask = transform._held(
+            csr_from_pairs(exact, (rows, cols)), csr_from_pairs(implied, (rows, cols))
+        )
+        assert mask.dtype == bool
+        assert mask.tolist() == [p in exact for p in sorted(implied)]
 
 
 class TestCostModel:
