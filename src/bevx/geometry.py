@@ -34,7 +34,7 @@ except ImportError:  # no address-space limit to read on this platform
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, ShapeError
+from .errors import ConfigError, GeometryError, ShapeError, ValidationError
 
 __all__ = [
     "Camera",
@@ -106,6 +106,14 @@ def _whole(value, what, least, error=GeometryError):
     if n >= 2**63:
         raise error(f"{what} must be below 2**63, got {n}")
     return n
+
+
+def _require(value, kind, name, error=ValidationError):
+    """The one type check of an argument that must be a `kind`: any other
+    value is an `error` naming `name`, a GeometryError for this module's
+    types."""
+    if not isinstance(value, kind):
+        raise error(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def _fits_in_memory(nbytes):
@@ -417,6 +425,8 @@ def generate_frustum(rig, bins, reference_row=None):
     Returns:
         FrustumGeometry with points of shape (N_c, W_I, N_d, 3).
     """
+    _require(rig, CameraRig, "rig", GeometryError)
+    _require(bins, DepthBins, "bins", GeometryError)
     if reference_row is None:
         reference_row = rig.feature_height // 2
     reference_row = _whole(reference_row, "reference_row", 0)
@@ -454,14 +464,20 @@ def generate_frustum(rig, bins, reference_row=None):
 
 @dataclass(frozen=True)
 class Scene:
-    """A camera rig plus the depth and BEV discretizations used with it."""
+    """A camera rig plus the depth and BEV discretizations used with it;
+    a field of another type is a GeometryError naming it."""
 
     rig: CameraRig
     bins: DepthBins
     grid: BevGrid
 
+    def __post_init__(self):
+        _require(self.rig, CameraRig, "rig", GeometryError)
+        _require(self.bins, DepthBins, "bins", GeometryError)
+        _require(self.grid, BevGrid, "grid", GeometryError)
 
-def _require(mapping, key, where):
+
+def _field(mapping, key, where):
     if not isinstance(mapping, dict):
         raise ConfigError(f"{where}: expected an object, got {type(mapping).__name__}")
     if key not in mapping:
@@ -472,7 +488,7 @@ def _require(mapping, key, where):
 def _build(make, where, mapping, *keys):
     """make(*fields) from the `keys` of one config block; a GeometryError
     becomes a ConfigError naming the block."""
-    values = [_require(mapping, key, where) for key in keys]
+    values = [_field(mapping, key, where) for key in keys]
     try:
         return make(*values)
     except GeometryError as exc:
@@ -508,7 +524,7 @@ def load_scene(source):
             f"scene config must be a path or a dict, got {type(source).__name__}"
         )
 
-    cam_docs = _require(doc, "cameras", "scene config")
+    cam_docs = _field(doc, "cameras", "scene config")
     if not isinstance(cam_docs, list) or not cam_docs:
         raise ConfigError("scene config: 'cameras' must be a non-empty list")
     cameras = tuple(
@@ -519,9 +535,9 @@ def load_scene(source):
         lambda *extents: CameraRig(cameras, *extents), "scene config", doc,
         "feature_width", "feature_height", "image_stride",
     )
-    depth = _require(doc, "depth", "scene config")
+    depth = _field(doc, "depth", "scene config")
     bins = _build(DepthBins, "depth", depth, "min", "max", "count")
-    bev = _require(doc, "bev", "scene config")
+    bev = _field(doc, "bev", "scene config")
     grid = _build(BevGrid, "bev", bev, "extent", "h_cells", "w_cells")
     return Scene(rig, bins, grid)
 

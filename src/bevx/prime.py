@@ -22,10 +22,11 @@ Attention and refinement weights are inputs here, not learned, and each
 public function takes them in one form: attention as a `PrimeAttention`,
 refinement as a `RefineMap`. Every input is checked once, by
 `prime_depth` or `prime_feature`. `full_vs_prime_ablation` quantifies what
-the compression loses by running the full-height reference (`lift` +
-`splat_reference` once per feature row, summed) and the compressed fast
-transform on the same inputs; it composes the two public routes, so it
-checks only what they cannot: that the inputs match the scene's rig.
+the compression loses by running the full-height exact transform (per
+feature row, `vt_matrixvt` over that row's exact ring/ray pair, summed) and
+the compressed fast transform on the same inputs; it composes the two
+public routes, so it checks only what they cannot: that the inputs match
+the scene's rig.
 """
 from __future__ import annotations
 
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BevxError, ShapeError, ValidationError
-from .geometry import _owned, generate_frustum
-from .reference import build_ftm, lift, splat_reference
-from .tensor_core import DTYPE, _all_finite, _coerce, _real, _require, as_feature
+from .geometry import FrustumGeometry, _owned, _require, generate_frustum
+from .reference import build_ftm
+from .tensor_core import DTYPE, _all_finite, _coerce, _real, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
@@ -202,11 +203,13 @@ def prime_feature(feature, pos_embed, refine):
 class AblationReport:
     """Per-cell disagreement between the full-height and compressed routes.
 
-    rel[s] = max_c |full - prime| / max(max_c |full|, max_c |prime|) per
-    BEV cell, 0 where both are zero; mean/max aggregate over cells.
-    spurious_rate is the fraction of factorization-implied transport entries
-    absent from the exact transport matrix for this scene. A report
-    compares and hashes by identity, as PrimeAttention does.
+    bev_full is the exact full-height transform, bev_prime the compressed
+    ring/ray one. rel[s] = max_c |full - prime| / max(max_c |full|,
+    max_c |prime|) per BEV cell, 0 where both are zero (so also for zero
+    channels); mean/max aggregate over cells. spurious_rate is the fraction
+    of factorization-implied transport entries absent from the exact
+    transport matrix of the middle row. A report compares and hashes by
+    identity, as PrimeAttention does.
     """
 
     mean_rel_diff: float
@@ -220,9 +223,11 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     """Run both pipelines on identical inputs and report the gap.
 
     Full route: per-pixel embedding + refinement, then for each feature row
-    an attention-weighted `lift` and a `splat_reference` through that row's
-    frustum, summed into one float32 buffer in row order; the full-height
-    lifted tensor is never held.
+    `vt_matrixvt` of the refined features and attention-weighted depths
+    over that row's exact pair, summed into one float32 buffer in row
+    order. The exact pair is `build_ring_ray` of the row's frustum seen as
+    N_c * W_I one-column cameras, which implies exactly that row's
+    `build_ftm`, so no lifted tensor is held and no sample is scattered.
     Compressed route: prime_feature / prime_depth, then the reformulated
     ring/ray transform through the middle-row frustum, the one the full
     route built for row H_I // 2.
@@ -261,16 +266,18 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     pf = prime_feature(f, e, refine).reshape(n_w, -1)
 
     middle = rig.feature_height // 2
+    # row-major, so row h's (N_c, W_I, ·) block reshapes with no copy
     with np.errstate(over="ignore", invalid="ignore"):
-        refined = refine._apply(f + e)
+        refined = refine._apply(f.swapaxes(0, 1) + e[:, None])
     if not _all_finite(refined):
         raise ValidationError(f"ablation: {_OVERFLOW}")
-    weighted = attn.weights[..., None] * d
+    weighted = attn.weights.swapaxes(0, 1)[..., None] * d.swapaxes(0, 1)
     bev_full = np.zeros((grid.n_cells, refined.shape[-1]), dtype=np.float32)
     for h in range(rig.feature_height):
         frustum = generate_frustum(rig, bins, h)
-        lifted = lift(refined[:, h].reshape(n_w, -1), weighted[:, h].reshape(n_w, -1))
-        bev_full += splat_reference(lifted, frustum, grid)
+        # the row's exact pair: its frustum seen as N_c * W_I one-column cameras
+        exact = build_ring_ray(FrustumGeometry(frustum.points_xyz.reshape(n_w, 1, -1, 3)), grid)
+        bev_full += vt_matrixvt(refined[h].reshape(n_w, -1), weighted[h].reshape(n_w, -1), exact)
         if h == middle:
             reference = frustum
 
@@ -278,9 +285,10 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     bev_prime = vt_matrixvt(pf, pd, rr)
     spurious = _spurious_rate(_held(build_ftm(reference, grid), effective_ftm(rr)))
 
-    gap = np.abs(bev_full - bev_prime).max(axis=1)
+    # per-cell maxima from 0, so zero channels give zero gaps
+    gap = np.abs(bev_full - bev_prime).max(axis=1, initial=0.0)
     scale = np.maximum(
-        np.abs(bev_full).max(axis=1), np.abs(bev_prime).max(axis=1)
+        np.abs(bev_full).max(axis=1, initial=0.0), np.abs(bev_prime).max(axis=1, initial=0.0)
     )
     rel = np.where(scale > 0, gap / np.maximum(scale, 1e-30), 0.0)
     return AblationReport(

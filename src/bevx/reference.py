@@ -10,9 +10,8 @@ keeps the exact matrix of the last grid asked for on the frustum, the one
 per-scene product that transform.build_ring_ray decomposes, so a scene
 lands and sorts its samples once. splat_reference lands them on every
 call, so the oracle shares nothing with the routes gated against it.
-There is no full-height variant: a full-height map is one `lift` +
-`splat_reference` per feature row, each through that row's frustum,
-summed (see `prime.full_vs_prime_ablation`).
+There is no full-height variant: `prime.full_vs_prime_ablation` sums one
+exact ring/ray transform per feature row instead.
 
 Shape glossary: W = N_c * W_I flattened (camera, column) index, S = H_B * W_B
 flattened BEV cell index, C = channels, N_d = depth bins. Lifted tensors are
@@ -24,8 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .geometry import BevGrid, FrustumGeometry
-from .tensor_core import DTYPE, SparseBinaryMatrix, _from_pairs, _require, as_feature
+from .geometry import BevGrid, FrustumGeometry, _require
+from .tensor_core import DTYPE, SparseBinaryMatrix, _from_pairs, as_feature
 
 __all__ = [
     "lift",
@@ -70,7 +69,7 @@ def splat_reference(lifted, frustum, grid):
     w = frustum.n_cameras * frustum.n_columns
     if lifted.ndim != 3 or lifted.shape[:2] != (w, frustum.n_depths):
         raise ShapeError.mismatch("splat", lifted.shape, (w, frustum.n_depths, "C"))
-    values = lifted.reshape(-1, lifted.shape[2])
+    values = lifted.reshape(w * frustum.n_depths, lifted.shape[2])
     cells, samples = frustum.landing(grid)
     out = np.zeros((grid.n_cells, values.shape[1]), dtype=DTYPE)
     # np.add.at applies updates in input order, matching the sequential oracle
@@ -121,5 +120,5 @@ def vt_ftm(lifted, ftm):
     lifted = as_feature(lifted, "lifted")
     if lifted.ndim != 3 or lifted.shape[0] * lifted.shape[1] != ftm.cols:
         raise ShapeError.mismatch("vt_ftm", ftm.shape, lifted.shape)
-    flat = lifted.reshape(-1, lifted.shape[2])
+    flat = lifted.reshape(ftm.cols, lifted.shape[2])
     return np.ascontiguousarray(ftm._scipy @ flat, dtype=DTYPE)

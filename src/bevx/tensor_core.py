@@ -9,8 +9,10 @@ own pass, and scan it with `_all_finite` only to name a failure. Sparse
 matrices are CSR with implicit unit values: every transport matrix in this
 package is binary, so no value array is stored. Their index arrays take
 one dtype, `_index_dtype`: int32 while rows, cols and nnz are all below
-2**31, else int64. That is the dtype scipy picks, so every scipy handle
-wraps a matrix's own arrays, with no copy. They hold whole numbers only
+2**31, else int64. That is the dtype scipy picks for a matrix with no zero
+extent; with one, scipy narrows by contents, and `_scipy` puts the
+matrix's arrays back. So a `_scipy` handle wraps its matrix's own arrays,
+with no copy, for every shape. They hold whole numbers only
 (`_index_array`). A caller's array is kept under `geometry._owned`, the
 package's one ownership rule: with no copy only when it views a cache
 file's bytes, else as a frozen copy; arrays the package has just built
@@ -90,7 +92,8 @@ def as_feature(x, name="tensor"):
 
 def _index_dtype(rows, cols, nnz):
     """The dtype of a rows x cols matrix's index arrays with nnz entries:
-    int32 while all three are below 2**31, else int64, as scipy picks it.
+    int32 while all three are below 2**31, else int64, as scipy picks it
+    for nonzero extents (with a zero extent it narrows by contents instead).
     Every stored value then fits: column ids are below cols and row offsets
     at most nnz. Arithmetic that can outgrow them (plan column ids, band
     keys) runs in int64 or in the dtype of the matrix it builds."""
@@ -146,15 +149,6 @@ def _held_bytes(arrays):
     """The bytes that `arrays` hold, each buffer counted once: a view counts
     the whole array, or bytes object, that it views (`_owner`)."""
     return sum({id(owner): memoryview(owner).nbytes for owner in map(_owner, arrays)}.values())
-
-
-def _require(value, kind, name):
-    """The one type check of an argument that must be a `kind`: any other
-    value is a ValidationError naming `name`."""
-    if not isinstance(value, kind):
-        raise ValidationError(
-            f"{name} must be a {kind.__name__}, got {type(value).__name__}"
-        )
 
 
 class SparseBinaryMatrix:
@@ -262,12 +256,15 @@ class SparseBinaryMatrix:
 
     @functools.cached_property
     def _scipy(self):
-        # read-only execution handle over the matrix's own index arrays,
-        # whose dtype is scipy's; unit values materialized once
+        # read-only execution handle over the matrix's own index arrays;
+        # unit values materialized once
         data = np.ones(self.nnz, dtype=DTYPE)
-        return sp.csr_matrix(
-            (data, self.col_indices, self.row_offsets), shape=self.shape
-        )
+        handle = sp.csr_matrix((data, self.col_indices, self.row_offsets), shape=self.shape)
+        # scipy narrows a zero-extent matrix's arrays to int32 copies by
+        # their contents, and products over those fail past 2**31: the
+        # handle takes the matrix's own arrays instead
+        handle.indices, handle.indptr = self.col_indices, self.row_offsets
+        return handle
 
     def _buffers(self):
         """The arrays the matrix runs on: its index arrays and those of its

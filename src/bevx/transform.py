@@ -47,13 +47,12 @@ import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
-from .geometry import _whole
+from .geometry import _require, _whole
 from .reference import build_ftm
 from .tensor_core import (
     DTYPE,
     SparseBinaryMatrix,
     _index_dtype,
-    _require,
     as_feature,
 )
 
@@ -173,6 +172,11 @@ def build_ring_ray(frustum, grid):
     nonzero and a run of equal j // (W_I * N_d) is one camera's band, whose
     bins are the union over its columns. A run starts where its id changes
     or a row starts.
+
+    A frustum of one-column cameras, points reshaped to (N_c * W_I, 1, N_d,
+    3), gives the exact pair: each band is one column's own bins, so
+    effective_ftm of it is build_ftm of the frustum, bit for bit, and its
+    ray is the per-camera pair's.
 
     Returns:
         RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
@@ -321,8 +325,6 @@ def _held(exact, implied):
             f"an exact matrix of shape {exact.shape} against an implied "
             f"matrix of shape {implied.shape}"
         )
-    if not implied.nnz:  # scipy narrows a handle with a zero extent to int32
-        return np.zeros(0, dtype=bool)
     both = (implied._scipy + 2 * exact._scipy).data
     return both[both != 2] == 3
 

@@ -144,12 +144,13 @@ def locate_scan_pure(grid, x, y):
     return hits[0] if hits else None
 
 
-def frustum_per_point(rig, bins):
-    """The (N_c, W_I, N_d, 3) frustum points of the middle feature row,
-    moved to the ego frame point by point: each camera's body-frame points,
-    its unit-forward pixel rays scaled by every bin center, times the
-    rotation's transpose, plus the translation (pts_body @ R.T + t)."""
-    row = rig.feature_height // 2
+def frustum_per_point(rig, bins, row=None):
+    """The (N_c, W_I, N_d, 3) frustum points of feature row `row` (the
+    middle one by default), moved to the ego frame point by point: each
+    camera's body-frame points, its unit-forward pixel rays scaled by every
+    bin center, times the rotation's transpose, plus the translation
+    (pts_body @ R.T + t)."""
+    row = rig.feature_height // 2 if row is None else row
     stride, w_i = rig.image_stride, rig.feature_width
     pixels = np.stack(
         [(np.arange(w_i) + 0.5) * stride, np.full(w_i, (row + 0.5) * stride), np.ones(w_i)]
@@ -248,6 +249,30 @@ def splat_loop(lifted, frustum, grid):
                 s = locate_scan(grid, float(x), float(y))
                 if s is not None:
                     out[s] += lifted[n * w_i + w, d]
+    return out
+
+
+def full_height_bev(scene, feature, depth, attn, refine, pos_embed):
+    """The ablation's full-height BEV, as lift and scatter per feature row:
+    each row's samples refined[n, h, w] * weighted[n, h, w, d], refined by
+    `refine` after the embedding add and weighted by the attention, are
+    added in ascending sample order to the cells their row's points
+    (`frustum_per_point`) land in, found by searchsorted over the half-open
+    cell edges. Vectorized per row, so it runs on a full rig, where
+    lift_loop and splat_loop would be slow."""
+    grid = scene.grid
+    xe, ye = grid_edges(grid)
+    refined = (feature + pos_embed) @ refine.matrix.T + refine.bias
+    weighted = attn.weights[..., None] * depth
+    out = np.zeros((grid.n_cells, refined.shape[-1]), dtype=np.float32)
+    for h in range(feature.shape[1]):
+        xy = frustum_per_point(scene.rig, scene.bins, h)[..., :2].reshape(-1, 2)
+        ix = np.searchsorted(xe, xy[:, 0], side="right") - 1
+        iy = np.searchsorted(ye, xy[:, 1], side="right") - 1
+        inside = (ix >= 0) & (ix < grid.w_cells) & (iy >= 0) & (iy < grid.h_cells)
+        lifted = weighted[:, h, :, :, None] * refined[:, h, :, None, :]
+        values = lifted.reshape(-1, out.shape[1])[inside]
+        np.add.at(out, (iy * grid.w_cells + ix)[inside], values)
     return out
 
 

@@ -1,11 +1,13 @@
 import hashlib
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bevx.prime
+import bevx.reference
 import bevx.tensor_core
 from bevx import (
     BevGrid,
@@ -19,11 +21,13 @@ from bevx import (
     ValidationError,
     full_vs_prime_ablation,
     generate_frustum,
+    load_scene,
     prime_depth,
     prime_feature,
 )
 from bevx.bench import run_check
 from oracles import (
+    full_height_bev,
     identity_refine,
     lift_loop,
     one_hot,
@@ -33,6 +37,9 @@ from oracles import (
     splat_loop,
     uniform,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def normalized_attention(rng, n_c, h_i, w_i):
@@ -60,6 +67,26 @@ def narrow_scene(h_i=3):
     cam = Camera(k, np.eye(3), np.zeros(3))
     rig = CameraRig((cam,), 1, h_i, stride)
     return Scene(rig, DepthBins(1, 9, 8), BevGrid(10.0, 20, 20))
+
+
+def bundled_rig_inputs(scene, c):
+    """(feature, depth, attn, refine, pos_embed) for `scene` with `c`
+    channels, drawn uniform from default_rng(0) in that order: the depths
+    and attention normalized, the refine matrix divided by `c`, its bias
+    and the embedding scaled by 0.1."""
+    rig, n_d = scene.rig, scene.bins.count
+    shape = (rig.n_cameras, rig.feature_height, rig.feature_width)
+    rng = np.random.default_rng(0)
+    feature = rng.random(shape + (c,), dtype=np.float32)
+    depth = rng.random(shape + (n_d,), dtype=np.float32)
+    depth /= depth.sum(axis=3, keepdims=True)
+    attn = rng.random(shape, dtype=np.float32)
+    attn /= attn.sum(axis=1, keepdims=True)
+    refine = RefineMap(
+        rng.random((c, c), dtype=np.float32) / c, 0.1 * rng.random(c, dtype=np.float32)
+    )
+    pos_embed = 0.1 * rng.random(shape[1:] + (c,), dtype=np.float32)
+    return feature, depth, PrimeAttention(attn), refine, pos_embed
 
 
 def not_before_the_checks(*args):
@@ -465,6 +492,43 @@ class TestAblation:
         err = np.abs(report.bev_full - expect).max()
         assert err <= 1e-5 * np.abs(expect).max()
 
+    @pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+    def test_full_route_matches_per_row_scatter_on_bundled_rigs(self, config):
+        """On each bundled rig, bev_full is the per-row lift and scatter of
+        `full_height_bev` within 1e-5 of its largest value."""
+        scene = load_scene(CONFIGS / config)
+        inputs = bundled_rig_inputs(scene, 16)
+        report = full_vs_prime_ablation(scene, *inputs)
+        expect = full_height_bev(scene, *inputs)
+        assert expect.any()
+        assert np.abs(report.bev_full - expect).max() <= 1e-5 * np.abs(expect).max()
+
+    def test_runs_without_lift_or_scatter(self, rng, monkeypatch):
+        """The full-height route runs on exact ring/ray pairs: no lifted
+        tensor and no scatter, so a raising `lift` and `splat_reference`
+        change nothing."""
+        scene = random_scene(rng, n_cameras=2, w_i=4, h_i=3, n_d=5, grid_cells=10)
+        inputs = bundled_rig_inputs(scene, 3)
+        expect = full_vs_prime_ablation(scene, *inputs)
+        for module in (bevx.prime, bevx.reference):
+            for name in ("lift", "splat_reference"):
+                monkeypatch.setattr(module, name, not_before_the_checks, raising=False)
+        report = full_vs_prime_ablation(scene, *inputs)
+        np.testing.assert_array_equal(report.bev_full, expect.bev_full)
+        np.testing.assert_array_equal(report.bev_prime, expect.bev_prime)
+
+    @pytest.mark.parametrize("c", [3, 0])
+    def test_zero_channels_give_zero_gaps(self, rng, c):
+        """A refine map of no output rows, on features of 3 channels or of
+        none: both BEVs are (S, 0) and every gap is 0, not a ValueError from
+        a maximum over no channels."""
+        scene = random_scene(rng, n_cameras=2, w_i=4, h_i=3, n_d=5, grid_cells=10)
+        feature, depth, attn, _, pos_embed = bundled_rig_inputs(scene, c)
+        refine = RefineMap(np.zeros((0, c), np.float32), np.zeros(0, np.float32))
+        report = full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed)
+        assert report.bev_full.shape == report.bev_prime.shape == (scene.grid.n_cells, 0)
+        assert report.mean_rel_diff == report.max_rel_diff == 0.0
+
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 1, 3), (3, 1, 2, 1)])
     def test_pos_embed_of_another_shape_rejected_at_the_boundary(self, rng, shape):
         scene = narrow_scene(h_i=3)
@@ -663,5 +727,5 @@ def test_ablation_report_is_pinned():
     )
     assert report.spurious_rate > 0.0 and report.bev_full.any()
     assert ablation_digest(report) == (
-        "0714eb5d6969e4c84dc1d9cb5f4c072a875d8d9ae2c8ce87108e926a39f4264f"
+        "a4db5b2870aacce2e2d3fac352a42dbdc6fb52059f063cb5101f4ba4b809065c"
     )

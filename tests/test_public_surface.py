@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 from bevx import (
+    GeometryError,
+    Scene,
     ValidationError,
     build_ftm,
     build_ring_ray,
@@ -256,6 +258,23 @@ def test_input_of_no_real_numbers_rejected(route, kind, scene_parts):
         ROUTES[route](NOT_REAL[kind], scene_parts)
 
 
+def test_zero_channels_give_empty_outputs(scene_parts):
+    """With no channels, lift gives (W, N_d, 0) and each of the three
+    transforms a float32 (S, 0), not a bare ValueError from reshaping an
+    empty tensor."""
+    p = scene_parts
+    features, depths = np.zeros((W, 0), np.float32), clean((W, N_D))
+    lifted = lift(features, depths)
+    assert lifted.shape == (W, N_D, 0)
+    outs = [
+        splat_reference(lifted, p.frustum, p.scene.grid),
+        vt_ftm(lifted, p.ftm),
+        vt_matrixvt(features, depths, p.rr),
+    ]
+    for out in outs:
+        assert out.shape == (p.scene.grid.n_cells, 0) and out.dtype == np.float32
+
+
 # each passes one object argument of the wrong type, `None` or a digest that
 # is not a str, with valid other arguments; `d` is an empty cache directory
 WRONG_TYPE = {
@@ -276,15 +295,25 @@ WRONG_TYPE = {
         clean((W, N_D, C)), None, p.scene.grid
     ),
     "splat_reference-grid": lambda p, d: splat_reference(clean((W, N_D, C)), p.frustum, None),
+    "generate_frustum-rig": lambda p, d: generate_frustum(None, p.scene.bins),
+    "generate_frustum-rig-list": lambda p, d: generate_frustum(
+        list(p.scene.rig.cameras), p.scene.bins
+    ),
+    "generate_frustum-bins": lambda p, d: generate_frustum(p.scene.rig, p.scene.grid),
+    "Scene-rig": lambda p, d: Scene(None, p.scene.bins, p.scene.grid),
+    "Scene-bins": lambda p, d: Scene(p.scene.rig, None, p.scene.grid),
+    "Scene-grid": lambda p, d: Scene(p.scene.rig, p.scene.bins, [8, 8]),
 }
 
 
 @pytest.mark.parametrize("route", sorted(WRONG_TYPE))
 def test_argument_of_the_wrong_type_rejected(route, scene_parts, tmp_path):
-    """A typed error naming the argument, not a bare AttributeError, and the
-    same whether or not the cache slot holds a file."""
-    arg = route.split("-")[1]
-    with pytest.raises(ValidationError, match=f"^{arg} must be a "):
+    """A typed error naming the argument, not a bare AttributeError or
+    TypeError, and the same whether or not the cache slot holds a file; a
+    geometry type's own error is a GeometryError."""
+    call, arg = route.split("-")[:2]
+    error = GeometryError if call in ("generate_frustum", "Scene") else ValidationError
+    with pytest.raises(error, match=f"^{arg} must be a "):
         WRONG_TYPE[route](scene_parts, tmp_path)
 
 

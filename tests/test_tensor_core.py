@@ -184,6 +184,20 @@ class TestSparseBinaryMatrix:
         assert m.row_offsets.dtype == m.col_indices.dtype == dtype
         assert m.col_indices.tolist() == [cols - 1] and entry_keys(m).tolist() == [cols - 1]
 
+    @pytest.mark.parametrize(
+        "rows, cols", [(0, 0), (0, 5), (5, 0), (0, 2**31), (0, 2**40), (3, 2**40)]
+    )
+    def test_scipy_handle_wraps_its_arrays_for_every_shape(self, rows, cols):
+        """Also with a zero extent, where scipy narrows int64 arrays to int32
+        copies by their contents: the handle holds the matrix's own arrays,
+        and its product and sum run past 2**31 columns."""
+        m = SparseBinaryMatrix(rows, cols, np.zeros(rows + 1, np.int64), [])
+        handle = m._scipy
+        assert handle.indptr is m.row_offsets and handle.indices is m.col_indices
+        assert m.row_offsets.dtype == _index_dtype(rows, cols, 0)
+        assert (handle @ np.zeros((cols, 0), np.float32)).shape == (rows, 0)
+        assert (handle + 2 * handle).nnz == 0
+
     def test_int32_offsets_are_compared_not_differenced(self):
         # in int32 these offsets differ by 2**31 - 1, 1 (it wraps), 2**31 - 1
         # and 1, all positive, yet they decrease

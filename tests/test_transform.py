@@ -3,6 +3,7 @@ import io
 import math
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bevx import (
     Camera,
     CameraRig,
     DepthBins,
+    FrustumGeometry,
     RingRayPair,
     Scene,
     ShapeError,
@@ -26,6 +28,7 @@ from bevx import (
     generate_frustum,
     lift,
     load_ring_ray,
+    load_scene,
     save_ring_ray,
     scene_digest,
     splat_reference,
@@ -58,6 +61,8 @@ from oracles import (
 )
 
 from test_reference import single_ray_setup
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def recorded_csr_handles(monkeypatch):
@@ -471,6 +476,28 @@ class TestPerCameraRing:
         assert rates == self.RATES[setting]
 
 
+def one_column_pair_is_exact(frustum, grid, rr):
+    """Check that the pair of `frustum` seen as N_c * W_I one-column cameras
+    implies exactly `build_ftm(frustum, grid)`, dtypes included, so its
+    spurious rate is 0, and that its ray is the per-camera pair `rr`'s."""
+    columns = FrustumGeometry(frustum.points_xyz.reshape(-1, 1, frustum.n_depths, 3))
+    exact = build_ring_ray(columns, grid)
+    ftm, implied = build_ftm(frustum, grid), effective_ftm(exact)
+    assert implied == ftm
+    assert implied.row_offsets.dtype == ftm.row_offsets.dtype
+    assert implied.col_indices.dtype == ftm.col_indices.dtype
+    assert transform._spurious_rate(transform._held(ftm, implied)) == 0.0
+    assert exact.ray == rr.ray
+
+
+@pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+@pytest.mark.parametrize("setting", sorted(PRESETS))
+def test_one_column_pair_is_the_exact_matrix(setting, config):
+    scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
+    frustum = generate_frustum(scene.rig, scene.bins)
+    one_column_pair_is_exact(frustum, scene.grid, build_ring_ray(frustum, scene.grid))
+
+
 class TestDegenerateRigs:
     """The three guarantees, the output shapes and the empty cells, on rigs
     built from geometry: a camera facing away from the grid, one depth
@@ -509,6 +536,7 @@ class TestDegenerateRigs:
         )
         rr = build_ring_ray(frustum, scene.grid)
         assert (rr.ring, rr.ray) == ring_ray_loop(frustum, scene.grid)
+        one_column_pair_is_exact(frustum, scene.grid, rr)
         implied = effective_ftm(rr)
         f, d = make_inputs(scene, 3, seed)
         lifted = lift(f, d)
