@@ -2,16 +2,18 @@
 sparse transport matrix.
 
 Everything else in this package is validated against these routines;
-`transform` holds the fast route. lift and splat_reference are written for
-clarity over speed; build_ftm is the tuned, kept per-scene product. Each
-route checks its inputs once and calls numpy or scipy directly: the scatter
-is one `np.add.at`, the transport product one scipy CSR matmul. build_ftm
-keeps the exact matrix of the last grid asked for on the frustum, the one
-per-scene product that transform.build_ring_ray decomposes, so a scene
-lands and sorts its samples once. splat_reference lands them on every
-call, so the oracle shares nothing with the routes gated against it.
-There is no full-height variant: `prime.full_vs_prime_ablation` sums one
-exact ring/ray transform per feature row instead.
+`transform` holds the fast route. splat_reference is written for clarity
+over speed and stays the oracle; lift is one batched BLAS product, at
+about the cost of writing its output; build_ftm is the tuned, kept
+per-scene product. Each route checks its inputs once and calls numpy or
+scipy directly: the scatter is one `np.add.at`, the transport product one
+scipy CSR matmul. build_ftm keeps the exact matrix of the last grid asked
+for on the frustum, the one per-scene product that transform.build_ring_ray
+decomposes, so a scene lands and sorts its samples once. splat_reference
+lands them on every call, so the oracle shares nothing with the routes
+gated against it. There is no full-height variant:
+`prime.full_vs_prime_ablation` sums one exact ring/ray transform per
+feature row instead.
 
 Shape glossary: W = N_c * W_I flattened (camera, column) index, S = H_B * W_B
 flattened BEV cell index, C = channels, N_d = depth bins. Lifted tensors are
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 from .geometry import BevGrid, FrustumGeometry, _require
 from .tensor_core import DTYPE, SparseBinaryMatrix, _from_pairs, as_feature
 
@@ -34,8 +36,25 @@ __all__ = [
 ]
 
 
+# a float32 product overflows exactly when its magnitude reaches FLT_MAX
+# plus half an ulp, 2**128 - 2**104 + 2**103: that tie rounds to even, inf
+_F32_OVERFLOW = 2.0**128 - 2.0**103
+
+
 def lift(features, depths):
     """Outer-product lift: out[w, d, c] = depths[w, d] * features[w, c].
+
+    One batched BLAS product: `np.matmul` of the depths padded to
+    (W, N_d, 2) and the features padded to (W, 2, C), index 0 holding the
+    inputs and index 1 zeros, so each entry is d * f + 0 * 0, one sgemm per
+    column. (numpy has no BLAS path for an inner extent of 1, and a
+    broadcast multiply runs one C-long loop per (column, bin) pair.) The
+    values are exact, those of the broadcast product under any BLAS: the
+    pad adds an exact zero, with alpha 1 and beta 0, and a BLAS that skips
+    zero multipliers skips only the pad. A zero product is +0.0, where the
+    broadcast product gave -0.0 for a negative feature times a zero depth;
+    the two compare equal, and vt_ftm's and splat_reference's sums start
+    at +0.0, so no output of theirs changes.
 
     Args:
         features: (W, C) per-column feature vectors.
@@ -43,6 +62,12 @@ def lift(features, depths):
 
     Returns:
         (W, N_d, C) lifted tensor.
+
+    Raises:
+        ValidationError: finite inputs whose product overflows float32.
+            A product of two float32 values is exact in float64, so each
+            column's largest one, max|d[w]| * max|f[w]|, is compared with
+            the overflow bound before anything is allocated.
     """
     f = as_feature(features, "features")
     d = as_feature(depths, "depths")
@@ -50,7 +75,16 @@ def lift(features, depths):
         raise ShapeError(f"lift: expected 2-d inputs, got {f.shape} and {d.shape}")
     if f.shape[0] != d.shape[0]:
         raise ShapeError.mismatch("lift", f.shape, d.shape)
-    return d[:, :, None] * f[:, None, :]
+    peak = np.abs(d).max(axis=1, initial=0).astype(np.float64)
+    peak *= np.abs(f).max(axis=1, initial=0)
+    if np.any(peak >= _F32_OVERFLOW):
+        raise ValidationError("lift: float32 overflow of finite inputs in the product")
+    (w, n_d), c = d.shape, f.shape[1]
+    d2 = np.zeros((w, n_d, 2), dtype=DTYPE)
+    d2[:, :, 0] = d
+    f2 = np.zeros((w, 2, c), dtype=DTYPE)
+    f2[:, 0] = f
+    return np.matmul(d2, f2)
 
 
 def splat_reference(lifted, frustum, grid):

@@ -66,14 +66,21 @@ def _coerce(x, name):
 def _all_finite(arr):
     """Whether every value of the C-contiguous float array `arr` is finite.
 
-    One max and one min per 1 MB chunk, with no mask: max and min propagate
-    NaN, and +-inf is its own max or min, so the answer is exact. The min
-    reads a chunk the max has just left in cache."""
+    One pass: per 1 MB chunk, the dot product of the chunk with itself. A
+    NaN or +-inf makes its square NaN or +inf, and squares are never
+    negative, so nothing cancels it and the sum is not finite. A BLAS that
+    skips zero multipliers cannot skip that term, since the value
+    multiplies itself. A sum of finite squares can still overflow, so a
+    chunk whose dot is not finite is settled by the exact test: one max and
+    one min, which propagate NaN, and +-inf is its own max or min."""
     flat = arr.reshape(-1)
-    for start in range(0, flat.size, _FINITE_CHUNK):
-        part = flat[start : start + _FINITE_CHUNK]
-        if not (math.isfinite(part.max()) and math.isfinite(part.min())):
-            return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _FINITE_CHUNK):
+            part = flat[start : start + _FINITE_CHUNK]
+            if not math.isfinite(np.dot(part, part)) and not (
+                math.isfinite(part.max()) and math.isfinite(part.min())
+            ):
+                return False
     return True
 
 
@@ -254,17 +261,20 @@ class SparseBinaryMatrix:
                 raise ValidationError("column index out of range")
         return _from_pairs(rows, cols, row_ids, col_ids)
 
-    @functools.cached_property
-    def _scipy(self):
-        # read-only execution handle over the matrix's own index arrays;
-        # unit values materialized once
-        data = np.ones(self.nnz, dtype=DTYPE)
+    def _handle(self, data):
+        """A scipy CSR matrix on this matrix's pattern with values `data`,
+        over the matrix's own index arrays, with no copy."""
         handle = sp.csr_matrix((data, self.col_indices, self.row_offsets), shape=self.shape)
         # scipy narrows a zero-extent matrix's arrays to int32 copies by
         # their contents, and products over those fail past 2**31: the
         # handle takes the matrix's own arrays instead
         handle.indices, handle.indptr = self.col_indices, self.row_offsets
         return handle
+
+    @functools.cached_property
+    def _scipy(self):
+        # read-only execution handle; unit values materialized once
+        return self._handle(np.ones(self.nnz, dtype=DTYPE))
 
     def _buffers(self):
         """The arrays the matrix runs on: its index arrays and those of its

@@ -24,7 +24,7 @@ one weight per ray nonzero, and the ray-patterned S x W matrix of those
 weights times the features gives the BEV tensor. Every index array is
 held once: the plan shares the ring's row offsets, and the plan's scipy
 handle and vt_matrixvt's ray-patterned one wrap the plan's and the ray's
-own arrays, whose dtype (tensor_core._index_dtype) is scipy's.
+own arrays (SparseBinaryMatrix._handle), for every shape.
 effective_ftm reads the transport matrix the pair implies off the same
 plan; reference.vt_ftm over that matrix is the independent route
 vt_matrixvt is gated against.
@@ -43,7 +43,6 @@ from pathlib import Path
 import os
 import uuid
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
@@ -278,12 +277,7 @@ def vt_matrixvt(features, depths, rr):
             "vt_matrixvt", d.shape, (rr.n_columns, rr.n_depths)
         )
     weights = rr._plan._scipy @ d.ravel()
-    # the ray's index arrays have scipy's dtype, so the handle copies neither
-    ray = rr.ray
-    effective = sp.csr_matrix(
-        (weights, ray.col_indices, ray.row_offsets), shape=ray.shape
-    )
-    return np.ascontiguousarray(effective @ f, dtype=DTYPE)
+    return np.ascontiguousarray(rr.ray._handle(weights) @ f, dtype=DTYPE)
 
 
 def effective_ftm(rr):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from bevx import (
     FrustumGeometry,
     ShapeError,
     SparseBinaryMatrix,
+    ValidationError,
     build_ftm,
     generate_frustum,
     lift,
@@ -81,6 +84,68 @@ class TestLift:
         f = rng.random((6, 4), dtype=np.float32)
         d = rng.random((6, 7), dtype=np.float32)
         np.testing.assert_array_equal(lift(f, d), lift_loop(f, d))
+
+    def test_signed_zeros_and_subnormals_match_the_loop(self, rng):
+        """Bit for bit once -0.0 is folded to +0.0: the batched product
+        gives +0.0 where the loop gives -0.0 (a negative feature times a
+        zero depth), and the two compare equal."""
+        tiny = np.finfo(np.float32).smallest_subnormal
+        f = rng.standard_normal((7, 9), dtype=np.float32)
+        f[:, 0] = 0.0
+        f[:, 1] = [tiny, -tiny, 3 * tiny, -1e-39, 1e-40, -1.0, 2.5]
+        d = rng.random((7, 6), dtype=np.float32)
+        d[:, 0] = 0.0
+        d[1, :] = 0.0
+        d[2, 1] = tiny
+        d[3, 2] = 0.5
+        out, loop = lift(f, d), lift_loop(f, d)
+        assert np.array_equal(out, loop)
+        assert np.signbit(loop[loop == 0]).any() and not np.signbit(out[out == 0]).any()
+        zero = np.float32(0.0)
+        assert np.array_equal((out + zero).view(np.uint32), (loop + zero).view(np.uint32))
+
+    @pytest.mark.parametrize("setting", sorted(PRESETS))
+    def test_equals_the_broadcast_product_on_every_setting(self, setting, rig_scene, rng):
+        scene = setting_scene(rig_scene, PRESETS[setting])
+        w = scene.rig.n_cameras * scene.rig.feature_width
+        f = rng.random((w, PRESETS[setting].channels), dtype=np.float32) - 0.5
+        d = rng.random((w, scene.bins.count), dtype=np.float32)
+        out = lift(f, d)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, d[:, :, None] * f[:, None, :])
+
+    @pytest.mark.parametrize("w, n_d, c", [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)])
+    def test_zero_extents(self, w, n_d, c):
+        out = lift(np.ones((w, c)), np.ones((w, n_d)))
+        assert out.shape == (w, n_d, c) and out.dtype == np.float32
+
+    @pytest.mark.parametrize(
+        "depth, feature, overflows",
+        [
+            # exactly FLT_MAX plus half an ulp, 2**128 - 2**103: rounds to inf
+            (18631 * 2.0**52, 1801 * 2.0**51, True),
+            (-18631 * 2.0**52, 1801 * 2.0**51, True),
+            # exactly FLT_MAX, 2**128 - 2**104
+            ((2**24 - 1) * 2.0**52, 2.0**52, False),
+            ((2**24 - 1) * 2.0**52, -(2.0**52), False),
+        ],
+        ids=["past-max", "negative-past-max", "max", "negative-max"],
+    )
+    def test_float32_overflow_is_refused_before_the_product(self, depth, feature, overflows):
+        with np.errstate(over="ignore"):
+            product = np.float32(depth) * np.float32(feature)
+        assert np.isinf(product) == overflows  # the bound is numpy's own rounding
+        f = np.ones((3, 4), np.float32)
+        d = np.full((3, 5), 0.5, np.float32)
+        f[1, 2], d[1, 3] = feature, depth
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if overflows:
+                with pytest.raises(ValidationError, match="^lift: float32 overflow"):
+                    lift(f, d)
+            else:
+                out = lift(f, d)
+                assert out[1, 3, 2] == product and np.isfinite(out).all()
 
     def test_linear_in_features(self, rng):
         f = rng.random((3, 2), dtype=np.float32)

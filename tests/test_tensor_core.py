@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import bevx.tensor_core
 from bevx import SparseBinaryMatrix, ValidationError, as_feature
-from bevx.tensor_core import _from_pairs, _held_bytes, _index_dtype
+from bevx.tensor_core import _all_finite, _from_pairs, _held_bytes, _index_dtype
 from oracles import csr_from_pairs, csr_order_ok_isin, densify, entry_keys, from_dense, row
 
 
@@ -71,7 +71,7 @@ SCAN_POSITIONS = sorted(
 
 
 class TestFiniteScan:
-    """as_feature's chunked max/min scan against np.isfinite."""
+    """as_feature's chunked scan, `_all_finite`, against np.isfinite."""
 
     @pytest.fixture(scope="class")
     def span(self):
@@ -86,8 +86,20 @@ class TestFiniteScan:
     def test_non_finite_anywhere_is_found(self, span, bad, at):
         x = span.copy()
         x[at] = bad
+        assert not _all_finite(x)
         with pytest.raises(ValidationError, match="^x contains non-finite values$"):
             as_feature(x.reshape(1, -1), "x")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_squares_that_overflow_fall_back_to_the_exact_test(self, bad):
+        """A chunk of finite values whose dot with itself overflows is
+        settled by max and min: finite, so the scan goes on to the next."""
+        x = np.full(2 * CHUNK + 5, 1e30, np.float32)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.dot(x[:CHUNK], x[:CHUNK]))
+        assert _all_finite(x)
+        x[CHUNK + 3] = bad
+        assert not _all_finite(x)
 
     def test_float32_extremes_pass(self, span):
         x = span.copy()

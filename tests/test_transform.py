@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -68,13 +69,13 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 def recorded_csr_handles(monkeypatch):
     """The list that every scipy CSR matrix made from now on is appended to."""
     handles = []
-    real = transform.sp.csr_matrix
+    real = sp.csr_matrix
 
     def recorded(*args, **kwargs):
         handles.append(real(*args, **kwargs))
         return handles[-1]
 
-    monkeypatch.setattr(transform.sp, "csr_matrix", recorded)
+    monkeypatch.setattr(sp, "csr_matrix", recorded)
     return handles
 
 
@@ -291,6 +292,18 @@ class TestVtMatrixvt:
         assert rr.ray.row_offsets.dtype == rr.ray.col_indices.dtype == np.int32
         assert np.shares_memory(handle.indptr, rr.ray.row_offsets)
         assert np.shares_memory(handle.indices, rr.ray.col_indices)
+
+    def test_zero_extent_ray_handle_keeps_int64_arrays_past_2_31_columns(self, monkeypatch):
+        """scipy narrows a zero-extent matrix's int64 arrays to int32
+        copies, whose product fails past 2**31 columns: the handle wraps
+        the ray's own arrays instead."""
+        wide = np.zeros((2**31, 0), np.float32)
+        rr = RingRayPair(SparseBinaryMatrix(0, 0, [0], []), SparseBinaryMatrix(0, 2**31, [0], []))
+        handles = recorded_csr_handles(monkeypatch)
+        assert vt_matrixvt(wide, wide, rr).shape == (0, 0)
+        (handle,) = handles
+        assert rr.ray.row_offsets.dtype == rr.ray.col_indices.dtype == np.int64
+        assert handle.indptr is rr.ray.row_offsets and handle.indices is rr.ray.col_indices
 
     def test_matches_dense_oracle(self, rng):
         _, _, rr = build_pair(rng, n_cameras=2, w_i=6, h_i=2, n_d=10, grid_cells=14)
