@@ -168,15 +168,15 @@ class SparseBinaryMatrix:
             starting at 0; row i owns
             col_indices[row_offsets[i]:row_offsets[i+1]].
         col_indices: integer array of column ids, strictly increasing
-            within each row.
+            within each row: scipy's canonical CSR format.
 
-    Both take whole numbers only (`_index_array`) and are checked in the
-    input's own int32 or int64 dtype, so nothing is narrowed before it is
-    checked. After the checks each is kept under `geometry._owned` in
+    Both take whole numbers only (`_index_array`), and their values are
+    checked in the input's own int32 or int64 dtype, so nothing is narrowed
+    before it is checked. Then each is kept under `geometry._owned` in
     `_index_dtype(rows, cols, nnz)`: int32 while rows, cols and nnz are all
     below 2**31, else int64. So a cache file's words are kept as views of
     its bytes, and any other caller's array as a frozen copy. `_scipy`
-    wraps these same arrays.
+    wraps these same arrays, and the row order is asked of such a handle.
     """
 
     __slots__ = ("rows", "cols", "row_offsets", "col_indices", "__dict__")
@@ -204,15 +204,14 @@ class SparseBinaryMatrix:
         if col_indices.size:
             if col_indices.min() < 0 or col_indices.max() >= cols:
                 raise ValidationError("column index out of range")
-            # strictly increasing within each row: decreases may only occur
-            # at row boundaries. not_up[p] marks a non-increase from p-1 to p;
-            # positions 0 and nnz are padding so every row start indexes it.
-            not_up = np.zeros(col_indices.shape[0] + 1, dtype=bool)
-            np.less_equal(col_indices[1:], col_indices[:-1], out=not_up[1:-1])
-            not_up[row_offsets[1:-1]] = False
-            if not_up.any():
-                raise ValidationError("col_indices must strictly increase within a row")
         self._store(rows, cols, row_offsets, col_indices, _owned)
+        # Strictly increasing within each row is scipy's canonical format,
+        # asked of a handle over the kept arrays, with no copy. scipy's C
+        # loop reads col_indices[row_offsets[i]:row_offsets[i + 1]], so it
+        # is memory-safe only on offsets proven monotone and ending at nnz,
+        # as these are.
+        if self.nnz and not self._handle(np.ones(self.nnz, dtype=bool)).has_canonical_format:
+            raise ValidationError("col_indices must strictly increase within a row")
 
     def _store(self, rows, cols, row_offsets, col_indices, keep):
         # checked or built values fit the dtype, so narrowing is exact

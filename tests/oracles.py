@@ -96,6 +96,27 @@ def csr_order_ok_isin(row_offsets, col_indices):
     return bool(np.isin(bad, row_offsets[1:-1]).all())
 
 
+def csr_rule_broken(rows, cols, row_offsets, col_indices):
+    """The message of the first CSR rule that the arrays break, in the order
+    the constructor checks them, or None when they are a valid matrix:
+    plain loops over Python ints."""
+    offsets, ids = [int(x) for x in row_offsets], [int(x) for x in col_indices]
+    if len(offsets) != rows + 1:
+        return f"row_offsets must have length rows+1={rows + 1}, got ({len(offsets)},)"
+    if offsets[0] != 0:
+        return "row_offsets[0] must be 0"
+    if any(a > b for a, b in zip(offsets, offsets[1:])):
+        return "row_offsets must be non-decreasing"
+    if len(ids) != offsets[-1]:
+        return f"col_indices length {len(ids)} != nnz {offsets[-1]}"
+    if any(not 0 <= c < cols for c in ids):
+        return "column index out of range"
+    for lo, hi in zip(offsets, offsets[1:]):
+        if any(a >= b for a, b in zip(ids[lo:hi], ids[lo + 1 : hi])):
+            return "col_indices must strictly increase within a row"
+    return None
+
+
 def grid_edges(grid):
     """Cell edges rebuilt from the public grid fields (same arithmetic)."""
     xe = grid.x_min + np.arange(grid.w_cells + 1) * grid.cell_size
@@ -324,6 +345,39 @@ def pitch_down(pitch):
     body y axis, applied on the right of its rotation."""
     cp, sp = np.cos(np.radians(pitch)), np.sin(np.radians(pitch))
     return np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
+
+
+# a quarter turn left about the ego z axis, (x, y, z) -> (-y, x, z): its
+# products with a rotation or a point only move and negate entries, exactly
+QUARTER_TURN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def quarter_turned(scene):
+    """`scene` with the whole rig turned a quarter left, and where each
+    cell of its square grid goes: (turned scene, cell), where cell[s] is
+    the cell that cell s turns into. Every camera's rotation and
+    translation is left-multiplied by QUARTER_TURN, so a frustum point
+    (x, y) becomes (-y, x) and cell (iy, ix) becomes (ix, W_B - 1 - iy)."""
+    rig, grid = scene.rig, scene.grid
+    assert grid.h_cells == grid.w_cells
+    cameras = tuple(
+        Camera(cam.intrinsics, QUARTER_TURN @ cam.rotation, QUARTER_TURN @ cam.translation)
+        for cam in rig.cameras
+    )
+    turned = CameraRig(cameras, rig.feature_width, rig.feature_height, rig.image_stride)
+    iy, ix = np.divmod(np.arange(grid.h_cells * grid.w_cells), grid.w_cells)
+    return Scene(turned, scene.bins, grid), ix * grid.w_cells + (grid.w_cells - 1 - iy)
+
+
+def rows_moved(m, to):
+    """The binary CSR matrix whose row to[i] is row i of `m`, for a
+    permutation `to` of its rows, gathered by hand."""
+    order = np.argsort(to)  # order[k]: the row of m that lands at row k
+    starts = np.asarray(m.row_offsets[:-1], dtype=np.int64)[order]
+    counts = np.diff(np.asarray(m.row_offsets, dtype=np.int64))[order]
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    at = np.repeat(starts - offsets[:-1], counts) + np.arange(offsets[-1])
+    return SparseBinaryMatrix(m.rows, m.cols, offsets, m.col_indices[at])
 
 
 def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3, pitch=0.0):

@@ -70,6 +70,20 @@ class TestSparseFile:
         with pytest.raises(FileFormatError, match="inconsistent"):
             read_cache(sealed(raw, "d"), "d")
 
+    @pytest.mark.parametrize("field", ["rows", "cols", "nnz"])
+    def test_implausible_header_is_refused_before_any_word(self, field):
+        m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        raw = bytearray(encode("d", m, m))
+        # the ring record's rows, cols and nnz follow its 8-byte tag
+        at = len(_header("d")) + CRC + 8 + 8 * ["rows", "cols", "nnz"].index(field)
+        raw[at : at + 8] = struct.pack("<Q", 2**40 + 1)
+        assert read_cache(bytes(raw), "d") is None  # the crc no longer matches
+        header = {"rows": 2, "cols": 3, "nnz": 2, field: 2**40 + 1}
+        with pytest.raises(FileFormatError) as info:
+            read_cache(sealed(raw, "d"), "d")
+        want = "implausible header ({rows} x {cols}, {nnz} nnz)".format(**header)
+        assert str(info.value) == want
+
     def test_other_digest_or_magic_is_none(self):
         m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
         raw = encode("d", m, m)

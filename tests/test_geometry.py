@@ -18,6 +18,7 @@ from bevx import (
     FrustumGeometry,
     GeometryError,
     Scene,
+    ShapeError,
     build_ftm,
     generate_frustum,
     load_scene,
@@ -173,6 +174,11 @@ class TestCamera:
         cam = Camera(k, r, t)
         assert k.flags.writeable and r.flags.writeable and t.flags.writeable
         assert not cam.translation.flags.writeable
+
+    def test_compares_unequal_to_another_type(self):
+        cam = simple_camera()
+        assert cam.__eq__("camera") is NotImplemented
+        assert cam != "camera" and cam != cam.rotation.tolist()
 
     def test_rejects_non_orthonormal_rotation(self):
         with pytest.raises(GeometryError, match="orthonormal"):
@@ -372,6 +378,12 @@ class TestGenerateFrustum:
         assert p.flags.writeable and not fr.points_xyz.flags.writeable
         p[...] = 1.0
         assert not fr.points_xyz.any()
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3, 2), (2, 3, 3), (1, 1, 2, 3, 3)])
+    def test_frustum_refuses_points_that_are_not_4_d_with_3_coordinates(self, shape):
+        with pytest.raises(ShapeError) as info:
+            FrustumGeometry(np.zeros(shape))
+        assert str(info.value) == f"points_xyz must be (N_c, W_I, N_d, 3), got {shape}"
 
     def test_frustum_keeps_an_owned_frozen_array(self, small_scene):
         # a caller's read-only array is copied: its owner may turn writes back on
@@ -573,6 +585,16 @@ class TestBevGrid:
         # the right edge is exclusive
         cells, inside = grid.locate_many([[3.0, 0.0], [0.0, -2.5], [2.0, 0.0]])
         assert cells.tolist() == [] and inside.tolist() == []
+
+    @pytest.mark.parametrize(
+        "xy, shape",
+        [([0.0, 0.0], (2,)), ([[0.0, 0.0, 0.0]], (1, 3)), (np.zeros((2, 2, 2)), (2, 2, 2))],
+        ids=["1-d", "3-columns", "3-d"],
+    )
+    def test_locate_refuses_points_that_are_not_p_by_2(self, xy, shape):
+        with pytest.raises(ShapeError) as info:
+            BevGrid(2.0, 4, 4).locate_many(xy)
+        assert str(info.value) == f"locate_many: expected (p, 2) points, got {shape}"
 
     def test_locate_boundary_goes_to_positive_side(self):
         grid = BevGrid(2.0, 4, 4)

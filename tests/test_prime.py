@@ -529,6 +529,30 @@ class TestAblation:
         assert report.bev_full.shape == report.bev_prime.shape == (scene.grid.n_cells, 0)
         assert report.mean_rel_diff == report.max_rel_diff == 0.0
 
+    @pytest.mark.parametrize(
+        "feature_shape, depth_shape",
+        [
+            ((1, 3, 2, 2), (1, 3, 1, 8)),  # a feature column more than the rig has
+            ((1, 3, 1, 2), (2, 3, 1, 8)),  # a depth camera more
+            ((1, 2, 1, 2), (1, 2, 1, 8)),  # both a row short
+            ((3, 1, 2), (1, 3, 1, 8)),  # a 3-d feature
+            ((1, 3, 1, 2), (1, 3, 8)),  # a 3-d depth
+        ],
+    )
+    def test_feature_or_depth_not_matching_the_rig_is_refused(
+        self, rng, feature_shape, depth_shape
+    ):
+        scene = narrow_scene(h_i=3)  # one camera, 3 rows, 1 column, 8 bins
+        feat = rng.random(feature_shape, dtype=np.float32)
+        depth = rng.random(depth_shape, dtype=np.float32)
+        attn = normalized_attention(rng, 1, 3, 1)
+        with pytest.raises(ShapeError) as info:
+            full_vs_prime_ablation(
+                scene, feat, depth, attn, identity_refine(2), np.zeros((3, 1, 2), np.float32)
+            )
+        want = f"ablation: incompatible shapes {feature_shape} and {depth_shape}"
+        assert str(info.value) == want
+
     @pytest.mark.parametrize("shape", [(2,), (1, 2), (3, 1, 3), (3, 1, 2, 1)])
     def test_pos_embed_of_another_shape_rejected_at_the_boundary(self, rng, shape):
         scene = narrow_scene(h_i=3)

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -10,9 +11,17 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import bevx.tensor_core
-from bevx import SparseBinaryMatrix, ValidationError, as_feature
+from bevx import ShapeError, SparseBinaryMatrix, ValidationError, as_feature
 from bevx.tensor_core import _all_finite, _from_pairs, _held_bytes, _index_dtype
-from oracles import csr_from_pairs, csr_order_ok_isin, densify, entry_keys, from_dense, row
+from oracles import (
+    csr_from_pairs,
+    csr_order_ok_isin,
+    csr_rule_broken,
+    densify,
+    entry_keys,
+    from_dense,
+    row,
+)
 
 
 @st.composite
@@ -41,6 +50,42 @@ def csr_candidates(draw):
         row_lists = [sorted(set(r)) for r in row_lists]
     offsets = np.cumsum([0] + [len(r) for r in row_lists])
     return rows, cols, offsets, [c for r in row_lists for c in r]
+
+
+@st.composite
+def constructor_inputs(draw):
+    """(rows, cols, row_offsets, col_indices) for the checked constructor.
+    The offsets run from 0 over drawn row lengths, or are those permuted,
+    drawn freely after the 0, one short or one long. Each row's column ids
+    are sorted and unique, as drawn, or sorted with a repeat, and take -1
+    and cols too; now and then the last id is dropped. Each array is an
+    int32 array, an int64 array or a Python list."""
+    rows = draw(st.integers(0, 4))
+    cols = draw(st.integers(0, 5))
+    wild = cols == 0 or draw(st.integers(0, 3)) == 0
+    column = st.integers(-1, cols) if wild else st.integers(0, cols - 1)
+    row_lists = draw(st.lists(st.lists(column, max_size=4), min_size=rows, max_size=rows))
+    order = draw(st.sampled_from(["sorted", "drawn", "repeat"]))
+    if order == "sorted":
+        row_lists = [sorted(set(r)) for r in row_lists]
+    elif order == "repeat":
+        row_lists = [sorted(r + r[:1]) for r in row_lists]
+    offsets = [0] + np.cumsum([len(r) for r in row_lists], dtype=int).tolist()
+    indices = [c for r in row_lists for c in r]
+    bent = draw(st.sampled_from(["built"] * 3 + ["permuted", "free", "short", "long"]))
+    if bent == "permuted":
+        offsets = draw(st.permutations(offsets))
+    elif bent == "free":
+        offsets = [0] + draw(st.lists(st.integers(-2, 8), min_size=rows, max_size=rows))
+    elif bent == "short":
+        offsets = offsets[:-1]
+    elif bent == "long":
+        offsets = offsets + offsets[-1:]
+    if draw(st.integers(0, 9)) == 0:
+        indices = indices[:-1]
+    int32, int64 = (functools.partial(np.array, dtype=t) for t in (np.int32, np.int64))
+    kinds = st.sampled_from([list, int32, int64])
+    return rows, cols, draw(kinds)(offsets), draw(kinds)(indices)
 
 
 class TestAsFeature:
@@ -263,6 +308,29 @@ class TestSparseBinaryMatrix:
             accepted = False
         assert accepted == csr_order_ok_isin(offsets, indices)
 
+    @settings(max_examples=500, deadline=None)
+    @given(constructor_inputs())
+    @example((0, 0, [0], []))
+    @example((2, 3, np.array([0, 2, 3], np.int32), np.array([2, 2, 0], np.int32)))  # a repeat
+    @example((2, 3, np.array([0, 2, 3], np.int64), np.array([1, 0, 2], np.int64)))  # unsorted
+    @example((2, 3, [0, 3, 2], [0, 1, 2]))  # offsets decrease
+    @example((2, 3, [0, 1, 2], [-1, 0]))  # a negative id
+    @example((2, 3, [0, 1, 2], [0, 3]))  # an id past the end
+    def test_builds_what_the_oracle_accepts_or_names_its_first_broken_rule(self, case):
+        """Any other exception, scipy's included, fails the test."""
+        rows, cols, offsets, indices = case
+        broken = csr_rule_broken(rows, cols, offsets, indices)
+        if broken is not None:
+            with pytest.raises(ValidationError) as info:
+                SparseBinaryMatrix(rows, cols, offsets, indices)
+            assert str(info.value) == broken
+            return
+        m = SparseBinaryMatrix(rows, cols, offsets, indices)
+        assert m.shape == (rows, cols) and m.nnz == len(indices)
+        assert m.row_offsets.tolist() == [int(x) for x in offsets]
+        assert m.col_indices.tolist() == [int(x) for x in indices]
+        assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
+
     def test_from_coo_dedups_and_sorts(self):
         m = SparseBinaryMatrix.from_coo(2, 4, [1, 0, 1, 1], [3, 2, 0, 3])
         assert m.nnz == 3
@@ -278,6 +346,27 @@ class TestSparseBinaryMatrix:
         b = SparseBinaryMatrix(2, 2, [0, 1, 1], [0])
         c = SparseBinaryMatrix(2, 2, [0, 1, 1], [1])
         assert a == b and a != c
+
+    def test_from_coo_refuses_ids_of_different_shapes(self):
+        with pytest.raises(ShapeError, match=r"^from_coo: incompatible shapes \(2,\) and \(1,\)$"):
+            SparseBinaryMatrix.from_coo(2, 2, [0, 1], [0])
+        # the ids are raveled first: only their sizes must agree
+        m = SparseBinaryMatrix.from_coo(2, 2, [[0, 1]], [1, 0])
+        assert m == SparseBinaryMatrix(2, 2, [0, 1, 2], [1, 0])
+
+    def test_compares_unequal_to_another_type(self):
+        m = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        assert m.__eq__((2, 3)) is NotImplemented
+        assert m != "m" and m != m.row_offsets.tolist()
+
+    def test_hash_and_repr(self):
+        a = SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 1])
+        b = SparseBinaryMatrix(2, 3, np.array([0, 1, 2], np.int64), np.array([0, 1], np.int64))
+        assert a == b and hash(a) == hash(b) == hash(((2, 3), 2))
+        assert len({a, b, SparseBinaryMatrix(2, 3, [0, 1, 2], [0, 2])}) == 2
+        assert repr(a) == "SparseBinaryMatrix(2x3, nnz=2)"
+        wide = SparseBinaryMatrix(0, 2**40, [0], [])
+        assert repr(wide) == "SparseBinaryMatrix(0x1099511627776, nnz=0)"
 
     def test_from_coo_range_checks(self):
         with pytest.raises(ValidationError):

@@ -16,6 +16,7 @@ from bevx import (
     Camera,
     CameraRig,
     DepthBins,
+    FileFormatError,
     FrustumGeometry,
     RingRayPair,
     Scene,
@@ -38,7 +39,7 @@ from bevx import (
 )
 from bevx import reference, tensor_core, transform
 from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, setting_scene
-from bevx.fileio import read_cache, write_cache
+from bevx.fileio import _header, read_cache, write_cache
 from bevx.tensor_core import _held_bytes
 from oracles import (
     bxc2_cache_bytes,
@@ -55,12 +56,15 @@ from oracles import (
     older_cache_bytes,
     per_entry,
     plan_oracle,
+    quarter_turned,
     random_scene,
     ring_ray_loop,
     row,
+    rows_moved,
     shared_ring,
 )
 
+from test_fileio import sealed
 from test_reference import single_ray_setup
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -384,6 +388,18 @@ class TestVtMatrixvt:
                 np.ones((rr.n_columns, 2)), np.ones((rr.n_columns, rr.n_depths + 1)), rr
             )
 
+    @pytest.mark.parametrize(
+        "features, depths",
+        [((10,), (10, 6)), ((10, 2), (10,)), ((9, 2), (10, 6)), ((10, 2), (11, 6))],
+        ids=["1-d-features", "1-d-depths", "fewer-features", "more-depths"],
+    )
+    def test_features_and_depths_must_be_2_d_of_one_length(self, rng, features, depths):
+        _, _, rr = build_pair(rng)
+        assert (rr.n_columns, rr.n_depths) == (10, 6)
+        with pytest.raises(ShapeError) as info:
+            vt_matrixvt(np.ones(features), np.ones(depths), rr)
+        assert str(info.value) == f"vt_matrixvt: incompatible shapes {features} and {depths}"
+
 
 @pytest.mark.parametrize("setting", sorted(PRESETS))
 def test_every_scipy_handle_wraps_its_matrix_arrays(setting, rig_scene, monkeypatch):
@@ -509,6 +525,36 @@ def test_one_column_pair_is_the_exact_matrix(setting, config):
     scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
     frustum = generate_frustum(scene.rig, scene.bins)
     one_column_pair_is_exact(frustum, scene.grid, build_ring_ray(frustum, scene.grid))
+
+
+@pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+@pytest.mark.parametrize("setting", ["S1", "S4"])
+def test_a_quarter_turn_of_the_rig_permutes_the_cells(setting, config):
+    """A metamorphic relation: with the whole rig turned a quarter left,
+    each frustum point (x, y) becomes (-y, x), and the exact pattern and
+    the scatter, ftm and matrixvt outputs are the originals with their
+    cells moved by `quarter_turned`'s permutation, bit for bit."""
+    scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
+    turned, cell = quarter_turned(scene)
+    runs = []
+    for sc in (scene, turned):
+        frustum = generate_frustum(sc.rig, sc.bins)
+        ftm = build_ftm(frustum, sc.grid)
+        f, d = make_inputs(sc, PRESETS[setting].channels, 0)
+        lifted = lift(f, d)
+        outs = (
+            splat_reference(lifted, frustum, sc.grid),
+            vt_ftm(lifted, ftm),
+            vt_matrixvt(f, d, build_ring_ray(frustum, sc.grid)),
+        )
+        runs.append((frustum.points_xyz, ftm, outs))
+    (points, ftm, outs), (turned_points, turned_ftm, turned_outs) = runs
+    x, y, z = np.moveaxis(points, -1, 0)
+    np.testing.assert_array_equal(turned_points, np.stack([-y, x, z], axis=-1))
+    assert turned_ftm == rows_moved(ftm, cell)
+    assert turned_ftm.row_offsets.dtype == turned_ftm.col_indices.dtype == ftm.row_offsets.dtype
+    for out, turned_out in zip(outs, turned_outs):
+        assert out.any() and turned_out[cell].tobytes() == out.tobytes()
 
 
 class TestDegenerateRigs:
@@ -808,6 +854,28 @@ class TestCache:
         raw[-8:] = b"\xff" * 8  # the ray's last column index, out of range
         path.write_bytes(bytes(raw))
         assert load_ring_ray(tmp_path / "c", "digest-1") is None
+
+    def test_repeated_ring_bin_under_a_valid_crc_misses(self, tmp_path):
+        # the crc matches the changed records, so the constructor's row-order
+        # rule is what turns the file away
+        ray = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
+        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 3, 1, 2])
+        save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
+        assert load_ring_ray(tmp_path, "d") == RingRayPair(ring, ray)
+        path = tmp_path / "ringray.bxc"
+        raw = bytearray(path.read_bytes())
+        # ring row 1's bins 0, 1, 3 become 0, 0, 3: its first column id is
+        # word 1 of the ids, after the header, the crc, the ring's record
+        # header and its 4 int32 offsets
+        at = len(_header("d")) + 8 + 32 + 4 * (4 + 1)
+        assert raw[at : at + 8] == np.array([0, 1], "<i4").tobytes()
+        raw[at + 4 : at + 8] = raw[at : at + 4]
+        raw = sealed(raw, "d")
+        with pytest.raises(FileFormatError) as info:
+            read_cache(raw, "d")
+        assert str(info.value).endswith("col_indices must strictly increase within a row")
+        path.write_bytes(raw)
+        assert load_ring_ray(tmp_path, "d") is None
 
     def test_pair_too_wide_for_its_plan_misses(self, tmp_path):
         # two valid records, but ray.cols * ring.cols passes 2**63
