@@ -45,6 +45,7 @@ from ..geometry import (
     CameraRig,
     Scene,
     _freeze,
+    _real,
     _whole,
     generate_frustum,
     load_scene,
@@ -164,10 +165,12 @@ def max_rel_diff(a, b):
     """Largest elementwise |a-b| / max(|a|, |b|, _REL_FLOOR).
 
     The floor keeps cells that both routes leave (numerically) empty from
-    dominating the ratio. A non-finite entry in either input gives nan.
+    dominating the ratio. A non-finite entry in either input gives nan;
+    an input that is not an array of real numbers (`geometry._real`) is a
+    ValidationError naming it.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    a = np.asarray(_real(a, "a"), dtype=np.float64)
+    b = np.asarray(_real(b, "b"), dtype=np.float64)
     if a.shape != b.shape:
         raise ValidationError(f"max_rel_diff: shapes {a.shape} vs {b.shape}")
     if a.size == 0:

@@ -5,7 +5,10 @@ config's `depth` and `bev` blocks and derive the rest, so scene_to_dict
 inverts load_scene and scene_digest covers every field. Each type checks
 and normalises its own numbers (`_numbers` for floats, `_whole` for every
 count of the package), so a Scene built in code and one loaded from JSON
-compare, hash and digest alike.
+compare, hash and digest alike. The package's other refusal rules live
+here too, each one helper raising the caller's error type: `_require` for
+an argument's type, `_real` for an array of numbers and `_require_memory`
+for an allocation.
 
 Conventions:
   * Intrinsics K act in the optical frame: +x right, +y down, +z forward
@@ -116,19 +119,36 @@ def _require(value, kind, name, error=ValidationError):
         raise error(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
-def _fits_in_memory(nbytes):
-    """Whether an allocation of `nbytes` fits in the memory this process may
-    use: the smaller of the host's physical memory and the finite soft
-    address-space limit (RLIMIT_AS, where the platform has one), both read
-    when asked and neither a setting of this package. A build that would not
-    fit is refused with its module's typed error before anything is
+def _real(x, name, error=ValidationError, kinds="biuf"):
+    """`x` as an ndarray of real numbers, in its own dtype and order, the
+    package's one admission rule for arrays of numbers: an input that is
+    not a rectangular array of bool, int, uint or float values (a complex
+    array, a string, an object array, a ragged list) is an `error` naming
+    `name`. A caller that also refuses bool passes `kinds="iuf"`."""
+    try:
+        arr = np.asarray(x)
+        why = f"dtype {arr.dtype}"
+    except ValueError as exc:  # ragged
+        arr, why = None, exc
+    if arr is None or arr.dtype.kind not in kinds:
+        raise error(f"{name} is not an array of real numbers ({why})")
+    return arr
+
+
+def _require_memory(nbytes, what, error):
+    """Refuse an allocation of `nbytes` that does not fit in the memory this
+    process may use: the smaller of the host's physical memory and the
+    finite soft address-space limit (RLIMIT_AS, where the platform has
+    one), both read when asked and neither a setting of this package. A
+    build that would not fit is an `error` naming `what` before anything is
     allocated, and does not die in a MemoryError."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if resource is not None:
         soft, _ = resource.getrlimit(resource.RLIMIT_AS)
         if soft != resource.RLIM_INFINITY:
             limit = min(limit, soft)
-    return nbytes <= limit
+    if nbytes > limit:
+        raise error(f"{what} exceed physical memory or the address-space limit")
 
 
 def _freeze(obj, **values):
@@ -246,8 +266,7 @@ class CameraRig:
         if not cameras:
             raise GeometryError("rig needs at least one camera")
         for i, cam in enumerate(cameras):
-            if not isinstance(cam, Camera):
-                raise GeometryError(f"cameras[{i}] must be a Camera, got {cam!r}")
+            _require(cam, Camera, f"cameras[{i}]", GeometryError)
         names = ("feature_width", "feature_height", "image_stride")
         extents = {name: _whole(getattr(self, name), name, 1) for name in names}
         _freeze(self, cameras=cameras, **extents)
@@ -274,10 +293,7 @@ class DepthBins:
         if not d_min < d_max:
             raise GeometryError(f"need d_min < d_max, got [{d_min}, {d_max}]")
         # the centers and their temporaries: a few float64 values per bin
-        if not _fits_in_memory(32 * count):
-            raise GeometryError(
-                f"{count} depth bins exceed physical memory or the address-space limit"
-            )
+        _require_memory(32 * count, f"{count} depth bins", GeometryError)
         step = (d_max - d_min) / count
         centers = _frozen(d_min + (np.arange(count) + 0.5) * step, np.float64)
         _freeze(self, d_min=d_min, d_max=d_max, count=count, centers=centers)
@@ -306,11 +322,9 @@ class BevGrid:
         if not extent > 0:
             raise GeometryError(f"extent must be positive, got {extent}")
         # the edges and their temporaries: a few float64 values per edge
-        if not _fits_in_memory(32 * (max(h_cells, w_cells) + 1)):
-            raise GeometryError(
-                f"{h_cells} x {w_cells} cell edges exceed physical memory "
-                "or the address-space limit"
-            )
+        _require_memory(
+            32 * (max(h_cells, w_cells) + 1), f"{h_cells} x {w_cells} cell edges", GeometryError
+        )
         cell_size = 2.0 * extent / w_cells
         x_min, y_min = -extent, -(cell_size * h_cells / 2.0)
         x_edges = _frozen(x_min + np.arange(w_cells + 1) * cell_size, np.float64)
@@ -328,7 +342,7 @@ class BevGrid:
         `cells` the flattened cell of each. A point outside the grid is in
         neither; one on an interior edge goes to the cell on its positive
         side."""
-        xy = np.asarray(xy, dtype=np.float64)
+        xy = np.asarray(_real(xy, "xy", GeometryError), dtype=np.float64)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ShapeError(f"locate_many: expected (p, 2) points, got {xy.shape}")
         x, y = xy[:, 0], xy[:, 1]
@@ -358,7 +372,7 @@ class BevGrid:
 class FrustumGeometry:
     """Ego-frame ground coordinates of every (camera, column, depth) sample.
 
-    The points are real numbers (no bool or str, as for a Camera), kept as
+    The points are real numbers (`_real`, no bool, as for a Camera), kept as
     float64 under `_owned`'s rule, so a caller's array is copied;
     generate_frustum hands over the points it has just built with no copy.
     A frustum compares and hashes by identity: reference.build_ftm keeps
@@ -368,13 +382,7 @@ class FrustumGeometry:
     points_xyz: np.ndarray  # (N_c, W_I, N_d, 3)
 
     def __post_init__(self):
-        try:
-            p = np.asarray(self.points_xyz)
-        except ValueError:  # ragged
-            p = np.asarray(None)
-        if p.dtype.kind not in "iuf":
-            raise GeometryError(f"points_xyz must be real numbers, got dtype {p.dtype}")
-        p = _owned(p, np.float64)
+        p = _owned(_real(self.points_xyz, "points_xyz", GeometryError, "iuf"), np.float64)
         if p.ndim != 4 or p.shape[3] != 3:
             raise ShapeError(f"points_xyz must be (N_c, W_I, N_d, 3), got {p.shape}")
         object.__setattr__(self, "points_xyz", p)
@@ -437,11 +445,11 @@ def generate_frustum(rig, bins, reference_row=None):
         )
     n_c, w_i, n_d = rig.n_cameras, rig.feature_width, bins.count
     # the points, every camera's rotated rays, the pixels and one solve
-    if not _fits_in_memory(24 * w_i * (n_c * n_d + n_c + 2)):
-        raise GeometryError(
-            f"generate_frustum: {n_c} x {w_i} x {n_d} float64 points "
-            "exceed physical memory or the address-space limit"
-        )
+    _require_memory(
+        24 * w_i * (n_c * n_d + n_c + 2),
+        f"generate_frustum: {n_c} x {w_i} x {n_d} float64 points",
+        GeometryError,
+    )
     u = (np.arange(w_i) + 0.5) * rig.image_stride
     v = (reference_row + 0.5) * rig.image_stride
     pixels = np.stack([u, np.full(w_i, v), np.ones(w_i)])  # (3, W_I)

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BevxError, ShapeError, ValidationError
-from .geometry import FrustumGeometry, _owned, _require, generate_frustum
+from .geometry import FrustumGeometry, _owned, _real, _require, generate_frustum
 from .reference import build_ftm
-from .tensor_core import DTYPE, _all_finite, _coerce, _real, as_feature
+from .tensor_core import DTYPE, _all_finite, _coerce, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
@@ -137,8 +137,7 @@ def _pool_feature(f, e, refine):
             np.maximum(pooled, row, out=pooled)
         out = refine._apply(pooled)
     if not (math.isfinite(low) and math.isfinite(pooled.max()) and _all_finite(out)):
-        if not _all_finite(f):
-            raise ValidationError("feature contains non-finite values")
+        as_feature(f, "feature")  # names a non-finite feature
         raise ValidationError(f"prime_feature: {_OVERFLOW}")
     return out
 

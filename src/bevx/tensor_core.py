@@ -3,24 +3,28 @@
 Dense feature tensors are plain C-contiguous float32 ndarrays (row-major,
 last axis fastest), so reshapes between the tensor and matrix views used by
 the transforms are zero-copy; `as_feature` coerces real numbers to one and
-rejects any other input and non-finite values. A caller that reads the
-whole tensor anyway may coerce it with `_coerce`, prove it finite in its
-own pass, and scan it with `_all_finite` only to name a failure. Sparse
+rejects non-finite values; any other input is refused by `geometry._real`,
+the package's one admission rule for arrays of numbers. A caller that reads
+the whole tensor anyway may coerce it with `_coerce`, prove it finite in
+its own pass, and scan it with `_all_finite` only to name a failure. Sparse
 matrices are CSR with implicit unit values: every transport matrix in this
-package is binary, so no value array is stored. Their index arrays take
-one dtype, `_index_dtype`: int32 while rows, cols and nnz are all below
-2**31, else int64. That is the dtype scipy picks for a matrix with no zero
-extent; with one, scipy narrows by contents, and `_scipy` puts the
-matrix's arrays back. So a `_scipy` handle wraps its matrix's own arrays,
-with no copy, for every shape. They hold whole numbers only
-(`_index_array`). A caller's array is kept under `geometry._owned`, the
-package's one ownership rule: with no copy only when it views a cache
-file's bytes, else as a frozen copy; arrays the package has just built
-are frozen in place (`_built`).
+package is binary, so no value array is stored. Their index arrays take one
+dtype, `_index_dtype`: int32 while rows, cols and nnz are all below 2**31,
+else int64. That is the dtype scipy picks for a matrix with no zero extent;
+with one, scipy narrows by contents, and `_scipy` puts the matrix's arrays
+back. So a `_scipy` handle wraps its matrix's own arrays, with no copy, for
+every shape. They hold whole numbers only (`_index_array`), and ids in
+range (`_in_range`, the one range rule of the constructor and from_coo). A
+caller's array is kept under `geometry._owned`, the package's one ownership
+rule: with no copy only when it views a cache file's bytes, else as a
+frozen copy; arrays the package has just built are frozen in place
+(`_built`).
 A matrix is assembled from (row, col) pairs by scipy's own COO to CSR
-conversion (`_from_pairs`), the one build for from_coo and build_ftm.
-The products over these types live in the routes that own them
-(`reference`, `transform`), which check their inputs once.
+conversion (`_from_pairs`), the one build for from_coo and build_ftm,
+whose row offsets pass `geometry._require_memory`, the package's one
+memory preflight, before they are allocated. The products over these
+types live in the routes that own them (`reference`, `transform`), which
+check their inputs once.
 """
 from __future__ import annotations
 
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ShapeError, ValidationError
-from .geometry import _fits_in_memory, _frozen, _owned, _owner, _whole
+from .geometry import _frozen, _owned, _owner, _real, _require_memory, _whole
 
 __all__ = [
     "DTYPE",
@@ -43,23 +47,9 @@ DTYPE = np.float32
 _FINITE_CHUNK = 1 << 18  # float32 values: 1 MB, well inside L2
 
 
-def _real(x, name):
-    """`x` as an ndarray of real numbers, in its own dtype and order: an
-    input that is not a rectangular array of bool, int, uint or float
-    values (a complex array, a string, a ragged list) is a ValidationError
-    naming the tensor."""
-    try:
-        arr = np.asarray(x)
-    except ValueError as exc:
-        raise ValidationError(f"{name} is not an array of real numbers ({exc})") from None
-    if arr.dtype.kind not in "biuf":
-        raise ValidationError(f"{name} is not an array of real numbers (dtype {arr.dtype})")
-    return arr
-
-
 def _coerce(x, name):
-    """`x`, real numbers only (`_real`), as a C-contiguous float32 ndarray,
-    not scanned for non-finite values."""
+    """`x`, real numbers only (`geometry._real`), as a C-contiguous
+    float32 ndarray, not scanned for non-finite values."""
     return np.ascontiguousarray(_real(x, name), dtype=DTYPE)
 
 
@@ -113,13 +103,10 @@ def _index_array(a, name):
     checked and no check needs an upcast copy; any other integer array as
     int64, and a float array only when every value is whole and below
     2**53 in magnitude, `_whole`'s rule (so NaN and +-inf are refused). A
-    bool, str, complex, object or ragged array, or an unsigned value at or
-    above 2**63 (which int64 would wrap), is a ValidationError naming the
-    array; an empty list is an empty array."""
-    try:
-        a = np.asarray(a)
-    except ValueError:  # ragged
-        a = np.asarray(None)
+    str, complex, object or ragged array (`geometry._real`), a bool array,
+    or an unsigned value at or above 2**63 (which int64 would wrap), is a
+    ValidationError naming the array; an empty list is an empty array."""
+    a = _real(a, name)
     if a.dtype == np.int32 or a.dtype == np.int64:
         return np.ascontiguousarray(a)
     if a.dtype.kind == "u" and a.size and a.max() >= 2**63:
@@ -140,16 +127,19 @@ def _from_pairs(rows, cols, row_ids, col_ids):
     ValidationError before anything of their size is allocated."""
     # scipy's row offsets and room for one more array of their size, both
     # at most int64: 16 bytes a row
-    if not _fits_in_memory(16 * (rows + 1)):
-        raise ValidationError(
-            f"the row offsets of a {rows}-row matrix exceed physical memory "
-            "or the address-space limit"
-        )
+    _require_memory(16 * (rows + 1), f"the row offsets of a {rows}-row matrix", ValidationError)
     ones = np.ones(row_ids.shape[0], dtype=bool)
     m = sp.csr_matrix((ones, (row_ids, col_ids)), shape=(rows, cols))
     # merging duplicates can leave the ids a view of a longer array
     indices = m.indices if m.indices.base is None else m.indices.copy()
     return SparseBinaryMatrix._built(rows, cols, m.indptr, indices)
+
+
+def _in_range(ids, bound, what):
+    """Refuse ids outside [0, `bound`): a ValidationError naming `what`,
+    the row or column ids of a matrix."""
+    if ids.size and (ids.min() < 0 or ids.max() >= bound):
+        raise ValidationError(f"{what} index out of range")
 
 
 def _held_bytes(arrays):
@@ -201,9 +191,7 @@ class SparseBinaryMatrix:
                 f"col_indices length {col_indices.shape[0]} != nnz "
                 f"{int(row_offsets[-1])}"
             )
-        if col_indices.size:
-            if col_indices.min() < 0 or col_indices.max() >= cols:
-                raise ValidationError("column index out of range")
+        _in_range(col_indices, cols, "column")
         self._store(rows, cols, row_offsets, col_indices, _owned)
         # Strictly increasing within each row is scipy's canonical format,
         # asked of a handle over the kept arrays, with no copy. scipy's C
@@ -253,11 +241,8 @@ class SparseBinaryMatrix:
         col_ids = _index_array(col_ids, "col_ids").ravel()
         if row_ids.shape != col_ids.shape:
             raise ShapeError.mismatch("from_coo", row_ids.shape, col_ids.shape)
-        if row_ids.size:
-            if row_ids.min() < 0 or row_ids.max() >= rows:
-                raise ValidationError("row index out of range")
-            if col_ids.min() < 0 or col_ids.max() >= cols:
-                raise ValidationError("column index out of range")
+        _in_range(row_ids, rows, "row")
+        _in_range(col_ids, cols, "column")
         return _from_pairs(rows, cols, row_ids, col_ids)
 
     def _handle(self, data):

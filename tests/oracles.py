@@ -497,3 +497,20 @@ def synthetic_scene_dict(
         "depth": {"min": d_min, "max": d_max, "count": n_bins},
         "bev": {"extent": bev_extent, "h_cells": bev_cells, "w_cells": bev_cells},
     }
+
+
+def block_summed(m, w_cells):
+    """`m`, a binary CSR matrix whose rows are the cells of a grid `w_cells`
+    wide, summed over 2 x 2 cell blocks, counted by hand: (pattern,
+    values), the summed matrix's pattern on the grid of half the cells
+    each way, where fine cell (iy, ix) is in coarse cell (iy // 2,
+    ix // 2), and its stored values in the pattern's order."""
+    h_cells = m.rows // w_cells
+    assert h_cells * w_cells == m.rows and h_cells % 2 == w_cells % 2 == 0
+    fine = np.repeat(np.arange(m.rows), np.diff(np.asarray(m.row_offsets, dtype=np.int64)))
+    iy, ix = np.divmod(fine, w_cells)
+    coarse = (iy // 2) * (w_cells // 2) + ix // 2
+    keys, values = np.unique(coarse * m.cols + m.col_indices, return_counts=True)
+    rows = m.rows // 4
+    offsets = np.searchsorted(keys // m.cols, np.arange(rows + 1))
+    return SparseBinaryMatrix(rows, m.cols, offsets, keys % m.cols), values

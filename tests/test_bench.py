@@ -42,6 +42,7 @@ from bevx.bench.cli import main
 from bevx.geometry import generate_frustum
 from bevx.transform import RingRayPair, build_ring_ray
 from oracles import degenerate_scene, entry_keys
+from test_public_surface import NOT_REAL
 
 SMALL = TransformSetting("T-small", 4, 4, 8, 24, 24)
 SMALLER = TransformSetting("T-tiny", 3, 2, 8, 16, 16)
@@ -80,6 +81,21 @@ class TestMaxRelDiff:
         a = np.array([0.0])
         b = np.array([1e-9])
         assert max_rel_diff(a, b) <= 1e-3
+
+    @pytest.mark.parametrize("kind", sorted(NOT_REAL))
+    @pytest.mark.parametrize("arg", ["a", "b"])
+    def test_refuses_inputs_that_are_not_real_numbers(self, arg, kind):
+        args = {"a": np.ones((3, 2)), "b": np.ones((3, 2)), arg: NOT_REAL[kind]((3, 2))}
+        with pytest.raises(ValidationError, match=rf"^{arg} is not an array of real numbers \("):
+            max_rel_diff(**args)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_takes_bool_and_int_inputs_as_their_float_copies(self, dtype):
+        a = np.array([0, 1, 2, -3]).astype(dtype)
+        b = np.array([1, 1, 5, 0]).astype(dtype)
+        want = max_rel_diff(a.astype(np.float64), b.astype(np.float64))
+        assert want > 0 and max_rel_diff(a, b) == want
+        assert max_rel_diff(a, b.astype(np.float64)) == want
 
 
 class TestInputs:

@@ -40,6 +40,7 @@ from oracles import (
     x_max,
     y_max,
 )
+from test_public_surface import NOT_REAL
 
 
 def simple_camera(f=10.0, cx=2.0, cy=2.0, rotation=None, translation=(0, 0, 0)):
@@ -595,6 +596,20 @@ class TestBevGrid:
         with pytest.raises(ShapeError) as info:
             BevGrid(2.0, 4, 4).locate_many(xy)
         assert str(info.value) == f"locate_many: expected (p, 2) points, got {shape}"
+
+    @pytest.mark.parametrize("kind", sorted(NOT_REAL))
+    def test_locate_refuses_points_that_are_not_real_numbers(self, kind):
+        # a complex point loses no imaginary part, and a string or ragged
+        # list is a typed error, not a bare ValueError
+        with pytest.raises(GeometryError, match=r"^xy is not an array of real numbers \("):
+            BevGrid(2.0, 4, 4).locate_many(NOT_REAL[kind]((3, 2)))
+
+    @pytest.mark.parametrize("dtype", [bool, np.int64])
+    def test_locate_takes_bool_and_int_points_as_their_float_copies(self, dtype):
+        grid = BevGrid(2.0, 4, 4)
+        xy = np.array([[0, 1], [1, 0], [-2, 1], [1, 2], [0, 0], [-3, 5]]).astype(dtype)
+        got, want = grid.locate_many(xy), grid.locate_many(xy.astype(np.float64))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)) and want[1].size
 
     def test_locate_boundary_goes_to_positive_side(self):
         grid = BevGrid(2.0, 4, 4)

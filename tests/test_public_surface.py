@@ -81,6 +81,47 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path) == []
 
 
+def functions_building(fragment):
+    """The functions of `src/` whose code, docstrings excluded, holds a
+    string literal containing `fragment`, as "module.function": the
+    innermost function around the literal, or "module.None" outside any."""
+    found = set()
+    for path in sorted((ROOT / "src" / "bevx").rglob("*.py")):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docs = {
+            id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+        }
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and fragment in node.value and id(node) not in docs):
+                found.add(f"{module}.{owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize(
+    "fragment, builder",
+    [
+        ("exceed physical memory or the address-space limit", "bevx.geometry._require_memory"),
+        ("is not an array of real numbers", "bevx.geometry._real"),
+        ("index out of range", "bevx.tensor_core._in_range"),
+    ],
+)
+def test_each_refusal_message_is_built_once(fragment, builder):
+    """Each refusal rule raises its message from one helper, which every
+    caller calls; no caller builds a copy of the message."""
+    assert functions_building(fragment) == {builder}
+
+
 def library_method_names():
     """Non-dunder names defined on any class of a bevx module, less those
     numpy arrays also define (`a.shape` is not a bevx property)."""

@@ -412,7 +412,7 @@ class TestSparseBinaryMatrix:
             """
             import os, resource
             from bevx import SparseBinaryMatrix, ValidationError
-            from bevx.geometry import _fits_in_memory
+            from bevx.geometry import _require_memory
 
             page = os.sysconf("SC_PAGE_SIZE")
             with open("/proc/self/statm") as f:
@@ -420,7 +420,14 @@ class TestSparseBinaryMatrix:
             physical = page * os.sysconf("SC_PHYS_PAGES")
             assert cap < physical, (cap, physical)
             resource.setrlimit(resource.RLIMIT_AS, (cap, resource.getrlimit(resource.RLIMIT_AS)[1]))
-            assert _fits_in_memory(cap) and not _fits_in_memory(cap + 1)
+            _require_memory(cap, "the cap", ValidationError)
+            try:
+                _require_memory(cap + 1, "the cap + 1 bytes", ValidationError)
+            except ValidationError as exc:
+                want = "the cap + 1 bytes exceed physical memory or the address-space limit"
+                assert str(exc) == want, exc
+            else:
+                raise AssertionError("the cap + 1 bytes were not refused")
             rows = cap // 16 + 1
             try:
                 SparseBinaryMatrix.from_coo(rows, 1, [rows - 1], [0])

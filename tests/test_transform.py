@@ -42,6 +42,7 @@ from bevx.bench import PRESETS, flip_ring_bit, make_inputs, max_rel_diff, settin
 from bevx.fileio import _header, read_cache, write_cache
 from bevx.tensor_core import _held_bytes
 from oracles import (
+    block_summed,
     bxc2_cache_bytes,
     bxc3_cache_bytes,
     csr_from_pairs,
@@ -557,6 +558,35 @@ def test_a_quarter_turn_of_the_rig_permutes_the_cells(setting, config):
         assert out.any() and turned_out[cell].tobytes() == out.tobytes()
 
 
+@pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+@pytest.mark.parametrize("coarse, fine", [("S1", "S2"), ("S3", "S4")])
+def test_a_grid_of_half_the_cell_size_sums_to_the_coarser_grid(coarse, fine, config):
+    """A metamorphic relation: the fine setting is the coarse one with each
+    cell split in 2 x 2 over the same extent, and halving a cell is exact,
+    so the cell edges nest. The fine exact matrix summed over 2 x 2 cell
+    blocks is the coarse one, every summed value 1. The fine scatter output
+    summed the same way equals the coarse one up to float32 rounding: each
+    cell adds its k positive samples in order, so, to first order, the two
+    differ by at most 2 (k - 1) 2**-24 times the coarse value, with k the
+    coarse cell's sample count."""
+    runs = []
+    for setting in (coarse, fine):
+        scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
+        frustum = generate_frustum(scene.rig, scene.bins)
+        f, d = make_inputs(scene, 8, 3)
+        runs.append((scene.grid, build_ftm(frustum, scene.grid),
+                     splat_reference(lift(f, d), frustum, scene.grid)))
+    (grid, ftm, out), (fine_grid, fine_ftm, fine_out) = runs
+    assert fine_grid.extent == grid.extent and fine_grid.w_cells == 2 * grid.w_cells
+    pattern, values = block_summed(fine_ftm, fine_grid.w_cells)
+    assert pattern == ftm and np.all(values == 1)
+    blocks = fine_out.reshape(grid.h_cells, 2, grid.w_cells, 2, -1)
+    summed = blocks.sum(axis=(1, 3), dtype=np.float64).reshape(out.shape)
+    k = np.diff(np.asarray(ftm.row_offsets, dtype=np.int64))
+    bound = 2 * np.maximum(k - 1, 0)[:, None] * 2.0**-24 * out
+    assert out.any() and np.all(np.abs(summed - out) <= bound)
+
+
 class TestDegenerateRigs:
     """The three guarantees, the output shapes and the empty cells, on rigs
     built from geometry: a camera facing away from the grid, one depth
@@ -846,14 +876,26 @@ class TestCache:
         got = read_cache(bytes(bad), "d")
         assert got is None or got == expected
 
-    def test_corrupt_matrix_file(self, tmp_path, rng):
-        _, _, rr = build_pair(rng)
-        save_ring_ray(rr, tmp_path / "c", "digest-1")
-        path = tmp_path / "c" / "ringray.bxc"
+    def test_corrupt_matrix_file(self, tmp_path):
+        # the crc matches the changed records, so the constructor's
+        # column-range rule is what turns the file away
+        ray = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
+        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 3, 1, 2])
+        save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
+        path = tmp_path / "ringray.bxc"
         raw = bytearray(path.read_bytes())
-        raw[-8:] = b"\xff" * 8  # the ray's last column index, out of range
-        path.write_bytes(bytes(raw))
-        assert load_ring_ray(tmp_path / "c", "digest-1") is None
+        # the ray's last column id is its record's last int32 word: after the
+        # header, the crc, the ring's record (header, 4 offsets, 6 ids, no
+        # padding), the ray's record header, its 3 offsets and 2 ids
+        at = len(_header("d")) + 8 + (32 + 4 * (4 + 6)) + 32 + 4 * (3 + 2)
+        assert at + 4 == len(raw) and raw[at:] == np.array([1], "<i4").tobytes()
+        raw[at:] = np.array([ray.cols], "<i4").tobytes()
+        raw = sealed(raw, "d")
+        with pytest.raises(FileFormatError) as info:
+            read_cache(raw, "d")
+        assert str(info.value).endswith("column index out of range")
+        path.write_bytes(raw)
+        assert load_ring_ray(tmp_path, "d") is None
 
     def test_repeated_ring_bin_under_a_valid_crc_misses(self, tmp_path):
         # the crc matches the changed records, so the constructor's row-order
