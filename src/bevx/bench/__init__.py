@@ -46,6 +46,8 @@ from ..geometry import (
     Scene,
     _freeze,
     _real,
+    _require,
+    _require_memory,
     _whole,
     generate_frustum,
     load_scene,
@@ -185,8 +187,12 @@ def setting_scene(scene, setting):
 
     Intrinsics scale with the feature extents (same stride, higher image
     resolution); the cameras' count and extrinsics, the depth bins and the
-    BEV extent are the config's, so every setting runs on any rig.
+    BEV extent are the config's, so every setting runs on any rig. A
+    `scene` that is not a Scene, or a `setting` that is not a
+    TransformSetting, is a ValidationError naming it.
     """
+    _require(scene, Scene, "scene")
+    _require(setting, TransformSetting, "setting")
     rig = scene.rig
     sx = setting.feature_width / rig.feature_width
     sy = setting.feature_height / rig.feature_height
@@ -206,39 +212,34 @@ def setting_scene(scene, setting):
 
 def make_inputs(scene, channels, seed):
     """Deterministic positive inputs for a scene: uniform (W, channels)
-    features and categorical (W, N_d) depths, W = cameras * feature width."""
-    rng = np.random.default_rng(seed)
-    w = scene.rig.n_cameras * scene.rig.feature_width
+    features and categorical (W, N_d) depths, W = cameras * feature width.
+    `scene` must be a Scene, and `channels` and `seed` whole numbers >= 0
+    (`geometry._whole`), else a ValidationError naming the argument; inputs
+    that do not fit in memory are refused before they are drawn."""
+    _require(scene, Scene, "scene")
+    channels = _whole(channels, "channels", 0, ValidationError)
+    rng = np.random.default_rng(_whole(seed, "seed", 0, ValidationError))
+    w, n_d = scene.rig.n_cameras * scene.rig.feature_width, scene.bins.count
+    # the features, and the depths with their one temporary
+    what = f"make_inputs: {w} x ({channels} + {n_d}) float32 values"
+    _require_memory(4 * w * (channels + 2 * n_d), what, ValidationError)
     features = rng.random((w, channels), dtype=np.float32)
-    depths = rng.random((w, scene.bins.count), dtype=np.float32) + 1e-3
+    depths = rng.random((w, n_d), dtype=np.float32) + 1e-3
     depths /= depths.sum(axis=1, keepdims=True)
     return features, depths
 
 
-def _resolve_settings(settings):
-    out = []
-    for s in settings:
-        if isinstance(s, TransformSetting):
-            out.append(s)
-        elif s in PRESETS:
-            out.append(PRESETS[s])
-        else:
-            raise UsageError(
-                f"unknown setting {s!r}; valid: {', '.join(sorted(PRESETS))}"
-            )
-    if not out:
-        raise UsageError("no settings requested")
-    return out
-
-
-def _check_backends(backends):
-    backends = list(backends)
-    for b in backends:
-        if b not in BACKENDS:
-            raise UsageError(f"unknown backend {b!r}; valid: {', '.join(BACKENDS)}")
-    if not backends:
-        raise UsageError("no backends requested")
-    return backends
+def _requested(names, table, kind, kept=()):
+    """The one name rule: `names`, a list or tuple, each a key of `table` or
+    an instance of `kept`, which passes as itself. Anything else, or no
+    name at all, is a UsageError."""
+    _require(names, (list, tuple), f"{kind}s", UsageError)
+    for name in names:
+        if not (isinstance(name, kept) or (isinstance(name, str) and name in table)):
+            raise UsageError(f"unknown {kind} {name!r}; valid: {', '.join(table)}")
+    if not names:
+        raise UsageError(f"no {kind}s requested")
+    return list(names)
 
 
 def _build(scene, backends):
@@ -278,12 +279,15 @@ def run_bench(config, settings, backends, repeats=20, seed=0):
     """Time each (setting, backend) pair; returns records in request order.
 
     One setting at a time is built, warmed up and timed, so only its inputs
-    and matrices are held; every timed call runs alone.
+    and matrices are held; every timed call runs alone. `settings` (names of
+    `PRESETS`, or TransformSettings) and `backends` (names of `BACKENDS`)
+    are lists or tuples; an unknown name, or none, is a UsageError.
     """
     repeats = _whole(repeats, "repeats", 3, UsageError)
     seed = _whole(seed, "seed", 0, UsageError)
-    settings = _resolve_settings(settings)
-    backends = _check_backends(backends)
+    settings = _requested(settings, PRESETS, "setting", TransformSetting)
+    settings = [PRESETS.get(s, s) for s in settings]
+    backends = _requested(backends, _ROUTES, "backend")
     scene = load_scene(config)
     return [r for s in settings for r in _time_setting(scene, s, backends, repeats, seed)]
 
@@ -297,10 +301,12 @@ def flip_ring_bit(rr, exact):
     An exact one, (cell s, column w, bin d), is implied only by the ring row
     of ray entry (s, w), so dropping it always breaks containment. The
     exact bins are those of `transform._held`'s mask; a pair with none, as
-    when `exact` is empty, is a ValidationError, and so is any pair that
-    `_held` refuses. The bin is deleted from the ring's CSR arrays: its
-    column id goes, and every row offset past it drops by one.
+    when `exact` is empty, is a ValidationError, and so are any pair that
+    `_held` refuses and an `exact` that is not a SparseBinaryMatrix. The
+    bin is deleted from the ring's CSR arrays: its column id goes, and
+    every row offset past it drops by one.
     """
+    _require(exact, SparseBinaryMatrix, "exact")
     # the implied matrix's entries are the ring's, in ring order
     held = np.flatnonzero(_held(exact, effective_ftm(rr)))
     if held.size == 0:
@@ -436,7 +442,9 @@ def run_check(config, trials, seed, corrupt_ring=False):
 def emit_check_json(report):
     """A `run_check` report as JSON text: its fields, `failed_trial_seed`,
     `passed` and the gate tolerance. JSON has no nan, so a nan maximum is
-    written as null."""
+    written as null. A `report` that is not a CheckReport is a
+    ValidationError."""
+    _require(report, CheckReport, "report")
     doc = asdict(report)
     doc["maxima"] = {
         name: None if math.isnan(rel) else rel for name, rel in report.maxima.items()
@@ -449,23 +457,33 @@ def emit_check_json(report):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def _records(records):
+    """Each of `records`, a list or tuple of BenchRecords, else a
+    ValidationError naming the argument or the record."""
+    _require(records, (list, tuple), "records")
+    for i, r in enumerate(records):
+        _require(r, BenchRecord, f"records[{i}]")
+        yield r
+
+
 def emit_csv(records):
     """Records as CSV text: fixed header, repr-exact floats, trailing newline."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in records:
+    for r in _records(records):
         writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(r))
     return buf.getvalue()
 
 
 def parse_csv(text):
-    """Inverse of emit_csv; raises FileFormatError on a malformed document."""
+    """Inverse of emit_csv; raises FileFormatError on a malformed document,
+    and ValidationError for a `text` that is not a str."""
+    _require(text, str, "text")
     reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FileFormatError("empty benchmark CSV") from None
+    header = next(reader, None)
+    if header is None:
+        raise FileFormatError("empty benchmark CSV")
     if tuple(header) != CSV_FIELDS:
         raise FileFormatError(f"unexpected CSV header {header}")
     types = get_type_hints(BenchRecord).values()
@@ -484,4 +502,4 @@ def parse_csv(text):
 
 def emit_json(records):
     """Records as a JSON array of objects, keyed like the CSV fields."""
-    return json.dumps([asdict(r) for r in records], indent=2) + "\n"
+    return json.dumps([asdict(r) for r in _records(records)], indent=2) + "\n"

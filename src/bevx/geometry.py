@@ -21,6 +21,20 @@ Conventions:
     Euclidean range.
   * BEV cells are half-open rectangles [x0, x1) x [y0, y1); the flattened
     cell index is row-major with y selecting the row: h_b * w_cells + w_b.
+
+Three relations follow from these conventions, and tests prove each on the
+bundled rigs:
+  * A quarter turn left of the whole rig about ego z maps every frustum
+    point (x, y) to (-y, x) exactly, and on a square grid cell (iy, ix) to
+    (ix, W_B - 1 - iy); the exact pattern and every route's output move
+    with it, bit for bit.
+  * Halving the cell size over the same extent nests the cell edges
+    exactly, so the fine exact matrix summed over 2 x 2 cell blocks is the
+    coarse one.
+  * Reversing the rig's cameras moves camera n's block of W_I * N_d
+    columns of the exact matrix to block N_c - 1 - n, exactly; on inputs
+    permuted alike, the routes' outputs differ only by float32 summation
+    order.
 """
 from __future__ import annotations
 
@@ -112,11 +126,12 @@ def _whole(value, what, least, error=GeometryError):
 
 
 def _require(value, kind, name, error=ValidationError):
-    """The one type check of an argument that must be a `kind`: any other
-    value is an `error` naming `name`, a GeometryError for this module's
-    types."""
+    """The one type check of an argument that must be a `kind`, a type or a
+    tuple of types: any other value is an `error` naming `name`, a
+    GeometryError for this module's types."""
     if not isinstance(value, kind):
-        raise error(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+        kinds = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise error(f"{name} must be a {kinds}, got {type(value).__name__}")
 
 
 def _real(x, name, error=ValidationError, kinds="biuf"):
@@ -505,7 +520,8 @@ def _build(make, where, mapping, *keys):
 
 def load_scene(source):
     """Load a Scene from a config path (str or os.PathLike) or a parsed dict;
-    any other source, or a file that is not JSON, raises ConfigError.
+    any other source, a file that cannot be read or one that is not JSON
+    raises ConfigError naming the path and the reason.
 
     The document layout is::
 
@@ -522,11 +538,13 @@ def load_scene(source):
     if isinstance(source, dict):
         doc = source
     elif isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as f:
-            try:
+        try:
+            with open(source, "r", encoding="utf-8") as f:
                 doc = json.load(f)
-            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-                raise ConfigError(f"{os.fspath(source)}: not JSON: {exc}") from None
+        except OSError as exc:  # missing, a directory, unreadable
+            raise ConfigError(f"{os.fspath(source)}: {exc.strerror}") from None
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ConfigError(f"{os.fspath(source)}: not JSON: {exc}") from None
     else:
         raise ConfigError(
             f"scene config must be a path or a dict, got {type(source).__name__}"
@@ -553,7 +571,9 @@ def load_scene(source):
 def scene_to_dict(scene):
     """Inverse of load_scene, suitable for json.dump. Every field of a Scene
     is a config number, so the dict holds the whole scene: load_scene
-    rebuilds it and scene_digest covers all of it."""
+    rebuilds it and scene_digest covers all of it. Any other value is a
+    GeometryError naming `scene`."""
+    _require(scene, Scene, "scene", GeometryError)
     return {
         "cameras": [
             {k: getattr(cam, k).ravel().tolist() for k in ("intrinsics", "rotation", "translation")}
@@ -576,6 +596,7 @@ def scene_to_dict(scene):
 
 
 def scene_digest(scene):
-    """Stable SHA-256 of a Scene's config; used to detect stale matrix caches."""
+    """Stable SHA-256 of a Scene's config; used to detect stale matrix caches.
+    Any other value is scene_to_dict's GeometryError."""
     blob = json.dumps(scene_to_dict(scene), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

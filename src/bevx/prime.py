@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BevxError, ShapeError, ValidationError
-from .geometry import FrustumGeometry, _owned, _real, _require, generate_frustum
+from .geometry import FrustumGeometry, Scene, _owned, _real, _require, generate_frustum
 from .reference import build_ftm
 from .tensor_core import DTYPE, _all_finite, _coerce, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
@@ -57,8 +57,11 @@ def _kept(x, name):
     """`x` as the float32 array an attention or refine map keeps: real
     numbers only (`_real`), converted once under `geometry._owned`'s rule,
     and then proved finite, so the array that is checked is the array that
-    is kept."""
-    return as_feature(_owned(_real(x, name), DTYPE), name)
+    is kept. A value past float32's range is kept as +-inf, which that
+    proof names, with no overflow warning from the cast."""
+    with np.errstate(over="ignore"):
+        kept = _owned(_real(x, name), DTYPE)
+    return as_feature(kept, name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,12 +234,12 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     ring/ray transform through the middle-row frustum, the one the full
     route built for row H_I // 2.
 
-    Inputs are checked once. This function checks only that the feature
-    and depth match the rig's (N_c, H_I, W_I); prime_depth and
-    prime_feature, called before any frustum is built, check `attn`,
-    `refine` and `pos_embed` and prove every input finite, so their errors
-    name them. The full-height refine is checked for float32 overflow on
-    its own: it refines rows the max-pool drops.
+    Inputs are checked once. This function checks only that `scene` is a
+    Scene and that the feature and depth match the rig's (N_c, H_I, W_I);
+    prime_depth and prime_feature, called before any frustum is built,
+    check `attn`, `refine` and `pos_embed` and prove every input finite, so
+    their errors name them. The full-height refine is checked for float32
+    overflow on its own: it refines rows the max-pool drops.
 
     The discrepancy is a diagnostic, not a pass/fail quantity: it mixes the
     height compression itself with the factorization's spurious entries
@@ -253,6 +256,7 @@ def full_vs_prime_ablation(scene, feature, depth, attn, refine, pos_embed):
     Returns:
         AblationReport.
     """
+    _require(scene, Scene, "scene")
     rig, bins, grid = scene.rig, scene.bins, scene.grid
     f = _coerce(feature, "feature")  # proved finite by prime_depth / prime_feature below
     d = _coerce(depth, "depth")

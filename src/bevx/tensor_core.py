@@ -49,8 +49,14 @@ _FINITE_CHUNK = 1 << 18  # float32 values: 1 MB, well inside L2
 
 def _coerce(x, name):
     """`x`, real numbers only (`geometry._real`), as a C-contiguous
-    float32 ndarray, not scanned for non-finite values."""
-    return np.ascontiguousarray(_real(x, name), dtype=DTYPE)
+    float32 ndarray, not scanned for non-finite values. A value past
+    float32's range casts to +-inf with no overflow warning, for the
+    finite scan that follows to name."""
+    arr = _real(x, name)
+    if arr.dtype == DTYPE:  # no cast
+        return np.ascontiguousarray(arr)
+    with np.errstate(over="ignore"):
+        return np.ascontiguousarray(arr, dtype=DTYPE)
 
 
 def _all_finite(arr):

@@ -393,10 +393,11 @@ def save_ring_ray(rr, directory, digest):
     moved in by one os.replace, so a load sees the previous pair or a new
     one, never a mix, concurrent saves to one slot cannot write into each
     other's file, and a save that dies part-way (not a power loss: no fsync)
-    leaves the previous pair. A pair or a digest of another type is a
-    ValidationError.
+    leaves the previous pair. A pair, a directory (str or os.PathLike) or a
+    digest of another type is a ValidationError.
     """
     _require(rr, RingRayPair, "rr")
+    _require(directory, (str, os.PathLike), "directory")
     _require(digest, str, "digest")
     path = Path(directory, _CACHE_FILE)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -414,7 +415,9 @@ def load_ring_ray(directory, digest):
     views of its bytes (int32 words below 2**31, as the pair stores them);
     None when it is absent, saved under another digest or an older layout,
     fails its checksum, or is truncated, oversized or inconsistent. A
-    digest that is not a str is a ValidationError."""
+    directory that is not a str or os.PathLike, or a digest that is not a
+    str, is a ValidationError."""
+    _require(directory, (str, os.PathLike), "directory")
     _require(digest, str, "digest")
     try:
         matrices = read_cache(Path(directory, _CACHE_FILE).read_bytes(), digest)

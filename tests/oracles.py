@@ -380,6 +380,29 @@ def rows_moved(m, to):
     return SparseBinaryMatrix(m.rows, m.cols, offsets, m.col_indices[at])
 
 
+def cameras_reversed(scene):
+    """`scene` with its cameras in reverse order, and where each feature
+    column goes: (reversed scene, column), where column[j] is the column of
+    the (N_c * W_I) axis that column j becomes. Camera n's block of W_I
+    columns moves, in its order, to block N_c - 1 - n."""
+    rig = scene.rig
+    backwards = CameraRig(
+        rig.cameras[::-1], rig.feature_width, rig.feature_height, rig.image_stride
+    )
+    n, w = np.divmod(np.arange(rig.n_cameras * rig.feature_width), rig.feature_width)
+    return Scene(backwards, scene.bins, scene.grid), (rig.n_cameras - 1 - n) * rig.feature_width + w
+
+
+def columns_moved(m, to):
+    """The binary CSR matrix whose column to[j] is column j of `m`, for a
+    permutation `to` of its columns: each row's ids mapped, then sorted by
+    hand."""
+    offsets = np.asarray(m.row_offsets, dtype=np.int64)
+    rows = np.repeat(np.arange(m.rows), np.diff(offsets))
+    cols = np.asarray(to, dtype=np.int64)[m.col_indices]
+    return SparseBinaryMatrix(m.rows, m.cols, offsets, cols[np.lexsort((cols, rows))])
+
+
 def degenerate_scene(away, n_d=4, h_cells=4, w_cells=4, reach=2.0, w_i=3, pitch=0.0):
     """A rig built from geometry for the degenerate cases.
 

@@ -115,6 +115,34 @@ class TestInputs:
         assert d.min() > 0.0
         np.testing.assert_allclose(d.sum(axis=1), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize(
+        "channels, seed, message",
+        [
+            (8, "x", "seed must be a whole number (a float only below 2**53), got 'x'"),
+            (8, -1, "seed must be non-negative, got -1"),
+            (-1, 0, "channels must be non-negative, got -1"),
+            (2.5, 0, "channels must be a whole number (a float only below 2**53), got 2.5"),
+        ],
+        ids=["seed-str", "seed-negative", "channels-negative", "channels-fraction"],
+    )
+    def test_counts_are_whole_and_non_negative(self, small_scene, channels, seed, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_inputs(small_scene, channels, seed)
+
+    def test_a_whole_float_count_is_its_int(self, small_scene):
+        f, d = make_inputs(small_scene, 8.0, np.float64(3.0))
+        f8, d8 = make_inputs(small_scene, 8, 3)
+        assert f.tobytes() == f8.tobytes() and d.tobytes() == d8.tobytes()
+        assert make_inputs(small_scene, 0, 0)[0].shape == (d.shape[0], 0)
+
+    def test_inputs_past_memory_are_refused_before_they_are_drawn(self, small_scene, memory_cap):
+        w, n_d = make_inputs(small_scene, 1, 0)[1].shape
+        with pytest.raises(
+            ValidationError,
+            match=re.escape(f"make_inputs: {w} x ({2**40} + {n_d}) float32 values exceed physical"),
+        ):
+            make_inputs(small_scene, 2**40, 0)
+
 
 class TestSettingScene:
     def test_presets_keep_the_config_cameras_and_bins(
@@ -224,6 +252,38 @@ class TestRunBench:
     def test_unknown_backend_rejected(self, small_config_path):
         with pytest.raises(UsageError, match="unknown backend"):
             run_bench(small_config_path, [SMALL], ["cuda"], repeats=3)
+
+    @pytest.mark.parametrize(
+        "settings, backends, message",
+        [
+            (["S99"], ["matrixvt"], "unknown setting 'S99'; valid: S1, S2, S3, S4, S5, S6"),
+            ([], ["matrixvt"], "no settings requested"),
+            (["S1"], ["cuda"], "unknown backend 'cuda'; valid: scatter, ftm, matrixvt"),
+            (["S1"], [], "no backends requested"),
+            ([SMALL], [SMALL], f"unknown backend {SMALL!r}; valid: scatter, ftm, matrixvt"),
+            ([["S1"]], ["matrixvt"], "unknown setting ['S1']; valid: S1, S2, S3, S4, S5, S6"),
+            (None, ["matrixvt"], "settings must be a list or tuple, got NoneType"),
+            ("S1", ["matrixvt"], "settings must be a list or tuple, got str"),
+            (["S1"], 0, "backends must be a list or tuple, got int"),
+        ],
+        ids=[
+            "unknown-setting", "no-setting", "unknown-backend", "no-backend",
+            "setting-as-backend", "unhashable-setting", "settings-none", "settings-str",
+            "backends-int",
+        ],
+    )
+    def test_names_are_refused_by_one_rule(self, settings, backends, message):
+        """The message is whole; the rule runs before the config is read."""
+        with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+            run_bench("no-such-config.json", settings, backends, repeats=3)
+
+    def test_settings_and_backends_are_taken_in_request_order(self, small_config_path):
+        records = run_bench(
+            small_config_path, (SMALLER, "S1", SMALLER), ("matrixvt", "ftm"), repeats=3
+        )
+        assert [(r.setting, r.backend) for r in records] == [
+            (s, b) for s in ("T-tiny", "S1", "T-tiny") for b in ("matrixvt", "ftm")
+        ]
 
     def test_holds_one_setting_at_a_time(self, small_config_path, monkeypatch):
         # each setting is built, warmed up and timed before the next is built,
@@ -683,6 +743,13 @@ class TestCli:
             assert f"unknown backend {backend!r}" in err
             assert "valid: scatter, ftm, matrixvt" in err
 
+    def test_unknown_setting_is_usage_error(self, small_config_path, capsys):
+        code = main(["run", "--config", small_config_path, "--settings", "S1,S99"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: unknown setting 'S99'; valid: S1, S2, S3, S4, S5, S6\n"
+        )
+
     def test_out_of_memory_exits_two(self, small_config_path, monkeypatch, capsys):
         # a request past every preflight that still runs out of memory is a
         # bad request, exit 2, not an equivalence mismatch, exit 1
@@ -696,9 +763,11 @@ class TestCli:
         assert "2.00 GiB" in err
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
-        code = main(["check", "--config", str(tmp_path / "nope.json")])
+        # load_scene's ConfigError names the path and the OS reason
+        missing = tmp_path / "nope.json"
+        code = main(["check", "--config", str(missing)])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
 
     @pytest.mark.parametrize(
         "edit, command, options, error",

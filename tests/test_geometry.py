@@ -1,7 +1,10 @@
+import errno
 import hashlib
 import io
 import json
+import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -701,6 +704,15 @@ class TestSceneConfig:
     def test_rejects_non_path_source(self, source):
         with pytest.raises(ConfigError, match="must be a path or a dict"):
             load_scene(source)
+
+    @pytest.mark.parametrize("name, reason", [("missing.json", errno.ENOENT), (".", errno.EISDIR)])
+    def test_unreadable_path_names_the_file_and_the_reason(self, tmp_path, name, reason):
+        """A ConfigError, not the bare OSError of `open`."""
+        path = tmp_path / name
+        message = f"{os.fspath(path)}: {os.strerror(reason)}"
+        for source in (path, str(path)):
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                load_scene(source)
 
     def test_malformed_json_names_the_file(self, tmp_path):
         path = tmp_path / "truncated.json"

@@ -1,10 +1,14 @@
 """The package's public boundary: exported names resolve, every module-level
 import is used, the test oracles run no library code, geometry imports no
 bevx module but errors, every public route rejects a non-finite input with
-a ValidationError naming the argument, and the README's python examples
-run."""
+a ValidationError naming the argument, every public call returns or raises
+a BevxError on drawn arguments, and the README's python examples run."""
 import ast
+import copy
 import importlib
+import inspect
+import itertools
+import math
 import os
 import pkgutil
 import re
@@ -15,8 +19,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+import bevx
 from bevx import (
+    BevxError,
     GeometryError,
     Scene,
     ValidationError,
@@ -27,12 +36,26 @@ from bevx import (
     generate_frustum,
     lift,
     load_ring_ray,
+    load_scene,
     prime_depth,
     prime_feature,
     save_ring_ray,
+    scene_digest,
+    scene_to_dict,
     splat_reference,
     vt_ftm,
     vt_matrixvt,
+)
+from bevx import bench
+from bevx.bench import (
+    PRESETS,
+    emit_check_json,
+    emit_csv,
+    emit_json,
+    flip_ring_bit,
+    make_inputs,
+    parse_csv,
+    setting_scene,
 )
 from oracles import identity_refine, random_scene, uniform
 
@@ -114,6 +137,7 @@ def functions_building(fragment):
         ("exceed physical memory or the address-space limit", "bevx.geometry._require_memory"),
         ("is not an array of real numbers", "bevx.geometry._real"),
         ("index out of range", "bevx.tensor_core._in_range"),
+        ("; valid: ", "bevx.bench.__init__._requested"),
     ],
 )
 def test_each_refusal_message_is_built_once(fragment, builder):
@@ -344,18 +368,132 @@ WRONG_TYPE = {
     "Scene-rig": lambda p, d: Scene(None, p.scene.bins, p.scene.grid),
     "Scene-bins": lambda p, d: Scene(p.scene.rig, None, p.scene.grid),
     "Scene-grid": lambda p, d: Scene(p.scene.rig, p.scene.bins, [8, 8]),
+    "scene_digest-scene": lambda p, d: scene_digest(0),
+    "scene_to_dict-scene": lambda p, d: scene_to_dict(None),
+    "full_vs_prime_ablation-scene": lambda p, d: full_vs_prime_ablation(
+        None,
+        clean((N_C, H_I, W_I, C)),
+        clean((N_C, H_I, W_I, N_D)),
+        uniform(N_C, H_I, W_I),
+        identity_refine(C),
+        np.zeros((H_I, W_I, C), dtype=np.float32),
+    ),
+    "load_ring_ray-directory": lambda p, d: load_ring_ray(None, "digest"),
+    "save_ring_ray-directory": lambda p, d: save_ring_ray(p.rr, None, "digest"),
+    "save_ring_ray-directory-bytes": lambda p, d: save_ring_ray(p.rr, os.fsencode(d), "digest"),
+    "setting_scene-scene": lambda p, d: setting_scene(None, PRESETS["S1"]),
+    "setting_scene-setting": lambda p, d: setting_scene(p.scene, "S1"),
+    "make_inputs-scene": lambda p, d: make_inputs(None, 8, 0),
+    "flip_ring_bit-exact": lambda p, d: flip_ring_bit(p.rr, None),
+    "emit_csv-records": lambda p, d: emit_csv(None),
+    "emit_csv-records[1]": lambda p, d: emit_csv(
+        [bench.BenchRecord("S1", "ftm", 1.0, 1.0, 1.0, 1, 3), p.scene]
+    ),
+    "emit_json-records": lambda p, d: emit_json({}),
+    "emit_check_json-report": lambda p, d: emit_check_json(None),
+    "parse_csv-text": lambda p, d: parse_csv(b"ab"),
 }
+
+GEOMETRY_CALLS = ("generate_frustum", "Scene", "scene_digest", "scene_to_dict")
 
 
 @pytest.mark.parametrize("route", sorted(WRONG_TYPE))
 def test_argument_of_the_wrong_type_rejected(route, scene_parts, tmp_path):
     """A typed error naming the argument, not a bare AttributeError or
     TypeError, and the same whether or not the cache slot holds a file; a
-    geometry type's own error is a GeometryError."""
+    geometry function's own error is a GeometryError."""
     call, arg = route.split("-")[:2]
-    error = GeometryError if call in ("generate_frustum", "Scene") else ValidationError
-    with pytest.raises(error, match=f"^{arg} must be a "):
+    error = GeometryError if call in GEOMETRY_CALLS else ValidationError
+    with pytest.raises(error, match=f"^{re.escape(arg)} must be a "):
         WRONG_TYPE[route](scene_parts, tmp_path)
+
+
+def public_callables():
+    """Every callable of `bevx.__all__` and every function of
+    `bevx.bench.__all__`, by name, less `DTYPE`: that is numpy's float32
+    type, exported as the package's dtype, so its parsing is numpy's."""
+    calls = {name: getattr(bevx, name) for name in bevx.__all__ if name != "DTYPE"}
+    calls = {name: call for name, call in calls.items() if callable(call)}
+    for name in bench.__all__:
+        if inspect.isfunction(getattr(bench, name)):
+            calls[f"bench.{name}"] = getattr(bench, name)
+    return calls
+
+
+PUBLIC = public_callables()
+
+
+def positional(call):
+    """The names of `call`'s positional parameters, defaulted ones too; an
+    error type takes one, its message."""
+    if isinstance(call, type) and issubclass(call, BaseException):
+        return ["message"]
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return [p.name for p in inspect.signature(call).parameters.values() if p.kind in kinds]
+
+
+# two of the three pools each fuzzed argument is drawn from:
+# small arrays of seven dtypes (float and complex ones may hold NaN and
+# +-inf), and values of the wrong type for any parameter
+ARRAYS = hnp.arrays(
+    st.sampled_from([np.float32, np.float64, np.int32, np.int64, np.uint8, np.bool_, np.complex64]),
+    hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=5),
+)
+WRONG = (None, "x", -1, 2**40, 1.5, math.nan, [[1.0, 2.0], [3.0]], {}, b"ab", object())
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """The third pool: the bundled rig's scene, its parts, what is built
+    from it and its digest, keyed by the parameter name each is passed as."""
+    scene = load_scene(ROOT / "configs" / "six_camera_rig.json")
+    frustum = generate_frustum(scene.rig, scene.bins)
+    rr, ftm = build_ring_ray(frustum, scene.grid), build_ftm(frustum, scene.grid)
+    return {
+        "scene": scene, "rig": scene.rig, "bins": scene.bins, "grid": scene.grid,
+        "frustum": frustum, "rr": rr, "ring": rr.ring, "ray": rr.ray, "ftm": ftm, "exact": ftm,
+        "digest": scene_digest(scene),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_public_call_returns_or_raises_a_bevx_error(
+    name, bundled, memory_cap, tmp_path, monkeypatch
+):
+    """A fuzz of the public surface: every call must return or raise a
+    BevxError. First a sweep: each wrong-typed value in each position, with
+    every other parameter the bundled object named like it, if one is, else
+    the same value. Then a seeded search whose every positional argument is
+    drawn from three pools, the third being the bundled object named like
+    the parameter, if one is, else any bundled object. It runs in an empty
+    directory, where a drawn path such as "x" is created or read, under
+    `memory_cap`, so no draw can take the host's memory."""
+    monkeypatch.chdir(tmp_path)
+    call, params = PUBLIC[name], positional(PUBLIC[name])
+    for k, value in itertools.product(range(len(params)), WRONG):
+        named = [i != k and p in bundled for i, p in enumerate(params)]
+        args = [bundled[p] if b else copy.deepcopy(value) for p, b in zip(params, named)]
+        try:
+            call(*args)
+        except BevxError:
+            pass
+        except Exception as exc:
+            shown = ", ".join(p if b else repr(a) for p, b, a in zip(params, named, args))
+            raise AssertionError(f"{name}({shown}): {exc!r}") from exc
+
+    def pool(param):
+        ours = [bundled[param]] if param in bundled else list(bundled.values())
+        return st.one_of(st.sampled_from(WRONG).map(copy.deepcopy), st.sampled_from(ours), ARRAYS)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(st.tuples(*map(pool, params)))
+    def search(args):
+        try:
+            call(*args)
+        except BevxError:
+            pass
+
+    search()
 
 
 def test_readme_python_blocks_run():

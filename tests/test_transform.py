@@ -45,6 +45,8 @@ from oracles import (
     block_summed,
     bxc2_cache_bytes,
     bxc3_cache_bytes,
+    cameras_reversed,
+    columns_moved,
     csr_from_pairs,
     degenerate_scene,
     densify,
@@ -585,6 +587,39 @@ def test_a_grid_of_half_the_cell_size_sums_to_the_coarser_grid(coarse, fine, con
     k = np.diff(np.asarray(ftm.row_offsets, dtype=np.int64))
     bound = 2 * np.maximum(k - 1, 0)[:, None] * 2.0**-24 * out
     assert out.any() and np.all(np.abs(summed - out) <= bound)
+
+
+@pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+@pytest.mark.parametrize("setting", sorted(PRESETS))
+def test_reversing_the_cameras_permutes_the_column_blocks(setting, config):
+    """A metamorphic relation: with the rig's cameras in reverse order, the
+    exact matrix is the original with each camera's block of columns moved
+    by `cameras_reversed`'s permutation, exactly. On inputs permuted the
+    same way, the ftm and matrixvt outputs agree with the originals up to
+    float32 rounding: each cell sums the same k positive terms in another
+    order, so, to first order, the two differ by at most 2 (k - 1) 2**-24
+    times the cell's value. k counts the cell's exact entries for ftm and
+    its ray entries for matrixvt, whose per-entry depth weights are summed
+    over the same ring bins in the same order."""
+    scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
+    turned, column = cameras_reversed(scene)
+    n_d = scene.bins.count
+    f, d = make_inputs(scene, 8, 3)
+    moved_f, moved_d = np.empty_like(f), np.empty_like(d)
+    moved_f[column], moved_d[column] = f, d
+    runs = []
+    for sc, features, depths in ((scene, f, d), (turned, moved_f, moved_d)):
+        frustum = generate_frustum(sc.rig, sc.bins)
+        ftm, rr = build_ftm(frustum, sc.grid), build_ring_ray(frustum, sc.grid)
+        outs = (vt_ftm(lift(features, depths), ftm), vt_matrixvt(features, depths, rr))
+        runs.append((ftm, rr, outs))
+    (ftm, rr, outs), (turned_ftm, _, turned_outs) = runs
+    assert turned_ftm == columns_moved(ftm, (column[:, None] * n_d + np.arange(n_d)).ravel())
+    terms = (ftm.row_offsets, rr.ray.row_offsets)
+    for offsets, out, turned_out in zip(terms, outs, turned_outs):
+        k = np.diff(np.asarray(offsets, dtype=np.int64))
+        bound = 2 * np.maximum(k - 1, 0)[:, None] * 2.0**-24 * out.astype(np.float64)
+        assert out.any() and np.all(np.abs(turned_out.astype(np.float64) - out) <= bound)
 
 
 class TestDegenerateRigs:
