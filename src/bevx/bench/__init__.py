@@ -45,6 +45,7 @@ from ..geometry import (
     CameraRig,
     Scene,
     _freeze,
+    _listed,
     _real,
     _require,
     _require_memory,
@@ -230,16 +231,16 @@ def make_inputs(scene, channels, seed):
 
 
 def _requested(names, table, kind, kept=()):
-    """The one name rule: `names`, a list or tuple, each a key of `table` or
-    an instance of `kept`, which passes as itself. Anything else, or no
-    name at all, is a UsageError."""
-    _require(names, (list, tuple), f"{kind}s", UsageError)
+    """The one name rule: `names`, any iterable but a str (`geometry._listed`),
+    each a key of `table` or an instance of `kept`, which passes as itself.
+    Anything else, or no name at all, is a UsageError."""
+    names = _listed(names, object, f"{kind}s", UsageError)
     for name in names:
         if not (isinstance(name, kept) or (isinstance(name, str) and name in table)):
             raise UsageError(f"unknown {kind} {name!r}; valid: {', '.join(table)}")
     if not names:
         raise UsageError(f"no {kind}s requested")
-    return list(names)
+    return names
 
 
 def _build(scene, backends):
@@ -281,7 +282,7 @@ def run_bench(config, settings, backends, repeats=20, seed=0):
     One setting at a time is built, warmed up and timed, so only its inputs
     and matrices are held; every timed call runs alone. `settings` (names of
     `PRESETS`, or TransformSettings) and `backends` (names of `BACKENDS`)
-    are lists or tuples; an unknown name, or none, is a UsageError.
+    are any iterables but a str; an unknown name, or none, is a UsageError.
     """
     repeats = _whole(repeats, "repeats", 3, UsageError)
     seed = _whole(seed, "seed", 0, UsageError)
@@ -457,21 +458,14 @@ def emit_check_json(report):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _records(records):
-    """Each of `records`, a list or tuple of BenchRecords, else a
-    ValidationError naming the argument or the record."""
-    _require(records, (list, tuple), "records")
-    for i, r in enumerate(records):
-        _require(r, BenchRecord, f"records[{i}]")
-        yield r
-
-
 def emit_csv(records):
-    """Records as CSV text: fixed header, repr-exact floats, trailing newline."""
+    """Records as CSV text: fixed header, repr-exact floats, trailing newline.
+    `records` is any iterable of BenchRecords but a str (`geometry._listed`),
+    else a ValidationError naming it or the record."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
-    for r in _records(records):
+    for r in _listed(records, BenchRecord, "records"):
         writer.writerow(repr(v) if isinstance(v, float) else v for v in astuple(r))
     return buf.getvalue()
 
@@ -501,5 +495,7 @@ def parse_csv(text):
 
 
 def emit_json(records):
-    """Records as a JSON array of objects, keyed like the CSV fields."""
-    return json.dumps([asdict(r) for r in _records(records)], indent=2) + "\n"
+    """Records as a JSON array of objects, keyed like the CSV fields;
+    `records` is admitted as emit_csv admits it."""
+    rows = [asdict(r) for r in _listed(records, BenchRecord, "records")]
+    return json.dumps(rows, indent=2) + "\n"

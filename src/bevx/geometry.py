@@ -134,6 +134,23 @@ def _require(value, kind, name, error=ValidationError):
         raise error(f"{name} must be a {kinds}, got {type(value).__name__}")
 
 
+def _listed(values, kind, name, error=ValidationError):
+    """`values`, any iterable of `kind`s but a str, as a tuple: the one
+    admission rule for an argument that holds several values. A str, or a
+    value that cannot be iterated, is an `error` naming `name`, and an item
+    that is not a `kind` one naming the item (`_require`)."""
+    try:
+        items = iter(values)
+    except TypeError:  # not iterable, a 0-d array among them
+        items = None
+    if items is None or isinstance(values, str):
+        raise error(f"{name} must be a non-str iterable, got {type(values).__name__}")
+    items = tuple(items)
+    for i, item in enumerate(items):
+        _require(item, kind, f"{name}[{i}]", error)
+    return items
+
+
 def _real(x, name, error=ValidationError, kinds="biuf"):
     """`x` as an ndarray of real numbers, in its own dtype and order, the
     package's one admission rule for arrays of numbers: an input that is
@@ -272,16 +289,9 @@ class CameraRig:
     image_stride: int
 
     def __post_init__(self):
-        try:
-            cameras = tuple(self.cameras)
-        except TypeError:
-            raise GeometryError(
-                f"cameras must be a sequence of Camera, got {self.cameras!r}"
-            ) from None
+        cameras = _listed(self.cameras, Camera, "cameras", GeometryError)
         if not cameras:
             raise GeometryError("rig needs at least one camera")
-        for i, cam in enumerate(cameras):
-            _require(cam, Camera, f"cameras[{i}]", GeometryError)
         names = ("feature_width", "feature_height", "image_stride")
         extents = {name: _whole(getattr(self, name), name, 1) for name in names}
         _freeze(self, cameras=cameras, **extents)
@@ -539,12 +549,16 @@ def load_scene(source):
         doc = source
     elif isinstance(source, (str, os.PathLike)):
         try:
-            with open(source, "r", encoding="utf-8") as f:
-                doc = json.load(f)
+            f = open(source, "r", encoding="utf-8")
         except OSError as exc:  # missing, a directory, unreadable
             raise ConfigError(f"{os.fspath(source)}: {exc.strerror}") from None
-        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
-            raise ConfigError(f"{os.fspath(source)}: not JSON: {exc}") from None
+        except ValueError as exc:  # a NUL byte or an unencodable character in the path
+            raise ConfigError(f"{os.fspath(source)}: {exc}") from None
+        with f:
+            try:
+                doc = json.load(f)
+            except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+                raise ConfigError(f"{os.fspath(source)}: not JSON: {exc}") from None
     else:
         raise ConfigError(
             f"scene config must be a path or a dict, got {type(source).__name__}"

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BevxError, ShapeError, ValidationError
-from .geometry import FrustumGeometry, Scene, _owned, _real, _require, generate_frustum
+from .geometry import FrustumGeometry, Scene, _owned, _require, generate_frustum
 from .reference import build_ftm
-from .tensor_core import DTYPE, _all_finite, _coerce, as_feature
+from .tensor_core import _all_finite, _coerce, as_feature
 from .transform import _held, _spurious_rate, build_ring_ray, effective_ftm, vt_matrixvt
 
 __all__ = [
@@ -55,13 +55,10 @@ _SIMPLEX_TOL = 1e-5
 
 def _kept(x, name):
     """`x` as the float32 array an attention or refine map keeps: real
-    numbers only (`_real`), converted once under `geometry._owned`'s rule,
-    and then proved finite, so the array that is checked is the array that
-    is kept. A value past float32's range is kept as +-inf, which that
-    proof names, with no overflow warning from the cast."""
-    with np.errstate(over="ignore"):
-        kept = _owned(_real(x, name), DTYPE)
-    return as_feature(kept, name)
+    numbers only, converted once by `_coerce` under `geometry._owned`'s
+    rule, and then proved finite, so the array that is checked is the array
+    that is kept."""
+    return as_feature(_coerce(x, name, _owned), name)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,16 +47,14 @@ DTYPE = np.float32
 _FINITE_CHUNK = 1 << 18  # float32 values: 1 MB, well inside L2
 
 
-def _coerce(x, name):
+def _coerce(x, name, convert=np.ascontiguousarray):
     """`x`, real numbers only (`geometry._real`), as a C-contiguous
-    float32 ndarray, not scanned for non-finite values. A value past
-    float32's range casts to +-inf with no overflow warning, for the
-    finite scan that follows to name."""
-    arr = _real(x, name)
-    if arr.dtype == DTYPE:  # no cast
-        return np.ascontiguousarray(arr)
+    float32 ndarray, not scanned for non-finite values: by `convert`, which
+    copies only when it must, or `geometry._owned`, whose array is the
+    caller's to keep. A value past float32's range casts to +-inf with no
+    overflow warning, for the finite scan that follows to name."""
     with np.errstate(over="ignore"):
-        return np.ascontiguousarray(arr, dtype=DTYPE)
+        return convert(_real(x, name), dtype=DTYPE)
 
 
 def _all_finite(arr):

@@ -262,14 +262,15 @@ class TestRunBench:
             (["S1"], [], "no backends requested"),
             ([SMALL], [SMALL], f"unknown backend {SMALL!r}; valid: scatter, ftm, matrixvt"),
             ([["S1"]], ["matrixvt"], "unknown setting ['S1']; valid: S1, S2, S3, S4, S5, S6"),
-            (None, ["matrixvt"], "settings must be a list or tuple, got NoneType"),
-            ("S1", ["matrixvt"], "settings must be a list or tuple, got str"),
-            (["S1"], 0, "backends must be a list or tuple, got int"),
+            (None, ["matrixvt"], "settings must be a non-str iterable, got NoneType"),
+            ("S1", ["matrixvt"], "settings must be a non-str iterable, got str"),
+            (["S1"], 0, "backends must be a non-str iterable, got int"),
+            (["S1"], np.array("ftm"), "backends must be a non-str iterable, got ndarray"),
         ],
         ids=[
             "unknown-setting", "no-setting", "unknown-backend", "no-backend",
             "setting-as-backend", "unhashable-setting", "settings-none", "settings-str",
-            "backends-int",
+            "backends-int", "backends-0d-array",
         ],
     )
     def test_names_are_refused_by_one_rule(self, settings, backends, message):
@@ -278,9 +279,9 @@ class TestRunBench:
             run_bench("no-such-config.json", settings, backends, repeats=3)
 
     def test_settings_and_backends_are_taken_in_request_order(self, small_config_path):
-        records = run_bench(
-            small_config_path, (SMALLER, "S1", SMALLER), ("matrixvt", "ftm"), repeats=3
-        )
+        """Any iterable of names but a str: here a generator and a dict view."""
+        settings = (s for s in (SMALLER, "S1", SMALLER))
+        records = run_bench(small_config_path, settings, {"matrixvt": 0, "ftm": 0}.keys(), repeats=3)
         assert [(r.setting, r.backend) for r in records] == [
             (s, b) for s in ("T-tiny", "S1", "T-tiny") for b in ("matrixvt", "ftm")
         ]
@@ -342,6 +343,13 @@ class TestCsvJson:
         text = ",".join(CSV_FIELDS) + "\nS1,matrixvt,fast,0.1,0.2,193,20\n"
         with pytest.raises(FileFormatError, match="bad CSV row"):
             parse_csv(text)
+
+    def test_records_may_be_any_iterable(self):
+        noisy = BenchRecord("S2", "ftm", 0.1 + 1e-17, 1 / 3, 2 / 3, 4928, 5)
+        for emit in (emit_csv, emit_json):
+            want = emit([self.RECORD, noisy])
+            assert emit(r for r in (self.RECORD, noisy)) == want
+            assert emit({0: self.RECORD, 1: noisy}.values()) == want
 
     def test_json_mirrors_fields(self):
         payload = json.loads(emit_json([self.RECORD]))

@@ -154,8 +154,12 @@ BAD_RIG_FIELDS = [
 ] + [
     pytest.param("cameras", ("x",), r"cameras\[0\]", id="cameras-str"),
     pytest.param("cameras", (simple_camera(), None), r"cameras\[1\]", id="cameras-none"),
-    pytest.param("cameras", 5, "sequence of Camera", id="cameras-int"),
-    pytest.param("cameras", simple_camera(), "sequence of Camera", id="cameras-camera"),
+    pytest.param("cameras", 5, "cameras must be a non-str iterable, got int", id="cameras-int"),
+    pytest.param(
+        "cameras", simple_camera(), "cameras must be a non-str iterable, got Camera",
+        id="cameras-camera",
+    ),
+    pytest.param("cameras", "x", "cameras must be a non-str iterable, got str", id="cameras-str-whole"),
 ]
 
 
@@ -713,6 +717,13 @@ class TestSceneConfig:
         for source in (path, str(path)):
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 load_scene(source)
+
+    def test_path_that_cannot_be_opened_names_the_reason(self, tmp_path):
+        """A NUL byte in the path is refused by `open`, before any read, so
+        the reason is open's, not "not JSON"."""
+        path = os.fspath(tmp_path / "a\x00b.json")
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: embedded null byte$"):
+            load_scene(path)
 
     def test_malformed_json_names_the_file(self, tmp_path):
         path = tmp_path / "truncated.json"

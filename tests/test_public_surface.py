@@ -389,7 +389,7 @@ WRONG_TYPE = {
     "emit_csv-records[1]": lambda p, d: emit_csv(
         [bench.BenchRecord("S1", "ftm", 1.0, 1.0, 1.0, 1, 3), p.scene]
     ),
-    "emit_json-records": lambda p, d: emit_json({}),
+    "emit_json-records": lambda p, d: emit_json(1.5),
     "emit_check_json-report": lambda p, d: emit_check_json(None),
     "parse_csv-text": lambda p, d: parse_csv(b"ab"),
 }
