@@ -295,27 +295,35 @@ def run_bench(config, settings, backends, repeats=20, seed=0):
 
 def flip_ring_bit(rr, exact):
     """Return a copy of the pair with one ring bin that `exact`, the scene's
-    exact transport matrix, holds removed: the middle such (ray entry, bin).
+    exact transport matrix, holds removed: the middle such (ray entry, bin)
+    among those at the first or the last bin of their ring interval, so the
+    flipped ring has no gap either.
 
     Used to prove the checker notices a corrupted matrix. Not every ring
     entry is exact: a row holds the bins of its camera's other columns too.
     An exact one, (cell s, column w, bin d), is implied only by the ring row
     of ray entry (s, w), so dropping it always breaks containment. The
-    exact bins are those of `transform._held`'s mask; a pair with none, as
-    when `exact` is empty, is a ValidationError, and so are any pair that
-    `_held` refuses and an `exact` that is not a SparseBinaryMatrix. The
-    bin is deleted from the ring's CSR arrays: its column id goes, and
-    every row offset past it drops by one.
+    exact bins are those of `transform._held`'s mask; a pair with none at
+    an end of its interval, as when `exact` is empty, is a ValidationError,
+    and so are any pair that `_held` refuses and an `exact` that is not a
+    SparseBinaryMatrix. The bin is deleted from the ring's CSR arrays: its
+    column id goes, and every row offset past it drops by one.
     """
     _require(exact, SparseBinaryMatrix, "exact")
     # the implied matrix's entries are the ring's, in ring order
-    held = np.flatnonzero(_held(exact, effective_ftm(rr)))
+    held = _held(exact, effective_ftm(rr))
+    ring = rr.ring
+    offsets = ring.row_offsets
+    # the first and last bin of each row; an empty row marks a neighbour's,
+    # or the spare last slot
+    end = np.zeros(ring.nnz + 1, dtype=bool)
+    end[offsets[:-1]] = end[offsets[1:] - 1] = True
+    held = np.flatnonzero(held & end[:-1])
     if held.size == 0:
-        raise ValidationError("the exact matrix holds no ring bin to flip")
-    ring, at = rr.ring, held[held.size // 2]
-    offsets = ring.row_offsets - (ring.row_offsets > at)
+        raise ValidationError("the exact matrix holds no ring bin to flip at an end of its run")
+    at = held[held.size // 2]
     ring = SparseBinaryMatrix._built(
-        ring.rows, ring.cols, offsets, np.delete(ring.col_indices, at)
+        ring.rows, ring.cols, offsets - (offsets > at), np.delete(ring.col_indices, at)
     )
     return RingRayPair(ring, rr.ray)
 
@@ -329,10 +337,10 @@ class CheckReport:
     The last seven fields say what was built: the nnz of the exact matrix,
     of the checked pair's ring and ray and of the matrix they imply, the
     bytes that the exact matrix and the pair hold, and the share of BEV
-    cells that no sample lands in. A byte count counts each buffer once and
-    includes the scipy handle the object runs on: the exact matrix's own,
-    and the pair's plan's (`RingRayPair._buffers`). `lines` prints none of
-    them; they are in the JSON report."""
+    cells that no sample lands in. A byte count counts each buffer once:
+    the exact matrix's index arrays with the scipy handle it runs on, and
+    the pair's ray and ring intervals (`RingRayPair._buffers`). `lines`
+    prints none of them; they are in the JSON report."""
 
     trials: int
     spurious_rate: float

@@ -96,8 +96,8 @@ def _index_dtype(rows, cols, nnz):
     int32 while all three are below 2**31, else int64, as scipy picks it
     for nonzero extents (with a zero extent it narrows by contents instead).
     Every stored value then fits: column ids are below cols and row offsets
-    at most nnz. Arithmetic that can outgrow them (plan column ids, band
-    keys) runs in int64 or in the dtype of the matrix it builds."""
+    at most nnz. Arithmetic that can outgrow them (a pair's implied column
+    ids w * N_d + d) runs in int64."""
     return np.int32 if max(rows, cols, nnz) < 2**31 else np.int64
 
 

@@ -6,27 +6,25 @@ redundant: a BEV cell is described by which feature columns reach it
 (distance). This module factors it into
 
   * ray:  S x W, ray[s, w] = 1 iff some bin of column w lands in s
-  * ring: ray.nnz x N_d, one row per ray nonzero (s, w) in ray CSR order,
-    holding every bin at which some column of w's camera lands in s
+  * ring: per ray nonzero (s, w), in ray CSR order, one interval of depth
+    bins: from the least to the greatest bin at which some column of w's
+    camera lands in s
 
 so the ring is per camera, as the paper's FTM is: a row never takes a bin
-that only another camera produces. build_ring_ray decomposes the exact
-matrix that reference.build_ftm keeps on the frustum: it reads both
-factors off that matrix's CSR arrays, as runs of equal column and of
-equal camera within each row, so a scene that builds both lands and sorts
-its samples once. vt_matrixvt applies the pair without
-materializing the lifted tensor. Both factors meet in one plan matrix
-(RingRayPair._plan, built with the pair): the ring with the columns of row
-j shifted by w * N_d, a binary (ray.nnz, W * N_d) CSR that shares the
-ring's row offsets and picks the depths of column w at the bins of its
-ring row. vt_matrixvt is two sparse products over it: plan @ depths gives
-one weight per ray nonzero, and the ray-patterned S x W matrix of those
-weights times the features gives the BEV tensor. Every index array is
-held once: the plan shares the ring's row offsets, and the plan's scipy
-handle and vt_matrixvt's ray-patterned one wrap the plan's and the ray's
-own arrays (SparseBinaryMatrix._handle), for every shape.
-effective_ftm reads the transport matrix the pair implies off the same
-plan; reference.vt_ftm over that matrix is the independent route
+that only another camera produces, and, as the paper's ring, each row is a
+range of distances. A pair holds the ray and the first bin and length of
+each interval; `RingRayPair.ring` rebuilds the binary (ray.nnz, N_d) ring
+matrix from them on demand. build_ring_ray decomposes the exact matrix that
+reference.build_ftm keeps on the frustum: it reads both factors off that
+matrix's CSR arrays, as runs of equal column and of equal camera within
+each row, so a scene that builds both lands and sorts its samples once.
+vt_matrixvt applies the pair without materializing the lifted tensor: per
+ray nonzero (s, w) it gathers the depth of column w at the interval's
+first bin and adds its next bins for the few longer intervals, and the
+ray-patterned S x W matrix of those weights, which wraps the ray's own
+arrays (SparseBinaryMatrix._handle), times the features gives the BEV
+tensor. effective_ftm expands the intervals into the transport matrix the
+pair implies; reference.vt_ftm over that matrix is the independent route
 vt_matrixvt is gated against.
 _held is the one comparison of that matrix with the exact one: the mask of
 its entries that the exact matrix holds, read off one scipy sparse sum.
@@ -37,7 +35,7 @@ the reformulated one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import os
@@ -46,14 +44,9 @@ import numpy as np
 
 from .errors import FileFormatError, ShapeError, ValidationError
 from .fileio import read_cache, write_cache
-from .geometry import _require, _whole
+from .geometry import _freeze, _frozen, _require, _whole
 from .reference import build_ftm
-from .tensor_core import (
-    DTYPE,
-    SparseBinaryMatrix,
-    _index_dtype,
-    as_feature,
-)
+from .tensor_core import DTYPE, SparseBinaryMatrix, as_feature
 
 __all__ = [
     "RingRayPair",
@@ -67,89 +60,115 @@ __all__ = [
 ]
 
 
-def _run_starts(a):
-    """Mask of the positions where the sorted array `a` takes a new value."""
-    first = np.ones(a.shape[0], dtype=bool)
-    np.not_equal(a[1:], a[:-1], out=first[1:])
-    return first
+def _intervals(ring):
+    """The first bin and the length of each row of the binary matrix
+    `ring`, (0, 0) for an empty row. Its bins strictly increase within a
+    row, so a row is one run iff its last bin is its first plus its length
+    minus 1; a row that is not is a ValidationError naming it."""
+    offsets, bins = ring.row_offsets, ring.col_indices
+    length = np.diff(offsets)
+    if not ring.nnz:
+        return np.zeros_like(length), length
+    # an empty row reads a neighbour's bins here (clipped at either end):
+    # its length tells it apart, and its first bin is set to 0 below; the
+    # offsets are made take's index type once, for both reads
+    at = offsets.astype(np.intp)
+    first = bins.take(at[:-1], mode="clip")
+    at -= 1
+    span = bins.take(at[1:], mode="clip")
+    span -= first
+    span -= length  # -1 on a run, more on a row with a gap
+    span[length == 0] = -1
+    gapped = span != -1
+    if gapped.any():
+        raise ValidationError(f"ring row {gapped.argmax()} is not one run of consecutive bins")
+    first[length == 0] = 0
+    return first, length
 
 
-def _build_plan(ring, ray):
-    """The execution plan of a pair.
-
-    A binary (ray.nnz, W * N_d) matrix: the ring with the columns of row j
-    shifted by w * N_d, for the j-th ray nonzero (cell s, column w) in ray
-    CSR order. It shares the ring's row offsets, and its scipy handle
-    wraps its own arrays. Applied to the flattened (W, N_d) depths it gives
-    each ray slot's depth mass; an empty ring row (a hand-built pair;
-    geometric pairs never have one) is an empty plan row, weight 0.
-    """
-    rows, cols = ray.nnz, ray.cols * ring.cols
-    # column ids w * N_d + d are below cols, which RingRayPair keeps below
-    # 2**63, so they are computed in the plan's index dtype; N_d must fit it
-    # too, for a ray with no columns makes cols 0
-    dtype = _index_dtype(rows, max(cols, ring.cols), ring.nnz)
-    counts = np.diff(ring.row_offsets)
-    col_ids = np.repeat(ray.col_indices, counts).astype(dtype, copy=False)
-    del counts  # before `_built` widens the offsets of an int64 plan
-    col_ids *= ring.cols
-    col_ids += ring.col_indices
-    plan = SparseBinaryMatrix._built(rows, cols, ring.row_offsets, col_ids)
-    plan._scipy  # the product handle is part of the per-scene build
-    return plan
+def _runs(first, length):
+    """The int64 CSR arrays of the rows that hold first[j], first[j] + 1,
+    ..., first[j] + length[j] - 1: row offsets and column ids."""
+    offsets = np.zeros(length.shape[0] + 1, dtype=np.int64)
+    np.cumsum(length, out=offsets[1:])
+    return offsets, np.repeat(first - offsets[:-1], length) + np.arange(offsets[-1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class RingRayPair:
-    """Immutable per-entry ring (ray.nnz x N_d) and ray (S x W) factors.
+    """Immutable per-camera ring and ray (S x W) factors.
 
-    Ring row j belongs to the j-th ray nonzero (cell s, column w) in ray CSR
-    order and holds the depth bins that entry takes from column w. Built
-    once per scene geometry, together with its execution plan (`_plan`,
-    derived like BevGrid's edges, not a field), which every transform call
-    reuses: a pair arrives ready to run, and no call pays for the plan. The
-    plan holds exactly the ring's entries, so it is never larger than the
-    pair, and it and every scipy handle over the pair wrap the pair's own
-    index arrays (int32 below 2**31), each held once.
+    `RingRayPair(ring, ray)` takes the ring as a binary (ray.nnz, N_d)
+    matrix: row j, for the j-th ray nonzero (cell s, column w) in ray CSR
+    order, holds the depth bins that entry takes from column w, one run of
+    consecutive bins or none. A row with a gap is a ValidationError naming
+    it. The pair keeps the ray and each row's first bin and length
+    (`_first`, `_length`; 0 and 0 for an empty row), both at most N_d, in
+    the narrowest signed dtype that holds N_d (int8 for up to 127 bins),
+    and rebuilds `ring` from them on each read. Built once per scene
+    geometry, it arrives ready to run: no transform call builds anything
+    per scene. Pairs compare by value.
     """
 
-    ring: SparseBinaryMatrix
     ray: SparseBinaryMatrix
+    n_depths: int
+    _first: np.ndarray = field(repr=False)
+    _length: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        _require(self.ring, SparseBinaryMatrix, "ring")
-        _require(self.ray, SparseBinaryMatrix, "ray")
-        if self.ring.cols * self.ray.cols >= 2**63:
+    def __init__(self, ring, ray):
+        _require(ring, SparseBinaryMatrix, "ring")
+        _require(ray, SparseBinaryMatrix, "ray")
+        if ring.cols * ray.cols >= 2**63:
+            raise ShapeError(f"ring/ray: {ray.cols} columns x {ring.cols} bins overflow int64 ids")
+        if ring.rows != ray.nnz:
             raise ShapeError(
-                f"ring/ray: {self.ray.cols} columns x {self.ring.cols} bins "
-                "overflow the plan's int64 column ids"
+                f"ring/ray: a ring of {ring.rows} rows under a ray of "
+                f"{ray.nnz} entries; the ring has one row per ray entry"
             )
-        if self.ring.rows != self.ray.nnz:
-            raise ShapeError(
-                f"ring/ray: a ring of {self.ring.rows} rows under a ray of "
-                f"{self.ray.nnz} entries; the ring has one row per ray entry"
-            )
-        object.__setattr__(self, "_plan", _build_plan(self.ring, self.ray))
+        self._hold(ray, ring.cols, *_intervals(ring))
+
+    @classmethod
+    def _built(cls, ray, n_depths, first, length):
+        """A pair over intervals that this package has just built, frozen
+        in place and not checked again."""
+        return cls.__new__(cls)._hold(ray, n_depths, first, length)
+
+    def _hold(self, ray, n_depths, first, length):
+        # first bins and lengths lie in [0, N_d]: the narrowest signed
+        # dtype that holds -N_d - 1 holds them, and adds to int64 as int64
+        dtype = np.min_scalar_type(-n_depths - 1)
+        first, length = _frozen(first, dtype), _frozen(length, dtype)
+        _freeze(self, ray=ray, n_depths=n_depths, _first=first, _length=length)
+        return self
+
+    @property
+    def ring(self):
+        """The ring as a binary (ray.nnz, N_d) matrix, built on each read."""
+        offsets, bins = _runs(self._first, self._length)
+        return SparseBinaryMatrix._built(self.ray.nnz, self.n_depths, offsets, bins)
+
+    def _starts(self):
+        """Each ray nonzero's first bin as a column id of the implied
+        matrix, w * N_d + first bin, in int64: below W * N_d < 2**63."""
+        return self.ray.col_indices.astype(np.int64) * self.n_depths + self._first
 
     def _buffers(self):
-        """The arrays the pair runs on: the ring's, the ray's and the
-        plan's with its scipy handle."""
-        ring, ray = self.ring, self.ray
-        return (
-            ring.row_offsets,
-            ring.col_indices,
-            ray.row_offsets,
-            ray.col_indices,
-            *self._plan._buffers(),
+        """The arrays the pair holds: the ray's and its intervals'."""
+        return (self.ray.row_offsets, self.ray.col_indices, self._first, self._length)
+
+    def __eq__(self, other):
+        if not isinstance(other, RingRayPair):
+            return NotImplemented
+        return (self.n_depths, self.ray.shape) == (other.n_depths, other.ray.shape) and all(
+            map(np.array_equal, self._buffers(), other._buffers())
         )
+
+    def __hash__(self):
+        return hash((self.ray, self.n_depths))
 
     @property
     def n_cells(self):
         return self.ray.rows
-
-    @property
-    def n_depths(self):
-        return self.ring.cols
 
     @property
     def n_columns(self):
@@ -160,17 +179,19 @@ def build_ring_ray(frustum, grid):
     """Per-camera ring/ray factors of a frustum-to-grid mapping.
 
     ray[s, w] = 1 iff some depth bin of column w lands in cell s. Ring row
-    j, for the j-th ray nonzero (s, w) in CSR order, holds every bin d at
-    which some column of w's camera n = w // W_I lands in s: the camera's
-    depth band through s, so the pair implies only transport that camera
-    could make. Both are a decomposition of the exact matrix,
-    reference.build_ftm(frustum, grid), which the frustum keeps, so a scene
-    that builds both lands and sorts its samples once. They are read off
-    that matrix's CSR arrays as runs: within a row its column ids
-    j = (n * W_I + w) * N_d + d ascend, so a run of equal j // N_d is a ray
-    nonzero and a run of equal j // (W_I * N_d) is one camera's band, whose
-    bins are the union over its columns. A run starts where its id changes
-    or a row starts.
+    j, for the j-th ray nonzero (s, w) in CSR order, is the hull of camera
+    n = w // W_I's depth band through s: every bin from the least to the
+    greatest at which some column of the camera lands in s, so the pair
+    implies only transport that camera could make. On every scene measured
+    the band has no gap and is its own hull; a hull can only add implied
+    entries, so the exact matrix stays contained. Both are a decomposition
+    of the exact matrix, reference.build_ftm(frustum, grid), which the
+    frustum keeps, so a scene that builds both lands and sorts its samples
+    once. They are read off that matrix's CSR arrays as runs: within a row
+    its column ids j = (n * W_I + w) * N_d + d ascend, so a run of equal
+    j // N_d is a ray nonzero and a run of equal j // (W_I * N_d) is one
+    camera's band, whose hull is the least and the greatest bin of the
+    run. A run starts where its id changes or a row starts.
 
     A frustum of one-column cameras, points reshaped to (N_c * W_I, 1, N_d,
     3), gives the exact pair: each band is one column's own bins, so
@@ -178,7 +199,7 @@ def build_ring_ray(frustum, grid):
     ray is the per-camera pair's.
 
     Returns:
-        RingRayPair with ring (ray.nnz, N_d) and ray (S, W).
+        RingRayPair with a ring of ray.nnz rows and ray (S, W).
     """
     ftm = build_ftm(frustum, grid)  # which checks both arguments' types
     w_i, n_d = frustum.n_columns, frustum.n_depths
@@ -187,10 +208,11 @@ def build_ring_ray(frustum, grid):
     # row_first[p]: entry p starts a row; row_first[n] stands for the end
     row_first = np.zeros(n + 1, dtype=bool)
     row_first[offsets] = True
-    # n * W_I + w, in int64: it becomes the band key band * N_d + bin below
+    # n * W_I + w, in int64: it becomes the camera below
     column = np.floor_divide(col, n_d, dtype=np.int64)
-    first = np.empty(n + 1, dtype=bool)
-    first[0] = True
+    # first[p]: entry p starts a ray nonzero; entry 0 starts a row, as
+    # row_offsets[0] is 0
+    first = np.zeros(n + 1, dtype=bool)
     np.not_equal(column[1:], column[:-1], out=first[1:n])
     first |= row_first
     entry = np.flatnonzero(first[:n])  # where each ray nonzero starts
@@ -202,58 +224,36 @@ def build_ring_ray(frustum, grid):
     ray = SparseBinaryMatrix._built(
         grid.n_cells, frustum.n_cameras * w_i, index[offsets], column[entry]
     )
-    # the ray is built, so `index` holds the bins and `column` becomes the
-    # band key: the camera n, then the band id, the count of band starts
-    bins = index[:n]
-    np.multiply(column, n_d, out=bins)
-    np.subtract(col, bins, out=bins)
+    # the ray is built, so `column` becomes the camera and `first` marks
+    # where a band starts; a band's hull runs from its least bin to its
+    # greatest
     column //= w_i
     np.not_equal(column[1:], column[:-1], out=first[1:n])
     first |= row_first
-    np.cumsum(first[:n], out=column)
-    column -= 1
-    band = column[entry]  # the band of each ray nonzero
-    # band * N_d + bin, below nnz * N_d <= (N_c * W_I * N_d) * N_d, the
-    # frustum's points times N_d, so inside int64: one stable sort merges
-    # the ascending bin runs of a band's columns, and dropping the repeats
-    # leaves each band's bins, its bands in order
-    column *= n_d
-    column += bins
-    column.sort(kind="stable")
-    key = column[_run_starts(column)]
-    # each work array is dropped once spent: the ring's arrays and the
-    # pair's plan reuse its memory, so the build's peak stays near what it
-    # returns
-    del row_first, first, column, entry, index, bins
-    owner = key // n_d
-    band_start = np.flatnonzero(np.append(_run_starts(owner), True))
-    owner *= n_d
-    key -= owner  # the bins
-    # ring row j is its band's bins, key[lo:hi], gathered for every row
-    lo = band_start[band]
-    length = band_start[1:][band]
-    del owner, band, band_start
-    length -= lo
-    ring_offsets = np.zeros(ray.nnz + 1, dtype=np.int64)
-    np.cumsum(length, out=ring_offsets[1:])
-    lo -= ring_offsets[:-1]
-    at = np.repeat(lo, length)
-    at += np.arange(ring_offsets[-1])
-    # `_built` narrows the int64 work arrays to the matrices' index dtype
-    ring = SparseBinaryMatrix._built(ray.nnz, n_d, ring_offsets, key[at])
-    del lo, length, at, key
-    return RingRayPair(ring, ray)
+    band_start = np.flatnonzero(first[:n])
+    bins = col % n_d
+    lo = np.minimum.reduceat(bins, band_start)
+    hi = np.maximum.reduceat(bins, band_start)
+    # a band starts where a ray nonzero does, so a running count of band
+    # starts over the ray nonzeros gives each its band
+    band = np.cumsum(first[entry]) - 1
+    # each work array is dropped once spent, so the build's peak stays near
+    # what it returns
+    del row_first, column, first, entry, index, bins, band_start
+    return RingRayPair._built(ray, n_d, lo[band], (hi - lo + 1)[band])
 
 
 def vt_matrixvt(features, depths, rr):
     """Reformulated transform; no lifted tensor is ever materialized.
 
-    Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)),
-    as two sparse products over the pair's plan: plan @ depths.ravel() gives,
+    Equivalent to reference.vt_ftm(lift(features, depths), effective_ftm(rr)):
     per ray nonzero (cell, column), the depth mass that cell collects from
-    that column (ring contraction and ray mask in one step); the (S, W)
-    matrix of those weights on the ray's pattern times the (W, C) features
-    gives the BEV tensor.
+    that column, its depths summed over the ring interval in bin order (the
+    first bin's gathered for every nonzero, each next bin added for the
+    nonzeros whose interval reaches it, one pass per bin of the longest
+    interval: at most 3 on every preset); the (S, W) matrix of those
+    weights on the ray's pattern times the (W, C) features gives the BEV
+    tensor.
 
     Input contract: any finite inputs, unchecked for sign or normalization;
     the 1e-5 agreement with vt_ftm over effective_ftm(rr) is claimed only
@@ -276,14 +276,22 @@ def vt_matrixvt(features, depths, rr):
         raise ShapeError.mismatch(
             "vt_matrixvt", d.shape, (rr.n_columns, rr.n_depths)
         )
-    weights = rr._plan._scipy @ d.ravel()
+    at, length, flat = rr._starts(), rr._length, d.ravel()
+    # an empty ring row (a hand-built pair's; geometric pairs have none)
+    # weighs 0, as does every row of a pair with no bins
+    weights = flat.take(at) if flat.size else np.zeros(at.shape, DTYPE)
+    rows = np.flatnonzero(length != 1)
+    weights[rows[length[rows] == 0]] = 0
+    for k in range(1, int(length.max(initial=1))):
+        rows = rows[length[rows] > k]
+        weights[rows] += flat.take(at[rows] + k)
     return np.ascontiguousarray(rr.ray._handle(weights) @ f, dtype=DTYPE)
 
 
 def effective_ftm(rr):
     """The transport matrix the factorization implies: entry
     (s, w * N_d + d) = 1 iff ray[s, w] = 1 and d is in that ray nonzero's
-    ring row.
+    ring interval.
 
     A superset of the exact transport matrix for the same geometry: when two
     columns of one camera hit one cell at different bins, the cross
@@ -294,15 +302,12 @@ def effective_ftm(rr):
         SparseBinaryMatrix of shape (S, W * N_d).
     """
     _require(rr, RingRayPair, "rr")
-    plan = rr._plan
-    # plan rows follow ray CSR order, so cell s owns plan rows
-    # ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d) within;
-    # sliced from the plan, which was built from a checked ring and ray
+    ray = rr.ray
+    offsets, ids = _runs(rr._starts(), rr._length)
+    # ray nonzeros follow CSR order, so cell s owns the entries of ray
+    # nonzeros ray.row_offsets[s]:ray.row_offsets[s + 1], ascending (w, d)
     return SparseBinaryMatrix._built(
-        rr.n_cells,
-        plan.cols,
-        plan.row_offsets[rr.ray.row_offsets],
-        plan.col_indices,
+        rr.n_cells, ray.cols * rr.n_depths, offsets[ray.row_offsets], ids
     )
 
 
@@ -393,8 +398,9 @@ def save_ring_ray(rr, directory, digest):
     moved in by one os.replace, so a load sees the previous pair or a new
     one, never a mix, concurrent saves to one slot cannot write into each
     other's file, and a save that dies part-way (not a power loss: no fsync)
-    leaves the previous pair. A pair, a directory (str or os.PathLike) or a
-    digest of another type is a ValidationError.
+    leaves the previous pair. The file holds the ring as the binary matrix
+    `rr.ring`, in `fileio`'s layout. A pair, a directory (str or
+    os.PathLike) or a digest of another type is a ValidationError.
     """
     _require(rr, RingRayPair, "rr")
     _require(directory, (str, os.PathLike), "directory")
@@ -411,16 +417,17 @@ def save_ring_ray(rr, directory, digest):
 
 
 def load_ring_ray(directory, digest):
-    """Load a cached pair with one read of the slot's file, as read-only
-    views of its bytes (int32 words below 2**31, as the pair stores them);
-    None when it is absent, saved under another digest or an older layout,
-    fails its checksum, or is truncated, oversized or inconsistent. A
-    directory that is not a str or os.PathLike, or a digest that is not a
-    str, is a ValidationError."""
+    """Load a cached pair with one read of the slot's file: its ray a
+    read-only view of the file's bytes (int32 words below 2**31, as the
+    pair stores them), its ring read into intervals. None when the file is
+    absent, saved under another digest or an older layout, fails its
+    checksum, or is truncated, oversized or inconsistent, a ring row with a
+    gap included. A directory that is not a str or os.PathLike, or a
+    digest that is not a str, is a ValidationError."""
     _require(directory, (str, os.PathLike), "directory")
     _require(digest, str, "digest")
     try:
         matrices = read_cache(Path(directory, _CACHE_FILE).read_bytes(), digest)
         return None if matrices is None else RingRayPair(*matrices)
-    except (OSError, FileFormatError, ShapeError):
+    except (OSError, FileFormatError, ShapeError, ValidationError):
         return None

@@ -8,6 +8,7 @@ so it shares no code path with the implementations it validates.
 import struct
 
 import numpy as np
+import scipy.sparse as sp
 
 from bevx import (
     BevGrid,
@@ -191,8 +192,8 @@ def ring_ray_loop(frustum, grid):
 
     The ray holds (s, n * W_I + w) for every sample of column w of camera n
     that lands in cell s. The ring has one row per ray nonzero, in CSR
-    order: every bin at which some column of that nonzero's camera lands
-    in its cell."""
+    order: the hull of the bins at which some column of that nonzero's
+    camera lands in its cell, every bin from the least to the greatest."""
     ray_pairs = []
     bands = {}  # (cell, camera) -> bins
     n_c, w_i, n_d = frustum.n_cameras, frustum.n_columns, frustum.n_depths
@@ -206,7 +207,8 @@ def ring_ray_loop(frustum, grid):
                     ray_pairs.append((s, n * w_i + w))
     ray = csr_from_pairs(ray_pairs, (grid.n_cells, n_c * w_i))
     entries = sorted(set(ray_pairs))
-    ring_pairs = [(j, d) for j, (s, w) in enumerate(entries) for d in bands[s, w // w_i]]
+    hulls = {band: range(min(bins), max(bins) + 1) for band, bins in bands.items()}
+    ring_pairs = [(j, d) for j, (s, w) in enumerate(entries) for d in hulls[s, w // w_i]]
     ring = csr_from_pairs(ring_pairs, (len(entries), n_d))
     return ring, ray
 
@@ -221,10 +223,16 @@ def per_entry(shared_ring, ray):
 
 
 def shared_ring(ftm, n_d):
-    """The ring all cameras share, rebuilt from the exact matrix: row s holds
-    every bin d at which any column's sample lands in cell s."""
-    cells = np.repeat(np.arange(ftm.rows), np.diff(ftm.row_offsets))
-    return csr_from_pairs(zip(cells, ftm.col_indices % n_d), (ftm.rows, n_d))
+    """The ring all cameras share, rebuilt from the exact matrix: row s
+    holds every bin from the least to the greatest at which any column's
+    sample lands in cell s, the hull of those bins, as a ring row is one
+    run."""
+    pairs = []
+    for s in range(ftm.rows):
+        bins = row(ftm, s) % n_d
+        if bins.size:
+            pairs += [(s, d) for d in range(bins.min(), bins.max() + 1)]
+    return csr_from_pairs(pairs, (ftm.rows, n_d))
 
 
 def entry_keys(m):
@@ -243,6 +251,21 @@ def plan_oracle(ring, ray):
         for d in row(ring, j)
     ]
     return csr_from_pairs(pairs, (ray.nnz, ray.cols * ring.cols))
+
+
+def matrixvt_by_plan(features, depths, rr):
+    """vt_matrixvt as the pair once ran it, over its plan (`plan_oracle`):
+    one scipy product of the plan with the flattened depths gives a weight
+    per ray nonzero, summed over its ring row in bin order, and one scipy
+    product of those weights on the ray's pattern with the features gives
+    the (S, C) float32 BEV tensor."""
+    plan = plan_oracle(rr.ring, rr.ray)
+    ones = np.ones(plan.nnz, dtype=np.float32)
+    handle = sp.csr_matrix((ones, plan.col_indices, plan.row_offsets), shape=plan.shape)
+    weights = handle @ np.ravel(depths)
+    ray = rr.ray
+    handle = sp.csr_matrix((weights, ray.col_indices, ray.row_offsets), shape=ray.shape)
+    return np.ascontiguousarray(handle @ features, dtype=np.float32)
 
 
 def ftm_loop(frustum, grid):
@@ -300,8 +323,8 @@ def full_height_bev(scene, feature, depth, attn, refine, pos_embed):
 def dense_reformulated(features, depths, rr):
     """The reformulated transform evaluated densely: contract each ray
     nonzero's dense ring row with its column's depths, place the weights on
-    the ray's (S, W) pattern, multiply by the features. Reads ring and ray
-    directly, never the execution plan vt_matrixvt uses."""
+    the ray's (S, W) pattern, multiply by the features. Reads the ring
+    matrix and the ray, never the intervals vt_matrixvt runs on."""
     columns = rr.ray.col_indices
     cells = np.repeat(np.arange(rr.ray.rows), np.diff(rr.ray.row_offsets))
     weights = np.zeros(rr.ray.shape, dtype=np.float32)

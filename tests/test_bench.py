@@ -405,13 +405,22 @@ class TestFlipRingBit:
             assert missing.sum() == 1  # one exact entry, the removed bin's
 
     def test_removes_the_middle_exact_bin(self):
-        # ray entry (cell 0, column 0) holds bins 0 and 2, of which only 2 is
-        # exact; entry (cell 1, column 0) holds bin 1, exact
+        # ray entry (cell 0, column 0) holds bins 0, 1 and 2, entry (cell 1,
+        # column 0) bin 1. Of the exact bins, 0 and 1 of the first entry and
+        # 1 of the second, the middle is bin 1 of the first entry, inside its
+        # run: only the bins at an end of a run are flipped, so the ring
+        # keeps no gap, and the middle of those is the second entry's
         ray = SparseBinaryMatrix(2, 1, [0, 1, 2], [0, 0])
-        ring = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
-        exact = SparseBinaryMatrix(2, 3, [0, 1, 2], [2, 1])
-        flipped = flip_ring_bit(RingRayPair(ring, ray), exact)
-        assert flipped.ring == SparseBinaryMatrix(2, 3, [0, 2, 2], [0, 2])
+        rr = RingRayPair(SparseBinaryMatrix(2, 3, [0, 3, 4], [0, 1, 2, 1]), ray)
+        exact = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 1, 1])
+        assert flip_ring_bit(rr, exact).ring == SparseBinaryMatrix(2, 3, [0, 3, 3], [0, 1, 2])
+        # with bins 0 and 1 of the first entry exact, its first bin goes
+        exact = SparseBinaryMatrix(2, 3, [0, 2, 2], [0, 1])
+        assert flip_ring_bit(rr, exact).ring == SparseBinaryMatrix(2, 3, [0, 2, 3], [1, 2, 1])
+        # with only its bin 1 exact, no end bin is exact
+        exact = SparseBinaryMatrix(2, 3, [0, 1, 1], [1])
+        with pytest.raises(ValidationError, match="no ring bin to flip at an end of its run"):
+            flip_ring_bit(rr, exact)
 
     def test_pair_whose_keys_would_wrap_is_refused(self):
         # implied entries (0, 1) and (4, 0): a key 4 * 2**62 + 0 would wrap
@@ -468,17 +477,16 @@ class TestRunCheck:
 
     @pytest.mark.parametrize("corrupt", [False, True], ids=["pass", "flip-ring-bit"])
     def test_reports_the_bytes_held_in_closed_form(self, rig_config_path, corrupt):
-        # the bundled rig is S1. Every buffer counted once, each entry 4
-        # bytes (int32 ids, float32 unit values): the exact matrix's offsets
-        # and columns and its scipy handle's values; the ring's offsets and
-        # bins, the ray's offsets and columns, and the plan's columns and
-        # handle values, for the plan and its handle share the rest
+        # the bundled rig is S1. Every buffer counted once: the exact
+        # matrix's offsets and columns and its scipy handle's values, 4
+        # bytes an entry (int32 ids, float32 unit values); the ray's offsets
+        # and columns, 4 bytes an entry, and a first bin and a length per
+        # ray entry, 1 byte each for the rig's 112 bins
         report = run_check(rig_config_path, trials=1, seed=0, corrupt_ring=corrupt)
         cells = 128 * 128
         assert report.ftm_bytes == 4 * ((cells + 1) + 2 * report.ftm_nnz)
-        ring = (report.ray_nnz + 1) + report.ring_nnz
         ray = (cells + 1) + report.ray_nnz
-        assert report.pair_bytes == 4 * (ring + ray + 2 * report.ring_nnz)
+        assert report.pair_bytes == 4 * ray + 2 * report.ray_nnz
 
     def test_deterministic_given_seed(self, small_config_path):
         a = run_check(small_config_path, trials=3, seed=11)

@@ -1,6 +1,7 @@
 import functools
 import io
 import math
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -56,9 +57,9 @@ from oracles import (
     ftm_loop,
     frustum_per_point,
     locate_scan,
+    matrixvt_by_plan,
     older_cache_bytes,
     per_entry,
-    plan_oracle,
     quarter_turned,
     random_scene,
     ring_ray_loop,
@@ -71,6 +72,8 @@ from test_fileio import sealed
 from test_reference import single_ray_setup
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# the reach and pitch of a degenerate rig with a gap in a camera's band
+GAP_REACH, GAP_PITCH = 2.5706410308040337, 71.44842496944987
 
 
 def recorded_csr_handles(monkeypatch):
@@ -93,6 +96,12 @@ def _saved_cache_bytes():
     buf = io.BytesIO()
     write_cache(buf, "d", rr.ring, rr.ray)
     return buf.getvalue(), (rr.ring, rr.ray)
+
+
+def mirrored(ring):
+    """The ring with bin d of every row moved to bin N_d - 1 - d: the same
+    shape and entry count, and a run stays a run."""
+    return from_dense(densify(ring)[:, ::-1])
 
 
 def build_pair(rng, n_cameras=2, w_i=5, h_i=2, n_d=6, grid_cells=12):
@@ -179,21 +188,37 @@ class TestBuildRingRay:
         assert build_ftm(fr, scene.grid) is ftm
         assert (rr.ring, rr.ray) == expected
 
+    def test_a_band_with_a_gap_takes_its_hull(self):
+        # of this rig's cameras only camera 1 faces the grid; in cell 7 its
+        # column 1 (feature column 4) lands bins 3 and 4 and its column 2
+        # (feature column 5) bin 1, so its band there, {1, 3, 4}, has a gap
+        # at bin 2, found by a draw of TestDegenerateRigs. Both ray
+        # entries' ring rows are the band's hull, bins 1 to 4
+        scene = degenerate_scene([True, False, True], 6, 3, 3, GAP_REACH, pitch=GAP_PITCH)
+        frustum = generate_frustum(scene.rig, scene.bins)
+        assert row(build_ftm(frustum, scene.grid), 7).tolist() == [4 * 6 + 3, 4 * 6 + 4, 5 * 6 + 1]
+        rr = build_ring_ray(frustum, scene.grid)
+        assert row(rr.ray, 7).tolist() == [4, 5]
+        j = rr.ray.row_offsets[7]
+        assert [row(rr.ring, k).tolist() for k in (j, j + 1)] == [[1, 2, 3, 4]] * 2
+        assert (rr.ring, rr.ray) == ring_ray_loop(frustum, scene.grid)
+
     def test_pair_rows_must_match(self):
         a = SparseBinaryMatrix(2, 3, [0, 0, 0], [])
         b = SparseBinaryMatrix(3, 3, [0, 0, 0, 0], [])
         with pytest.raises(ShapeError):
             RingRayPair(a, b)
 
-    def test_plan_column_ids_must_fit_int64(self):
-        # plan column ids run to ray.cols * ring.cols - 1
+    def test_implied_column_ids_must_fit_int64(self):
+        # the implied matrix's column ids run to ray.cols * ring.cols - 1
         wide = SparseBinaryMatrix(1, 2**33, [0, 0], [])
         with pytest.raises(ShapeError, match="int64"):
             RingRayPair(wide, wide)
         narrow = SparseBinaryMatrix(1, 2**31, [0, 1], [2**31 - 1])
         rr = RingRayPair(narrow, SparseBinaryMatrix(1, 2**32 - 1, [0, 1], [7]))
-        assert rr._plan.col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
-        assert rr._plan.col_indices.dtype == np.int64
+        implied = effective_ftm(rr)
+        assert implied.col_indices.tolist() == [7 * 2**31 + 2**31 - 1]
+        assert implied.col_indices.dtype == np.int64
 
     def test_ray_offsets_larger_than_memory_are_refused(self, memory_cap):
         # sized from the machine: the grid's cells alone need more int64 row
@@ -211,38 +236,58 @@ class TestBuildRingRay:
             RingRayPair(ring, ray)
         RingRayPair(from_dense(np.ones((ray.nnz, 4))), ray)
 
-    def test_ring_row_of_two_runs_is_stored_as_it_is(self, tmp_path):
-        # bins 0 and 2 of ray nonzero (0, 1), with no bin 1 between them:
-        # the ring keeps the gap, and so do the plan and the implied matrix
+    @pytest.mark.parametrize("gapped", [0, 1])
+    def test_ring_row_with_a_gap_is_refused_naming_it(self, gapped):
+        # bins 0 and 2 of a ray nonzero, with no bin 1 between them: a ring
+        # row is one run of bins, so the pair names the row and stores nothing
         ray = from_dense([[0, 1], [1, 0]])
-        ring = from_dense([[1, 0, 1, 0], [0, 1, 0, 0]])
-        rr = RingRayPair(ring, ray)
-        assert row(rr.ring, 0).tolist() == [0, 2]
-        assert rr._plan == plan_oracle(ring, ray)
-        assert row(effective_ftm(rr), 0).tolist() == [4, 6]
-        save_ring_ray(rr, tmp_path, "d")
-        assert row(load_ring_ray(tmp_path, "d").ring, 0).tolist() == [0, 2]
+        rows = [[0, 1, 1, 0], [0, 1, 0, 0]]
+        rows[gapped] = [1, 0, 1, 0]
+        with pytest.raises(ValidationError, match=f"^ring row {gapped} is not one run"):
+            RingRayPair(from_dense(rows), ray)
+        rows[gapped] = [1, 1, 1, 0]
+        assert row(RingRayPair(from_dense(rows), ray).ring, gapped).tolist() == [0, 1, 2]
+
+
+def runs_as_by_plan(rr, seed=0, channels=3):
+    """Check that vt_matrixvt of `rr` equals `matrixvt_by_plan`, the pair's
+    former kernel over its plan, bit for bit, on random non-negative inputs
+    of `channels` channels; return the output."""
+    rng = np.random.default_rng(seed)
+    f = rng.random((rr.n_columns, channels), dtype=np.float32)
+    d = rng.random((rr.n_columns, rr.n_depths), dtype=np.float32)
+    out = vt_matrixvt(f, d, rr)
+    assert np.array_equal(out, matrixvt_by_plan(f, d, rr))
+    return out
 
 
 class TestPlan:
-    """The plan against `plan_oracle`, its first pass-by-pass form."""
+    """vt_matrixvt against `matrixvt_by_plan`, the product over the plan
+    (`plan_oracle`) that the pair was run by before it held intervals: the
+    same weights, summed in the same order, so the same bits."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_oracle_on_geometric_pairs(self, seed):
         rng = np.random.default_rng(seed)
         _, _, rr = build_pair(rng, n_cameras=3, w_i=7, n_d=9, grid_cells=10)
-        assert rr._plan == plan_oracle(rr.ring, rr.ray)
+        assert runs_as_by_plan(rr, seed).any()
 
     def test_matches_oracle_on_the_bundled_rig(self, rig_scene):
         frustum = generate_frustum(rig_scene.rig, rig_scene.bins)
-        rr = build_ring_ray(frustum, rig_scene.grid)
-        assert rr._plan == plan_oracle(rr.ring, rr.ray)
+        assert runs_as_by_plan(build_ring_ray(frustum, rig_scene.grid)).any()
+
+    @pytest.mark.parametrize("config", ["six_camera_rig.json", "pitched_rig.json"])
+    @pytest.mark.parametrize("setting", sorted(PRESETS))
+    def test_matches_oracle_on_every_setting(self, setting, config):
+        scene = setting_scene(load_scene(CONFIGS / config), PRESETS[setting])
+        frustum = generate_frustum(scene.rig, scene.bins)
+        assert runs_as_by_plan(build_ring_ray(frustum, scene.grid)).any()
 
     @pytest.mark.parametrize(
         "ring, ray",
         [
             # cell 1's ring row is empty under a two-entry ray row
-            ([[1, 0, 1], [0, 0, 0], [0, 1, 1]], [[1, 0], [1, 1], [0, 1]]),
+            ([[1, 1, 0], [0, 0, 0], [0, 1, 1]], [[1, 0], [1, 1], [0, 1]]),
             ([[1, 1, 0], [0, 1, 1]], [[0, 0], [0, 0]]),  # an empty ray
             ([[0, 0], [0, 0]], [[1, 1, 1], [0, 1, 0]]),  # an empty ring
             (np.zeros((0, 2)), np.zeros((0, 3))),  # no cells
@@ -252,9 +297,17 @@ class TestPlan:
     def test_matches_oracle_on_hand_built_pairs(self, ring, ray):
         ray = from_dense(ray)
         rr = RingRayPair(per_entry(from_dense(ring), ray), ray)
-        plan = rr._plan
-        assert plan == plan_oracle(rr.ring, rr.ray)
-        assert plan.shape == (rr.ray.nnz, rr.n_columns * rr.n_depths)
+        assert runs_as_by_plan(rr).shape == (rr.n_cells, 3)
+
+
+def interval_rows(rng, rows, n_d, density):
+    """A dense (rows, n_d) ring of intervals: each row, with probability
+    `density`, one run of 1..n_d bins at a random place, else empty."""
+    ring = np.zeros((rows, n_d), dtype=bool)
+    for r in np.flatnonzero(rng.random(rows) < density):
+        first = rng.integers(0, n_d)
+        ring[r, first : first + rng.integers(1, n_d - first + 1)] = True
+    return ring
 
 
 class TestVtMatrixvt:
@@ -370,7 +423,7 @@ class TestVtMatrixvt:
     @example(seed=3, s=12, n_d=6, w=5, ring_density=0.3, ray_density=0.7)
     def test_hand_built_degenerate_pairs(self, seed, s, n_d, w, ring_density, ray_density):
         rng = np.random.default_rng(seed)
-        ring = rng.random((s, n_d)) < ring_density
+        ring = interval_rows(rng, s, n_d, ring_density)
         ray = rng.random((s, w)) < ray_density
         ray_m = from_dense(ray)
         rr = RingRayPair(per_entry(from_dense(ring), ray_m), ray_m)
@@ -379,6 +432,7 @@ class TestVtMatrixvt:
         out = vt_matrixvt(f, d, rr)
         assert out.shape == (s, 3)
         assert max_rel_diff(out, dense_reformulated(f, d, rr)) <= 1e-5
+        assert np.array_equal(out, matrixvt_by_plan(f, d, rr))
         dead = ~ring.any(axis=1) | ~ray.any(axis=1)
         assert not out[dead].any()
         kron = (ray[:, :, None] & ring[:, None, :]).reshape(s, w * n_d)
@@ -414,20 +468,19 @@ def test_every_scipy_handle_wraps_its_matrix_arrays(setting, rig_scene, monkeypa
     vt_ftm(lift(f, d), ftm)
     handles = recorded_csr_handles(monkeypatch)
     vt_matrixvt(f, d, rr)
-    (ray_handle,) = handles  # the plan's handle was made with the pair
-    plan = rr._plan
-    assert plan.row_offsets is rr.ring.row_offsets
-    for handle, m in [(ftm._scipy, ftm), (plan._scipy, plan), (ray_handle, rr.ray)]:
+    (ray_handle,) = handles
+    for handle, m in [(ftm._scipy, ftm), (ray_handle, rr.ray)]:
         assert m.row_offsets.dtype == m.col_indices.dtype == np.int32
         assert np.shares_memory(handle.indptr, m.row_offsets)
         assert np.shares_memory(handle.indices, m.col_indices)
-    # so the pair holds each of its arrays once, 4 bytes an entry: the
-    # ring's, the ray's, and the plan's columns and unit values
-    cells, ring, ray = rr.n_cells, rr.ring, rr.ray
-    held = (ring.rows + 1 + ring.nnz) + (cells + 1 + ray.nnz) + 2 * ring.nnz
-    assert _held_bytes(rr._buffers()) == 4 * held
+    # so the pair holds each of its arrays once: the ray's offsets and
+    # columns, 4 bytes an entry, and per ray entry a first bin and a
+    # length, 1 byte each for the 112 bins; below the exact matrix's bytes
+    assert rr._first.dtype == rr._length.dtype == np.int8
+    held = 4 * (rr.n_cells + 1 + rr.ray.nnz) + 2 * rr.ray.nnz
+    assert _held_bytes(rr._buffers()) == held < _held_bytes(ftm._buffers())
     if setting == "S4":
-        assert 4 * held <= 1.35e6
+        assert held <= 0.58e6
 
 
 class TestEffectiveFtm:
@@ -451,11 +504,12 @@ class TestEffectiveFtm:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_passes_the_checking_constructor(self, seed):
-        # effective_ftm stores arrays sliced from the plan without checking
-        # them again; the checking constructor takes them as they are
+        # effective_ftm stores the arrays it expands from the intervals
+        # without checking them again; the checking constructor takes them
+        # as they are
         rng = np.random.default_rng(seed)
         _, _, rr = build_pair(rng, n_cameras=3, w_i=6, h_i=2, n_d=8, grid_cells=16)
-        ring, ray = from_dense(rng.random((5, 3)) < 0.5), from_dense(rng.random((5, 4)) < 0.5)
+        ring, ray = from_dense(interval_rows(rng, 5, 3, 0.5)), from_dense(rng.random((5, 4)) < 0.5)
         hand = RingRayPair(per_entry(ring, ray), ray)
         for pair in (rr, hand):
             m = effective_ftm(pair)
@@ -486,15 +540,17 @@ def implied_chain(ftm, rr, n_d):
 
 class TestPerCameraRing:
     """Exact <= per-camera implied <= shared implied on the bundled rig, and
-    the spurious rate of each ring: (implied nnz - exact nnz) / implied nnz."""
+    the spurious rate of each ring: (implied nnz - exact nnz) / implied nnz.
+    A shared ring row is the hull of every camera's bins in its cell
+    (`shared_ring`), so it holds each per-camera row's hull."""
 
     RATES = {  # setting: (per-camera, shared)
-        "S1": (0.1042, 0.2247),
-        "S2": (0.0006, 0.0552),
-        "S3": (0.1902, 0.3148),
-        "S4": (0.0011, 0.1094),
-        "S5": (0.0011, 0.1094),
-        "S6": (0.0041, 0.1412),
+        "S1": (0.1042, 0.3226),
+        "S2": (0.0006, 0.1101),
+        "S3": (0.1902, 0.4046),
+        "S4": (0.0011, 0.2411),
+        "S5": (0.0011, 0.2411),
+        "S6": (0.0041, 0.3156),
     }
 
     @pytest.mark.parametrize("setting", sorted(PRESETS))
@@ -648,6 +704,9 @@ class TestDegenerateRigs:
     @example(away=[False, False], n_d=6, h_cells=4, w_cells=4, reach=4.0, pitch=0.0, seed=0)
     # near-vertical: each column's six bins land in one cell (two at pitch 0)
     @example(away=[False, True], n_d=6, h_cells=4, w_cells=4, reach=0.7, pitch=89.0, seed=0)
+    # a band with a gap: see TestBuildRingRay::test_a_band_with_a_gap_takes_its_hull
+    @example(away=[True, False, True], n_d=6, h_cells=3, w_cells=3, reach=GAP_REACH,
+             pitch=GAP_PITCH, seed=0)
     def test_guarantees_hold(self, away, n_d, h_cells, w_cells, reach, pitch, seed):
         scene = degenerate_scene(away, n_d, h_cells, w_cells, reach, pitch=pitch)
         frustum = generate_frustum(scene.rig, scene.bins)
@@ -811,11 +870,14 @@ class TestCache:
         back = load_ring_ray(tmp_path, digest)
         assert back == rr
         (raw,) = files
-        for m in (back.ring, back.ray):
-            for a in (m.row_offsets, m.col_indices):
-                assert a.dtype == np.int32
-                assert a.flags.aligned and not a.flags.writeable
-                assert np.shares_memory(a, np.frombuffer(raw, np.uint8))
+        # the ray's words are views of the file's bytes; the ring's are read
+        # into intervals, whose arrays are the pair's own
+        for a in (back.ray.row_offsets, back.ray.col_indices):
+            assert a.dtype == np.int32
+            assert a.flags.aligned and not a.flags.writeable
+            assert np.shares_memory(a, np.frombuffer(raw, np.uint8))
+        for a in (back._first, back._length):
+            assert not np.shares_memory(a, np.frombuffer(raw, np.uint8))
 
     def test_older_layout_misses_and_the_next_save_replaces_it(self, tmp_path):
         ring = SparseBinaryMatrix(3, 2, [0, 1, 1, 3], [1, 0, 1])
@@ -857,7 +919,7 @@ class TestCache:
 
     def test_save_dying_mid_write_keeps_the_old_pair(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
-        new = RingRayPair(from_dense(densify(old.ring) == 0), old.ray)
+        new = RingRayPair(mirrored(old.ring), old.ray)
         slot = tmp_path / "c"
         save_ring_ray(old, slot, "old")
         real = transform.write_cache
@@ -879,7 +941,8 @@ class TestCache:
     def test_save_racing_a_load_never_mixes_pairs(self, tmp_path, rng, monkeypatch):
         _, _, old = build_pair(rng)
         # same shapes as the old pair, different ring: a mix would load
-        new = RingRayPair(from_dense(densify(old.ring) == 0), old.ray)
+        new = RingRayPair(mirrored(old.ring), old.ray)
+        assert new != old
         slot = tmp_path / "c"
         save_ring_ray(old, slot, "old")
         real = transform.read_cache
@@ -902,7 +965,8 @@ class TestCache:
     )
     def test_corrupted_bytes_read_as_the_saved_pair_or_a_miss(self, flips, resize):
         # bit flips anywhere in the file, then bytes cut off or appended:
-        # the crc makes every change that decodes to another pair a miss
+        # the crc makes every change that decodes to another pair a miss,
+        # and a load of the file returns the saved pair or None, never raises
         raw, expected = _saved_cache_bytes()
         bad = bytearray(raw)
         for at, bit in flips:
@@ -910,12 +974,16 @@ class TestCache:
         bad = bad[: len(bad) + resize] if resize < 0 else bad + bytes(resize)
         got = read_cache(bytes(bad), "d")
         assert got is None or got == expected
+        with tempfile.TemporaryDirectory() as slot:
+            Path(slot, "ringray.bxc").write_bytes(bad)
+            loaded = load_ring_ray(slot, "d")
+        assert loaded == (None if got is None else RingRayPair(*expected))
 
     def test_corrupt_matrix_file(self, tmp_path):
         # the crc matches the changed records, so the constructor's
         # column-range rule is what turns the file away
         ray = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
-        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 3, 1, 2])
+        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 2, 1, 2])
         save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
         path = tmp_path / "ringray.bxc"
         raw = bytearray(path.read_bytes())
@@ -936,12 +1004,12 @@ class TestCache:
         # the crc matches the changed records, so the constructor's row-order
         # rule is what turns the file away
         ray = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
-        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 3, 1, 2])
+        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 2, 1, 2])
         save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
         assert load_ring_ray(tmp_path, "d") == RingRayPair(ring, ray)
         path = tmp_path / "ringray.bxc"
         raw = bytearray(path.read_bytes())
-        # ring row 1's bins 0, 1, 3 become 0, 0, 3: its first column id is
+        # ring row 1's bins 0, 1, 2 become 0, 0, 2: its first column id is
         # word 1 of the ids, after the header, the crc, the ring's record
         # header and its 4 int32 offsets
         at = len(_header("d")) + 8 + 32 + 4 * (4 + 1)
@@ -954,7 +1022,29 @@ class TestCache:
         path.write_bytes(raw)
         assert load_ring_ray(tmp_path, "d") is None
 
-    def test_pair_too_wide_for_its_plan_misses(self, tmp_path):
+    def test_ring_row_with_a_gap_under_a_valid_crc_misses(self, tmp_path):
+        # the crc matches the changed records, and the matrix is valid CSR,
+        # so the pair's one-run rule is what turns the file away
+        ray = SparseBinaryMatrix(2, 3, [0, 2, 3], [0, 2, 1])
+        ring = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 2, 1, 2])
+        save_ring_ray(RingRayPair(ring, ray), tmp_path, "d")
+        path = tmp_path / "ringray.bxc"
+        raw = bytearray(path.read_bytes())
+        # ring row 1's bins 0, 1, 2 become 0, 1, 3: its last column id is
+        # word 3 of the ids, after the header, the crc, the ring's record
+        # header and its 4 int32 offsets
+        at = len(_header("d")) + 8 + 32 + 4 * (4 + 3)
+        assert raw[at : at + 4] == np.array([2], "<i4").tobytes()
+        raw[at : at + 4] = np.array([3], "<i4").tobytes()
+        raw = sealed(raw, "d")
+        gapped = SparseBinaryMatrix(3, 4, [0, 1, 4, 6], [2, 0, 1, 3, 1, 2])
+        assert read_cache(raw, "d") == (gapped, ray)
+        with pytest.raises(ValidationError, match="^ring row 1 is not one run"):
+            RingRayPair(gapped, ray)
+        path.write_bytes(raw)
+        assert load_ring_ray(tmp_path, "d") is None
+
+    def test_pair_too_wide_for_int64_column_ids_misses(self, tmp_path):
         # two valid records, but ray.cols * ring.cols passes 2**63
         wide = SparseBinaryMatrix(1, 2**33, [0, 0], [])
         with open(tmp_path / "ringray.bxc", "wb") as f:
@@ -965,7 +1055,7 @@ class TestCache:
     def test_wide_crafted_file_loads_in_a_small_multiple_of_its_size(self, tmp_path):
         # the crafted wide file of the shared layout (a 1-row ring and ray,
         # 2**17 entries each, whose plan took 2**34 entries), rebuilt with
-        # the ring one row per ray entry: the plan is the ring's size
+        # the ring one row per ray entry: a one-bin interval per entry
         n = 2**17
         ray = SparseBinaryMatrix(1, n, [0, n], np.arange(n))
         ring = SparseBinaryMatrix(n, n, np.arange(n + 1), np.arange(n))
@@ -978,12 +1068,12 @@ class TestCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert rr is not None and rr._plan.nnz == n
+        assert rr is not None and rr.ring.nnz == n
         assert peak < 3 * size, (peak, size)
 
     def test_concurrent_saves_to_one_slot_never_mix(self, tmp_path, rng, monkeypatch):
         _, _, a = build_pair(rng)
-        b = RingRayPair(from_dense(densify(a.ring) == 0), a.ray)
+        b = RingRayPair(mirrored(a.ring), a.ray)
         barrier = threading.Barrier(2, timeout=30)
         real = transform.write_cache
 
